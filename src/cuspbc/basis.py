@@ -79,30 +79,6 @@ class GaussianHeadTerm:
             raise DomainError("Gaussian exponent must be positive")
 
 
-def slater_cusp_function(ell: int, a: float, b: float):
-    """r -> r^ell [1 + (b - a^2/2) r^2] e^{a r}."""
-    c2 = b - 0.5 * a * a
-
-    def f(r):
-        rs = np.asarray(r, dtype=float)
-        return rs ** ell * (1.0 + c2 * rs ** 2) * np.exp(a * rs)
-
-    return f
-
-
-def gaussian_cusp_function(ell: int, a: float, b: float, g0: float):
-    """r -> r^ell [1 + a r + (b + g0) r^2] e^{-g0 r^2}."""
-    if not (g0 > 0.0):
-        raise DomainError("g0 must be positive")
-    c2 = b + g0
-
-    def f(r):
-        rs = np.asarray(r, dtype=float)
-        return rs ** ell * (1.0 + a * rs + c2 * rs ** 2) * np.exp(-g0 * rs ** 2)
-
-    return f
-
-
 def asymptotic_slater(sys: SystemAsymptotics):
     """The large-r tail as a basis function: e^{-decay r} r^power."""
     def f(r):

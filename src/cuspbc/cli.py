@@ -152,8 +152,7 @@ def _load_problem(path):
     return problem, m_prime, q_total, bracket
 
 
-def _report_state(problem, energy, fn, m_prime, q_total):
-    a = problem.mass * problem.pair_product / (problem.ell + 1)
+def _report_state(problem, a, energy, fn, m_prime, q_total):
     g = problem.grid
     scale = max(1.0, problem.mass * abs(problem.pair_product))
     n_fit = max(12, int(np.searchsorted(g, min(0.05 / scale, g[-1] / 100.0))))
@@ -172,8 +171,9 @@ def _report_state(problem, energy, fn, m_prime, q_total):
 
 def cmd_solve(args) -> int:
     problem, m_prime, q_total, bracket = _load_problem(args.problem)
-    inner = radial.robin_inner(
-        problem.ell, problem.mass * problem.pair_product / (problem.ell + 1))
+    # cusp slope of u = R/r^ell: the inner Robin condition and its target
+    a = problem.mass * problem.pair_product / (problem.ell + 1)
+    inner = radial.robin_inner(problem.ell, a)
     tol = _tol()
     reports = {}
     if args.method in ("matrix", "both"):
@@ -182,7 +182,7 @@ def cmd_solve(args) -> int:
             problem, inner, m_prime, q_total, args.k, tol=tol)
         reports["matrix"] = {
             "seconds": time.perf_counter() - t0,
-            "states": [_report_state(problem, e, fn, m_prime, q_total)
+            "states": [_report_state(problem, a, e, fn, m_prime, q_total)
                        for e, fn in pairs],
         }
         for i, (_, fn) in enumerate(pairs):
@@ -200,7 +200,8 @@ def cmd_solve(args) -> int:
                                            tuple(bracket), asymptotics=guess)
         reports["shoot"] = {
             "seconds": time.perf_counter() - t0,
-            "states": [_report_state(problem, energy, fn, m_prime, q_total)],
+            "states": [_report_state(problem, a, energy, fn, m_prime,
+                                     q_total)],
         }
         if args.output:
             with open(f"{args.output}.shoot.csv", "w", encoding="utf-8") as fh:
@@ -259,8 +260,7 @@ def cmd_compare_he(args) -> int:
     orbital = HFROrbital.from_file(args.hfr)
     inv_r = orbital.mean_inv_r
     z = args.z
-    pair = CoalescencePair.electron_nucleus(
-        z, None if args.fixed_nucleus or args.a_mass is None else args.a_mass)
+    pair = CoalescencePair.electron_nucleus(z, args.a_mass)
     w0 = (pair.q1 + pair.q2) * inv_r
     if args.e >= w0:
         raise RegimeError(f"E = {args.e} is not below W0 = {w0}")
@@ -380,10 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r0-kind", choices=("cusp", "mean-inv-r"),
                    default="cusp", help="effective-radius convention")
     p.add_argument("--z", type=float, default=2.0)
-    p.add_argument("--a-mass", type=float, default=None)
-    p.add_argument("--fixed-nucleus", action="store_true", default=True)
-    p.add_argument("--finite-nucleus", dest="fixed_nucleus",
-                   action="store_false")
+    p.add_argument("--a-mass", type=float, default=None,
+                   help="nuclear mass number; omitted = infinite mass")
     p.add_argument("--r-max", type=float, default=6.0)
     p.add_argument("--n", type=int, default=601)
     _add_io_args(p)

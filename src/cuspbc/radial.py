@@ -1,8 +1,10 @@
 """Radial eigensolvers with Robin boundary conditions at both ends.
 
-Two independent routes are provided: ODE shooting with log-derivative
-matching, and a symmetric algebraic eigenproblem on a logarithmic mesh.
-The solved equation is the reduced radial problem
+Both routes work on one discretisation, the uniform x = ln r mesh of the
+problem's grid with chi = P/sqrt(r) = r^(ell+1/2) u: Numerov shooting on
+the log mesh with Casoratian matching, and a symmetric algebraic
+eigenproblem on the same nodes.  The solved equation is the reduced radial
+problem
 
     -u''/(2M) - (ell+1)/(M r) u' + [q1 q2 / r + W0 + V_extra(r)] u = E u
 
@@ -17,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
+# unused here; bound because perfbench/tracing.py wraps radial.solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -29,30 +32,23 @@ from .gridfn import RadialFunction
 INNER = "inner"
 OUTER = "outer"
 
-ROBIN = "robin"
-PERIODIC = "periodic"
-
 
 @dataclass(frozen=True)
 class RobinBoundary:
     """c_dpsi * f' + c_psi * f = 0 at one boundary.
 
     At the inner edge f is the reduced function u; at the outer edge f is
-    the full radial function R.  kind = "periodic" exists only so that the
-    Born-von-Karman alternative has a name; the solvers reject it.
+    the full radial function R.
     """
 
     location: str
     c_dpsi: float
     c_psi: float
-    kind: str = ROBIN
 
     def __post_init__(self):
         if self.location not in (INNER, OUTER):
             raise DomainError("location must be 'inner' or 'outer'")
-        if self.kind not in (ROBIN, PERIODIC):
-            raise DomainError("kind must be 'robin' or 'periodic'")
-        if self.kind == ROBIN and self.c_dpsi == 0.0 and self.c_psi == 0.0:
+        if self.c_dpsi == 0.0 and self.c_psi == 0.0:
             raise DomainError("(c_dpsi, c_psi) must not both vanish")
 
     @property
@@ -181,67 +177,102 @@ class RadialProblem:
         return v
 
 
-def _require_robin(bc: RobinBoundary, where: str) -> None:
-    if bc.kind != ROBIN:
-        raise DomainError(
-            f"periodic boundary at {where} is not supported by this solver"
-        )
+def _require_location(bc: RobinBoundary, where: str) -> None:
     if bc.location != where:
         raise DomainError(f"boundary marked {bc.location} used at {where}")
+
+
+def _log_mesh(problem: RadialProblem):
+    """Step h of the uniform x = ln r mesh and, on its nodes, the terms of
+    chi'' = (q - E b) chi: q = 1/4 + ell(ell+1) + 2M r^2 V and b = 2M r^2."""
+    r = problem.grid
+    x = np.log(r)
+    h = x[1] - x[0]
+    if not np.allclose(np.diff(x), h, rtol=1e-8):
+        raise DomainError("radial solvers require a logarithmic grid")
+    b = 2.0 * problem.mass * r ** 2
+    q = 0.25 + problem.ell * (problem.ell + 1) + b * problem.potential()
+    return h, q, b
 
 
 # ---------------------------------------------------------------------------
 # shooting route
 
 
+def _log_step(s: float, g, h: float) -> float:
+    """ln chi(x0 + h) - ln chi(x0) to third order in h, from chi'/chi = s at
+    x0 and g = chi''/chi at x0, x0 + h, x0 + 2h: L = ln chi has L' = s,
+    L'' = g - s^2 (Riccati) and L''' = g' - 2 s L''."""
+    d2 = g[0] - s * s
+    d3 = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h) - 2.0 * s * d2
+    return h * s + h * h / 2.0 * d2 + h ** 3 / 6.0 * d3
+
+
+def _numerov(c, y0: float, y1: float) -> list[float]:
+    """y_{i+1} = c_i y_i - y_{i-1} from (y0, y1), one node per entry of c."""
+    ys = [y0, y1]
+    for ci in c:
+        y0, y1 = y1, ci * y1 - y0
+        ys.append(y1)
+    return ys
+
+
 def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
                    outer: RobinBoundary, e_bracket: tuple[float, float],
                    asymptotics: SystemAsymptotics | None = None,
                    rtol: float = 1e-12) -> tuple[float, RadialFunction]:
-    """Integrate the u-equation outward and inward, match at the geometric
-    midpoint, and bisect on the sign of the normalized Wronskian.
+    """Numerov shooting on the log mesh (J. W. Cooley, Math. Comp. 15, 363
+    (1961)): propagate chi outward from the inner Robin slope and inward
+    from the outer one, match at the middle node, and root-find the energy
+    on the sign of the normalized Casoratian there.  rtol is the relative
+    energy tolerance of the root finder.
+
+    The error is O(h^4) in the step of the problem's own log mesh, with no
+    extrapolation: a coarser grid gives a less accurate energy.  The matrix
+    route shares the mesh, so agreement between the two routes does not
+    check the mesh; only analytic references do.
 
     If asymptotics is given, the outer log-derivative is recomputed from
     each trial energy instead of being frozen at the supplied boundary.
     """
-    _require_robin(inner, INNER)
-    _require_robin(outer, OUTER)
+    _require_location(inner, INNER)
+    _require_location(outer, OUTER)
     if not math.isfinite(inner.log_derivative):
         raise DomainError("shooting requires a genuine inner Robin condition")
-    a_in = inner.log_derivative
-    ell, m_red = problem.ell, problem.mass
-    r_min, r_max = problem.grid[0], problem.grid[-1]
-    r_match = math.sqrt(r_min * r_max)
-
-    def rhs(r, y, e):
-        u, du = y
-        return [du, -(2 * ell + 2) / r * du
-                + 2.0 * m_red * (problem.potential(r) - e) * u]
+    if asymptotics is None and not math.isfinite(outer.log_derivative):
+        raise DomainError("shooting requires a genuine outer Robin condition")
+    h, q, b = _log_mesh(problem)
+    r = problem.grid
+    ell, n = problem.ell, len(r)
+    mid = (n - 1) // 2
+    # chi'/chi in x at the inner node: u'/u = a with chi = r^(ell+1/2) u
+    s_in = ell + 0.5 + inner.log_derivative * r[0]
 
     def branches(e):
+        """Numerov y = f chi, outward on nodes 0..mid+1, inward on mid..n-1."""
+        g = q - e * b
+        f = 1.0 - h * h / 12.0 * g
+        c = ((12.0 - 10.0 * f) / f).tolist()
         if asymptotics is not None:
-            kap = replace(asymptotics, energy=e).kappa(r_max)
+            kap = replace(asymptotics, energy=e).kappa(r[-1])
         else:
             kap = outer.log_derivative
-        out = solve_ivp(rhs, [r_min, r_match], [1.0, a_in], args=(e,),
-                        method="DOP853", rtol=rtol, atol=1e-14,
-                        dense_output=True)
-        inw = solve_ivp(rhs, [r_max, r_match], [1.0, kap - ell / r_max],
-                        args=(e,), method="DOP853", rtol=rtol, atol=1e-14,
-                        dense_output=True)
-        if not (out.success and inw.success
-                and np.all(np.isfinite(out.y)) and np.all(np.isfinite(inw.y))):
-            raise StiffnessError(f"integration failed at E = {e}")
-        return out, inw
+        # each branch starts from chi = 1 at its edge node and one Taylor
+        # step of ln chi, so both Robin slopes hold for any r_min and r_max
+        step_in = _log_step(s_in, g[:3], h)
+        step_out = _log_step(0.5 + kap * r[-1], g[:-4:-1], -h)
+        yo = _numerov(c[1:mid + 1], f[0], f[1] * math.exp(step_in))
+        yi = _numerov(c[n - 2:mid:-1], f[-1], f[-2] * math.exp(step_out))[::-1]
+        return yo, yi, f
 
     def mismatch(e):
-        out, inw = branches(e)
-        uo, duo = out.y[:, -1]
-        ui, dui = inw.y[:, -1]
-        # normalized Wronskian: bounded, same zeros as the log-derivative
-        # difference, but free of the poles the latter has at nodes of u
-        return (duo * ui - uo * dui) / math.sqrt(
-            (uo * uo + duo * duo) * (ui * ui + dui * dui))
+        yo, yi, _ = branches(e)
+        no, ni = math.hypot(yo[-2], yo[-1]), math.hypot(yi[0], yi[1])
+        if not (math.isfinite(no) and math.isfinite(ni) and no * ni > 0.0):
+            raise StiffnessError(f"Numerov propagation overflowed at E = {e}")
+        # discrete Wronskian of the recurrence, constant along the mesh;
+        # normalized it is bounded and free of poles at nodes of chi
+        return (yo[-1] * yi[0] - yo[-2] * yi[1]) / (no * ni)
 
     e_lo, e_hi = e_bracket
     f_lo, f_hi = mismatch(e_lo), mismatch(e_hi)
@@ -250,21 +281,21 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
             f"mismatch has the same sign at both bracket ends "
             f"({f_lo:.3g}, {f_hi:.3g})"
         )
-    energy = brentq(mismatch, e_lo, e_hi, xtol=1e-12, rtol=8.9e-16)
+    energy = brentq(mismatch, e_lo, e_hi, xtol=1e-12, rtol=rtol)
 
-    out, inw = branches(energy)
-    g = problem.grid
-    u = np.empty_like(g)
-    left = g <= r_match
-    u[left] = out.sol(g[left])[0]
-    u[~left] = inw.sol(g[~left])[0]
-    # splice the inward branch onto the outward one at the match point
-    scale = out.sol(r_match)[0] / inw.sol(r_match)[0]
-    u[~left] *= scale
-    p = g ** (ell + 1) * u
-    norm = math.sqrt(np.trapezoid(p * p, g))
+    yo, yi, f = branches(energy)
+    if not f.min() > 0.0:
+        # h^2 (q - E b)/12 >= 1 somewhere: Numerov flips the sign of chi at
+        # every such node, so the root above need not be an eigenvalue
+        raise StiffnessError(f"log mesh too coarse for Numerov at E = {energy}")
+    # splice the inward branch onto the outward one over nodes mid, mid+1
+    scale = (yo[-2] * yi[0] + yo[-1] * yi[1]) / (yi[0] ** 2 + yi[1] ** 2)
+    chi = np.concatenate([yo[:-1], scale * np.asarray(yi[1:])]) / f
+    u = chi * r ** (-ell - 0.5)
+    p = r ** (ell + 1) * u
+    norm = math.sqrt(np.trapezoid(p * p, r))
     u /= norm * math.copysign(1.0, u[0])
-    return energy, RadialFunction(g, u, ell, "u")
+    return energy, RadialFunction(r, u, ell, "u")
 
 
 # ---------------------------------------------------------------------------
@@ -272,21 +303,14 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
 
 
 def _assemble(problem: RadialProblem, inner: RobinBoundary,
-              outer: RobinBoundary, grid: np.ndarray):
+              outer: RobinBoundary):
     """Symmetric tridiagonal pencil (A, B) for chi(x) = P(r)/sqrt(r) on the
     uniform x = ln r mesh, Robin rows folded in by ghost-point elimination
     (halved to preserve symmetry); Dirichlet ends drop their unknown."""
-    x = np.log(grid)
-    h = x[1] - x[0]
-    if not np.allclose(np.diff(x), h, rtol=1e-8):
-        raise DomainError("matrix route requires a logarithmic grid")
-    r = grid
-    ell, m_red = problem.ell, problem.mass
-    q = 0.25 + ell * (ell + 1) + 2.0 * m_red * r ** 2 * problem.potential(r)
-    b = 2.0 * m_red * r ** 2
-
+    h, q, bb = _log_mesh(problem)
+    r = problem.grid
+    ell = problem.ell
     diag = 2.0 / h ** 2 + q
-    bb = b.copy()
     lo = hi = None
     if math.isfinite(inner.log_derivative):
         # chi-variable log-derivative at the inner edge
@@ -319,8 +343,8 @@ def _spectrum_floor(problem: RadialProblem) -> float:
     return floor
 
 
-def _eig(problem, inner, outer, grid, k):
-    a_mat, b_mat, window = _assemble(problem, inner, outer, grid)
+def _eig(problem, inner, outer, k):
+    a_mat, b_mat, window = _assemble(problem, inner, outer)
     sigma = _spectrum_floor(problem)
     try:
         w, v = eigsh(a_mat, k=k, M=b_mat, sigma=sigma, which="LM")
@@ -330,8 +354,8 @@ def _eig(problem, inner, outer, grid, k):
     return w[order], v[:, order], window
 
 
-def _normalized_u(problem, grid, v_col, lo, hi):
-    ell = problem.ell
+def _normalized_u(problem, v_col, lo, hi):
+    ell, grid = problem.ell, problem.grid
     chi = np.zeros(len(grid))
     chi[lo:hi] = v_col
     u = chi * grid ** (-ell - 0.5)
@@ -354,11 +378,11 @@ def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
     """
     if k < 1:
         raise DomainError("k must be at least 1")
-    _require_robin(inner, INNER)
-    _require_robin(outer, OUTER)
+    _require_location(inner, INNER)
+    _require_location(outer, OUTER)
     g = problem.grid
-    w, v, (lo, hi) = _eig(problem, inner, outer, g, k)
-    us = [_normalized_u(problem, g, v[:, i], lo, hi) for i in range(k)]
+    w, v, (lo, hi) = _eig(problem, inner, outer, k)
+    us = [_normalized_u(problem, v[:, i], lo, hi) for i in range(k)]
     if richardson:
         from scipy.interpolate import CubicSpline
 
@@ -369,12 +393,12 @@ def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
                             extra_potential=np.interp(g2, g, problem.extra_potential))
         else:
             prob2 = replace(problem, grid=g2)
-        w2, v2, (lo2, hi2) = _eig(prob2, inner, outer, g2, k)
+        w2, v2, (lo2, hi2) = _eig(prob2, inner, outer, k)
         rho_sq = ((len(g) - 1) / (n2 - 1)) ** 2
         w = w + (w - w2) / (rho_sq - 1.0)
         ell = problem.ell
         for i in range(k):
-            u2 = _normalized_u(prob2, g2, v2[:, i], lo2, hi2)
+            u2 = _normalized_u(prob2, v2[:, i], lo2, hi2)
             u2f = CubicSpline(np.log(g2), u2)(np.log(g))
             u = us[i] + (us[i] - u2f) / (rho_sq - 1.0)
             p = g ** (ell + 1) * u

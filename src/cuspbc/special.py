@@ -137,12 +137,3 @@ def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
         y = (-1.0) ** mp * y.conjugate()
     return y
 
-
-def spherical_harmonic_real(l: int, m: int, theta: float, phi: float) -> float:
-    """Real-form spherical harmonic (for CSV output); canonical form is complex."""
-    if m == 0:
-        return spherical_harmonic(l, 0, theta, phi).real
-    y = spherical_harmonic(l, abs(m), theta, phi)
-    if m > 0:
-        return math.sqrt(2.0) * (-1.0) ** m * y.real
-    return math.sqrt(2.0) * (-1.0) ** m * y.imag

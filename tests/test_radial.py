@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
 from cuspbc.cusp import cusp_limit_first
-from cuspbc.errors import DomainError, NoSignChange, RegimeError
-from cuspbc.radial import (PERIODIC, RadialProblem, RobinBoundary,
+from cuspbc.errors import (DomainError, NoSignChange, RegimeError,
+                           StiffnessError)
+from cuspbc.radial import (RadialProblem, RobinBoundary,
                            SystemAsymptotics, asymptotic_tail,
                            hydrogen_reference, log_grid, outer_log_derivative,
                            robin_inner, robin_outer, solve_matrix,
@@ -57,15 +59,6 @@ def test_boundary_validation():
         RobinBoundary("inner", 0.0, 0.0)
     with pytest.raises(DomainError):
         RobinBoundary("middle", 1.0, 0.0)
-
-
-def test_periodic_variant_rejected_by_solvers():
-    e, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0, n=200)
-    per = RobinBoundary("outer", 1.0, 0.0, kind=PERIODIC)
-    with pytest.raises(DomainError):
-        solve_matrix(problem, inner, per, 1)
-    with pytest.raises(DomainError):
-        solve_shooting(problem, inner, per, (-0.6, -0.4))
 
 
 def test_asymptotic_tail():
@@ -128,6 +121,47 @@ def test_shooting_constant_shift():
     assert e == pytest.approx(-0.25, abs=1e-8)
 
 
+def test_shooting_dirichlet_outer_needs_asymptotics():
+    # a Dirichlet outer wall gives the inward branch no starting slope
+    e_ref, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0, n=200)
+    wall = RobinBoundary("outer", 0.0, 1.0)
+    with pytest.raises(DomainError):
+        solve_shooting(problem, inner, wall, (-0.6, -0.4))
+    e, _ = solve_shooting(problem, inner, wall, (-0.6, -0.4),
+                          asymptotics=sysa)
+    assert e == pytest.approx(e_ref, abs=1e-6)
+
+
+def test_shooting_requires_a_fine_log_grid():
+    sysa = SystemAsymptotics(1.0, 0.0, -0.5)
+    inner, outer = robin_inner(0, -1.0), robin_outer(sysa, 40.0)
+    problem = RadialProblem(ell=0, mass=1.0, pair_product=-1.0, w0=0.0,
+                            grid=np.linspace(1e-3, 40.0, 400))
+    with pytest.raises(DomainError):
+        solve_shooting(problem, inner, outer, (-0.6, -0.4))
+    # 100 nodes: h^2 (q - E b)/12 exceeds 1 near r_max at every bracketed E
+    problem = replace(problem, grid=log_grid(1e-5, 40.0, 100))
+    with pytest.raises(StiffnessError):
+        solve_shooting(problem, inner, outer, (-0.6, -0.4))
+
+
+def test_shooting_inner_robin_away_from_origin():
+    # u = e^{-r} satisfies u' = -u at every r, so hydrogen 1s stays exact
+    # with the inner edge far from the nucleus; at r_min = 1, a r_min = -1
+    sysa = SystemAsymptotics(1.0, 0.0, -0.5)
+    inner, outer = robin_inner(0, -1.0), robin_outer(sysa, 40.0)
+    for r_min in (0.5, 1.0):
+        problem = RadialProblem(ell=0, mass=1.0, pair_product=-1.0, w0=0.0,
+                                grid=log_grid(r_min, 40.0, 2000))
+        e_s, fn = solve_shooting(problem, inner, outer, (-0.6, -0.4),
+                                 asymptotics=sysa)
+        assert e_s == pytest.approx(-0.5, abs=1e-8)
+        e_m = solve_matrix(problem, inner, outer, 1)[0][0]
+        assert e_s == pytest.approx(e_m, abs=1e-8)
+        r, u = fn.grid[:20], fn.values[:20]
+        assert np.allclose(u / u[0], np.exp(r_min - r), rtol=1e-8)
+
+
 def test_shooting_no_sign_change():
     e_ref, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0, n=200)
     with pytest.raises(NoSignChange):
@@ -160,12 +194,11 @@ def test_matrix_agrees_with_shooting_extra_potential():
     e_m = pairs[0][0]
     sysa = SystemAsymptotics(1.0, 0.0, e_m)
     outer = robin_outer(sysa, 40.0)
-    # the two routes see slightly different potentials between the nodes
-    # (linear interpolation of the table), so the agreement is looser than
-    # for closed-form potentials
+    # both routes sample the table only at the mesh nodes; what is left is
+    # the discretisation error of the two schemes
     e_s, _ = solve_shooting(problem, inner, outer, (e_m - 0.05, e_m + 0.05),
                             asymptotics=sysa)
-    assert e_m == pytest.approx(e_s, abs=5e-6)
+    assert e_m == pytest.approx(e_s, abs=1e-6)
 
 
 def test_matrix_spherical_bessel_box():
