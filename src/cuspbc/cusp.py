@@ -12,9 +12,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, FitError, ParityError, RegimeError
+from .errors import DomainError, FitError, Overflow, ParityError, RegimeError
 from .gridfn import RadialFunction
-from .special import DEFAULT_DOMAIN, EvalDomain, kummer_1f1, spherical_harmonic
+from .special import (DEFAULT_DOMAIN, EvalDomain, _scaled, _sphere_nodes,
+                      spherical_harmonic)
 
 INFINITE_MASS = math.inf
 PROTON_ELECTRON_MASS_RATIO = 1836.152673
@@ -193,16 +194,28 @@ def cusp_series(pair: CoalescencePair, ell: int, w0: float, e: float,
 
 def local_u(lw: LocalWavefunction, r, dom: EvalDomain = DEFAULT_DOMAIN):
     """Reduced local wave function
-    u(r) = u0 e^{-beta r} 1F1(ell+1+alpha/beta; 2 ell+2; 2 beta r)."""
+    u(r) = u0 e^{-beta r} 1F1(ell+1+alpha/beta; 2 ell+2; 2 beta r).
+
+    All points go at once through the router that kummer_1f1 uses (power
+    series below the crossover, large-x expansion in log form from it on),
+    with e^{-beta r} joined to the expansion's exponent, so u is finite
+    wherever it fits a double, and Overflow is raised where it does not.
+    Radii must be finite and non-negative (DomainError).
+    """
     rs = np.asarray(r, dtype=float)
-    if np.any(rs < 0.0):
+    flat = rs.reshape(-1)
+    if not np.isfinite(flat).all():
+        raise DomainError("r must be finite")
+    if (flat < 0.0).any():
         raise DomainError("r must be non-negative")
-    flat = np.atleast_1d(rs)
-    out = np.empty_like(flat)
-    for i, ri in enumerate(flat):
-        out[i] = lw.u0 * math.exp(-lw.beta * ri) \
-            * kummer_1f1(lw.kummer_a, lw.kummer_b, 2.0 * lw.beta * ri, dom)
-    return out.reshape(rs.shape) if rs.shape else float(out[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # caught below
+        x = 2.0 * lw.beta * flat
+        if not np.isfinite(x).all():
+            raise Overflow("2 beta r exceeds the double range")
+        out = lw.u0 * _scaled(lw.kummer_a, lw.kummer_b, x, -0.5 * x, dom)
+    if not np.isfinite(out).all():
+        raise Overflow(f"u(r) exceeds the double range (beta = {lw.beta})")
+    return out.reshape(rs.shape) if rs.ndim else float(out[0])
 
 
 def local_psi(lw: LocalWavefunction, r, theta: float, phi: float,
@@ -294,9 +307,15 @@ def cusp_limit_second(f: RadialFunction, ell: int | None = None,
 @dataclass(frozen=True)
 class AngularRadialFunction:
     """An s-type (ell = 0) function of (r, theta, phi) with the radial grid
-    on which cusp limits are to be estimated."""
+    on which cusp limits are to be estimated.
 
-    fn: Callable[[np.ndarray, float, float], np.ndarray]
+    fn must broadcast like a numpy ufunc: kato_average_check calls it once
+    with r of shape (n, 1) and theta, phi of shape (1, m) for all
+    quadrature nodes, and expects an (n, m) result (or one that broadcasts
+    to it), besides once with scalar angles along a fixed direction.
+    """
+
+    fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     grid: np.ndarray
 
     def __post_init__(self):
@@ -317,13 +336,10 @@ def kato_average_check(f: AngularRadialFunction,
     directional = cusp_limit_first(
         RadialFunction(r, np.real(f.fn(r, theta0, phi0)), 0, "R"), 0)
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-    thetas = np.arccos(nodes)
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    avg = np.zeros_like(r)
-    for th, w in zip(thetas, weights):
-        for ph in phis:
-            avg += w * np.real(f.fn(r, th, ph))
-    avg /= 2.0 * n_phi
+    cos_theta, phi, w = _sphere_nodes(n_theta, n_phi)
+    theta = np.repeat(np.arccos(cos_theta), n_phi)
+    vals = np.real(f.fn(r[:, None], theta[None, :],
+                        np.tile(phi, n_theta)[None, :]))
+    avg = np.broadcast_to(vals, (r.size, theta.size)) @ np.repeat(w, n_phi)
     averaged = cusp_limit_first(RadialFunction(r, avg, 0, "R"), 0)
     return directional, averaged

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cusp import CoalescencePair
 from .errors import DomainError, SingularityError
-from .special import legendre_p
+from .special import _sphere_nodes, legendre_p
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,7 @@ def spherical_average_w(env: Environment, pair: CoalescencePair, r: float,
 
     The reduction uses compensated summation over a fixed ordering, so
     repeated calls are bit-identical."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    nodes, phis, weights = _sphere_nodes(n_theta, n_phi)
     st = np.sqrt(1.0 - nodes ** 2)
     dirs = np.stack([
         np.outer(st, np.cos(phis)).ravel(),
@@ -172,4 +171,4 @@ def spherical_average_w(env: Environment, pair: CoalescencePair, r: float,
     if np.any(d1 == 0.0) or np.any(d2 == 0.0):
         raise SingularityError("quadrature node hits a spectator charge")
     vals = wgt[:, None] * (qs * pair.q1 / d1 + qs * pair.q2 / d2)
-    return math.fsum(vals.ravel().tolist()) / (2.0 * n_phi)
+    return math.fsum(vals.ravel().tolist())

@@ -33,6 +33,10 @@ class NoConvergence(NumericalError):
     """Series or iteration exceeded its term/iteration budget."""
 
 
+class Overflow(NumericalError):
+    """Result lies outside the double-precision range."""
+
+
 class FitError(NumericalError):
     """Polynomial cusp fit is under-determined or degenerate."""
 

@@ -11,9 +11,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
+
+
+def _norm(n: int, zeta: float) -> float:
+    """Normalisation of r^{n-1} e^{-zeta r} under int R^2 r^2 dr."""
+    return math.sqrt((2.0 * zeta) ** (2 * n + 1) / math.factorial(2 * n))
 
 
 @dataclass(frozen=True)
@@ -35,14 +39,16 @@ class HFROrbital:
         rs = np.asarray(r, dtype=float)
         out = np.zeros_like(rs)
         for n, z, c in self.terms:
-            norm = math.sqrt((2.0 * z) ** (2 * n + 1) / math.factorial(2 * n))
-            out = out + c * norm * rs ** (n - 1) * np.exp(-z * rs)
+            out = out + c * _norm(n, z) * rs ** (n - 1) * np.exp(-z * rs)
         return out
 
     def _moment(self, k: int) -> float:
-        val, _ = quad(lambda r: self.radial(r) ** 2 * r ** k, 0.0, np.inf,
-                      limit=200)
-        return val
+        """int_0^inf R(r)^2 r^k dr, exactly: a sum over term pairs of
+        int r^m e^{-s r} dr = m! / s^{m+1}."""
+        return math.fsum(
+            ci * cj * _norm(ni, zi) * _norm(nj, zj)
+            * math.factorial(ni + nj - 2 + k) / (zi + zj) ** (ni + nj - 1 + k)
+            for ni, zi, ci in self.terms for nj, zj, cj in self.terms)
 
     @property
     def norm_sq(self) -> float:
@@ -50,7 +56,7 @@ class HFROrbital:
 
     @property
     def mean_inv_r(self) -> float:
-        """<1/r> by radial quadrature, normalization included."""
+        """<1/r> from the closed-form moments, normalization included."""
         return self._moment(1) / self.norm_sq
 
     @classmethod

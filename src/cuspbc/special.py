@@ -10,7 +10,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NoConvergence, PoleError
+import numpy as np
+
+from .errors import DomainError, NoConvergence, Overflow, PoleError
 
 
 @dataclass(frozen=True)
@@ -48,17 +50,23 @@ def kummer_series(a: float, b: float, x: float, dom: EvalDomain = DEFAULT_DOMAIN
     """Raw series sum of 1F1(a; b; x), no transformation.
 
     Stops once the term stays below rel_tol * |partial sum| for two
-    consecutive terms (hysteresis against an accidentally small term).
+    consecutive terms (hysteresis against an accidentally small term),
+    counting only terms that the next one undercuts (or that are 0, as
+    all after them are): a leading term made tiny by a small a does not
+    end a sum whose later terms grow.
     """
     if _is_nonpositive_integer(b):
         raise PoleError(f"1F1 pole: b = {b} is zero or a negative integer")
     total = 1.0
     term = 1.0
     small = 0
+    ratio = a / b * x
     for k in range(1, dom.max_terms + 1):
-        term *= (a + k - 1) / (b + k - 1) * x / k
+        term *= ratio
         total += term
-        if abs(term) <= dom.rel_tol * abs(total):
+        ratio = (a + k) / (b + k) * x / (k + 1)
+        shrinking = abs(ratio) < 1.0 or term == 0.0
+        if abs(term) <= dom.rel_tol * abs(total) and shrinking:
             small += 1
             if small >= 2:
                 return total
@@ -69,19 +77,180 @@ def kummer_series(a: float, b: float, x: float, dom: EvalDomain = DEFAULT_DOMAIN
     )
 
 
-def kummer_1f1(a: float, b: float, x: float, dom: EvalDomain = DEFAULT_DOMAIN) -> float:
-    """1F1(a; b; x); negative arguments go through the Kummer transformation
-    1F1(a;b;x) = e^x 1F1(b-a; b; -x) so every series summed has positive
-    argument (the direct alternating series loses precision).
+def _masked_sum(x: np.ndarray, ratio, dom: EvalDomain, what: str) -> np.ndarray:
+    """Sum the series 1 + t_1 + t_2 + ... elementwise, t_k = t_{k-1} ratio(k, x).
+
+    Each element stops under kummer_series' rule and leaves the working
+    set; terms that overflow never pass the rule, so they end in
+    NoConvergence.
+    """
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    prev_small = np.zeros(x.size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = ratio(1, x)
+        for k in range(1, dom.max_terms + 1):
+            if idx.size == 0:
+                return out
+            term *= r
+            total += term
+            r = ratio(k + 1, x)
+            small = ((np.abs(term) <= dom.rel_tol * np.abs(total))
+                     & ((np.abs(r) < 1.0) | (term == 0.0)))
+            done = small & prev_small
+            if done.any():
+                out[idx[done]] = total[done]
+                keep = ~done
+                idx, x, term, total = idx[keep], x[keep], term[keep], total[keep]
+                r, small = r[keep], small[keep]
+            prev_small = small
+    if idx.size == 0:
+        return out
+    raise NoConvergence(
+        f"{what} did not converge within {dom.max_terms} terms "
+        f"(x = {x[0]!r})"
+    )
+
+
+def _series(a: float, b: float, x: np.ndarray, dom: EvalDomain) -> np.ndarray:
+    """kummer_series over an array, element for element the same sums.
+
+    One point takes the scalar loop itself: numpy's per-call overhead on a
+    one-element array makes the masked sum some 15x slower there."""
+    if x.size == 1:
+        return np.array([kummer_series(a, b, float(x[0]), dom)])
+    return _masked_sum(x, lambda k, xs: (a + (k - 1)) / (b + (k - 1)) * xs / k,
+                       dom, f"1F1({a}, {b}, x)")
+
+
+_LARGE_X_TERMS = 40
+_LARGE_X_RATIO = 0.4
+_LOG_RECESSIVE = math.log(1e-18)
+
+
+def kummer_crossover(a: float, b: float) -> float:
+    """Argument from which 1F1(a; b; x), x > 0, comes from the large-x
+    expansion (DLMF 13.7.2) instead of the power series.
+
+    Two bounds, both for double precision: the geometric mean of the
+    expansion's first 40 term ratios |(1-a+s)(b-a+s)| / ((s+1) x) is at
+    most 0.4, so its 40th term is below 1e-16; and the recessive part that
+    the expansion drops, about |Gamma(a) / Gamma(b-a)| x^{b-2a} e^{-x}
+    relative to it (DLMF 13.7.2), is below 1e-18.  Infinite when a is 0
+    or a negative integer: the series is then an exact polynomial.
+    """
+    if _is_nonpositive_integer(a):
+        return math.inf
+    n = _LARGE_X_TERMS
+    if _is_nonpositive_integer(1.0 - a) or _is_nonpositive_integer(b - a):
+        x = 1.0  # the expansion terminates: its terms reach an exact zero
+    else:  # products over s < n via Gamma(c + n) / Gamma(c)
+        log_ratios = (math.lgamma(n + 1.0 - a) - math.lgamma(1.0 - a)
+                      + math.lgamma(n + b - a) - math.lgamma(b - a)
+                      - math.lgamma(n + 1.0))
+        x = max(1.0, math.exp(log_ratios / n) / _LARGE_X_RATIO)
+    if not _is_nonpositive_integer(b - a):  # else there is no recessive part
+        c = math.lgamma(a) - math.lgamma(b - a) - _LOG_RECESSIVE
+        # the bound holds for all x >= root of x = c + (b - 2a) ln x above
+        # b - 2a (where the right side grows slower than x); approached
+        # from below
+        x = max(x, b - 2.0 * a)
+        for _ in range(8):
+            x = max(x, c + (b - 2.0 * a) * math.log(x))
+    return x
+
+
+def _gamma_sign(v: float) -> float:
+    """Sign of Gamma(v) for v not 0, -1, -2, ...: negative exactly on
+    (-1, 0), (-3, -2), ..."""
+    return -1.0 if v < 0.0 and math.floor(v) % 2 == 1 else 1.0
+
+
+def _large_x(a: float, b: float, xs: np.ndarray, dom: EvalDomain):
+    """Large-x expansion of 1F1(a; b; x) in log form (DLMF 13.7.2, x > 0):
+
+        1F1(a; b; x) = sign * exp(x + rest),
+        rest = ln|Gamma(b)| - ln|Gamma(a)| + (a - b) ln x + ln|S|,
+        S = sum_s (1 - a)_s (b - a)_s / (s! x^s),
+
+    with sign that of Gamma(b) / Gamma(a) * S.  Returns (rest, sign) as
+    arrays; the caller adds x (or x shifted by a prefactor's exponent)
+    before exponentiating, so 1F1 itself is never formed where it
+    overflows.  Meant for x >= kummer_crossover(a, b), where S converges
+    to rel_tol; a must not be 0, -1, ... (the series is exact there).
+    """
+    # (1 - a)_s (b - a)_s, each factor rounded once (exact near its zeros)
+    big_s = _masked_sum(xs, lambda k, xa: (k - a) * ((b - a) + (k - 1)) / k / xa,
+                        dom, f"large-x 1F1({a}, {b}, x)")
+    with np.errstate(divide="ignore"):
+        rest = (math.lgamma(b) - math.lgamma(a) + (a - b) * np.log(xs)
+                + np.log(np.abs(big_s)))
+    return rest, _gamma_sign(b) * _gamma_sign(a) * np.sign(big_s)
+
+
+def _scaled(a: float, b: float, x: np.ndarray, shift, dom: EvalDomain) -> np.ndarray:
+    """e^shift 1F1(a; b; x) for a flat x >= 0, shift a scalar or an array
+    like x: the series below kummer_crossover, the log-form expansion from
+    it on, so a shift of -x/2 keeps e^{-x/2} 1F1 finite where 1F1 is not.
+    b must not be 0, -1, ...  Entries that overflow come back as inf (no
+    warning)."""
+    far = x >= kummer_crossover(a, b)
+    with np.errstate(over="ignore"):
+        if not far.any():
+            return np.exp(shift) * _series(a, b, x, dom)
+        shift = np.broadcast_to(shift, x.shape)
+        out = np.empty_like(x)
+        near = ~far
+        out[near] = np.exp(shift[near]) * _series(a, b, x[near], dom)
+        rest, sign = _large_x(a, b, x[far], dom)
+        out[far] = sign * np.exp((shift[far] + x[far]) + rest)
+    return out
+
+
+def kummer_1f1(a: float, b: float, x, dom: EvalDomain = DEFAULT_DOMAIN):
+    """1F1(a; b; x) for a scalar x (returns a float) or an array x.
+
+    Negative arguments go through the Kummer transformation
+    1F1(a;b;x) = e^x 1F1(b-a; b; -x), so every series summed has positive
+    argument (the direct alternating series loses precision).  From
+    kummer_crossover on, the large-x expansion replaces the series.
+    Raises DomainError for a non-finite x and Overflow where 1F1 exceeds
+    the double range.
     """
     if _is_nonpositive_integer(b):
         raise PoleError(f"1F1 pole: b = {b} is zero or a negative integer")
+    xs = np.asarray(x, dtype=float)
+    flat = xs.reshape(-1)
+    if not np.isfinite(flat).all():
+        raise DomainError("1F1 argument must be finite")
+    neg = flat < 0.0
     if _is_nonpositive_integer(a):
         # terminating polynomial (degree -a); exact, no transformation needed
-        return kummer_series(a, b, x, dom)
-    if x < 0.0:
-        return math.exp(x) * kummer_series(b - a, b, -x, dom)
-    return kummer_series(a, b, x, dom)
+        out = _series(a, b, flat, dom)
+    elif not neg.any():
+        out = _scaled(a, b, flat, 0.0, dom)
+    else:
+        out = np.empty_like(flat)
+        out[~neg] = _scaled(a, b, flat[~neg], 0.0, dom)
+        # x + (-x) = 0 exactly: e^x cancels the transformed expansion's e^{-x}
+        out[neg] = _scaled(b - a, b, -flat[neg], flat[neg], dom)
+    if not np.isfinite(out).all():
+        raise Overflow(f"1F1({a}, {b}, x) exceeds the double range")
+    return out.reshape(xs.shape) if xs.ndim else float(out[0])
+
+
+def _sphere_nodes(n_theta: int, n_phi: int):
+    """Product quadrature over the unit sphere: Gauss-Legendre in cos(theta)
+    times the trapezoid rule in phi.  Returns (cos_theta, phi, w) of
+    lengths n_theta, n_phi, n_theta; the node
+    (cos_theta[i], phi[j]) has weight w[i], and the weights sum to 1 over
+    all n_theta * n_phi nodes, so their weighted sum of f is its spherical
+    average."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    return nodes, phi, weights / (2.0 * n_phi)
 
 
 def legendre_p(lam: int, x: float) -> float:

@@ -80,6 +80,15 @@ def test_local_u_hydrogen_1s_is_exponential():
     assert local_u(lw, 0.0) == 2.0
 
 
+def test_local_u_rejects_non_finite_radii():
+    lw = LocalWavefunction.from_pair(CoalescencePair.electron_nucleus(2.0),
+                                     0, 0, 1.6876, -0.9179556)
+    for r in (math.inf, math.nan, np.array([0.5, math.nan]),
+              np.array([[1.0], [math.inf]]), -1e-300):
+        with pytest.raises(DomainError):
+            local_u(lw, r)
+
+
 def test_local_psi_angular_factor():
     h = CoalescencePair.electron_nucleus(1.0)
     lw = LocalWavefunction.from_pair(h, 1, 0, 0.0, -0.125)
@@ -160,6 +169,29 @@ def test_kato_average_check_separates_anisotropies():
     d, avg = kato_average_check(AngularRadialFunction(f_cubic, grid),
                                 direction=(0.5, 0.0))
     assert d == pytest.approx(avg, abs=1e-7)
+
+
+def test_kato_average_check_one_broadcast_call():
+    # the directional limit takes one call, the whole sphere one more:
+    # r as a column against rows of quadrature angles
+    grid = np.linspace(1e-4, 0.012, 14)
+    shapes = []
+
+    def f(r, theta, phi):
+        shapes.append(np.broadcast_shapes(np.shape(r), np.shape(theta),
+                                          np.shape(phi)))
+        return np.exp(-2.0 * r) * (1.0 + 0.3 * r * np.sin(theta) * np.cos(phi))
+
+    d, avg = kato_average_check(AngularRadialFunction(f, grid),
+                                n_theta=8, n_phi=16)
+    assert shapes == [(14,), (14, 8 * 16)]
+    assert d == pytest.approx(-2.0 + 0.3 * math.sin(1.0) * math.cos(0.5),
+                              abs=1e-7)
+    assert avg == pytest.approx(-2.0, abs=1e-7)
+    # a function of r alone broadcasts too
+    _, avg = kato_average_check(
+        AngularRadialFunction(lambda r, theta, phi: np.exp(-r), grid))
+    assert avg == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_derivative_ratio_rules_on_polynomials():

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -44,6 +45,33 @@ def test_mean_inv_r_single_sto():
         orb = HFROrbital(((1, zeta, 1.0),))
         assert orb.norm_sq == pytest.approx(1.0, rel=1e-10)
         assert orb.mean_inv_r == pytest.approx(zeta, rel=1e-10)
+
+
+def test_sample_file_moments_are_exact():
+    # closed-form moments: the hydrogen 1s file is normalised and has
+    # <1/r> = Z = 1
+    orb = HFROrbital.from_file(SAMPLE)
+    assert abs(orb.norm_sq - 1.0) <= 1e-14
+    assert abs(orb.mean_inv_r - 1.0) <= 1e-14
+
+
+def test_multi_term_moments_against_mpmath_quadrature():
+    terms = ((1, 1.7, 0.6), (2, 0.9, -0.35), (3, 2.4, 0.2))
+    orb = HFROrbital(terms)
+    with mpmath.workdps(30):
+        def radial(r):
+            return mpmath.fsum(
+                c * mpmath.sqrt((2 * mpmath.mpf(z)) ** (2 * n + 1)
+                                / mpmath.factorial(2 * n))
+                * r ** (n - 1) * mpmath.exp(-z * r) for n, z, c in terms)
+
+        def moment(k):
+            return mpmath.quad(lambda r: radial(r) ** 2 * r ** k,
+                               [0, 1, 5, mpmath.inf])
+
+        norm_sq, inv_r = moment(2), moment(1) / moment(2)
+    assert orb.norm_sq == pytest.approx(float(norm_sq), rel=1e-13)
+    assert orb.mean_inv_r == pytest.approx(float(inv_r), rel=1e-13)
 
 
 def test_he_orbital_quadrature():

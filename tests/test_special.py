@@ -43,6 +43,32 @@ def test_kummer_pole_and_convergence_errors():
         kummer_series(1.0, 1.0, 200.0, EvalDomain(max_terms=10))
 
 
+def test_kummer_array_input():
+    x = np.array([[-3.0, 0.0], [0.5, 25.0]])
+    got = kummer_1f1(1.3, 2.5, x)
+    assert got.shape == (2, 2)
+    assert got.tolist() == [[kummer_1f1(1.3, 2.5, v) for v in row]
+                            for row in x.tolist()]
+    assert isinstance(kummer_1f1(1.3, 2.5, 0.5), float)
+    assert kummer_1f1(1.3, 2.5, np.array([])).shape == (0,)
+    with pytest.raises(NoConvergence):
+        kummer_1f1(1.0, 2.0, np.array([1.0, 30.0]), EvalDomain(max_terms=10))
+    for bad in (math.inf, math.nan, np.array([1.0, -math.inf])):
+        with pytest.raises(DomainError):
+            kummer_1f1(1.3, 2.5, bad)
+
+
+def test_kummer_small_a_does_not_stop_early():
+    # with a = 1e-20 the first terms fall below rel_tol while later ones
+    # grow to e^x a / x; the sum must not stop at the first two
+    a, b, x = 1e-20, 1.0, 60.0
+    mpmath.mp.dps = 50
+    ref = float(mpmath.hyp1f1(mpmath.mpf(a), b, x))
+    assert ref > 1.001
+    assert kummer_1f1(a, b, x) == pytest.approx(ref, rel=1e-13)
+    assert kummer_series(a, b, x) == pytest.approx(ref, rel=1e-13)
+
+
 def test_kummer_against_mpmath():
     # routed evaluation (Kummer transform for x < 0) against a 50-digit
     # reference over the full |x| <= 30 working range
