@@ -22,7 +22,8 @@ from . import environment as env_mod
 from . import radial
 from .cusp import (CoalescencePair, LocalWavefunction, cusp_a, cusp_b,
                    cusp_limit_first, cusp_series, local_u, validity_radius)
-from .errors import CuspbcError, InputError, NumericalError, RegimeError
+from .errors import (CuspbcError, InputError, NumericalError, Overflow,
+                     RegimeError)
 from .hfr import HFROrbital
 
 
@@ -280,13 +281,23 @@ def cmd_compare_he(args) -> int:
     uk = u0 * u
     dens_h = r ** 2 * hfr ** 2
     dens_k = r ** 2 * uk ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rel = np.abs(dens_k - dens_h) / dens_h
+
+    def relative(dk, dh):
+        # 0/0 at r = 0 stays nan; an orbital density that underflows to 0
+        # or near it gives no relative error
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            out = np.abs(dk - dh) / dh
+        if np.any(np.isinf(out)):
+            raise Overflow("relative density error leaves the double range "
+                           "where the orbital density underflows")
+        return out
+
+    rel = relative(dens_k, dens_h)
 
     def rel_at(rv):
         dk = rv ** 2 * (u0 * local_u(lw, rv)) ** 2
         dh = rv ** 2 * float(orbital.radial(rv)) ** 2
-        return abs(dk - dh) / dh
+        return float(relative(dk, dh))
 
     meta = {
         "energy_kind": args.energy_kind, "e": args.e, "r0_kind": args.r0_kind,

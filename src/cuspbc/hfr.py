@@ -11,13 +11,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import xlogy
 
-from .errors import DomainError
+from .errors import DomainError, Overflow
 
 
-def _norm(n: int, zeta: float) -> float:
-    """Normalisation of r^{n-1} e^{-zeta r} under int R^2 r^2 dr."""
-    return math.sqrt((2.0 * zeta) ** (2 * n + 1) / math.factorial(2 * n))
+def _log_norm(n: int, zeta: float) -> float:
+    """ln of the normalisation of r^{n-1} e^{-zeta r} under int R^2 r^2 dr."""
+    return 0.5 * ((2 * n + 1) * math.log(2.0 * zeta) - math.lgamma(2 * n + 1))
+
+
+def _signed_exp(c, x):
+    """c * e^x with ln|c| folded into the exponent, so a value that fits a
+    double comes back finite whatever the sizes of c and e^x alone."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.copysign(np.exp(np.log(abs(c)) + x), c)
+
+
+def _finite(x, what: str):
+    if not np.all(np.isfinite(x)):
+        raise Overflow(f"{what} lies outside the double range")
+    return x
 
 
 @dataclass(frozen=True)
@@ -36,19 +50,29 @@ class HFROrbital:
                 raise DomainError("zeta must be positive")
 
     def radial(self, r):
+        """R(r) for r >= 0, each term formed in log form."""
         rs = np.asarray(r, dtype=float)
-        out = np.zeros_like(rs)
-        for n, z, c in self.terms:
-            out = out + c * _norm(n, z) * rs ** (n - 1) * np.exp(-z * rs)
-        return out
+        if np.any(rs < 0.0):
+            raise DomainError("r must be non-negative")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = sum(_signed_exp(c, _log_norm(n, z) + xlogy(n - 1, rs)
+                                  - z * rs) for n, z, c in self.terms)
+        return _finite(out, "orbital value")
 
     def _moment(self, k: int) -> float:
         """int_0^inf R(r)^2 r^k dr, exactly: a sum over term pairs of
-        int r^m e^{-s r} dr = m! / s^{m+1}."""
-        return math.fsum(
-            ci * cj * _norm(ni, zi) * _norm(nj, zj)
-            * math.factorial(ni + nj - 2 + k) / (zi + zj) ** (ni + nj - 1 + k)
-            for ni, zi, ci in self.terms for nj, zj, cj in self.terms)
+        int r^m e^{-s r} dr = m! / s^{m+1}, each pair formed in log form."""
+        pairs = _finite([
+            _signed_exp(ci * cj, _log_norm(ni, zi) + _log_norm(nj, zj)
+                        + math.lgamma(ni + nj - 1 + k)
+                        - (ni + nj - 1 + k) * math.log(zi + zj))
+            for ni, zi, ci in self.terms for nj, zj, cj in self.terms],
+            f"a term of moment {k}")
+        try:
+            return math.fsum(pairs)
+        except OverflowError as exc:
+            raise Overflow(f"moment {k} lies outside the double range") \
+                from exc
 
     @property
     def norm_sq(self) -> float:

@@ -2,9 +2,10 @@
 
 Both routes work on one discretisation, the uniform x = ln r mesh of the
 problem's grid with chi = P/sqrt(r) = r^(ell+1/2) u: Numerov shooting on
-the log mesh with Casoratian matching, and a symmetric algebraic
-eigenproblem on the same nodes.  The solved equation is the reduced radial
-problem
+the log mesh with Casoratian matching, and a symmetric tridiagonal pencil
+on the same nodes whose k lowest states are certified by a Sturm count
+(bisection, one inverse-iteration step per state, Rayleigh-Ritz
+energies).  The solved equation is the reduced radial problem
 
     -u''/(2M) - (ell+1)/(M r) u' + [q1 q2 / r + W0 + V_extra(r)] u = E u
 
@@ -18,11 +19,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 # unused here; bound because perfbench/tracing.py wraps radial.solve_ivp
+# and radial.eigsh
 from scipy.integrate import solve_ivp  # noqa: F401
+from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import eigsh  # noqa: F401
 
 from .cusp import CuspSeries, CoalescencePair, cusp_series
 from .errors import (ConvergenceError, DomainError, NoSignChange,
@@ -306,52 +309,63 @@ def _assemble(problem: RadialProblem, inner: RobinBoundary,
               outer: RobinBoundary):
     """Symmetric tridiagonal pencil (A, B) for chi(x) = P(r)/sqrt(r) on the
     uniform x = ln r mesh, Robin rows folded in by ghost-point elimination
-    (halved to preserve symmetry); Dirichlet ends drop their unknown."""
+    (halved to preserve symmetry); Dirichlet ends drop their unknown.
+    Returns A's diagonal and off-diagonal, B's diagonal, and the grid
+    window [lo, hi) of the unknowns."""
     h, q, bb = _log_mesh(problem)
     r = problem.grid
     ell = problem.ell
     diag = 2.0 / h ** 2 + q
-    lo = hi = None
+    lo, hi = 1, len(r) - 1
     if math.isfinite(inner.log_derivative):
         # chi-variable log-derivative at the inner edge
         s0 = ell + 0.5 + inner.log_derivative * r[0]
         diag[0] = (1.0 + h * s0) / h ** 2 + q[0] / 2.0
         bb[0] /= 2.0
         lo = 0
-    else:
-        lo = 1
     if math.isfinite(outer.log_derivative):
         s1 = outer.log_derivative * r[-1] + 0.5
         diag[-1] = (1.0 - h * s1) / h ** 2 + q[-1] / 2.0
         bb[-1] /= 2.0
         hi = len(r)
-    else:
-        hi = len(r) - 1
-    diag = diag[lo:hi]
-    bb = bb[lo:hi]
-    off = -np.ones(len(diag) - 1) / h ** 2
-    a_mat = sp.diags([off, diag, off], [-1, 0, 1], format="csc")
-    b_mat = sp.diags(bb, 0, format="csc")
-    return a_mat, b_mat, (lo, hi)
-
-
-def _spectrum_floor(problem: RadialProblem) -> float:
-    floor = -2.0 * problem.mass * problem.pair_product ** 2 \
-        - abs(problem.w0) - 1.0
-    if problem.extra_potential is not None:
-        floor -= max(0.0, -float(np.min(problem.extra_potential)))
-    return floor
+    off = np.full(hi - lo - 1, -1.0 / h ** 2)
+    return diag[lo:hi], off, bb[lo:hi], (lo, hi)
 
 
 def _eig(problem, inner, outer, k):
-    a_mat, b_mat, window = _assemble(problem, inner, outer)
-    sigma = _spectrum_floor(problem)
+    """k lowest eigenpairs of the pencil (A, B), B-orthonormal.
+
+    T = B^(-1/2) A B^(-1/2) shares the pencil's inertia (B is positive
+    diagonal), so bisection on T's Sturm count (LAPACK stebz) returns
+    states 0..k-1 and skips none.  It runs to the smallest double: the
+    default tolerance, eps * ||T|| ~ 4e-2 with T's diagonal at 1e14, does
+    not resolve the states.  One inverse-iteration step per state on the
+    pencil, (A - wB) y = B v, restores the vectors' relative accuracy at
+    the inner nodes, and a Rayleigh-Ritz step on them gives the energies
+    and keeps the vectors of clustered states B-orthogonal."""
+    d, e, b, window = _assemble(problem, inner, outer)
+    if k > len(d):
+        raise DomainError(f"k = {k} exceeds the {len(d)} unknowns of the mesh")
+    s = 1.0 / np.sqrt(b)
+    # y'Ay = sum pot y^2 - e sum (dy)^2 with pot = d + e * (neighbours of
+    # the node): both sums are O(1), where d ~ 2/h^2 would cancel
+    pot = d + 2.0 * e[0]
+    pot[[0, -1]] = d[[0, -1]] + e[0]
     try:
-        w, v = eigsh(a_mat, k=k, M=b_mat, sigma=sigma, which="LM")
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(f"eigeniteration failed: {exc}") from exc
-    order = np.argsort(w)
-    return w[order], v[:, order], window
+        w, x = eigh_tridiagonal(d * s * s, e * s[:-1] * s[1:], select="i",
+                                select_range=(0, k - 1), lapack_driver="stebz",
+                                tol=np.finfo(float).tiny)
+        for j in range(k):
+            *_, y, info = dgtsv(e, d - w[j] * b, e, (b * s * x[:, j])[:, None])
+            if info != 0:
+                raise LinAlgError(f"dgtsv info {info} at E = {w[j]}")
+            x[:, j] = y[:, 0] / np.linalg.norm(y)
+        dx = np.diff(x, axis=0)
+        w, c = eigh(x.T @ (pot[:, None] * x) - e[0] * (dx.T @ dx),
+                    x.T @ (b[:, None] * x))
+    except LinAlgError as exc:
+        raise ConvergenceError(f"eigensolve failed: {exc}") from exc
+    return w, x @ c, window
 
 
 def _normalized_u(problem, v_col, lo, hi):
@@ -368,6 +382,12 @@ def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
                  outer: RobinBoundary, k: int,
                  richardson: bool = True) -> list[tuple[float, RadialFunction]]:
     """k lowest eigenpairs of the discretized radial problem.
+
+    Bisection on the pencil's Sturm count certifies that the states are the
+    k lowest, none skipped; the energies are the Rayleigh quotients, taken
+    jointly (Rayleigh-Ritz), of the vectors after one inverse-iteration
+    step.  k above the unknowns of the mesh, or of its Richardson half
+    mesh, raises DomainError.
 
     Both eigenvalues and eigenvectors are Richardson-extrapolated from a
     half-resolution companion mesh: the discretization is second order, so

@@ -138,6 +138,15 @@ def test_cmd_solve_no_sign_change_exit_code(tmp_path):
     assert main(["solve", str(path), "--method", "shoot"]) == 3
 
 
+def test_cmd_solve_k_beyond_the_mesh_exit_code(tmp_path, capsys):
+    # 400 nodes and the Dirichlet start of the outer loop: 399 unknowns
+    spec = {"ell": 0, "pair_product": -1.0, "grid": {"n": 400}}
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(spec))
+    assert main(["solve", str(path), "-k", "400"]) == 2
+    assert "399 unknowns" in capsys.readouterr().err
+
+
 def test_cuspbc_tol_validation(tmp_path, monkeypatch):
     spec = {"ell": 0, "pair_product": -1.0, "grid": {"n": 400}}
     path = tmp_path / "h.json"
@@ -221,6 +230,16 @@ def test_cmd_compare_he_a_mass_selects_finite_nucleus(tmp_path):
 def test_cmd_compare_he_regime_error(tmp_path):
     orbital = _write_he_orbital(tmp_path)
     assert main(["compare-he", str(orbital), "--e", "5.0"]) == 2
+
+
+def test_cmd_compare_he_compact_orbital_exit_code(tmp_path, capsys):
+    # the normalisation (2 zeta)^(2n+1) overflows as written; in log form
+    # the orbital is finite, but its density underflows long before r_max
+    path = tmp_path / "compact.hfr"
+    path.write_text("60 1000.0 1.0\n")
+    rc = main(["compare-he", str(path), "--e", repr(HE_ORBITAL_ENERGY)])
+    assert rc in (2, 3)
+    assert "double range" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code():

@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cuspbc.errors import DomainError
+from cuspbc.errors import DomainError, Overflow
 from cuspbc.hfr import HFROrbital
 
 SAMPLE = Path(__file__).resolve().parents[1] / "data" / "hydrogen_1s.hfr"
@@ -79,3 +79,34 @@ def test_he_orbital_quadrature():
     assert orb.norm_sq == pytest.approx(1.0, rel=1e-6)
     # hydrogen-like scaling puts <1/r> in the vicinity of Z - 5/16
     assert orb.mean_inv_r == pytest.approx(1.6875, abs=0.01)
+
+
+def test_compact_orbital_in_log_form():
+    # N = sqrt((2 zeta)^(2n+1) / (2n)!) overflows as written for n = 60,
+    # zeta = 1000, although N, R(r) and <1/r> = zeta/n all fit a double
+    n, zeta = 60, 1000.0
+    orb = HFROrbital(((n, zeta, 1.0),))
+    with mpmath.workdps(30):
+        norm = mpmath.sqrt((2 * mpmath.mpf(zeta)) ** (2 * n + 1)
+                           / mpmath.factorial(2 * n))
+
+        def radial(r):
+            r = mpmath.mpf(r)
+            return float(norm * r ** (n - 1) * mpmath.exp(-zeta * r))
+
+        peak, at_one = radial(0.06), radial(1.0)
+    assert at_one == 0.0  # 1e-334 lies below the smallest subnormal
+    assert orb.radial(1.0) == at_one
+    assert orb.radial(0.06) == pytest.approx(peak, rel=1e-12)
+    assert orb.norm_sq == pytest.approx(1.0, rel=1e-12)
+    assert orb.mean_inv_r == pytest.approx(zeta / n, rel=1e-12)
+    with pytest.raises(DomainError):
+        orb.radial(-1.0)
+
+
+def test_orbital_beyond_the_double_range_raises_overflow():
+    orb = HFROrbital(((1, 1.0, 1e308), (1, 1.0, 1e308)))
+    with pytest.raises(Overflow):
+        orb.radial(np.array([0.0, 0.5]))
+    with pytest.raises(Overflow):
+        orb.mean_inv_r

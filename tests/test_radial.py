@@ -3,13 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
+from cuspbc import radial
 from cuspbc.cusp import cusp_limit_first
-from cuspbc.errors import (DomainError, NoSignChange, RegimeError,
-                           StiffnessError)
-from cuspbc.radial import (RadialProblem, RobinBoundary,
+from cuspbc.errors import (ConvergenceError, DomainError, NoSignChange,
+                           RegimeError, StiffnessError)
+from cuspbc.radial import (RadialProblem, RobinBoundary, _assemble, _eig,
                            SystemAsymptotics, asymptotic_tail,
                            hydrogen_reference, log_grid, outer_log_derivative,
                            robin_inner, robin_outer, solve_matrix,
@@ -213,6 +215,108 @@ def test_matrix_spherical_bessel_box():
                                 grid=grid)
         e = solve_matrix(problem, inner, outer, 1)[0][0]
         assert e == pytest.approx(root ** 2 / (2 * r_max ** 2), abs=1e-5)
+
+
+def test_matrix_k_beyond_the_mesh():
+    # 50 nodes with Robin ends are 50 unknowns: all of them can be asked for
+    grid = log_grid(1e-5, 40.0, 50)
+    problem = RadialProblem(0, 1.0, -1.0, 0.0, grid)
+    inner, wall = robin_inner(0, -1.0), RobinBoundary("outer", 0.0, 1.0)
+    robin = robin_outer(SystemAsymptotics(1.0, 0.0, -0.5), 40.0)
+    pairs = solve_matrix(problem, inner, robin, 50, richardson=False)
+    assert np.all(np.diff([e for e, _ in pairs]) > 0.0)
+    # a Dirichlet outer wall leaves 49
+    with pytest.raises(DomainError, match="49 unknowns"):
+        solve_matrix(problem, inner, wall, 50, richardson=False)
+    # 200 nodes hold 150 states, the 100-node Richardson half mesh does not
+    problem = replace(problem, grid=log_grid(1e-5, 40.0, 200))
+    with pytest.raises(DomainError, match="100 unknowns"):
+        solve_matrix(problem, inner, robin, 150)
+
+
+def _sturm_count(pencil, sigma):
+    """Pencil eigenvalues below each shift in sigma (Sylvester's law of
+    inertia): the negative pivots of the LDL^T recurrence of A - sigma B,
+    in extended precision and without LAPACK."""
+    d, e, b = (np.asarray(a, dtype=np.longdouble) for a in pencil)
+    sigma = np.asarray(sigma, dtype=np.longdouble)
+    tiny = np.finfo(np.longdouble).tiny
+    pivot = d[0] - sigma * b[0]
+    count = (pivot < 0).astype(int)
+    for i in range(1, len(d)):
+        pivot = d[i] - sigma * b[i] - e[i - 1] ** 2 / np.where(
+            pivot == 0, -tiny, pivot)
+        count += pivot < 0
+    return count
+
+
+def _bisect(pencil, lo, hi, iters=40):
+    """Shrink each bracket [lo_j, hi_j] onto pencil eigenvalue j."""
+    j = np.arange(len(lo))
+    lo, hi = np.longdouble(lo), np.longdouble(hi)
+    for _ in range(iters):
+        mid = (lo + hi) / 2
+        above = _sturm_count(pencil, mid) <= j  # eigenvalue j >= mid
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return (lo + hi) / 2
+
+
+def _check_certified(problem, inner, outer, k, delta=1e-9):
+    pencil = _assemble(problem, inner, outer)[:3]
+    w = np.array([e for e, _ in solve_matrix(problem, inner, outer, k,
+                                             richardson=False)])
+    j = np.arange(k)
+    # exactly j levels below w_j - delta and j + 1 below w_j + delta: the
+    # returned states are the k lowest, none skipped or repeated
+    assert np.array_equal(_sturm_count(pencil, w - delta), j)
+    assert np.array_equal(_sturm_count(pencil, w + delta), j + 1)
+    ref = _bisect(pencil, w - delta, w + delta)
+    assert np.max(np.abs(w - ref)) <= 1e-10
+    _, v, _ = _eig(problem, inner, outer, k)
+    gram = v.T @ (pencil[2][:, None] * v)
+    assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
+    return w
+
+
+def test_matrix_spectrum_certified_by_sturm_count():
+    # hydrogen, Robin ends at both edges
+    _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0)
+    _check_certified(problem, inner, outer, 4)
+    # spherical box, Dirichlet walls at both edges
+    wall_in = RobinBoundary("inner", 0.0, 1.0)
+    wall_out = RobinBoundary("outer", 0.0, 1.0)
+    box = RadialProblem(1, 1.0, 0.0, 0.0, log_grid(1e-5, 10.0, 2000))
+    _check_certified(box, wall_in, wall_out, 3)
+
+
+def test_matrix_spectrum_certified_for_a_clustered_pair():
+    # two deep Gaussian wells 5 apart; the second depth is tuned so that
+    # each well alone has the same lowest level on this mesh, and the pair
+    # then splits only by tunnelling
+    grid = log_grid(1e-3, 14.0, 2000)
+    extra = -sum(depth * np.exp(-((grid - c) / 0.5) ** 2)
+                 for c, depth in ((3.0, 12.0), (8.0, 11.99731574)))
+    problem = RadialProblem(0, 1.0, 0.0, 0.0, grid, extra_potential=extra)
+    w = _check_certified(problem, robin_inner(0, 0.0),
+                         RobinBoundary("outer", 0.0, 1.0), 3)
+    assert 0.0 < w[1] - w[0] < 1e-6
+
+
+def test_matrix_lapack_failure_is_a_convergence_error(monkeypatch):
+    _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0, n=200)
+
+    def no_convergence(*args, **kwargs):
+        raise LinAlgError("stebz (eigh_tridiagonal) err -1")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(radial, "eigh_tridiagonal", no_convergence)
+        with pytest.raises(ConvergenceError):
+            solve_matrix(problem, inner, outer, 1)
+    # an exactly singular shifted pencil in the inverse-iteration step
+    monkeypatch.setattr(radial, "dgtsv", lambda dl, d, du, b: (
+        dl, d, du, b, 1))
+    with pytest.raises(ConvergenceError):
+        solve_matrix(problem, inner, outer, 1)
 
 
 def test_matrix_convergence_rate():
