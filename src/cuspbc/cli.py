@@ -2,8 +2,6 @@
 
 Subcommands: cusp, local, solve, basis, env, compare-he.
 Exit codes: 0 success, 2 input/parse error, 3 numerical failure.
-The environment variable CUSPBC_TOL overrides the default self-consistency
-tolerance used by `solve`.
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -27,20 +24,7 @@ from .errors import (CuspbcError, InputError, NumericalError, Overflow,
 from .hfr import HFROrbital
 
 
-def _tol(default: float = 1e-10) -> float:
-    raw = os.environ.get("CUSPBC_TOL")
-    if raw is None:
-        return default
-    try:
-        val = float(raw)
-    except ValueError as exc:
-        raise InputError(f"CUSPBC_TOL={raw!r} is not a number") from exc
-    if val <= 0.0:
-        raise InputError("CUSPBC_TOL must be positive")
-    return val
-
-
-def parse_pair(tokens, fixed_nucleus: bool = False) -> CoalescencePair:
+def parse_pair(tokens) -> CoalescencePair:
     """Pair presets: `e-e singlet|triplet` or `e-nucleus Z=... [A=...]`."""
     if not tokens:
         raise InputError("missing pair spec (e-e ... or e-nucleus ...)")
@@ -65,8 +49,7 @@ def parse_pair(tokens, fixed_nucleus: bool = False) -> CoalescencePair:
                 raise InputError(f"pair spec token {i + 2}: {exc}") from exc
         if "Z" not in kv:
             raise InputError("pair spec: e-nucleus requires Z=...")
-        a_mass = None if fixed_nucleus else kv.get("A")
-        return CoalescencePair.electron_nucleus(kv["Z"], a_mass)
+        return CoalescencePair.electron_nucleus(kv["Z"], kv.get("A"))
     raise InputError(f"unknown pair kind {head!r} (use e-e or e-nucleus)")
 
 
@@ -90,7 +73,7 @@ def _emit(args, columns, rows, meta):
 
 
 def cmd_cusp(args) -> int:
-    pair = parse_pair(args.pair, args.fixed_nucleus)
+    pair = parse_pair(args.pair)
     a = cusp_a(pair, args.ell)
     b = cusp_b(pair, args.ell, args.w0, args.e)
     series = cusp_series(pair, args.ell, args.w0, args.e, max(args.order, 2))
@@ -105,7 +88,7 @@ def cmd_cusp(args) -> int:
 
 
 def cmd_local(args) -> int:
-    pair = parse_pair(args.pair, args.fixed_nucleus)
+    pair = parse_pair(args.pair)
     lw = LocalWavefunction.from_pair(pair, args.ell, args.m,
                                      args.w0, args.e, args.u0)
     r = np.linspace(0.0, args.r_max, args.n)
@@ -175,12 +158,11 @@ def cmd_solve(args) -> int:
     # cusp slope of u = R/r^ell: the inner Robin condition and its target
     a = problem.mass * problem.pair_product / (problem.ell + 1)
     inner = radial.robin_inner(problem.ell, a)
-    tol = _tol()
     reports = {}
     if args.method in ("matrix", "both"):
         t0 = time.perf_counter()
         pairs = radial.solve_matrix_selfconsistent(
-            problem, inner, m_prime, q_total, args.k, tol=tol)
+            problem, inner, m_prime, q_total, args.k)
         reports["matrix"] = {
             "seconds": time.perf_counter() - t0,
             "states": [_report_state(problem, a, e, fn, m_prime, q_total)
@@ -212,7 +194,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    pair = parse_pair(args.pair, args.fixed_nucleus)
+    pair = parse_pair(args.pair)
     a = cusp_a(pair, args.ell)
     b = cusp_b(pair, args.ell, args.w0, args.e)
     exps = [float(t) for t in args.tail.split(",")] if args.tail else []
@@ -236,7 +218,7 @@ def cmd_env(args) -> int:
             env = env_mod.Environment.from_json(fh.read())
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         raise InputError(f"environment file {args.environment}: {exc}") from exc
-    pair = parse_pair(args.pair, args.fixed_nucleus)
+    pair = parse_pair(args.pair)
     print(f"w0 = {env_mod.w0(env, pair)!r}")
     theta, phi = args.theta, args.phi
     for lam in range(args.lam_max + 1):
@@ -282,22 +264,23 @@ def cmd_compare_he(args) -> int:
     dens_h = r ** 2 * hfr ** 2
     dens_k = r ** 2 * uk ** 2
 
-    def relative(dk, dh):
-        # 0/0 at r = 0 stays nan; an orbital density that underflows to 0
+    def relative(psi_k, psi_h):
+        # |psi_k^2 - psi_h^2| / psi_h^2, so the r^2 of both densities
+        # cancels, also at r = 0; an orbital density that underflows to 0
         # or near it gives no relative error
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            out = np.abs(dk - dh) / dh
-        if np.any(np.isinf(out)):
-            raise Overflow("relative density error leaves the double range "
-                           "where the orbital density underflows")
-        return out
+        dh = np.asarray(psi_h) ** 2
+        if np.all(dh > 0.0):
+            with np.errstate(over="ignore"):
+                out = np.abs(np.asarray(psi_k) ** 2 - dh) / dh
+            if np.all(np.isfinite(out)):
+                return out
+        raise Overflow("relative density error leaves the double range "
+                       "where the orbital density underflows")
 
-    rel = relative(dens_k, dens_h)
+    rel = relative(uk, hfr)
 
     def rel_at(rv):
-        dk = rv ** 2 * (u0 * local_u(lw, rv)) ** 2
-        dh = rv ** 2 * float(orbital.radial(rv)) ** 2
-        return float(relative(dk, dh))
+        return float(relative(u0 * local_u(lw, rv), orbital.radial(rv)))
 
     meta = {
         "energy_kind": args.energy_kind, "e": args.e, "r0_kind": args.r0_kind,
@@ -316,8 +299,6 @@ def cmd_compare_he(args) -> int:
 def _add_pair_args(p):
     p.add_argument("pair", nargs="+",
                    help="pair spec: 'e-e singlet|triplet' or 'e-nucleus Z=... [A=...]'")
-    p.add_argument("--fixed-nucleus", action="store_true",
-                   help="treat the nuclear mass as infinite")
 
 
 def _add_io_args(p):

@@ -304,6 +304,11 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
 # ---------------------------------------------------------------------------
 # matrix route
 
+_WALL = RobinBoundary(OUTER, 0.0, 1.0)
+_SELF_TOL = 1e-10
+_SELF_MAX_ITER = 30
+_WINDOW_PAD = 1e-9
+
 
 def _assemble(problem: RadialProblem, inner: RobinBoundary,
               outer: RobinBoundary):
@@ -332,30 +337,36 @@ def _assemble(problem: RadialProblem, inner: RobinBoundary,
     return diag[lo:hi], off, bb[lo:hi], (lo, hi)
 
 
-def _eig(problem, inner, outer, k):
-    """k lowest eigenpairs of the pencil (A, B), B-orthonormal.
+def _eig(problem, inner, outer, k, first=0, bounds=None):
+    """States first..k-1 of the pencil (A, B): their energies and, one row
+    per state, u on the grid, normalised and positive at the inner edge.
 
-    T = B^(-1/2) A B^(-1/2) shares the pencil's inertia (B is positive
-    diagonal), so bisection on T's Sturm count (LAPACK stebz) returns
-    states 0..k-1 and skips none.  It runs to the smallest double: the
-    default tolerance, eps * ||T|| ~ 4e-2 with T's diagonal at 1e14, does
-    not resolve the states.  One inverse-iteration step per state on the
-    pencil, (A - wB) y = B v, restores the vectors' relative accuracy at
-    the inner nodes, and a Rayleigh-Ritz step on them gives the energies
-    and keeps the vectors of clustered states B-orthogonal."""
-    d, e, b, window = _assemble(problem, inner, outer)
+    Bisection on the Sturm count of T = B^(-1/2) A B^(-1/2), which shares
+    the pencil's inertia, returns exactly these states (LAPACK stebz, run
+    to the smallest double: its default tolerance, eps * ||T|| ~ 4e-2, does
+    not resolve them); energy bounds (a, b] that hold just them shorten
+    the bisection.  One inverse-iteration step per state on the
+    pencil, (A - wB) y = B v, restores the vectors' relative accuracy at the
+    inner nodes; Rayleigh-Ritz on them gives the energies and keeps the
+    vectors of clustered states B-orthogonal."""
+    d, e, b, (lo, hi) = _assemble(problem, inner, outer)
     if k > len(d):
         raise DomainError(f"k = {k} exceeds the {len(d)} unknowns of the mesh")
     s = 1.0 / np.sqrt(b)
+    t = (d * s * s, e * s[:-1] * s[1:])
+    opts = {"lapack_driver": "stebz", "tol": np.finfo(float).tiny}
     # y'Ay = sum pot y^2 - e sum (dy)^2 with pot = d + e * (neighbours of
     # the node): both sums are O(1), where d ~ 2/h^2 would cancel
     pot = d + 2.0 * e[0]
     pot[[0, -1]] = d[[0, -1]] + e[0]
     try:
-        w, x = eigh_tridiagonal(d * s * s, e * s[:-1] * s[1:], select="i",
-                                select_range=(0, k - 1), lapack_driver="stebz",
-                                tol=np.finfo(float).tiny)
-        for j in range(k):
+        w = ()
+        if bounds is not None:
+            w, x = eigh_tridiagonal(*t, select="v", select_range=bounds, **opts)
+        if len(w) != k - first:
+            w, x = eigh_tridiagonal(*t, select="i",
+                                    select_range=(first, k - 1), **opts)
+        for j in range(k - first):
             *_, y, info = dgtsv(e, d - w[j] * b, e, (b * s * x[:, j])[:, None])
             if info != 0:
                 raise LinAlgError(f"dgtsv info {info} at E = {w[j]}")
@@ -365,92 +376,100 @@ def _eig(problem, inner, outer, k):
                     x.T @ (b[:, None] * x))
     except LinAlgError as exc:
         raise ConvergenceError(f"eigensolve failed: {exc}") from exc
-    return w, x @ c, window
+    grid = problem.grid
+    chi = np.zeros((len(w), len(grid)))
+    chi[:, lo:hi] = (x @ c).T
+    u = chi * grid ** (-problem.ell - 0.5)
+    norm = np.sqrt(np.trapezoid(chi * chi * grid ** 2, np.log(grid)))
+    return w, u / (norm * np.copysign(1.0, u[:, max(lo, 1)]))[:, None]
 
 
-def _normalized_u(problem, v_col, lo, hi):
-    ell, grid = problem.ell, problem.grid
-    chi = np.zeros(len(grid))
-    chi[lo:hi] = v_col
-    u = chi * grid ** (-ell - 0.5)
-    p = chi * np.sqrt(grid)
-    norm = math.sqrt(np.trapezoid(p * p * grid, np.log(grid)))
-    return u / (norm * math.copysign(1.0, u[max(lo, 1)]))
-
-
-def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
-                 outer: RobinBoundary, k: int,
-                 richardson: bool = True) -> list[tuple[float, RadialFunction]]:
-    """k lowest eigenpairs of the discretized radial problem.
-
-    Bisection on the pencil's Sturm count certifies that the states are the
-    k lowest, none skipped; the energies are the Rayleigh quotients, taken
-    jointly (Rayleigh-Ritz), of the vectors after one inverse-iteration
-    step.  k above the unknowns of the mesh, or of its Richardson half
-    mesh, raises DomainError.
-
-    Both eigenvalues and eigenvectors are Richardson-extrapolated from a
-    half-resolution companion mesh: the discretization is second order, so
-    step doubling removes the leading error term.  The raw eigenvector
-    carries a smooth O(h^2) error field that spoils inner-cusp diagnostics
-    at the 1e-3 level; extrapolation (with spline transfer of the coarse
-    vector) brings it below 1e-6.
-    """
+def _companion(problem, inner, outer, k):
+    """Checks the arguments of a matrix solve, before any eigensolve, and
+    returns its Richardson companion problem on half the nodes."""
     if k < 1:
         raise DomainError("k must be at least 1")
     _require_location(inner, INNER)
     _require_location(outer, OUTER)
     g = problem.grid
-    w, v, (lo, hi) = _eig(problem, inner, outer, k)
-    us = [_normalized_u(problem, v[:, i], lo, hi) for i in range(k)]
-    if richardson:
-        from scipy.interpolate import CubicSpline
+    n2 = (len(g) + 1) // 2
+    if n2 < 50:
+        raise DomainError(f"the Richardson half mesh has {n2} < 50 points")
+    walls = sum(not math.isfinite(bc.log_derivative) for bc in (inner, outer))
+    for n, mesh in ((len(g), "mesh"), (n2, "Richardson half mesh")):
+        if k > n - walls:
+            raise DomainError(f"k = {k} exceeds the {n - walls} unknowns of "
+                              f"the {mesh}")
+    g2 = log_grid(g[0], g[-1], n2)
+    extra = problem.extra_potential
+    return replace(problem, grid=g2, extra_potential=None if extra is None
+                   else np.interp(g2, g, extra))
 
-        n2 = (len(g) + 1) // 2
-        g2 = log_grid(g[0], g[-1], n2)
-        if problem.extra_potential is not None:
-            prob2 = replace(problem, grid=g2,
-                            extra_potential=np.interp(g2, g, problem.extra_potential))
-        else:
-            prob2 = replace(problem, grid=g2)
-        w2, v2, (lo2, hi2) = _eig(prob2, inner, outer, k)
-        rho_sq = ((len(g) - 1) / (n2 - 1)) ** 2
-        w = w + (w - w2) / (rho_sq - 1.0)
-        ell = problem.ell
-        for i in range(k):
-            u2 = _normalized_u(prob2, v2[:, i], lo2, hi2)
-            u2f = CubicSpline(np.log(g2), u2)(np.log(g))
-            u = us[i] + (us[i] - u2f) / (rho_sq - 1.0)
-            p = g ** (ell + 1) * u
-            us[i] = u / math.sqrt(np.trapezoid(p * p, g))
 
-    return [(float(w[i]), RadialFunction(g, us[i], problem.ell, "u"))
-            for i in range(k)]
+def _richardson(problem, prob2, fine, coarse):
+    """Step doubling of the (energies, u rows) `fine` of the mesh with the
+    same states `coarse` of its half mesh, splined onto the mesh.  It
+    removes the leading O(h^2) error, whose smooth field in the raw u
+    spoils inner-cusp diagnostics at the 1e-3 level (1e-6 after it)."""
+    from scipy.interpolate import CubicSpline
+
+    (w, u), (w2, u2) = fine, coarse
+    g, ell = problem.grid, problem.ell
+    c = ((len(g) - 1) / (len(prob2.grid) - 1)) ** 2 - 1.0
+    u = u + (u - CubicSpline(np.log(prob2.grid), u2, axis=1)(np.log(g))) / c
+    p = u * g ** (ell + 1)
+    u /= np.sqrt(np.trapezoid(p * p, g))[:, None]
+    return [(float(e), RadialFunction(g, row, ell, "u"))
+            for e, row in zip(w + (w - w2) / c, u)]
+
+
+def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
+                 outer: RobinBoundary, k: int) -> list[tuple[float, RadialFunction]]:
+    """k lowest eigenpairs of the discretized radial problem, certified by
+    the pencil's Sturm count (see _eig) and Richardson-extrapolated from a
+    half-resolution companion mesh."""
+    prob2 = _companion(problem, inner, outer, k)
+    return _richardson(problem, prob2, _eig(problem, inner, outer, k),
+                       _eig(prob2, inner, outer, k))
 
 
 def solve_matrix_selfconsistent(problem: RadialProblem, inner: RobinBoundary,
                                 total_reduced_mass: float, total_charge: float,
-                                k: int, track: int = 0,
-                                tol: float = 1e-10, max_iter: int = 30,
-                                richardson: bool = True):
-    """Close the energy dependence of the outer boundary by fixed-point
-    iteration: start from a Dirichlet outer wall, rebuild kappa from the
-    tracked eigenvalue, repeat until it moves by less than tol."""
-    outer = RobinBoundary(OUTER, 0.0, 1.0)  # Dirichlet start
-    e_prev = math.inf
-    for _ in range(max_iter):
-        pairs = solve_matrix(problem, inner, outer, k, richardson=richardson)
-        e = pairs[track][0]
-        if abs(e - e_prev) < tol:
-            return pairs
-        if e >= 0.0:
-            raise RegimeError(f"tracked state is unbound (E = {e})")
-        e_prev = e
-        sys = SystemAsymptotics(total_reduced_mass, total_charge, e)
-        outer = robin_outer(sys, problem.grid[-1])
-    raise ConvergenceError(
-        f"outer-boundary fixed point did not settle in {max_iter} iterations"
-    )
+                                k: int) -> list[tuple[float, RadialFunction]]:
+    """k lowest states, each under the outer Robin condition of its own
+    energy, R'/R = kappa(r_max; E_j), as solve_shooting with asymptotics.
+
+    The Dirichlet-wall pencil is the leading principal block of every Robin
+    pencil, so by Cauchy interlacing state j lies in (D_{j-1}, D_j] of the
+    Dirichlet levels D for any kappa (state 0 alone below D_0; its window
+    starts at D_0 - |D_0|).  The windows move up by a relative _WINDOW_PAD,
+    which keeps state j in and j-1 out where decayed tails make Robin and
+    Dirichlet levels agree to rounding.  From D_j, state j is re-solved
+    under the kappa of its last energy until two agree to _SELF_TOL; only
+    A's last diagonal entry depends on E, with slope -(r_max/h) dkappa/dE
+    < 0 for Q >= -1, so the fixed point lies between successive iterates.
+    robin_outer's guard r_max >= 20/decay binds the ground state only."""
+    prob2 = _companion(problem, inner, _WALL, k)
+    r_max = problem.grid[-1]
+    levels = _eig(problem, inner, _WALL, k)[0]
+    ends = np.append(levels[0] - abs(levels[0]), levels)
+    ends += _WINDOW_PAD * np.abs(ends)
+    pairs = []
+    for j, e in enumerate(levels):
+        for _ in range(_SELF_MAX_ITER):
+            sys = SystemAsymptotics(total_reduced_mass, total_charge, e)
+            outer = (robin_outer(sys, r_max) if j == 0
+                     else RobinBoundary(OUTER, 1.0, -sys.kappa(r_max)))
+            fine = _eig(problem, inner, outer, j + 1, j, ends[j:j + 2])
+            e_prev, e = e, fine[0][0]
+            if abs(e - e_prev) < _SELF_TOL:
+                break
+        else:
+            raise ConvergenceError(f"outer-boundary fixed point of state {j} "
+                                   f"did not settle in {_SELF_MAX_ITER} iterations")
+        pairs += _richardson(problem, prob2, fine,
+                             _eig(prob2, inner, outer, j + 1, j))
+    return pairs
 
 
 def outer_log_derivative(fn: RadialFunction, n_points: int = 8) -> float:

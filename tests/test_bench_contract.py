@@ -3,28 +3,33 @@ attributes by name: module functions, the scipy kernels as `radial` sees
 them, `HFROrbital` methods and `RadialProblem.potential(r=None)`.
 Installing and removing it here, without timing anything, makes a library
 change that drops one of them fail this suite instead of a traced
-benchmark run."""
+benchmark run.  Likewise the workloads (perfbench/workloads.py) run the
+CLI with fixed command lines, which must parse."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
+
+import pytest
 
 import cuspbc
 from cuspbc import (basis, cli, cusp, environment, gridfn, hfr,  # noqa: F401
                     radial, special)
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_and_uninstalls():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     bound = [(getattr(cuspbc, mod), attr)
              for mod, attr, _ in tracing.FUNCTIONS + tracing.KERNELS]
     before = [getattr(owner, attr) for owner, attr in bound]
@@ -43,3 +48,41 @@ def test_tracer_installs_and_uninstalls():
     assert [getattr(owner, attr) for owner, attr in bound] == before
     assert radial.RadialProblem is problem_cls
     assert hfr.HFROrbital.radial is hfr_radial
+
+
+def test_workload_command_lines_parse(tmp_path, monkeypatch):
+    # the workloads' CLI calls are recorded and parsed, not run: the
+    # warm-up and the last operation of each workload reach every one
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        workloads = _load("workloads")
+    finally:
+        # the harness's own `he` module must not outlive the test: other
+        # tests' Hypothesis draws depend on which modules are loaded
+        sys.modules.pop("he", None)
+    parser = cli.build_parser()
+    canned = json.dumps({method: {"states": [{"energy": -0.5}] * 3}
+                         for method in ("matrix", "shoot")})
+    seen = []
+
+    def parse_only(cb, argv):
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"cuspbc rejects the workload command line {argv}")
+        seen.append(argv)
+        return 0, canned
+
+    monkeypatch.setattr(workloads, "_cli", parse_only)
+    for name in workloads.BUILDERS:
+        ops, warm_up, _ = workloads.build(name, 1, tmp_path, cuspbc)
+        warm_up()
+        ops[-1].run()
+
+    def used(*tokens):
+        return any(all(t in argv for t in tokens) for argv in seen)
+
+    assert used("solve", "--method", "matrix", "-k", "3", "--output")
+    assert used("solve", "--method", "both")
+    assert used("compare-he", "--energy-kind", "orbital", "--r0-kind",
+                "--format", "json", "--output")

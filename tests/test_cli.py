@@ -48,7 +48,7 @@ def test_cmd_cusp_ee_singlet(capsys):
 
 
 def test_cmd_cusp_hydrogen(capsys):
-    assert main(["cusp", "e-nucleus", "Z=1", "--fixed-nucleus",
+    assert main(["cusp", "e-nucleus", "Z=1",
                  "--ell", "0", "--w0", "0", "--e", "-0.5"]) == 0
     vals = _parse_kv(capsys.readouterr().out)
     assert float(vals["a"]) == -1.0
@@ -147,17 +147,9 @@ def test_cmd_solve_k_beyond_the_mesh_exit_code(tmp_path, capsys):
     assert "399 unknowns" in capsys.readouterr().err
 
 
-def test_cuspbc_tol_validation(tmp_path, monkeypatch):
-    spec = {"ell": 0, "pair_product": -1.0, "grid": {"n": 400}}
-    path = tmp_path / "h.json"
-    path.write_text(json.dumps(spec))
-    monkeypatch.setenv("CUSPBC_TOL", "zero")
-    assert main(["solve", str(path)]) == 2
-
-
 def test_cmd_basis_end_to_end(tmp_path, capsys):
     out = tmp_path / "basis.txt"
-    rc = main(["basis", "slater", "e-nucleus", "Z=1", "--fixed-nucleus",
+    rc = main(["basis", "slater", "e-nucleus", "Z=1",
                "--ell", "0", "--e", "-0.5", "--tail", "1.2,0.8",
                "--output", str(out)])
     assert rc == 0
@@ -198,6 +190,28 @@ def test_cmd_compare_he_bands_and_determinism(tmp_path):
     assert 0.038 <= float(meta["rel_error_r0"]) <= 0.078
     assert 0.001 <= float(meta["rel_error_r0_half"]) <= 0.010
     assert float(meta["w0"]) == pytest.approx(1.6876, abs=0.01)
+
+
+def test_cmd_compare_he_writes_no_nan(tmp_path):
+    # rel_error is |psi_k^2 - psi_h^2| / psi_h^2: the r^2 of both densities
+    # cancels, so the r = 0 row holds a number, not 0/0
+    orbital = _write_he_orbital(tmp_path)
+    args = ["compare-he", str(orbital), "--e", repr(HE_ORBITAL_ENERGY)]
+    csv_path, json_path = tmp_path / "n.csv", tmp_path / "n.json"
+    assert main(args + ["--output", str(csv_path)]) == 0
+    assert main(args + ["--format", "json", "--output", str(json_path)]) == 0
+    text = csv_path.read_text()
+    assert "nan" not in text and "inf" not in text
+    doc = json.loads(json_path.read_text())
+    values = [v for v in doc["meta"].values() if isinstance(v, float)]
+    values += [v for row in doc["rows"] for v in row]
+    assert np.all(np.isfinite(values))
+    header = doc["columns"]
+    first = dict(zip(header, doc["rows"][0]))
+    assert first["r"] == 0.0
+    assert first["rel_error"] == pytest.approx(
+        abs(first["psi_kummer"] ** 2 - first["psi_hfr"] ** 2)
+        / first["psi_hfr"] ** 2, rel=1e-12)
 
 
 def test_cmd_compare_he_default_r0_convention(tmp_path):

@@ -223,15 +223,36 @@ def test_matrix_k_beyond_the_mesh():
     problem = RadialProblem(0, 1.0, -1.0, 0.0, grid)
     inner, wall = robin_inner(0, -1.0), RobinBoundary("outer", 0.0, 1.0)
     robin = robin_outer(SystemAsymptotics(1.0, 0.0, -0.5), 40.0)
-    pairs = solve_matrix(problem, inner, robin, 50, richardson=False)
-    assert np.all(np.diff([e for e, _ in pairs]) > 0.0)
+    assert np.all(np.diff(_eig(problem, inner, robin, 50)[0]) > 0.0)
     # a Dirichlet outer wall leaves 49
     with pytest.raises(DomainError, match="49 unknowns"):
-        solve_matrix(problem, inner, wall, 50, richardson=False)
+        _eig(problem, inner, wall, 50)
     # 200 nodes hold 150 states, the 100-node Richardson half mesh does not
     problem = replace(problem, grid=log_grid(1e-5, 40.0, 200))
     with pytest.raises(DomainError, match="100 unknowns"):
         solve_matrix(problem, inner, robin, 150)
+
+
+def test_matrix_small_grid_names_the_half_mesh(monkeypatch):
+    # a grid under 99 points has a Richardson half mesh under 50: the
+    # error says so before any eigensolve runs, as does an oversized k
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve ran")
+
+    monkeypatch.setattr(radial, "eigh_tridiagonal", no_eigensolve)
+    inner = robin_inner(0, -1.0)
+    robin = robin_outer(SystemAsymptotics(1.0, 0.0, -0.5), 40.0)
+    small = RadialProblem(0, 1.0, -1.0, 0.0, log_grid(1e-5, 40.0, 50))
+    with pytest.raises(DomainError, match="half mesh"):
+        solve_matrix(small, inner, robin, 1)
+    with pytest.raises(DomainError, match="half mesh"):
+        solve_matrix_selfconsistent(small, inner, 1.0, 0.0, 1)
+    problem = replace(small, grid=log_grid(1e-5, 40.0, 200))
+    with pytest.raises(DomainError, match="100 unknowns of the Richardson"):
+        solve_matrix(problem, inner, robin, 150)
+    # the self-consistent solve starts from Dirichlet walls: 99 unknowns
+    with pytest.raises(DomainError, match="99 unknowns of the Richardson"):
+        solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 100)
 
 
 def _sturm_count(pencil, sigma):
@@ -263,8 +284,7 @@ def _bisect(pencil, lo, hi, iters=40):
 
 def _check_certified(problem, inner, outer, k, delta=1e-9):
     pencil = _assemble(problem, inner, outer)[:3]
-    w = np.array([e for e, _ in solve_matrix(problem, inner, outer, k,
-                                             richardson=False)])
+    w = _eig(problem, inner, outer, k)[0]
     j = np.arange(k)
     # exactly j levels below w_j - delta and j + 1 below w_j + delta: the
     # returned states are the k lowest, none skipped or repeated
@@ -272,8 +292,12 @@ def _check_certified(problem, inner, outer, k, delta=1e-9):
     assert np.array_equal(_sturm_count(pencil, w + delta), j + 1)
     ref = _bisect(pencil, w - delta, w + delta)
     assert np.max(np.abs(w - ref)) <= 1e-10
-    _, v, _ = _eig(problem, inner, outer, k)
-    gram = v.T @ (pencil[2][:, None] * v)
+    # B-orthonormal pencil vectors are u's orthonormal in the trapezoid rule
+    # over x = ln r, whose end weights are B's halved Robin rows
+    _, u = _eig(problem, inner, outer, k)
+    g = problem.grid
+    p = u * g ** (problem.ell + 1.5)
+    gram = np.trapezoid(p[:, None, :] * p[None, :, :], np.log(g))
     assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
     return w
 
@@ -324,7 +348,7 @@ def test_matrix_convergence_rate():
     errs = []
     for n in (500, 1000, 2000):
         e_ref, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0, n=n)
-        e = solve_matrix(problem, inner, outer, 1, richardson=False)[0][0]
+        e = _eig(problem, inner, outer, 1)[0][0]
         errs.append(abs(e - e_ref))
     assert errs[0] / errs[1] >= 3.5
     assert errs[1] / errs[2] >= 3.5
@@ -360,6 +384,61 @@ def test_selfconsistent_outer_loop():
     pairs = solve_matrix_selfconsistent(problem, robin_inner(0, -1.0),
                                         1.0, 0.0, 1)
     assert pairs[0][0] == pytest.approx(-0.5, abs=1e-6)
+
+
+OWN_KAPPA_CASES = [(1.0, 40.0), (1.0, 25.0), (2.0, 20.0)]
+
+
+def _own_kappa_problem(z, r_max):
+    problem = RadialProblem(ell=0, mass=1.0, pair_product=-z, w0=0.0,
+                            grid=log_grid(1e-5, r_max, 4000))
+    return problem, robin_inner(0, -z)
+
+
+@pytest.mark.parametrize("z, r_max", OWN_KAPPA_CASES)
+def test_selfconsistent_states_each_under_their_own_kappa(z, r_max):
+    # every s state gets R'/R = kappa(r_max; E_j) of its own energy, as
+    # shooting with asymptotics does; at r_max = 25 the 3s state lies
+    # beyond robin_outer's 20/decay guard and keeps its O(1/r^2) remainder
+    problem, inner = _own_kappa_problem(z, r_max)
+    pairs = solve_matrix_selfconsistent(problem, inner, 1.0, z - 1.0, 3)
+    wall = RobinBoundary("outer", 0.0, 1.0)
+    for j, (e_m, _) in enumerate(pairs):
+        sysa = SystemAsymptotics(1.0, z - 1.0, e_m)
+        e_s, _ = solve_shooting(problem, inner, wall,
+                                (1.05 * e_m, 0.95 * e_m), asymptotics=sysa)
+        assert e_m == pytest.approx(e_s, abs=1e-8)
+        # no worse than solve_matrix under the exact energy's own kappa
+        e_ref = -z * z / (2.0 * (j + 1) ** 2)
+        kappa = SystemAsymptotics(1.0, z - 1.0, e_ref).kappa(r_max)
+        own = solve_matrix(problem, inner, RobinBoundary("outer", 1.0, -kappa),
+                           j + 1)[j][0]
+        assert abs(e_m - e_ref) <= 1.1 * abs(own - e_ref) + 1e-11
+
+
+@pytest.mark.parametrize("z, r_max", OWN_KAPPA_CASES)
+def test_selfconsistent_states_certified_on_their_own_pencils(z, r_max,
+                                                             monkeypatch):
+    # the last mesh eigensolve of each state, recorded with its boundary
+    problem, inner = _own_kappa_problem(z, r_max)
+    last = {}
+
+    def recording(prob, inner_, outer, k, first=0, bounds=None):
+        out = _eig(prob, inner_, outer, k, first, bounds)
+        if prob is problem and bounds is not None:
+            last[first] = (out[0][0], outer)
+        return out
+
+    monkeypatch.setattr(radial, "_eig", recording)
+    solve_matrix_selfconsistent(problem, inner, 1.0, z - 1.0, 3)
+    assert sorted(last) == [0, 1, 2]
+    for j, (w, outer) in last.items():
+        # the outer condition is that of the state's own energy
+        kappa = SystemAsymptotics(1.0, z - 1.0, w).kappa(r_max)
+        assert outer.log_derivative == pytest.approx(kappa, abs=1e-9)
+        # exactly j levels of its pencil below w - 1e-9, j + 1 below w + 1e-9
+        pencil = _assemble(problem, inner, outer)[:3]
+        assert list(_sturm_count(pencil, [w - 1e-9, w + 1e-9])) == [j, j + 1]
 
 
 def test_hydrogen_reference_values():
