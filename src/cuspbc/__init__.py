@@ -2,6 +2,8 @@
 eigensolvers, and cusp-constrained basis sets for two-particle coalescence
 problems in atomic units."""
 
+import logging
+
 from .cusp import (CoalescencePair, CuspSeries, LocalWavefunction,
                    cusp_a, cusp_b, cusp_series, cusp_limit_first,
                    cusp_limit_second, local_psi, local_u, validity_radius)
@@ -15,6 +17,9 @@ from .radial import (RadialProblem, RobinBoundary, SystemAsymptotics,
 from .special import EvalDomain, kummer_1f1, legendre_p, pochhammer, spherical_harmonic
 
 __version__ = "0.1.0"
+
+# debug events of the solvers go to the "cuspbc" logger, silent by default
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "CoalescencePair", "CuspSeries", "LocalWavefunction", "cusp_a", "cusp_b",

@@ -3,7 +3,6 @@ the cusp checkers, and the CLI."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,8 +56,9 @@ class RadialFunction:
                               self.ell, "u")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("r,value,ell,meaning\n")
-        for r, v in zip(self.grid, self.values):
-            buf.write(f"{float(r)!r},{float(v)!r},{self.ell},{self.meaning}\n")
-        return buf.getvalue()
+        """One "r,value,ell,meaning" row per node, floats as their repr."""
+        tail = f",{self.ell},{self.meaning}\n"
+        values = self.values.astype(float, casting="same_kind", copy=False)
+        return "r,value,ell,meaning\n" + "".join(
+            [f"{r!r},{v!r}{tail}" for r, v in zip(self.grid.tolist(),
+                                                  values.tolist())])

@@ -3,9 +3,11 @@
 Both routes work on one discretisation, the uniform x = ln r mesh of the
 problem's grid with chi = P/sqrt(r) = r^(ell+1/2) u: Numerov shooting on
 the log mesh with Casoratian matching, and a symmetric tridiagonal pencil
-on the same nodes whose k lowest states are certified by a Sturm count
-(bisection, one inverse-iteration step per state, Rayleigh-Ritz
-energies).  The solved equation is the reduced radial problem
+on the same nodes.  The pencil's states are bisected on the Sturm count
+on the Richardson half mesh only; on the mesh itself they are refined
+from the half-mesh states by inverse iteration with Rayleigh-Ritz and
+each certified by two exact Sturm counts, with bisection by index as the
+fallback.  The solved equation is the reduced radial problem
 
     -u''/(2M) - (ell+1)/(M r) u' + [q1 q2 / r + W0 + V_extra(r)] u = E u
 
@@ -15,6 +17,7 @@ log-derivative kappa(r) at the outer edge.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -23,7 +26,7 @@ import numpy as np
 # and radial.eigsh
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dstebz
 from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh  # noqa: F401
 
@@ -34,6 +37,8 @@ from .gridfn import RadialFunction
 
 INNER = "inner"
 OUTER = "outer"
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -307,7 +312,9 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
 _WALL = RobinBoundary(OUTER, 0.0, 1.0)
 _SELF_TOL = 1e-10
 _SELF_MAX_ITER = 30
-_WINDOW_PAD = 1e-9
+_REFINE_MAX_STEPS = 4
+_SETTLED = 1e-12
+_CERTIFY_GAP = 1e-9
 
 
 def _assemble(problem: RadialProblem, inner: RobinBoundary,
@@ -337,51 +344,125 @@ def _assemble(problem: RadialProblem, inner: RobinBoundary,
     return diag[lo:hi], off, bb[lo:hi], (lo, hi)
 
 
-def _eig(problem, inner, outer, k, first=0, bounds=None):
-    """States first..k-1 of the pencil (A, B): their energies and, one row
-    per state, u on the grid, normalised and positive at the inner edge.
-
-    Bisection on the Sturm count of T = B^(-1/2) A B^(-1/2), which shares
-    the pencil's inertia, returns exactly these states (LAPACK stebz, run
-    to the smallest double: its default tolerance, eps * ||T|| ~ 4e-2, does
-    not resolve them); energy bounds (a, b] that hold just them shorten
-    the bisection.  One inverse-iteration step per state on the
-    pencil, (A - wB) y = B v, restores the vectors' relative accuracy at the
-    inner nodes; Rayleigh-Ritz on them gives the energies and keeps the
-    vectors of clustered states B-orthogonal."""
-    d, e, b, (lo, hi) = _assemble(problem, inner, outer)
-    if k > len(d):
-        raise DomainError(f"k = {k} exceeds the {len(d)} unknowns of the mesh")
+def _scaled(d, e, b):
+    """T = B^(-1/2) A B^(-1/2), which shares the pencil's inertia: its
+    diagonal and off-diagonal, and B^(-1/2)."""
     s = 1.0 / np.sqrt(b)
-    t = (d * s * s, e * s[:-1] * s[1:])
-    opts = {"lapack_driver": "stebz", "tol": np.finfo(float).tiny}
+    return d * s * s, e * s[:-1] * s[1:], s
+
+
+def _step(d, e, b, w, v):
+    """One inverse-iteration step per column of v at its Ritz value w_j,
+    (A - w_j B) y = B v_j (LAPACK gtsv), then Rayleigh-Ritz on the columns
+    jointly.  The step restores the vectors' relative accuracy at the inner
+    nodes; the Ritz step keeps the vectors of clustered states
+    B-orthonormal.  Returns the Ritz values and vectors."""
+    y = np.empty_like(v)
+    for j, wj in enumerate(w):
+        *_, yj, info = dgtsv(e, d - wj * b, e, (b * v[:, j])[:, None])
+        if info != 0:
+            raise LinAlgError(f"dgtsv info {info} at E = {wj}")
+        y[:, j] = yj[:, 0] / np.linalg.norm(yj)
     # y'Ay = sum pot y^2 - e sum (dy)^2 with pot = d + e * (neighbours of
     # the node): both sums are O(1), where d ~ 2/h^2 would cancel
     pot = d + 2.0 * e[0]
     pot[[0, -1]] = d[[0, -1]] + e[0]
-    try:
-        w = ()
-        if bounds is not None:
-            w, x = eigh_tridiagonal(*t, select="v", select_range=bounds, **opts)
-        if len(w) != k - first:
-            w, x = eigh_tridiagonal(*t, select="i",
-                                    select_range=(first, k - 1), **opts)
-        for j in range(k - first):
-            *_, y, info = dgtsv(e, d - w[j] * b, e, (b * s * x[:, j])[:, None])
-            if info != 0:
-                raise LinAlgError(f"dgtsv info {info} at E = {w[j]}")
-            x[:, j] = y[:, 0] / np.linalg.norm(y)
-        dx = np.diff(x, axis=0)
-        w, c = eigh(x.T @ (pot[:, None] * x) - e[0] * (dx.T @ dx),
-                    x.T @ (b[:, None] * x))
-    except LinAlgError as exc:
-        raise ConvergenceError(f"eigensolve failed: {exc}") from exc
+    dy = np.diff(y, axis=0)
+    w, c = eigh(y.T @ (pot[:, None] * y) - e[0] * (dy.T @ dy),
+                y.T @ (b[:, None] * y))
+    return w, y @ c
+
+
+def _rows(problem, window, v):
+    """Pencil vectors (columns of v on the unknowns `window`) as rows of u
+    on the grid, normalised and positive at the inner edge."""
+    lo, hi = window
     grid = problem.grid
-    chi = np.zeros((len(w), len(grid)))
-    chi[:, lo:hi] = (x @ c).T
+    chi = np.zeros((v.shape[1], len(grid)))
+    chi[:, lo:hi] = v.T
     u = chi * grid ** (-problem.ell - 0.5)
     norm = np.sqrt(np.trapezoid(chi * chi * grid ** 2, np.log(grid)))
-    return w, u / (norm * np.copysign(1.0, u[:, max(lo, 1)]))[:, None]
+    return u / (norm * np.copysign(1.0, u[:, max(lo, 1)]))[:, None]
+
+
+def _eig(problem, inner, outer, k, first=0):
+    """States first..k-1 of the pencil (A, B): their energies and, one row
+    per state, u on the grid, normalised and positive at the inner edge.
+
+    Bisection on the Sturm count of T = B^(-1/2) A B^(-1/2) returns exactly
+    these states by index (LAPACK stebz, run to the smallest double: its
+    default tolerance, eps * ||T|| ~ 4e-2, does not resolve them); one
+    _step on stebz's vectors gives the energies and vectors."""
+    d, e, b, window = _assemble(problem, inner, outer)
+    if k > len(d):
+        raise DomainError(f"k = {k} exceeds the {len(d)} unknowns of the mesh")
+    td, te, s = _scaled(d, e, b)
+    try:
+        w, x = eigh_tridiagonal(td, te, select="i",
+                                select_range=(first, k - 1),
+                                lapack_driver="stebz",
+                                tol=np.finfo(float).tiny)
+        w, v = _step(d, e, b, w, s[:, None] * x)
+    except LinAlgError as exc:
+        raise ConvergenceError(f"eigensolve failed: {exc}") from exc
+    return w, _rows(problem, window, v)
+
+
+def _sturm_counts(d, e, b, sigma):
+    """Exact number of pencil eigenvalues below each shift in sigma.  LAPACK
+    stebz over (vl, sigma_i], with vl under T's Gershgorin discs and a
+    tolerance wider than the interval, makes its two Sturm counts and does
+    not bisect."""
+    td, te, _ = _scaled(d, e, b)
+    r = np.abs(te)
+    vl = np.min(td - np.append(r, 0.0) - np.append(0.0, r))
+    vl -= abs(vl) + 1.0
+    counts = []
+    for x in sigma:
+        m, *_, info = dstebz(td, te, 1, vl, x, 0, 0, 2.0 * (x - vl), "E")
+        if info != 0:
+            raise ConvergenceError(f"stebz count failed: info {info}")
+        counts.append(m)
+    return np.array(counts)
+
+
+def _refine(problem, inner, outer, w, u, first=0):
+    """States first, first+1, ... of the pencil from approximations (energies
+    w, u rows on the grid, as _eig returns them).  _step repeats at the
+    current Ritz values until they move by at most _SETTLED max(1, |w_j|),
+    at most _REFINE_MAX_STEPS times (A. Ruhe, SIAM J. Numer. Anal. 10, 674
+    (1973)).  Then each state j is certified on this pencil by two exact
+    Sturm counts: j levels below w_j - delta and j + 1 below w_j + delta,
+    delta = _CERTIFY_GAP max(1, |w_j|) (W. H. Wittrick and F. W. Williams,
+    Q. J. Mech. Appl. Math. 24, 263 (1971)).  A state that fails is
+    bisected by index (_eig), so none is returned uncertified.  Returns the
+    energies, the u rows, the steps made and which states fell back."""
+    d, e, b, window = _assemble(problem, inner, outer)
+    lo, hi = window
+    v = (u * problem.grid ** (problem.ell + 0.5))[:, lo:hi].T
+    w = np.asarray(w, dtype=float)
+    j = first + np.arange(len(w))
+    try:
+        for steps in range(1, _REFINE_MAX_STEPS + 1):
+            w_prev, (w, v) = w, _step(d, e, b, w, v)
+            if np.all(np.abs(w - w_prev)
+                      <= _SETTLED * np.maximum(1.0, np.abs(w))):
+                break
+    except LinAlgError as exc:
+        raise ConvergenceError(f"eigensolve failed: {exc}") from exc
+    delta = _CERTIFY_GAP * np.maximum(1.0, np.abs(w))
+    failed = ((_sturm_counts(d, e, b, w - delta) != j)
+              | (_sturm_counts(d, e, b, w + delta) != j + 1))
+    u = _rows(problem, window, v)
+    for i in np.flatnonzero(failed):
+        w[i:i + 1], u[i:i + 1] = _eig(problem, inner, outer, j[i] + 1, j[i])
+    return w, u, steps, failed
+
+
+def _log_state(**stats):
+    _log.debug("state %(state)d on %(mesh)d nodes: %(steps)d refinement "
+               "steps in %(iterations)d fixed-point iterations, fallback "
+               "%(fallback)s", stats)
 
 
 def _companion(problem, inner, outer, k):
@@ -406,17 +487,23 @@ def _companion(problem, inner, outer, k):
                    else np.interp(g2, g, extra))
 
 
-def _richardson(problem, prob2, fine, coarse):
-    """Step doubling of the (energies, u rows) `fine` of the mesh with the
-    same states `coarse` of its half mesh, splined onto the mesh.  It
-    removes the leading O(h^2) error, whose smooth field in the raw u
-    spoils inner-cusp diagnostics at the 1e-3 level (1e-6 after it)."""
+def _transfer(prob2, u2, grid):
+    """u rows of the half mesh, splined in x = ln r onto the grid."""
     from scipy.interpolate import CubicSpline
 
+    return CubicSpline(np.log(prob2.grid), u2, axis=1)(np.log(grid))
+
+
+def _richardson(problem, prob2, fine, coarse):
+    """Step doubling of the (energies, u rows) `fine` of the mesh with the
+    same states `coarse` of its half mesh, u already on the mesh
+    (_transfer).  It removes the leading O(h^2) error, whose smooth field
+    in the raw u spoils inner-cusp diagnostics at the 1e-3 level (1e-6
+    after it)."""
     (w, u), (w2, u2) = fine, coarse
     g, ell = problem.grid, problem.ell
     c = ((len(g) - 1) / (len(prob2.grid) - 1)) ** 2 - 1.0
-    u = u + (u - CubicSpline(np.log(prob2.grid), u2, axis=1)(np.log(g))) / c
+    u = u + (u - u2) / c
     p = u * g ** (ell + 1)
     u /= np.sqrt(np.trapezoid(p * p, g))[:, None]
     return [(float(e), RadialFunction(g, row, ell, "u"))
@@ -425,12 +512,18 @@ def _richardson(problem, prob2, fine, coarse):
 
 def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
                  outer: RobinBoundary, k: int) -> list[tuple[float, RadialFunction]]:
-    """k lowest eigenpairs of the discretized radial problem, certified by
-    the pencil's Sturm count (see _eig) and Richardson-extrapolated from a
-    half-resolution companion mesh."""
+    """k lowest eigenpairs of the discretized radial problem, Richardson-
+    extrapolated from a half-resolution companion mesh.  Only the half
+    mesh is bisected (_eig); its states, splined onto the mesh, are refined
+    there jointly and certified by Sturm counts (_refine)."""
     prob2 = _companion(problem, inner, outer, k)
-    return _richardson(problem, prob2, _eig(problem, inner, outer, k),
-                       _eig(prob2, inner, outer, k))
+    w2, u2 = _eig(prob2, inner, outer, k)
+    u2 = _transfer(prob2, u2, problem.grid)
+    w, u, steps, failed = _refine(problem, inner, outer, w2, u2)
+    for j in range(k):
+        _log_state(state=j, mesh=len(problem.grid), steps=steps,
+                   iterations=1, fallback=bool(failed[j]))
+    return _richardson(problem, prob2, (w, u), (w2, u2))
 
 
 def solve_matrix_selfconsistent(problem: RadialProblem, inner: RobinBoundary,
@@ -439,37 +532,48 @@ def solve_matrix_selfconsistent(problem: RadialProblem, inner: RobinBoundary,
     """k lowest states, each under the outer Robin condition of its own
     energy, R'/R = kappa(r_max; E_j), as solve_shooting with asymptotics.
 
-    The Dirichlet-wall pencil is the leading principal block of every Robin
-    pencil, so by Cauchy interlacing state j lies in (D_{j-1}, D_j] of the
-    Dirichlet levels D for any kappa (state 0 alone below D_0; its window
-    starts at D_0 - |D_0|).  The windows move up by a relative _WINDOW_PAD,
-    which keeps state j in and j-1 out where decayed tails make Robin and
-    Dirichlet levels agree to rounding.  From D_j, state j is re-solved
-    under the kappa of its last energy until two agree to _SELF_TOL; only
-    A's last diagonal entry depends on E, with slope -(r_max/h) dkappa/dE
-    < 0 for Q >= -1, so the fixed point lies between successive iterates.
-    robin_outer's guard r_max >= 20/decay binds the ground state only."""
+    One bisection on the half mesh gives the Dirichlet-wall levels D_j and
+    their vectors.  The Dirichlet pencil is the leading principal block of
+    every Robin pencil, so by Cauchy interlacing D_j lies between Robin
+    levels j and j + 1 for any kappa.  State j starts from (D_j, its
+    Dirichlet vector) and is refined (_refine, certified as state j) under
+    the kappa of its last energy until two energies agree to _SELF_TOL;
+    only A's last diagonal entry depends on E, with slope
+    -(r_max/h) dkappa/dE < 0 for Q >= -1, so the fixed point lies between
+    successive iterates.  The settled half-mesh states, splined onto the
+    mesh, start the same fixed point there, and the two meshes are
+    Richardson-extrapolated.  robin_outer's guard r_max >= 20/decay binds
+    the ground state only."""
     prob2 = _companion(problem, inner, _WALL, k)
     r_max = problem.grid[-1]
-    levels = _eig(problem, inner, _WALL, k)[0]
-    ends = np.append(levels[0] - abs(levels[0]), levels)
-    ends += _WINDOW_PAD * np.abs(ends)
-    pairs = []
-    for j, e in enumerate(levels):
-        for _ in range(_SELF_MAX_ITER):
+
+    def settle(prob, e, u, j):
+        steps, fallback = 0, False
+        for it in range(1, _SELF_MAX_ITER + 1):
             sys = SystemAsymptotics(total_reduced_mass, total_charge, e)
             outer = (robin_outer(sys, r_max) if j == 0
                      else RobinBoundary(OUTER, 1.0, -sys.kappa(r_max)))
-            fine = _eig(problem, inner, outer, j + 1, j, ends[j:j + 2])
-            e_prev, e = e, fine[0][0]
+            w, u, n_steps, failed = _refine(prob, inner, outer, [e], u, j)
+            steps, fallback = steps + n_steps, fallback or bool(failed[0])
+            e_prev, e = e, w[0]
             if abs(e - e_prev) < _SELF_TOL:
                 break
         else:
             raise ConvergenceError(f"outer-boundary fixed point of state {j} "
                                    f"did not settle in {_SELF_MAX_ITER} iterations")
-        pairs += _richardson(problem, prob2, fine,
-                             _eig(prob2, inner, outer, j + 1, j))
-    return pairs
+        _log_state(state=j, mesh=len(prob.grid), steps=steps, iterations=it,
+                   fallback=fallback)
+        return e, u[0]
+
+    def settle_all(prob, levels, rows):
+        states = [settle(prob, e, row[None], j)
+                  for j, (e, row) in enumerate(zip(levels, rows))]
+        return (np.array([e for e, _ in states]),
+                np.array([row for _, row in states]))
+
+    w2, u2 = settle_all(prob2, *_eig(prob2, inner, _WALL, k))
+    u2 = _transfer(prob2, u2, problem.grid)
+    return _richardson(problem, prob2, settle_all(problem, w2, u2), (w2, u2))
 
 
 def outer_log_derivative(fn: RadialFunction, n_points: int = 8) -> float:

@@ -1,12 +1,14 @@
 """Special functions: Pochhammer symbol, Kummer 1F1, Legendre polynomials,
 complex spherical harmonics with Condon-Shortley phase.
 
-All functions are pure and hold no global state.
+All functions are pure; the only global state is the cache of sphere
+quadrature nodes, whose arrays are read-only.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -241,16 +243,20 @@ def kummer_1f1(a: float, b: float, x, dom: EvalDomain = DEFAULT_DOMAIN):
     return out.reshape(xs.shape) if xs.ndim else float(out[0])
 
 
+@functools.lru_cache
 def _sphere_nodes(n_theta: int, n_phi: int):
     """Product quadrature over the unit sphere: Gauss-Legendre in cos(theta)
     times the trapezoid rule in phi.  Returns (cos_theta, phi, w) of
     lengths n_theta, n_phi, n_theta; the node
     (cos_theta[i], phi[j]) has weight w[i], and the weights sum to 1 over
     all n_theta * n_phi nodes, so their weighted sum of f is its spherical
-    average."""
+    average.  Cached: every caller shares the same read-only arrays."""
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    return nodes, phi, weights / (2.0 * n_phi)
+    out = nodes, phi, weights / (2.0 * n_phi)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def legendre_p(lam: int, x: float) -> float:

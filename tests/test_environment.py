@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cuspbc.cusp import CoalescencePair
+from cuspbc import cusp, environment
+from cuspbc.cusp import (AngularRadialFunction, CoalescencePair,
+                         kato_average_check)
 from cuspbc.environment import (Environment, PointCharge, multipole_term,
                                 spherical_average_w, w0, w_exact, w_multipole)
 from cuspbc.errors import DomainError, SingularityError
+from cuspbc.special import _sphere_nodes
 
 
 def _random_env(rng, n_min=2, n_max=6):
@@ -105,6 +108,25 @@ def test_spherical_average_deterministic():
     a = spherical_average_w(env, EE_PAIR, 0.2)
     b = spherical_average_w(env, EE_PAIR, 0.2)
     assert a == b
+
+
+def test_sphere_nodes_cached_bit_identical(monkeypatch):
+    # one read-only set of nodes per size, shared by every call, and the
+    # same bits as building them afresh
+    nodes = _sphere_nodes(64, 128)
+    assert _sphere_nodes(64, 128) is nodes
+    for a, fresh in zip(nodes, _sphere_nodes.__wrapped__(64, 128)):
+        assert not a.flags.writeable
+        assert a.tobytes() == fresh.tobytes()
+    env = _random_env(np.random.default_rng(6))
+    grid = np.linspace(1e-4, 0.012, 14)
+    f = AngularRadialFunction(lambda r, t, p: np.exp(-2.0 * r) * (
+        1.0 + 0.3 * r * np.sin(t) * np.cos(p)), grid)
+    cached = (spherical_average_w(env, EE_PAIR, 0.2), kato_average_check(f))
+    for module in (environment, cusp):
+        monkeypatch.setattr(module, "_sphere_nodes", _sphere_nodes.__wrapped__)
+    assert (spherical_average_w(env, EE_PAIR, 0.2),
+            kato_average_check(f)) == cached
 
 
 def test_json_round_trip():

@@ -40,3 +40,15 @@ def test_csv_export():
     lines = fn.to_csv().splitlines()
     assert lines[0] == "r,value,ell,meaning"
     assert lines[1] == "0.5,2.0,1,u"
+
+
+def test_csv_bytes_match_the_row_format():
+    # the row-at-a-time f-string form, on subnormals, the smallest normal,
+    # signed zero and reprs in exponent form
+    r = np.array([5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1.0 / 3.0,
+                  1e16])
+    v = np.array([-0.0, 1e-300, -5e-324, 1e16, 2.5e-310, -1.0 / 3.0])
+    for fn in (RadialFunction(r, v, 2, "u"), RadialFunction(r, v)):
+        rows = "".join(f"{float(a)!r},{float(b)!r},{fn.ell},{fn.meaning}\n"
+                       for a, b in zip(fn.grid, fn.values))
+        assert fn.to_csv() == "r,value,ell,meaning\n" + rows

@@ -1,9 +1,10 @@
+import logging
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
@@ -12,7 +13,7 @@ from cuspbc.cusp import cusp_limit_first
 from cuspbc.errors import (ConvergenceError, DomainError, NoSignChange,
                            RegimeError, StiffnessError)
 from cuspbc.radial import (RadialProblem, RobinBoundary, _assemble, _eig,
-                           SystemAsymptotics, asymptotic_tail,
+                           _refine, SystemAsymptotics, asymptotic_tail,
                            hydrogen_reference, log_grid, outer_log_derivative,
                            robin_inner, robin_outer, solve_matrix,
                            solve_matrix_selfconsistent, solve_shooting)
@@ -336,6 +337,12 @@ def test_matrix_lapack_failure_is_a_convergence_error(monkeypatch):
         patch.setattr(radial, "eigh_tridiagonal", no_convergence)
         with pytest.raises(ConvergenceError):
             solve_matrix(problem, inner, outer, 1)
+    # a failed Sturm count of the certificate
+    with monkeypatch.context() as patch:
+        patch.setattr(radial, "dstebz", lambda d, e, *args: (
+            0, d, None, None, 1))
+        with pytest.raises(ConvergenceError, match="stebz"):
+            solve_matrix(problem, inner, outer, 1)
     # an exactly singular shifted pencil in the inverse-iteration step
     monkeypatch.setattr(radial, "dgtsv", lambda dl, d, du, b: (
         dl, d, du, b, 1))
@@ -419,17 +426,17 @@ def test_selfconsistent_states_each_under_their_own_kappa(z, r_max):
 @pytest.mark.parametrize("z, r_max", OWN_KAPPA_CASES)
 def test_selfconsistent_states_certified_on_their_own_pencils(z, r_max,
                                                              monkeypatch):
-    # the last mesh eigensolve of each state, recorded with its boundary
+    # the last mesh refinement of each state, recorded with its boundary
     problem, inner = _own_kappa_problem(z, r_max)
     last = {}
 
-    def recording(prob, inner_, outer, k, first=0, bounds=None):
-        out = _eig(prob, inner_, outer, k, first, bounds)
-        if prob is problem and bounds is not None:
+    def recording(prob, inner_, outer, w, u, first=0):
+        out = _refine(prob, inner_, outer, w, u, first)
+        if prob is problem:
             last[first] = (out[0][0], outer)
         return out
 
-    monkeypatch.setattr(radial, "_eig", recording)
+    monkeypatch.setattr(radial, "_refine", recording)
     solve_matrix_selfconsistent(problem, inner, 1.0, z - 1.0, 3)
     assert sorted(last) == [0, 1, 2]
     for j, (w, outer) in last.items():
@@ -439,6 +446,126 @@ def test_selfconsistent_states_certified_on_their_own_pencils(z, r_max,
         # exactly j levels of its pencil below w - 1e-9, j + 1 below w + 1e-9
         pencil = _assemble(problem, inner, outer)[:3]
         assert list(_sturm_count(pencil, [w - 1e-9, w + 1e-9])) == [j, j + 1]
+
+
+def _clustered_pair():
+    # test_matrix_spectrum_certified_for_a_clustered_pair's wells, whose
+    # two lowest levels split by 3.3e-7
+    grid = log_grid(1e-3, 14.0, 2000)
+    extra = -sum(depth * np.exp(-((grid - c) / 0.5) ** 2)
+                 for c, depth in ((3.0, 12.0), (8.0, 11.99731574)))
+    problem = RadialProblem(0, 1.0, 0.0, 0.0, grid, extra_potential=extra)
+    return problem, robin_inner(0, 0.0), RobinBoundary("outer", 0.0, 1.0)
+
+
+def test_stebz_counts_match_the_sturm_oracle():
+    _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0)
+    for prob, inner_, outer_ in ((problem, inner, outer), _clustered_pair()):
+        pencil = _assemble(prob, inner_, outer_)[:3]
+        w = _eig(prob, inner_, outer_, 6)[0]
+        sigma = np.concatenate([np.linspace(-20.0, 50.0, 141),
+                                w - 1e-9, w + 1e-9, w - 1e-12, w + 1e-12])
+        assert np.array_equal(radial._sturm_counts(*pencil, sigma),
+                              _sturm_count(pencil, sigma))
+
+
+def _solve_events(caplog, solve, *args):
+    """A solve's result and the arguments of its per-state debug events."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cuspbc"):
+        out = solve(*args)
+    return out, [r.args for r in caplog.records if r.name == "cuspbc.radial"]
+
+
+def test_refinement_from_the_neighbouring_state_falls_back(monkeypatch,
+                                                           caplog):
+    problem = RadialProblem(0, 1.0, -2.0, 0.0, log_grid(1e-5, 40.0, 2000))
+    inner = robin_inner(0, -2.0)
+    outer = robin_outer(SystemAsymptotics(1.0, 1.0, -2.0), 40.0)
+    w, u = _eig(problem, inner, outer, 2)
+    # started from state 1 but certified as state 0: the count finds one
+    # level below it, and state 0 is bisected by index instead
+    w0, u0, _, failed = _refine(problem, inner, outer, w[1:], u[1:], 0)
+    assert failed.tolist() == [True]
+    w_ref, u_ref = _eig(problem, inner, outer, 1)
+    assert np.array_equal(w0, w_ref) and np.array_equal(u0, u_ref)
+    # the same through the self-consistent solve: every half-mesh state
+    # starts from the Dirichlet state above its own
+    ref = solve_matrix_selfconsistent(problem, inner, 1.0, 1.0, 2)
+    eig = radial._eig
+
+    def one_up(prob, inner_, outer_, k, first=0):
+        if outer_ is radial._WALL:
+            return eig(prob, inner_, outer_, k + 1, first + 1)
+        return eig(prob, inner_, outer_, k, first)
+
+    monkeypatch.setattr(radial, "_eig", one_up)
+    pairs, events = _solve_events(caplog, solve_matrix_selfconsistent,
+                                  problem, inner, 1.0, 1.0, 2)
+    assert [(ev["mesh"], ev["fallback"]) for ev in events] == [
+        (1000, True), (1000, True), (2000, False), (2000, False)]
+    for (e, fn), (e_ref, fn_ref) in zip(pairs, ref):
+        assert e == pytest.approx(e_ref, abs=1e-12)
+        assert np.allclose(fn.values, fn_ref.values, rtol=1e-8, atol=1e-10)
+
+
+def test_clustered_pair_refined_on_the_full_mesh(monkeypatch, caplog):
+    problem, inner, wall = _clustered_pair()
+    # what bisecting both meshes gives
+    prob2 = radial._companion(problem, inner, wall, 3)
+    w2, u2 = _eig(prob2, inner, wall, 3)
+    ref = radial._richardson(problem, prob2, _eig(problem, inner, wall, 3),
+                             (w2, radial._transfer(prob2, u2, problem.grid)))
+    # the third state needs three refinement steps to pass its certificate;
+    # with two it is bisected by index, and the result is the same
+    for cap, fallback in ((2, [False, False, True]),
+                          (3, [False, False, False])):
+        monkeypatch.setattr(radial, "_REFINE_MAX_STEPS", cap)
+        pairs, events = _solve_events(caplog, solve_matrix, problem, inner,
+                                      wall, 3)
+        assert [ev["fallback"] for ev in events] == fallback
+        assert [ev["steps"] for ev in events] == [cap] * 3
+        for (e, _), (e_ref, _) in zip(pairs, ref):
+            assert e == pytest.approx(e_ref, abs=1e-12)
+
+
+def test_matrix_solves_log_one_event_per_state(caplog):
+    assert any(isinstance(h, logging.NullHandler)
+               for h in logging.getLogger("cuspbc").handlers)
+    _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0)
+    _, events = _solve_events(caplog, solve_matrix, problem, inner, outer, 2)
+    assert events == [{"state": j, "mesh": 2000, "steps": 2, "iterations": 1,
+                       "fallback": False} for j in (0, 1)]
+    # the self-consistent solve refines each state on both meshes
+    _, events = _solve_events(caplog, solve_matrix_selfconsistent, problem,
+                              inner, 1.0, 0.0, 2)
+    assert [(ev["state"], ev["mesh"], ev["fallback"]) for ev in events] == [
+        (0, 1000, False), (1, 1000, False), (0, 2000, False),
+        (1, 2000, False)]
+    assert all(1 <= ev["iterations"] <= ev["steps"] for ev in events)
+
+
+def test_one_bisection_per_matrix_solve(monkeypatch):
+    # only the Richardson half mesh is bisected; every full-mesh state is
+    # refined from it and certified without a fallback bisection
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "eigh_tridiagonal", counting)
+    for z in (1.0, 2.0):
+        for n_state, ell in CASES:
+            _, problem, inner, outer, _ = _hydrogen_setup(z, n_state, ell)
+            calls.clear()
+            solve_matrix(problem, inner, outer, n_state - ell)
+            assert calls == [1000]
+    for z, r_max in OWN_KAPPA_CASES:
+        problem, inner = _own_kappa_problem(z, r_max)
+        calls.clear()
+        solve_matrix_selfconsistent(problem, inner, 1.0, z - 1.0, 3)
+        assert calls == [1999]
 
 
 def test_hydrogen_reference_values():
