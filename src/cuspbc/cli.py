@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 import time
 
@@ -53,6 +55,31 @@ def parse_pair(tokens) -> CoalescencePair:
     raise InputError(f"unknown pair kind {head!r} (use e-e or e-nucleus)")
 
 
+def _float_list(text, flag):
+    """Comma-separated floats of a CLI flag; an empty string gives []."""
+    try:
+        return [float(t) for t in text.split(",")] if text else []
+    except ValueError as exc:
+        raise InputError(f"{flag}: {exc}") from exc
+
+
+def _write_text(path, text):
+    """Write `text` to `path` as UTF-8, overwriting an existing file in place.
+
+    The file keeps its inode, permissions and hard links, and a symlink is
+    written through. It is opened without O_TRUNC and cut to the new length
+    after the write, because on ext4 (default `auto_da_alloc`) closing a
+    file that was truncated to zero and rewritten waits for its writeback.
+    Only regular files are cut: `/dev/null` or a FIFO cannot be. Like a
+    truncating write, this is not atomic.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def _emit(args, columns, rows, meta):
     """Write tabular output as CSV (repr-stable floats) or as JSON with the
     identical numeric content."""
@@ -66,8 +93,7 @@ def _emit(args, columns, rows, meta):
             lines.append(",".join(repr(x) for x in row))
         text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -170,9 +196,7 @@ def cmd_solve(args) -> int:
         }
         for i, (_, fn) in enumerate(pairs):
             if args.output:
-                with open(f"{args.output}.matrix.{i}.csv", "w",
-                          encoding="utf-8") as fh:
-                    fh.write(fn.to_csv())
+                _write_text(f"{args.output}.matrix.{i}.csv", fn.to_csv())
     if args.method in ("shoot", "both"):
         if bracket is None:
             raise InputError("shooting needs a 'bracket' entry in the spec")
@@ -187,8 +211,7 @@ def cmd_solve(args) -> int:
                                      q_total)],
         }
         if args.output:
-            with open(f"{args.output}.shoot.csv", "w", encoding="utf-8") as fh:
-                fh.write(fn.to_csv())
+            _write_text(f"{args.output}.shoot.csv", fn.to_csv())
     print(json.dumps(reports, indent=2))
     return 0
 
@@ -197,14 +220,13 @@ def cmd_basis(args) -> int:
     pair = parse_pair(args.pair)
     a = cusp_a(pair, args.ell)
     b = cusp_b(pair, args.ell, args.w0, args.e)
-    exps = [float(t) for t in args.tail.split(",")] if args.tail else []
+    exps = _float_list(args.tail, "--tail")
     built = basis_mod.build_basis(args.kind, args.ell, a, b, exps,
                                   g0=args.g0, window=args.window)
     a_est, b_est = basis_mod.verify_cusp_orders(built)
     text = basis_mod.basis_to_text(built)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     print(f"a_est = {a_est!r}", file=sys.stderr)
@@ -219,6 +241,7 @@ def cmd_env(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError) as exc:
         raise InputError(f"environment file {args.environment}: {exc}") from exc
     pair = parse_pair(args.pair)
+    probes = _float_list(args.probes, "--probes")
     print(f"w0 = {env_mod.w0(env, pair)!r}")
     theta, phi = args.theta, args.phi
     for lam in range(args.lam_max + 1):
@@ -231,7 +254,6 @@ def cmd_env(args) -> int:
             odd_ok = odd_ok and val == 0.0
             print(f"odd_audit[{lam}] = {val!r}")
         print(f"odd_terms_exactly_zero = {odd_ok}")
-    probes = [float(t) for t in args.probes.split(",")] if args.probes else []
     for r in probes:
         resid = abs(env_mod.spherical_average_w(env, pair, r)
                     - env_mod.w0(env, pair))
@@ -368,7 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hfr", help="orbital file (lines: n zeta c)")
     p.add_argument("--e", type=float, required=True)
     p.add_argument("--energy-kind", choices=("total", "orbital"),
-                   default="total", help="convention of the supplied energy")
+                   default="total",
+                   help="convention of the supplied energy; recorded in the "
+                        "metadata only, it changes no result")
     p.add_argument("--r0-kind", choices=("cusp", "mean-inv-r"),
                    default="cusp", help="effective-radius convention")
     p.add_argument("--z", type=float, default=2.0)

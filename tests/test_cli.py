@@ -1,11 +1,13 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cuspbc.cli import main, parse_pair
+from cuspbc import radial
+from cuspbc.cli import _write_text, main, parse_pair
 from cuspbc.errors import InputError
 
 from test_hfr import HE_ORBITAL_ENERGY, HE_TERMS
@@ -258,3 +260,134 @@ def test_cmd_compare_he_compact_orbital_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code():
     assert main(["compare-he", "/nonexistent/orbital.hfr", "--e", "-1.0"]) == 2
+
+
+def test_cmd_env_bad_probe_exit_code(tmp_path, capsys):
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps({"charges": [{"q": 1.0,
+                                             "position": [0.0, 0.0, 2.0]}]}))
+    assert main(["env", str(path), "e-e", "singlet",
+                 "--probes", "0.1,abc"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # rejected before any report line
+    assert "--probes" in err and "Traceback" not in err
+
+
+def test_cmd_basis_bad_tail_exit_code(capsys):
+    assert main(["basis", "slater", "e-nucleus", "Z=1",
+                 "--tail", "1.0,x"]) == 2
+    err = capsys.readouterr().err
+    assert "--tail" in err and "Traceback" not in err
+
+
+LOCAL = ["local", "e-nucleus", "Z=1", "--e", "-0.5", "--n", "41"]
+
+
+def _fresh_and_rewritten(tmp_path, argv, name):
+    """Bytes that `argv --output` writes to a fresh path; a rewrite over a
+    longer existing file must leave exactly the same bytes."""
+    fresh, old = tmp_path / f"{name}.fresh", tmp_path / f"{name}.old"
+    assert main(argv + ["--output", str(fresh)]) == 0
+    data = fresh.read_bytes()
+    old.write_bytes(b"#" * (2 * len(data) + 100))
+    assert main(argv + ["--output", str(old)]) == 0
+    assert old.read_bytes() == data
+    return data
+
+
+def test_write_text_overwrites_a_longer_file_exactly(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"x" * 10_000)
+    _write_text(str(path), "ψ = 1\n")
+    assert path.read_bytes() == "ψ = 1\n".encode("utf-8")
+
+
+def test_output_rewrite_keeps_inode_mode_and_links(tmp_path):
+    out, link = tmp_path / "o.csv", tmp_path / "link.csv"
+    out.write_bytes(b"x" * 100_000)
+    out.chmod(0o640)
+    os.link(out, link)
+    before = out.stat()
+    assert main(LOCAL + ["--output", str(out)]) == 0
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert after.st_nlink == 2
+    assert link.read_bytes() == out.read_bytes()
+    assert out.read_bytes().startswith(b"# ell=0")
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path):
+    data = _fresh_and_rewritten(tmp_path, LOCAL, "ref")
+    target, sym = tmp_path / "target.csv", tmp_path / "sym.csv"
+    target.write_bytes(b"x" * 100_000)
+    sym.symlink_to(target)
+    assert main(LOCAL + ["--output", str(sym)]) == 0
+    assert sym.is_symlink() and sym.resolve() == target.resolve()
+    assert target.read_bytes() == data
+
+
+def test_output_to_the_null_device():
+    assert main(LOCAL + ["--output", os.devnull]) == 0
+
+
+def test_output_to_a_directory_exit_code(tmp_path, capsys):
+    assert main(LOCAL + ["--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cuspbc: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["local", "compare-he"])
+def test_tabular_output_bytes_identical(tmp_path, capsys, command, fmt):
+    if command == "local":
+        argv = LOCAL
+    else:
+        argv = ["compare-he", str(_write_he_orbital(tmp_path)),
+                "--e", repr(HE_ORBITAL_ENERGY), "--n", "61"]
+    argv = argv + ["--format", fmt]
+    data = _fresh_and_rewritten(tmp_path, argv, "out")
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == data
+
+
+def test_basis_output_bytes_identical(tmp_path, capsys):
+    argv = ["basis", "gaussian", "e-nucleus", "Z=2", "--e", "-0.9",
+            "--tail", "1.0,1.5"]
+    data = _fresh_and_rewritten(tmp_path, argv, "basis")
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode("utf-8") == data
+
+
+def test_solve_output_bytes_identical(tmp_path, monkeypatch):
+    spec = {"ell": 0, "pair_product": -1.0, "grid": {"n": 600},
+            "bracket": [-0.6, -0.4]}
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(spec))
+    returned = []
+
+    def spy(name):
+        real = getattr(radial, name)
+
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            returned.append(out)
+            return out
+        monkeypatch.setattr(radial, name, wrapper)
+
+    spy("solve_matrix_selfconsistent")
+    spy("solve_shooting")
+    names = ["matrix.0.csv", "matrix.1.csv", "shoot.csv"]
+    argv = ["solve", str(path), "--method", "both", "-k", "2"]
+    assert main(argv + ["--output", str(tmp_path / "fresh")]) == 0
+    for name in names:
+        (tmp_path / f"old.{name}").write_bytes(b"#" * 100_000)
+    assert main(argv + ["--output", str(tmp_path / "old")]) == 0
+    for run, prefix in enumerate(("fresh", "old")):
+        matrix, (_, shoot) = returned[2 * run:2 * run + 2]
+        expected = [fn.to_csv() for _, fn in matrix] + [shoot.to_csv()]
+        for name, text in zip(names, expected):
+            data = (tmp_path / f"{prefix}.{name}").read_bytes()
+            assert data == text.encode("utf-8")
+            assert data == (tmp_path / f"fresh.{name}").read_bytes()
