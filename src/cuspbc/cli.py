@@ -23,6 +23,7 @@ from .cusp import (CoalescencePair, LocalWavefunction, cusp_a, cusp_b,
                    cusp_limit_first, cusp_series, local_u, validity_radius)
 from .errors import (CuspbcError, InputError, NumericalError, Overflow,
                      RegimeError)
+from .gridfn import csv_texts
 from .hfr import HFROrbital
 
 
@@ -61,6 +62,13 @@ def _float_list(text, flag):
         return [float(t) for t in text.split(",")] if text else []
     except ValueError as exc:
         raise InputError(f"{flag}: {exc}") from exc
+
+
+def _radii(r_max, n):
+    """The n radii of `local` and `compare-he`, evenly spaced on [0, r_max]."""
+    if n < 1:
+        raise InputError(f"--n must be at least 1, got {n}")
+    return np.linspace(0.0, r_max, n)
 
 
 def _write_text(path, text):
@@ -117,7 +125,7 @@ def cmd_local(args) -> int:
     pair = parse_pair(args.pair)
     lw = LocalWavefunction.from_pair(pair, args.ell, args.m,
                                      args.w0, args.e, args.u0)
-    r = np.linspace(0.0, args.r_max, args.n)
+    r = _radii(args.r_max, args.n)
     u = local_u(lw, r)
     big_r = r ** args.ell * u
     density = r ** 2 * big_r ** 2
@@ -194,9 +202,10 @@ def cmd_solve(args) -> int:
             "states": [_report_state(problem, a, e, fn, m_prime, q_total)
                        for e, fn in pairs],
         }
-        for i, (_, fn) in enumerate(pairs):
-            if args.output:
-                _write_text(f"{args.output}.matrix.{i}.csv", fn.to_csv())
+        if args.output:
+            # one grid shared by the k states: its column is formatted once
+            for i, text in enumerate(csv_texts(fn for _, fn in pairs)):
+                _write_text(f"{args.output}.matrix.{i}.csv", text)
     if args.method in ("shoot", "both"):
         if bracket is None:
             raise InputError("shooting needs a 'bracket' entry in the spec")
@@ -277,7 +286,7 @@ def cmd_compare_he(args) -> int:
     else:
         r0 = 1.0 / inv_r
 
-    r = np.linspace(0.0, args.r_max, args.n)
+    r = _radii(args.r_max, args.n)
     u = local_u(lw, r)
     hfr = orbital.radial(r)
     window = r <= r0 / 4.0

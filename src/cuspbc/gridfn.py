@@ -57,8 +57,24 @@ class RadialFunction:
 
     def to_csv(self) -> str:
         """One "r,value,ell,meaning" row per node, floats as their repr."""
-        tail = f",{self.ell},{self.meaning}\n"
-        values = self.values.astype(float, casting="same_kind", copy=False)
-        return "r,value,ell,meaning\n" + "".join(
-            [f"{r!r},{v!r}{tail}" for r, v in zip(self.grid.tolist(),
-                                                  values.tolist())])
+        return next(csv_texts([self]))
+
+
+def _csv_column(a: np.ndarray) -> list[str]:
+    """The repr of each float of a 1-d array."""
+    return list(map(repr, a.tolist()))
+
+
+def csv_texts(functions):
+    """Yield the to_csv() text of each function in turn.  A grid equal bit
+    for bit to the previous function's is not formatted again, so the
+    states of one solve, which share their grid, pay for it once."""
+    key = cells = None
+    for fn in functions:
+        grid = fn.grid.tobytes()
+        if grid != key:
+            key, cells = grid, _csv_column(fn.grid)
+        tail = f",{fn.ell},{fn.meaning}\n"
+        values = fn.values.astype(float, casting="same_kind", copy=False)
+        yield "r,value,ell,meaning\n" + "".join(
+            [f"{r},{v!r}{tail}" for r, v in zip(cells, values.tolist())])

@@ -315,6 +315,7 @@ _SELF_MAX_ITER = 30
 _REFINE_MAX_STEPS = 4
 _SETTLED = 1e-12
 _CERTIFY_GAP = 1e-9
+_BISECT_TOL = 1e-6
 
 
 def _assemble(problem: RadialProblem, inner: RobinBoundary,
@@ -324,24 +325,36 @@ def _assemble(problem: RadialProblem, inner: RobinBoundary,
     (halved to preserve symmetry); Dirichlet ends drop their unknown.
     Returns A's diagonal and off-diagonal, B's diagonal, and the grid
     window [lo, hi) of the unknowns."""
+    return _assembler(problem, inner)(outer)
+
+
+def _assembler(problem: RadialProblem, inner: RobinBoundary):
+    """_assemble as a function of the outer condition alone: the mesh, the
+    potential and the inner row are built once, and each call folds in
+    only the outer row, the one entry of A and of B that it changes."""
     h, q, bb = _log_mesh(problem)
     r = problem.grid
     ell = problem.ell
     diag = 2.0 / h ** 2 + q
-    lo, hi = 1, len(r) - 1
+    lo = 1
     if math.isfinite(inner.log_derivative):
         # chi-variable log-derivative at the inner edge
         s0 = ell + 0.5 + inner.log_derivative * r[0]
         diag[0] = (1.0 + h * s0) / h ** 2 + q[0] / 2.0
         bb[0] /= 2.0
         lo = 0
-    if math.isfinite(outer.log_derivative):
-        s1 = outer.log_derivative * r[-1] + 0.5
-        diag[-1] = (1.0 - h * s1) / h ** 2 + q[-1] / 2.0
-        bb[-1] /= 2.0
-        hi = len(r)
-    off = np.full(hi - lo - 1, -1.0 / h ** 2)
-    return diag[lo:hi], off, bb[lo:hi], (lo, hi)
+
+    def assemble(outer: RobinBoundary):
+        d, b, hi = diag.copy(), bb.copy(), len(r) - 1
+        if math.isfinite(outer.log_derivative):
+            s1 = outer.log_derivative * r[-1] + 0.5
+            d[-1] = (1.0 - h * s1) / h ** 2 + q[-1] / 2.0
+            b[-1] /= 2.0
+            hi = len(r)
+        off = np.full(hi - lo - 1, -1.0 / h ** 2)
+        return d[lo:hi], off, b[lo:hi], (lo, hi)
+
+    return assemble
 
 
 def _scaled(d, e, b):
@@ -390,9 +403,10 @@ def _eig(problem, inner, outer, k, first=0):
     per state, u on the grid, normalised and positive at the inner edge.
 
     Bisection on the Sturm count of T = B^(-1/2) A B^(-1/2) returns exactly
-    these states by index (LAPACK stebz, run to the smallest double: its
-    default tolerance, eps * ||T|| ~ 4e-2, does not resolve them); one
-    _step on stebz's vectors gives the energies and vectors."""
+    these states by index (LAPACK stebz, run to the absolute _BISECT_TOL:
+    its default tolerance, eps * ||T|| ~ 4e-2, does not resolve them).  One
+    _step on stebz's vectors then gives the energies and vectors to
+    rounding level, so a finer bisection buys nothing."""
     d, e, b, window = _assemble(problem, inner, outer)
     if k > len(d):
         raise DomainError(f"k = {k} exceeds the {len(d)} unknowns of the mesh")
@@ -401,7 +415,7 @@ def _eig(problem, inner, outer, k, first=0):
         w, x = eigh_tridiagonal(td, te, select="i",
                                 select_range=(first, k - 1),
                                 lapack_driver="stebz",
-                                tol=np.finfo(float).tiny)
+                                tol=_BISECT_TOL)
         w, v = _step(d, e, b, w, s[:, None] * x)
     except LinAlgError as exc:
         raise ConvergenceError(f"eigensolve failed: {exc}") from exc
@@ -426,7 +440,7 @@ def _sturm_counts(d, e, b, sigma):
     return np.array(counts)
 
 
-def _refine(problem, inner, outer, w, u, first=0):
+def _refine(problem, inner, outer, w, u, first=0, assemble=None):
     """States first, first+1, ... of the pencil from approximations (energies
     w, u rows on the grid, as _eig returns them).  _step repeats at the
     current Ritz values until they move by at most _SETTLED max(1, |w_j|),
@@ -436,8 +450,11 @@ def _refine(problem, inner, outer, w, u, first=0):
     delta = _CERTIFY_GAP max(1, |w_j|) (W. H. Wittrick and F. W. Williams,
     Q. J. Mech. Appl. Math. 24, 263 (1971)).  A state that fails is
     bisected by index (_eig), so none is returned uncertified.  Returns the
-    energies, the u rows, the steps made and which states fell back."""
-    d, e, b, window = _assemble(problem, inner, outer)
+    energies, the u rows, the steps made and which states fell back.
+    assemble, _assembler(problem, inner) when given, builds the pencil, so
+    a caller that refines one mesh under many outer conditions builds the
+    mesh and its potential once."""
+    d, e, b, window = (assemble or _assembler(problem, inner))(outer)
     lo, hi = window
     v = (u * problem.grid ** (problem.ell + 0.5))[:, lo:hi].T
     w = np.asarray(w, dtype=float)
@@ -540,20 +557,22 @@ def solve_matrix_selfconsistent(problem: RadialProblem, inner: RobinBoundary,
     the kappa of its last energy until two energies agree to _SELF_TOL;
     only A's last diagonal entry depends on E, with slope
     -(r_max/h) dkappa/dE < 0 for Q >= -1, so the fixed point lies between
-    successive iterates.  The settled half-mesh states, splined onto the
-    mesh, start the same fixed point there, and the two meshes are
-    Richardson-extrapolated.  robin_outer's guard r_max >= 20/decay binds
-    the ground state only."""
+    successive iterates, and each mesh's pencil is built once (_assembler)
+    with only that entry folded in per iterate.  The settled half-mesh
+    states, splined onto the mesh, start the same fixed point there, and
+    the two meshes are Richardson-extrapolated.  robin_outer's guard
+    r_max >= 20/decay binds the ground state only."""
     prob2 = _companion(problem, inner, _WALL, k)
     r_max = problem.grid[-1]
 
-    def settle(prob, e, u, j):
+    def settle(prob, assemble, e, u, j):
         steps, fallback = 0, False
         for it in range(1, _SELF_MAX_ITER + 1):
             sys = SystemAsymptotics(total_reduced_mass, total_charge, e)
             outer = (robin_outer(sys, r_max) if j == 0
                      else RobinBoundary(OUTER, 1.0, -sys.kappa(r_max)))
-            w, u, n_steps, failed = _refine(prob, inner, outer, [e], u, j)
+            w, u, n_steps, failed = _refine(prob, inner, outer, [e], u, j,
+                                            assemble=assemble)
             steps, fallback = steps + n_steps, fallback or bool(failed[0])
             e_prev, e = e, w[0]
             if abs(e - e_prev) < _SELF_TOL:
@@ -566,7 +585,8 @@ def solve_matrix_selfconsistent(problem: RadialProblem, inner: RobinBoundary,
         return e, u[0]
 
     def settle_all(prob, levels, rows):
-        states = [settle(prob, e, row[None], j)
+        assemble = _assembler(prob, inner)
+        states = [settle(prob, assemble, e, row[None], j)
                   for j, (e, row) in enumerate(zip(levels, rows))]
         return (np.array([e for e, _ in states]),
                 np.array([row for _, row in states]))

@@ -1,12 +1,13 @@
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cuspbc import radial
+from cuspbc import gridfn, radial
 from cuspbc.cli import _write_text, main, parse_pair
 from cuspbc.errors import InputError
 
@@ -280,6 +281,22 @@ def test_cmd_basis_bad_tail_exit_code(capsys):
     assert "--tail" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n", ["-1", "0"])
+@pytest.mark.parametrize("command", ["local", "compare-he"])
+def test_radii_count_below_one_exit_code(tmp_path, capsys, command, n):
+    if command == "local":
+        argv = ["local", "e-nucleus", "Z=1", "--e", "-0.5"]
+    else:
+        argv = ["compare-he", str(_write_he_orbital(tmp_path)),
+                "--e", repr(HE_ORBITAL_ENERGY)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--n", n]) == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == f"cuspbc: input error: --n must be at least 1, got {n}\n"
+
+
 LOCAL = ["local", "e-nucleus", "Z=1", "--e", "-0.5", "--n", "41"]
 
 
@@ -378,8 +395,8 @@ def test_solve_output_bytes_identical(tmp_path, monkeypatch):
 
     spy("solve_matrix_selfconsistent")
     spy("solve_shooting")
-    names = ["matrix.0.csv", "matrix.1.csv", "shoot.csv"]
-    argv = ["solve", str(path), "--method", "both", "-k", "2"]
+    names = ["matrix.0.csv", "matrix.1.csv", "matrix.2.csv", "shoot.csv"]
+    argv = ["solve", str(path), "--method", "both", "-k", "3"]
     assert main(argv + ["--output", str(tmp_path / "fresh")]) == 0
     for name in names:
         (tmp_path / f"old.{name}").write_bytes(b"#" * 100_000)
@@ -391,3 +408,40 @@ def test_solve_output_bytes_identical(tmp_path, monkeypatch):
             data = (tmp_path / f"{prefix}.{name}").read_bytes()
             assert data == text.encode("utf-8")
             assert data == (tmp_path / f"fresh.{name}").read_bytes()
+
+
+def _solve_spec(tmp_path, bracket):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"ell": 0, "pair_product": -1.0,
+                                "grid": {"n": 600}, "bracket": bracket}))
+    return str(path)
+
+
+def test_solve_k3_formats_the_grid_once(tmp_path, monkeypatch):
+    calls = []
+    column = gridfn._csv_column
+
+    def spy(a):
+        calls.append(a)
+        return column(a)
+
+    monkeypatch.setattr(gridfn, "_csv_column", spy)
+    assert main(["solve", _solve_spec(tmp_path, None), "-k", "3",
+                 "--output", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1 and len(calls[0]) == 600
+    assert sorted(p.name for p in tmp_path.glob("out.*")) == [
+        f"out.matrix.{i}.csv" for i in range(3)]
+
+
+def test_solve_writes_matrix_states_before_shooting(tmp_path, capsys):
+    # no state between -0.4 and -0.2: shooting fails after the matrix
+    # solve, whose k files are already on disk
+    prefix = tmp_path / "out"
+    argv = ["solve", _solve_spec(tmp_path, [-0.4, -0.2]), "-k", "3"]
+    assert main(argv + ["--method", "both", "--output", str(prefix)]) == 3
+    assert "same sign" in capsys.readouterr().err
+    assert main(argv + ["--output", str(tmp_path / "ref")]) == 0
+    for i in range(3):
+        data = (tmp_path / f"out.matrix.{i}.csv").read_bytes()
+        assert data == (tmp_path / f"ref.matrix.{i}.csv").read_bytes()
+    assert not (tmp_path / "out.shoot.csv").exists()

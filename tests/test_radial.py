@@ -430,8 +430,8 @@ def test_selfconsistent_states_certified_on_their_own_pencils(z, r_max,
     problem, inner = _own_kappa_problem(z, r_max)
     last = {}
 
-    def recording(prob, inner_, outer, w, u, first=0):
-        out = _refine(prob, inner_, outer, w, u, first)
+    def recording(prob, inner_, outer, w, u, first=0, **kwargs):
+        out = _refine(prob, inner_, outer, w, u, first, **kwargs)
         if prob is problem:
             last[first] = (out[0][0], outer)
         return out
@@ -446,6 +446,44 @@ def test_selfconsistent_states_certified_on_their_own_pencils(z, r_max,
         # exactly j levels of its pencil below w - 1e-9, j + 1 below w + 1e-9
         pencil = _assemble(problem, inner, outer)[:3]
         assert list(_sturm_count(pencil, [w - 1e-9, w + 1e-9])) == [j, j + 1]
+
+
+def test_assembler_folds_each_outer_row_afresh():
+    # one builder under a sequence of outer conditions gives what a fresh
+    # assembly gives for each, and later calls leave earlier pencils alone
+    problem, inner = _own_kappa_problem(2.0, 20.0)
+    outers = [RobinBoundary("outer", 1.0, 2.0), radial._WALL,
+              RobinBoundary("outer", 1.0, 1.5), RobinBoundary("outer", 1.0, 2.0)]
+    assemble = radial._assembler(problem, inner)
+    built = [assemble(outer) for outer in outers]
+    for pencil, outer in zip(built, outers):
+        fresh = _assemble(problem, inner, outer)
+        assert pencil[3] == fresh[3]
+        for got, want in zip(pencil[:3], fresh[:3]):
+            assert np.array_equal(got, want)
+
+
+def test_selfconsistent_solve_builds_each_mesh_once(monkeypatch):
+    # one potential() for the half-mesh bisection, then one per mesh for
+    # every refinement under every kappa, none of which falls back; the
+    # states are those of assembling each refinement's pencil afresh
+    problem, inner = _own_kappa_problem(1.0, 40.0)
+    with monkeypatch.context() as m:
+        m.setattr(radial, "_refine",
+                  lambda *args, assemble: _refine(*args))
+        ref = solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
+    potential = RadialProblem.potential
+    sizes = []
+
+    def counting(self, r=None):
+        sizes.append(self.grid.size)
+        return potential(self, r)
+
+    monkeypatch.setattr(RadialProblem, "potential", counting)
+    pairs = solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
+    assert sizes == [2000, 2000, 4000]
+    for (e, fn), (e_ref, fn_ref) in zip(pairs, ref):
+        assert e == e_ref and np.array_equal(fn.values, fn_ref.values)
 
 
 def _clustered_pair():
