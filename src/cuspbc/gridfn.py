@@ -66,14 +66,13 @@ def _csv_column(a: np.ndarray) -> list[str]:
 
 
 def csv_texts(functions):
-    """Yield the to_csv() text of each function in turn.  A grid equal bit
-    for bit to the previous function's is not formatted again, so the
+    """Yield the to_csv() text of each function in turn.  A grid that is
+    the previous function's grid array is not formatted again, so the
     states of one solve, which share their grid, pay for it once."""
-    key = cells = None
+    grid = cells = None
     for fn in functions:
-        grid = fn.grid.tobytes()
-        if grid != key:
-            key, cells = grid, _csv_column(fn.grid)
+        if fn.grid is not grid:
+            grid, cells = fn.grid, _csv_column(fn.grid)
         tail = f",{fn.ell},{fn.meaning}\n"
         values = fn.values.astype(float, casting="same_kind", copy=False)
         yield "r,value,ell,meaning\n" + "".join(

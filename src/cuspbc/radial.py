@@ -315,7 +315,7 @@ _SELF_MAX_ITER = 30
 _REFINE_MAX_STEPS = 4
 _SETTLED = 1e-12
 _CERTIFY_GAP = 1e-9
-_BISECT_TOL = 1e-6
+_BISECT_TOL = 1e-10
 
 
 def _assemble(problem: RadialProblem, inner: RobinBoundary,
@@ -406,7 +406,11 @@ def _eig(problem, inner, outer, k, first=0):
     these states by index (LAPACK stebz, run to the absolute _BISECT_TOL:
     its default tolerance, eps * ||T|| ~ 4e-2, does not resolve them).  One
     _step on stebz's vectors then gives the energies and vectors to
-    rounding level, so a finer bisection buys nothing."""
+    rounding level.  stebz returns the midpoint of an interval of width at
+    most _BISECT_TOL around the level, so a state bisected alone is told
+    apart from a neighbour more than _BISECT_TOL away, at least ten times
+    below the gap that _refine's certificate resolves; closer levels are
+    not told apart."""
     d, e, b, window = _assemble(problem, inner, outer)
     if k > len(d):
         raise DomainError(f"k = {k} exceeds the {len(d)} unknowns of the mesh")
@@ -440,7 +444,7 @@ def _sturm_counts(d, e, b, sigma):
     return np.array(counts)
 
 
-def _refine(problem, inner, outer, w, u, first=0, assemble=None):
+def _refine(problem, inner, outer, w, u, first=0, *, assemble):
     """States first, first+1, ... of the pencil from approximations (energies
     w, u rows on the grid, as _eig returns them).  _step repeats at the
     current Ritz values until they move by at most _SETTLED max(1, |w_j|),
@@ -449,12 +453,12 @@ def _refine(problem, inner, outer, w, u, first=0, assemble=None):
     Sturm counts: j levels below w_j - delta and j + 1 below w_j + delta,
     delta = _CERTIFY_GAP max(1, |w_j|) (W. H. Wittrick and F. W. Williams,
     Q. J. Mech. Appl. Math. 24, 263 (1971)).  A state that fails is
-    bisected by index (_eig), so none is returned uncertified.  Returns the
-    energies, the u rows, the steps made and which states fell back.
-    assemble, _assembler(problem, inner) when given, builds the pencil, so
-    a caller that refines one mesh under many outer conditions builds the
+    bisected by index (_eig), whose Sturm counts place it as state j.
+    Returns the energies, the u rows, the steps made and which states fell
+    back.  assemble, _assembler(problem, inner), builds the pencil, so a
+    caller that refines one mesh under many outer conditions builds the
     mesh and its potential once."""
-    d, e, b, window = (assemble or _assembler(problem, inner))(outer)
+    d, e, b, window = assemble(outer)
     lo, hi = window
     v = (u * problem.grid ** (problem.ell + 0.5))[:, lo:hi].T
     w = np.asarray(w, dtype=float)
@@ -536,7 +540,8 @@ def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
     prob2 = _companion(problem, inner, outer, k)
     w2, u2 = _eig(prob2, inner, outer, k)
     u2 = _transfer(prob2, u2, problem.grid)
-    w, u, steps, failed = _refine(problem, inner, outer, w2, u2)
+    w, u, steps, failed = _refine(problem, inner, outer, w2, u2,
+                                  assemble=_assembler(problem, inner))
     for j in range(k):
         _log_state(state=j, mesh=len(problem.grid), steps=steps,
                    iterations=1, fallback=bool(failed[j]))

@@ -470,7 +470,8 @@ def test_selfconsistent_solve_builds_each_mesh_once(monkeypatch):
     problem, inner = _own_kappa_problem(1.0, 40.0)
     with monkeypatch.context() as m:
         m.setattr(radial, "_refine",
-                  lambda *args, assemble: _refine(*args))
+                  lambda *args, assemble: _refine(
+                      *args, assemble=radial._assembler(*args[:2])))
         ref = solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
     potential = RadialProblem.potential
     sizes = []
@@ -507,6 +508,20 @@ def test_stebz_counts_match_the_sturm_oracle():
                               _sturm_count(pencil, sigma))
 
 
+def test_clustered_pair_bisected_one_state_at_a_time():
+    # the fallback bisects one state alone; each of the pair (split
+    # 3.3e-7) is its own level, as the extended-precision oracle finds it
+    problem, inner, outer = _clustered_pair()
+    pencil = _assemble(problem, inner, outer)[:3]
+    ref = _bisect(pencil, np.full(2, -20.0), np.full(2, 50.0), iters=80)
+    w, u = _eig(problem, inner, outer, 2)
+    for j in (0, 1):
+        wj, uj = _eig(problem, inner, outer, j + 1, j)
+        assert abs(wj[0] - ref[j]) <= 1e-10
+        assert np.allclose(uj[0], u[j], rtol=0.0,
+                           atol=1e-6 * np.abs(u[j]).max())
+
+
 def _solve_events(caplog, solve, *args):
     """A solve's result and the arguments of its per-state debug events."""
     caplog.clear()
@@ -523,7 +538,8 @@ def test_refinement_from_the_neighbouring_state_falls_back(monkeypatch,
     w, u = _eig(problem, inner, outer, 2)
     # started from state 1 but certified as state 0: the count finds one
     # level below it, and state 0 is bisected by index instead
-    w0, u0, _, failed = _refine(problem, inner, outer, w[1:], u[1:], 0)
+    w0, u0, _, failed = _refine(problem, inner, outer, w[1:], u[1:], 0,
+                                assemble=radial._assembler(problem, inner))
     assert failed.tolist() == [True]
     w_ref, u_ref = _eig(problem, inner, outer, 1)
     assert np.array_equal(w0, w_ref) and np.array_equal(u0, u_ref)
