@@ -147,6 +147,8 @@ def _load_problem(path):
             spec = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"problem spec {path}: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise InputError(f"problem spec {path}: not a JSON object")
     try:
         gspec = spec.get("grid", {})
         grid = radial.log_grid(gspec.get("r_min", 1e-5),
@@ -154,7 +156,11 @@ def _load_problem(path):
                                gspec.get("n", 2000))
         extra = None
         if "extra_potential" in spec:
-            tab = np.loadtxt(spec["extra_potential"])
+            tab = np.loadtxt(spec["extra_potential"], ndmin=2)
+            if (tab.shape[0] < 2 or tab.shape[1] < 2
+                    or np.any(np.diff(tab[:, 0]) <= 0.0)):
+                raise ValueError("extra_potential needs two columns (r, V) "
+                                 "and two rows or more, with r increasing")
             extra = np.interp(grid, tab[:, 0], tab[:, 1])
         problem = radial.RadialProblem(
             ell=spec["ell"], mass=spec.get("mass", 1.0),
@@ -165,7 +171,12 @@ def _load_problem(path):
         m_prime = asym.get("total_reduced_mass", problem.mass)
         q_total = asym.get("total_charge", 0.0)
         bracket = spec.get("bracket")
-    except (KeyError, TypeError, ValueError, OSError) as exc:
+        if bracket is not None:
+            bracket = np.asarray(bracket)
+            if bracket.shape != (2,) or bracket.dtype.kind not in "iuf":
+                raise ValueError("bracket must be two numbers")
+            bracket = tuple(bracket.tolist())
+    except (AttributeError, KeyError, TypeError, ValueError, OSError) as exc:
         raise InputError(f"problem spec {path}: {exc}") from exc
     return problem, m_prime, q_total, bracket
 
@@ -212,8 +223,8 @@ def cmd_solve(args) -> int:
         t0 = time.perf_counter()
         guess = radial.SystemAsymptotics(m_prime, q_total, min(bracket))
         outer = radial.robin_outer(guess, problem.grid[-1])
-        energy, fn = radial.solve_shooting(problem, inner, outer,
-                                           tuple(bracket), asymptotics=guess)
+        energy, fn = radial.solve_shooting(problem, inner, outer, bracket,
+                                           asymptotics=guess)
         reports["shoot"] = {
             "seconds": time.perf_counter() - t0,
             "states": [_report_state(problem, a, energy, fn, m_prime,
@@ -247,7 +258,7 @@ def cmd_env(args) -> int:
     try:
         with open(args.environment, "r", encoding="utf-8") as fh:
             env = env_mod.Environment.from_json(fh.read())
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, InputError) as exc:
         raise InputError(f"environment file {args.environment}: {exc}") from exc
     pair = parse_pair(args.pair)
     probes = _float_list(args.probes, "--probes")

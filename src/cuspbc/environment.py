@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cusp import CoalescencePair
-from .errors import DomainError, SingularityError
+from .errors import DomainError, InputError, SingularityError
 from .special import _sphere_nodes, legendre_p
 
 
@@ -65,9 +65,16 @@ class Environment:
 
     @classmethod
     def from_json(cls, text: str) -> "Environment":
+        """{"charges": [{"q": q, "position": [x, y, z]}, ...]}; any other
+        shape, or a charge or coordinate that is not a number, raises
+        InputError."""
         data = json.loads(text)
-        return cls(tuple(PointCharge(d["q"], tuple(d["position"]))
-                         for d in data["charges"]))
+        try:
+            return cls(tuple(PointCharge(d["q"], tuple(d["position"]))
+                             for d in data["charges"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"expected charges [{{'q': q, 'position': "
+                             f"[x, y, z]}}, ...]: {exc!r}") from exc
 
 
 def _mass_fractions(pair: CoalescencePair) -> tuple[float, float]:
@@ -164,7 +171,7 @@ def spherical_average_w(env: Environment, pair: CoalescencePair, r: float,
     ], axis=1)
     wgt = np.repeat(weights, n_phi)
     f1, f2 = _mass_fractions(pair)
-    pos = np.array([c.position for c in env.charges])
+    pos = np.array([c.position for c in env.charges]).reshape(-1, 3)
     qs = np.array([c.q for c in env.charges])
     d1 = np.linalg.norm(pos[None, :, :] - f1 * r * dirs[:, None, :], axis=2)
     d2 = np.linalg.norm(pos[None, :, :] + f2 * r * dirs[:, None, :], axis=2)

@@ -5,9 +5,10 @@ problem's grid with chi = P/sqrt(r) = r^(ell+1/2) u: Numerov shooting on
 the log mesh with Casoratian matching, and a symmetric tridiagonal pencil
 on the same nodes.  The pencil's states are bisected on the Sturm count
 on the Richardson half mesh only; on the mesh itself they are refined
-from the half-mesh states by inverse iteration with Rayleigh-Ritz and
-each certified by two exact Sturm counts, with bisection by index as the
-fallback.  The solved equation is the reduced radial problem
+from the half-mesh states by inverse iteration with Rayleigh-Ritz, each
+step on the pencil of the last energy where the outer condition depends
+on it, and certified once by two exact Sturm counts, with bisection by
+index as the fallback.  The solved equation is the reduced radial problem
 
     -u''/(2M) - (ell+1)/(M r) u' + [q1 q2 / r + W0 + V_extra(r)] u = E u
 
@@ -310,28 +311,21 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
 # matrix route
 
 _WALL = RobinBoundary(OUTER, 0.0, 1.0)
-_SELF_TOL = 1e-10
-_SELF_MAX_ITER = 30
-_REFINE_MAX_STEPS = 4
+_MAX_STEPS = 30
 _SETTLED = 1e-12
 _CERTIFY_GAP = 1e-9
 _BISECT_TOL = 1e-10
 
 
-def _assemble(problem: RadialProblem, inner: RobinBoundary,
-              outer: RobinBoundary):
-    """Symmetric tridiagonal pencil (A, B) for chi(x) = P(r)/sqrt(r) on the
-    uniform x = ln r mesh, Robin rows folded in by ghost-point elimination
-    (halved to preserve symmetry); Dirichlet ends drop their unknown.
-    Returns A's diagonal and off-diagonal, B's diagonal, and the grid
-    window [lo, hi) of the unknowns."""
-    return _assembler(problem, inner)(outer)
-
-
 def _assembler(problem: RadialProblem, inner: RobinBoundary):
-    """_assemble as a function of the outer condition alone: the mesh, the
-    potential and the inner row are built once, and each call folds in
-    only the outer row, the one entry of A and of B that it changes."""
+    """Symmetric tridiagonal pencil (A, B) for chi(x) = P(r)/sqrt(r) on the
+    uniform x = ln r mesh as a function of the outer condition, Robin rows
+    folded in by ghost-point elimination (halved to preserve symmetry);
+    Dirichlet ends drop their unknown.  The mesh, the potential and the
+    inner row are built once, and each call folds in only the outer row,
+    the one entry of A and of B that it changes.  A pencil is A's diagonal
+    and off-diagonal, B's diagonal, and the grid window [lo, hi) of the
+    unknowns."""
     h, q, bb = _log_mesh(problem)
     r = problem.grid
     ell = problem.ell
@@ -398,20 +392,17 @@ def _rows(problem, window, v):
     return u / (norm * np.copysign(1.0, u[:, max(lo, 1)]))[:, None]
 
 
-def _eig(problem, inner, outer, k, first=0):
-    """States first..k-1 of the pencil (A, B): their energies and, one row
-    per state, u on the grid, normalised and positive at the inner edge.
-
-    Bisection on the Sturm count of T = B^(-1/2) A B^(-1/2) returns exactly
-    these states by index (LAPACK stebz, run to the absolute _BISECT_TOL:
-    its default tolerance, eps * ||T|| ~ 4e-2, does not resolve them).  One
-    _step on stebz's vectors then gives the energies and vectors to
-    rounding level.  stebz returns the midpoint of an interval of width at
-    most _BISECT_TOL around the level, so a state bisected alone is told
+def _eig(problem, pencil, k, first=0):
+    """States first..k-1 of the pencil, assembled on problem's mesh: their
+    energies and, one row per state, u on the grid, normalised and
+    positive at the inner edge.  Bisection on the Sturm count of
+    T = B^(-1/2) A B^(-1/2) returns exactly these states by index (LAPACK
+    stebz, run to the absolute _BISECT_TOL: its default tolerance,
+    eps * ||T|| ~ 4e-2, does not resolve them), and one _step on stebz's
+    vectors gives them to rounding level.  A state bisected alone is told
     apart from a neighbour more than _BISECT_TOL away, at least ten times
-    below the gap that _refine's certificate resolves; closer levels are
-    not told apart."""
-    d, e, b, window = _assemble(problem, inner, outer)
+    below the gap that _refine's certificate resolves."""
+    d, e, b, window = pencil
     if k > len(d):
         raise DomainError(f"k = {k} exceeds the {len(d)} unknowns of the mesh")
     td, te, s = _scaled(d, e, b)
@@ -444,46 +435,53 @@ def _sturm_counts(d, e, b, sigma):
     return np.array(counts)
 
 
-def _refine(problem, inner, outer, w, u, first=0, *, assemble):
-    """States first, first+1, ... of the pencil from approximations (energies
-    w, u rows on the grid, as _eig returns them).  _step repeats at the
-    current Ritz values until they move by at most _SETTLED max(1, |w_j|),
-    at most _REFINE_MAX_STEPS times (A. Ruhe, SIAM J. Numer. Anal. 10, 674
-    (1973)).  Then each state j is certified on this pencil by two exact
-    Sturm counts: j levels below w_j - delta and j + 1 below w_j + delta,
-    delta = _CERTIFY_GAP max(1, |w_j|) (W. H. Wittrick and F. W. Williams,
-    Q. J. Mech. Appl. Math. 24, 263 (1971)).  A state that fails is
-    bisected by index (_eig), whose Sturm counts place it as state j.
-    Returns the energies, the u rows, the steps made and which states fell
-    back.  assemble, _assembler(problem, inner), builds the pencil, so a
-    caller that refines one mesh under many outer conditions builds the
-    mesh and its potential once."""
-    d, e, b, window = assemble(outer)
-    lo, hi = window
-    v = (u * problem.grid ** (problem.ell + 0.5))[:, lo:hi].T
+def _refine(problem, pencil_at, w, u, first=0):
+    """States first, first+1, ... of problem's mesh from approximations
+    (energies w, u rows on the grid, as _eig returns them).  pencil_at(E)
+    is the pencil under the outer row of energy E: one pencil for all E
+    under a fixed outer condition, or that of kappa(r_max; E) for a
+    self-consistent state, which is refined alone.  _step repeats at the
+    current Ritz values, each time on the pencil of the last energy, until
+    they move by at most _SETTLED max(1, |w_j|), at most _MAX_STEPS times
+    (A. Ruhe, SIAM J. Numer. Anal. 10, 674 (1973)), so the outer
+    condition settles with the inverse iteration.  A state whose pencil
+    still moves then raises ConvergenceError; on a fixed pencil it is left
+    to the certificate.  Each state j is certified once, on the last
+    pencil, by two exact Sturm counts: j levels below w_j - delta and
+    j + 1 below w_j + delta, delta = _CERTIFY_GAP max(1, |w_j|)
+    (W. H. Wittrick and F. W. Williams, Q. J. Mech. Appl. Math. 24, 263
+    (1971)).  A state that fails is bisected by index on that pencil
+    (_eig).  Returns the energies, the u rows, the steps made and which
+    states fell back."""
     w = np.asarray(w, dtype=float)
+    pencil = pencil_at(w[0])
+    v = (u * problem.grid ** (problem.ell + 0.5))[:, slice(*pencil[3])].T
     j = first + np.arange(len(w))
     try:
-        for steps in range(1, _REFINE_MAX_STEPS + 1):
-            w_prev, (w, v) = w, _step(d, e, b, w, v)
+        for steps in range(1, _MAX_STEPS + 1):
+            w_prev, (w, v) = w, _step(*pencil[:3], w, v)
             if np.all(np.abs(w - w_prev)
                       <= _SETTLED * np.maximum(1.0, np.abs(w))):
                 break
+            last, pencil = pencil, pencil_at(w[0])
+        else:
+            if pencil[0][-1] != last[0][-1]:
+                raise ConvergenceError(f"outer condition of state {first} "
+                                       f"did not settle in {_MAX_STEPS} steps")
     except LinAlgError as exc:
         raise ConvergenceError(f"eigensolve failed: {exc}") from exc
     delta = _CERTIFY_GAP * np.maximum(1.0, np.abs(w))
-    failed = ((_sturm_counts(d, e, b, w - delta) != j)
-              | (_sturm_counts(d, e, b, w + delta) != j + 1))
-    u = _rows(problem, window, v)
+    below = _sturm_counts(*pencil[:3], np.concatenate([w - delta, w + delta]))
+    failed = np.any(below.reshape(2, -1) != [j, j + 1], axis=0)
+    u = _rows(problem, pencil[3], v)
     for i in np.flatnonzero(failed):
-        w[i:i + 1], u[i:i + 1] = _eig(problem, inner, outer, j[i] + 1, j[i])
+        w[i:i + 1], u[i:i + 1] = _eig(problem, pencil, j[i] + 1, j[i])
     return w, u, steps, failed
 
 
 def _log_state(**stats):
     _log.debug("state %(state)d on %(mesh)d nodes: %(steps)d refinement "
-               "steps in %(iterations)d fixed-point iterations, fallback "
-               "%(fallback)s", stats)
+               "steps, fallback %(fallback)s", stats)
 
 
 def _companion(problem, inner, outer, k):
@@ -538,13 +536,13 @@ def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
     mesh is bisected (_eig); its states, splined onto the mesh, are refined
     there jointly and certified by Sturm counts (_refine)."""
     prob2 = _companion(problem, inner, outer, k)
-    w2, u2 = _eig(prob2, inner, outer, k)
+    w2, u2 = _eig(prob2, _assembler(prob2, inner)(outer), k)
     u2 = _transfer(prob2, u2, problem.grid)
-    w, u, steps, failed = _refine(problem, inner, outer, w2, u2,
-                                  assemble=_assembler(problem, inner))
+    pencil = _assembler(problem, inner)(outer)
+    w, u, steps, failed = _refine(problem, lambda e: pencil, w2, u2)
     for j in range(k):
         _log_state(state=j, mesh=len(problem.grid), steps=steps,
-                   iterations=1, fallback=bool(failed[j]))
+                   fallback=bool(failed[j]))
     return _richardson(problem, prob2, (w, u), (w2, u2))
 
 
@@ -558,47 +556,46 @@ def solve_matrix_selfconsistent(problem: RadialProblem, inner: RobinBoundary,
     their vectors.  The Dirichlet pencil is the leading principal block of
     every Robin pencil, so by Cauchy interlacing D_j lies between Robin
     levels j and j + 1 for any kappa.  State j starts from (D_j, its
-    Dirichlet vector) and is refined (_refine, certified as state j) under
-    the kappa of its last energy until two energies agree to _SELF_TOL;
-    only A's last diagonal entry depends on E, with slope
-    -(r_max/h) dkappa/dE < 0 for Q >= -1, so the fixed point lies between
-    successive iterates, and each mesh's pencil is built once (_assembler)
-    with only that entry folded in per iterate.  The settled half-mesh
-    states, splined onto the mesh, start the same fixed point there, and
-    the two meshes are Richardson-extrapolated.  robin_outer's guard
-    r_max >= 20/decay binds the ground state only."""
+    Dirichlet vector) and is refined with each step under the kappa of its
+    last energy (_refine, certified as state j).  Only A's last diagonal
+    entry depends on E, with slope -(r_max/h) dkappa/dE < 0 for Q >= -1,
+    so Sturm counts still count the states below E.  A state that falls
+    back is refined once more from its bisected level, so that it is
+    certified on its own energy's pencil.  The half-mesh states, splined
+    onto the mesh, start the same refinement there, and the two meshes
+    are Richardson-extrapolated.  Each mesh's pencil is built once
+    (_assembler).  robin_outer's guard r_max >= 20/decay binds the ground
+    state only."""
     prob2 = _companion(problem, inner, _WALL, k)
     r_max = problem.grid[-1]
 
-    def settle(prob, assemble, e, u, j):
-        steps, fallback = 0, False
-        for it in range(1, _SELF_MAX_ITER + 1):
+    def settle(prob, assemble, e, row, j):
+        def pencil_at(e):
             sys = SystemAsymptotics(total_reduced_mass, total_charge, e)
-            outer = (robin_outer(sys, r_max) if j == 0
-                     else RobinBoundary(OUTER, 1.0, -sys.kappa(r_max)))
-            w, u, n_steps, failed = _refine(prob, inner, outer, [e], u, j,
-                                            assemble=assemble)
-            steps, fallback = steps + n_steps, fallback or bool(failed[0])
-            e_prev, e = e, w[0]
-            if abs(e - e_prev) < _SELF_TOL:
-                break
-        else:
-            raise ConvergenceError(f"outer-boundary fixed point of state {j} "
-                                   f"did not settle in {_SELF_MAX_ITER} iterations")
-        _log_state(state=j, mesh=len(prob.grid), steps=steps, iterations=it,
-                   fallback=fallback)
-        return e, u[0]
+            return assemble(robin_outer(sys, r_max) if j == 0
+                            else RobinBoundary(OUTER, 1.0, -sys.kappa(r_max)))
 
-    def settle_all(prob, levels, rows):
-        assemble = _assembler(prob, inner)
-        states = [settle(prob, assemble, e, row[None], j)
-                  for j, (e, row) in enumerate(zip(levels, rows))]
-        return (np.array([e for e, _ in states]),
-                np.array([row for _, row in states]))
+        w, u, steps, failed = _refine(prob, pencil_at, [e], row[None], j)
+        if failed[0]:
+            w, u, more, again = _refine(prob, pencil_at, w, u, j)
+            if again[0]:
+                raise ConvergenceError(f"state {j} failed its certificate on "
+                                       f"the pencil of its own energy")
+            steps += more
+        _log_state(state=j, mesh=len(prob.grid), steps=steps,
+                   fallback=bool(failed[0]))
+        return w[0], u[0]
 
-    w2, u2 = settle_all(prob2, *_eig(prob2, inner, _WALL, k))
+    def settle_all(prob, levels, rows, assemble):
+        w, u = zip(*(settle(prob, assemble, e, row, j)
+                     for j, (e, row) in enumerate(zip(levels, rows))))
+        return np.array(w), np.array(u)
+
+    assemble2 = _assembler(prob2, inner)
+    w2, u2 = settle_all(prob2, *_eig(prob2, assemble2(_WALL), k), assemble2)
     u2 = _transfer(prob2, u2, problem.grid)
-    return _richardson(problem, prob2, settle_all(problem, w2, u2), (w2, u2))
+    fine = settle_all(problem, w2, u2, _assembler(problem, inner))
+    return _richardson(problem, prob2, fine, (w2, u2))
 
 
 def outer_log_derivative(fn: RadialFunction, n_points: int = 8) -> float:

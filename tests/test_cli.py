@@ -150,6 +150,27 @@ def test_cmd_solve_k_beyond_the_mesh_exit_code(tmp_path, capsys):
     assert "399 unknowns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec, table", [
+    ([{"ell": 0, "pair_product": -1.0}], None),
+    ({"ell": 0, "pair_product": -1.0, "grid": [1e-5, 40.0]}, None),
+    ({"ell": 0, "pair_product": -1.0}, "0.0\n1.0\n2.0\n"),
+    ({"ell": 0, "pair_product": -1.0}, "0.0 0.1\n"),
+    ({"ell": 0, "pair_product": -1.0}, "2.0 0.0\n1.0 0.1\n0.0 0.2\n"),
+    ({"ell": 0, "pair_product": -1.0, "bracket": -0.5}, None),
+    ({"ell": 0, "pair_product": -1.0, "bracket": [-0.6, -0.5, -0.4]}, None),
+    ({"ell": 0, "pair_product": -1.0, "bracket": ["-0.6", "-0.4"]}, None),
+])
+def test_cmd_solve_malformed_spec_exit_code(tmp_path, capsys, spec, table):
+    if table is not None:
+        (tmp_path / "extra.txt").write_text(table)
+        spec["extra_potential"] = str(tmp_path / "extra.txt")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["solve", str(path), "--method", "shoot"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cuspbc: input error: problem spec")
+
+
 def test_cmd_basis_end_to_end(tmp_path, capsys):
     out = tmp_path / "basis.txt"
     rc = main(["basis", "slater", "e-nucleus", "Z=1",
@@ -272,6 +293,28 @@ def test_cmd_env_bad_probe_exit_code(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""  # rejected before any report line
     assert "--probes" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    [1],
+    {"charges": [{"q": "x", "position": [0.0, 0.0, 2.0]}]},
+    {"charges": [{"q": 1.0, "position": 5}]},
+])
+def test_cmd_env_malformed_file_exit_code(tmp_path, capsys, doc):
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(doc))
+    assert main(["env", str(path), "e-e", "singlet", "--probes", "0.1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cuspbc: input error: environment")
+
+
+def test_cmd_env_no_spectators(tmp_path, capsys):
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps({"charges": []}))
+    assert main(["env", str(path), "e-e", "singlet", "--probes", "0.1"]) == 0
+    vals = _parse_kv(capsys.readouterr().out)
+    assert float(vals["w0"]) == 0.0
+    assert float(vals["average_residual[0.1]"]) == 0.0
 
 
 def test_cmd_basis_bad_tail_exit_code(capsys):

@@ -8,7 +8,7 @@ from cuspbc.cusp import (AngularRadialFunction, CoalescencePair,
                          kato_average_check)
 from cuspbc.environment import (Environment, PointCharge, multipole_term,
                                 spherical_average_w, w0, w_exact, w_multipole)
-from cuspbc.errors import DomainError, SingularityError
+from cuspbc.errors import DomainError, InputError, SingularityError
 from cuspbc.special import _sphere_nodes
 
 
@@ -134,3 +134,23 @@ def test_json_round_trip():
                        PointCharge(-0.5, (1.0, 1.0, -1.0))))
     again = Environment.from_json(env.to_json())
     assert again == env
+
+
+@pytest.mark.parametrize("text", [
+    "[1]",
+    '{"charges": 1}',
+    '{"charges": [{"position": [0, 0, 1]}]}',
+    '{"charges": [{"q": "x", "position": [0, 0, 1]}]}',
+    '{"charges": [{"q": 1, "position": 5}]}',
+    '{"charges": [{"q": 1, "position": ["a", 0, 1]}]}',
+])
+def test_from_json_rejects_malformed_documents(text):
+    with pytest.raises(InputError):
+        Environment.from_json(text)
+
+
+def test_no_spectators_average_to_zero():
+    env = Environment.from_json('{"charges": []}')
+    for pair in (EE_PAIR, HYDROGEN_PAIR):
+        assert w0(env, pair) == 0.0
+        assert spherical_average_w(env, pair, 0.1) == 0.0

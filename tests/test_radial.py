@@ -12,13 +12,17 @@ from cuspbc import radial
 from cuspbc.cusp import cusp_limit_first
 from cuspbc.errors import (ConvergenceError, DomainError, NoSignChange,
                            RegimeError, StiffnessError)
-from cuspbc.radial import (RadialProblem, RobinBoundary, _assemble, _eig,
-                           _refine, SystemAsymptotics, asymptotic_tail,
+from cuspbc.radial import (RadialProblem, RobinBoundary, _eig, _refine,
+                           SystemAsymptotics, asymptotic_tail,
                            hydrogen_reference, log_grid, outer_log_derivative,
                            robin_inner, robin_outer, solve_matrix,
                            solve_matrix_selfconsistent, solve_shooting)
 
 CASES = [(1, 0), (2, 0), (2, 1), (3, 2)]
+
+
+def _pencil(problem, inner, outer):
+    return radial._assembler(problem, inner)(outer)
 
 
 def _hydrogen_setup(z, n_state, ell, n=2000):
@@ -224,10 +228,11 @@ def test_matrix_k_beyond_the_mesh():
     problem = RadialProblem(0, 1.0, -1.0, 0.0, grid)
     inner, wall = robin_inner(0, -1.0), RobinBoundary("outer", 0.0, 1.0)
     robin = robin_outer(SystemAsymptotics(1.0, 0.0, -0.5), 40.0)
-    assert np.all(np.diff(_eig(problem, inner, robin, 50)[0]) > 0.0)
+    assert np.all(np.diff(
+        _eig(problem, _pencil(problem, inner, robin), 50)[0]) > 0.0)
     # a Dirichlet outer wall leaves 49
     with pytest.raises(DomainError, match="49 unknowns"):
-        _eig(problem, inner, wall, 50)
+        _eig(problem, _pencil(problem, inner, wall), 50)
     # 200 nodes hold 150 states, the 100-node Richardson half mesh does not
     problem = replace(problem, grid=log_grid(1e-5, 40.0, 200))
     with pytest.raises(DomainError, match="100 unknowns"):
@@ -284,8 +289,9 @@ def _bisect(pencil, lo, hi, iters=40):
 
 
 def _check_certified(problem, inner, outer, k, delta=1e-9):
-    pencil = _assemble(problem, inner, outer)[:3]
-    w = _eig(problem, inner, outer, k)[0]
+    pencil = _pencil(problem, inner, outer)
+    w, u = _eig(problem, pencil, k)
+    pencil = pencil[:3]
     j = np.arange(k)
     # exactly j levels below w_j - delta and j + 1 below w_j + delta: the
     # returned states are the k lowest, none skipped or repeated
@@ -295,7 +301,6 @@ def _check_certified(problem, inner, outer, k, delta=1e-9):
     assert np.max(np.abs(w - ref)) <= 1e-10
     # B-orthonormal pencil vectors are u's orthonormal in the trapezoid rule
     # over x = ln r, whose end weights are B's halved Robin rows
-    _, u = _eig(problem, inner, outer, k)
     g = problem.grid
     p = u * g ** (problem.ell + 1.5)
     gram = np.trapezoid(p[:, None, :] * p[None, :, :], np.log(g))
@@ -355,7 +360,7 @@ def test_matrix_convergence_rate():
     errs = []
     for n in (500, 1000, 2000):
         e_ref, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0, n=n)
-        e = _eig(problem, inner, outer, 1)[0][0]
+        e = _eig(problem, _pencil(problem, inner, outer), 1)[0][0]
         errs.append(abs(e - e_ref))
     assert errs[0] / errs[1] >= 3.5
     assert errs[1] / errs[2] >= 3.5
@@ -426,52 +431,63 @@ def test_selfconsistent_states_each_under_their_own_kappa(z, r_max):
 @pytest.mark.parametrize("z, r_max", OWN_KAPPA_CASES)
 def test_selfconsistent_states_certified_on_their_own_pencils(z, r_max,
                                                              monkeypatch):
-    # the last mesh refinement of each state, recorded with its boundary
+    # the last mesh refinement of each state, recorded with the energy of
+    # the last pencil it asked for, the one it is certified on
     problem, inner = _own_kappa_problem(z, r_max)
     last = {}
 
-    def recording(prob, inner_, outer, w, u, first=0, **kwargs):
-        out = _refine(prob, inner_, outer, w, u, first, **kwargs)
+    def recording(prob, pencil_at, w, u, first=0):
+        asked = []
+
+        def pencil_of(e):
+            asked.append((e, pencil_at(e)))
+            return asked[-1][1]
+
+        out = _refine(prob, pencil_of, w, u, first)
         if prob is problem:
-            last[first] = (out[0][0], outer)
+            last[first] = (out[0][0], *asked[-1])
         return out
 
     monkeypatch.setattr(radial, "_refine", recording)
     solve_matrix_selfconsistent(problem, inner, 1.0, z - 1.0, 3)
     assert sorted(last) == [0, 1, 2]
-    for j, (w, outer) in last.items():
+    for j, (w, e, pencil) in last.items():
         # the outer condition is that of the state's own energy
         kappa = SystemAsymptotics(1.0, z - 1.0, w).kappa(r_max)
+        outer = RobinBoundary(
+            "outer", 1.0, -SystemAsymptotics(1.0, z - 1.0, e).kappa(r_max))
         assert outer.log_derivative == pytest.approx(kappa, abs=1e-9)
+        for got, want in zip(pencil, _pencil(problem, inner, outer)):
+            assert np.array_equal(got, want)
         # exactly j levels of its pencil below w - 1e-9, j + 1 below w + 1e-9
-        pencil = _assemble(problem, inner, outer)[:3]
-        assert list(_sturm_count(pencil, [w - 1e-9, w + 1e-9])) == [j, j + 1]
+        counts = _sturm_count(pencil[:3], [w - 1e-9, w + 1e-9])
+        assert list(counts) == [j, j + 1]
 
 
 def test_assembler_folds_each_outer_row_afresh():
     # one builder under a sequence of outer conditions gives what a fresh
-    # assembly gives for each, and later calls leave earlier pencils alone
+    # builder gives for each, and later calls leave earlier pencils alone
     problem, inner = _own_kappa_problem(2.0, 20.0)
     outers = [RobinBoundary("outer", 1.0, 2.0), radial._WALL,
               RobinBoundary("outer", 1.0, 1.5), RobinBoundary("outer", 1.0, 2.0)]
     assemble = radial._assembler(problem, inner)
     built = [assemble(outer) for outer in outers]
     for pencil, outer in zip(built, outers):
-        fresh = _assemble(problem, inner, outer)
+        fresh = _pencil(problem, inner, outer)
         assert pencil[3] == fresh[3]
         for got, want in zip(pencil[:3], fresh[:3]):
             assert np.array_equal(got, want)
 
 
 def test_selfconsistent_solve_builds_each_mesh_once(monkeypatch):
-    # one potential() for the half-mesh bisection, then one per mesh for
-    # every refinement under every kappa, none of which falls back; the
-    # states are those of assembling each refinement's pencil afresh
+    # one potential() per mesh, for its bisection or first pencil and for
+    # every refinement step under every kappa, none of which falls back;
+    # the states are those of building every pencil afresh
     problem, inner = _own_kappa_problem(1.0, 40.0)
+    assembler = radial._assembler
     with monkeypatch.context() as m:
-        m.setattr(radial, "_refine",
-                  lambda *args, assemble: _refine(
-                      *args, assemble=radial._assembler(*args[:2])))
+        m.setattr(radial, "_assembler", lambda prob, inner_: (
+            lambda outer: assembler(prob, inner_)(outer)))
         ref = solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
     potential = RadialProblem.potential
     sizes = []
@@ -482,7 +498,7 @@ def test_selfconsistent_solve_builds_each_mesh_once(monkeypatch):
 
     monkeypatch.setattr(RadialProblem, "potential", counting)
     pairs = solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
-    assert sizes == [2000, 2000, 4000]
+    assert sizes == [2000, 4000]
     for (e, fn), (e_ref, fn_ref) in zip(pairs, ref):
         assert e == e_ref and np.array_equal(fn.values, fn_ref.values)
 
@@ -500,8 +516,9 @@ def _clustered_pair():
 def test_stebz_counts_match_the_sturm_oracle():
     _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0)
     for prob, inner_, outer_ in ((problem, inner, outer), _clustered_pair()):
-        pencil = _assemble(prob, inner_, outer_)[:3]
-        w = _eig(prob, inner_, outer_, 6)[0]
+        pencil = _pencil(prob, inner_, outer_)
+        w = _eig(prob, pencil, 6)[0]
+        pencil = pencil[:3]
         sigma = np.concatenate([np.linspace(-20.0, 50.0, 141),
                                 w - 1e-9, w + 1e-9, w - 1e-12, w + 1e-12])
         assert np.array_equal(radial._sturm_counts(*pencil, sigma),
@@ -512,11 +529,11 @@ def test_clustered_pair_bisected_one_state_at_a_time():
     # the fallback bisects one state alone; each of the pair (split
     # 3.3e-7) is its own level, as the extended-precision oracle finds it
     problem, inner, outer = _clustered_pair()
-    pencil = _assemble(problem, inner, outer)[:3]
-    ref = _bisect(pencil, np.full(2, -20.0), np.full(2, 50.0), iters=80)
-    w, u = _eig(problem, inner, outer, 2)
+    pencil = _pencil(problem, inner, outer)
+    ref = _bisect(pencil[:3], np.full(2, -20.0), np.full(2, 50.0), iters=80)
+    w, u = _eig(problem, pencil, 2)
     for j in (0, 1):
-        wj, uj = _eig(problem, inner, outer, j + 1, j)
+        wj, uj = _eig(problem, pencil, j + 1, j)
         assert abs(wj[0] - ref[j]) <= 1e-10
         assert np.allclose(uj[0], u[j], rtol=0.0,
                            atol=1e-6 * np.abs(u[j]).max())
@@ -535,23 +552,23 @@ def test_refinement_from_the_neighbouring_state_falls_back(monkeypatch,
     problem = RadialProblem(0, 1.0, -2.0, 0.0, log_grid(1e-5, 40.0, 2000))
     inner = robin_inner(0, -2.0)
     outer = robin_outer(SystemAsymptotics(1.0, 1.0, -2.0), 40.0)
-    w, u = _eig(problem, inner, outer, 2)
+    pencil = _pencil(problem, inner, outer)
+    w, u = _eig(problem, pencil, 2)
     # started from state 1 but certified as state 0: the count finds one
     # level below it, and state 0 is bisected by index instead
-    w0, u0, _, failed = _refine(problem, inner, outer, w[1:], u[1:], 0,
-                                assemble=radial._assembler(problem, inner))
+    w0, u0, _, failed = _refine(problem, lambda e: pencil, w[1:], u[1:], 0)
     assert failed.tolist() == [True]
-    w_ref, u_ref = _eig(problem, inner, outer, 1)
+    w_ref, u_ref = _eig(problem, pencil, 1)
     assert np.array_equal(w0, w_ref) and np.array_equal(u0, u_ref)
     # the same through the self-consistent solve: every half-mesh state
     # starts from the Dirichlet state above its own
     ref = solve_matrix_selfconsistent(problem, inner, 1.0, 1.0, 2)
     eig = radial._eig
 
-    def one_up(prob, inner_, outer_, k, first=0):
-        if outer_ is radial._WALL:
-            return eig(prob, inner_, outer_, k + 1, first + 1)
-        return eig(prob, inner_, outer_, k, first)
+    def one_up(prob, pencil_, k, first=0):
+        if pencil_[3][1] < prob.grid.size:  # the Dirichlet wall's pencil
+            return eig(prob, pencil_, k + 1, first + 1)
+        return eig(prob, pencil_, k, first)
 
     monkeypatch.setattr(radial, "_eig", one_up)
     pairs, events = _solve_events(caplog, solve_matrix_selfconsistent,
@@ -563,18 +580,42 @@ def test_refinement_from_the_neighbouring_state_falls_back(monkeypatch,
         assert np.allclose(fn.values, fn_ref.values, rtol=1e-8, atol=1e-10)
 
 
+def test_fallback_state_refined_on_its_own_pencil(monkeypatch, caplog):
+    # at r_max = 25 the outer condition moves the 3s level by 1e-3, so the
+    # 3s state, bisected under the kappa of the 4s state it started from,
+    # must be refined once more under its own
+    problem, inner = _own_kappa_problem(1.0, 25.0)
+    ref = solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
+    eig = radial._eig
+
+    def skip_3s(prob, pencil_, k, first=0):
+        if pencil_[3][1] < prob.grid.size:  # the Dirichlet wall's pencil
+            w, u = eig(prob, pencil_, k + 1, first)
+            return np.delete(w, 2), np.delete(u, 2, axis=0)
+        return eig(prob, pencil_, k, first)
+
+    monkeypatch.setattr(radial, "_eig", skip_3s)
+    pairs, events = _solve_events(caplog, solve_matrix_selfconsistent,
+                                  problem, inner, 1.0, 0.0, 3)
+    assert [ev["fallback"] for ev in events] == [False, False, True,
+                                                 False, False, False]
+    for (e, _), (e_ref, _) in zip(pairs, ref):
+        assert e == pytest.approx(e_ref, abs=1e-11)
+
+
 def test_clustered_pair_refined_on_the_full_mesh(monkeypatch, caplog):
     problem, inner, wall = _clustered_pair()
     # what bisecting both meshes gives
     prob2 = radial._companion(problem, inner, wall, 3)
-    w2, u2 = _eig(prob2, inner, wall, 3)
-    ref = radial._richardson(problem, prob2, _eig(problem, inner, wall, 3),
+    w2, u2 = _eig(prob2, _pencil(prob2, inner, wall), 3)
+    ref = radial._richardson(problem, prob2,
+                             _eig(problem, _pencil(problem, inner, wall), 3),
                              (w2, radial._transfer(prob2, u2, problem.grid)))
     # the third state needs three refinement steps to pass its certificate;
     # with two it is bisected by index, and the result is the same
     for cap, fallback in ((2, [False, False, True]),
                           (3, [False, False, False])):
-        monkeypatch.setattr(radial, "_REFINE_MAX_STEPS", cap)
+        monkeypatch.setattr(radial, "_MAX_STEPS", cap)
         pairs, events = _solve_events(caplog, solve_matrix, problem, inner,
                                       wall, 3)
         assert [ev["fallback"] for ev in events] == fallback
@@ -588,7 +629,7 @@ def test_matrix_solves_log_one_event_per_state(caplog):
                for h in logging.getLogger("cuspbc").handlers)
     _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0)
     _, events = _solve_events(caplog, solve_matrix, problem, inner, outer, 2)
-    assert events == [{"state": j, "mesh": 2000, "steps": 2, "iterations": 1,
+    assert events == [{"state": j, "mesh": 2000, "steps": 2,
                        "fallback": False} for j in (0, 1)]
     # the self-consistent solve refines each state on both meshes
     _, events = _solve_events(caplog, solve_matrix_selfconsistent, problem,
@@ -596,7 +637,7 @@ def test_matrix_solves_log_one_event_per_state(caplog):
     assert [(ev["state"], ev["mesh"], ev["fallback"]) for ev in events] == [
         (0, 1000, False), (1, 1000, False), (0, 2000, False),
         (1, 2000, False)]
-    assert all(1 <= ev["iterations"] <= ev["steps"] for ev in events)
+    assert all(ev["steps"] >= 1 for ev in events)
 
 
 def test_one_bisection_per_matrix_solve(monkeypatch):
@@ -620,6 +661,41 @@ def test_one_bisection_per_matrix_solve(monkeypatch):
         calls.clear()
         solve_matrix_selfconsistent(problem, inner, 1.0, z - 1.0, 3)
         assert calls == [1999]
+
+
+def test_selfconsistent_solve_certifies_each_state_once(monkeypatch):
+    # k = 3: one bisection of the half mesh's Dirichlet levels, then one
+    # certificate of two Sturm counts per state and mesh, 3 x 2 x 2 in all
+    calls = {"eigh_tridiagonal": 0, "dstebz": 0}
+    for name in calls:
+        def counting(*args, _name=name, _f=getattr(radial, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(radial, name, counting)
+    problem, inner = _own_kappa_problem(1.0, 40.0)
+    solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
+    assert calls == {"eigh_tridiagonal": 1, "dstebz": 12}
+
+
+def test_selfconsistent_state_that_does_not_settle_raises(monkeypatch):
+    # at r_max = 25 the 2s state starts 2e-7 from its own-kappa level: its
+    # one step moves the outer condition, which has not settled after it
+    problem, inner = _own_kappa_problem(1.0, 25.0)
+    monkeypatch.setattr(radial, "_MAX_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="state 1 did not settle"):
+        solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
+
+
+def test_selfconsistent_state_failing_twice_raises(monkeypatch):
+    # counts that place no level anywhere fail every certificate: the
+    # fallback's second refinement fails too, so the state is not
+    # certified on the pencil of its own energy
+    monkeypatch.setattr(radial, "_sturm_counts",
+                        lambda d, e, b, sigma: np.zeros(len(sigma), int))
+    problem, inner = _own_kappa_problem(2.0, 20.0)
+    with pytest.raises(ConvergenceError, match="state 0 failed its cert"):
+        solve_matrix_selfconsistent(problem, inner, 1.0, 1.0, 1)
 
 
 def test_hydrogen_reference_values():
