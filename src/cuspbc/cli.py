@@ -13,6 +13,7 @@ import os
 import stat
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -156,7 +157,10 @@ def _load_problem(path):
                                gspec.get("n", 2000))
         extra = None
         if "extra_potential" in spec:
-            tab = np.loadtxt(spec["extra_potential"], ndmin=2)
+            with warnings.catch_warnings():
+                # numpy warns of an empty table; the check below rejects it
+                warnings.simplefilter("ignore", UserWarning)
+                tab = np.loadtxt(spec["extra_potential"], ndmin=2)
             if (tab.shape[0] < 2 or tab.shape[1] < 2
                     or np.any(np.diff(tab[:, 0]) <= 0.0)):
                 raise ValueError("extra_potential needs two columns (r, V) "

@@ -1,14 +1,8 @@
 """Radial eigensolvers with Robin boundary conditions at both ends.
 
-Both routes work on one discretisation, the uniform x = ln r mesh of the
-problem's grid with chi = P/sqrt(r) = r^(ell+1/2) u: Numerov shooting on
-the log mesh with Casoratian matching, and a symmetric tridiagonal pencil
-on the same nodes.  The pencil's states are bisected on the Sturm count
-on the Richardson half mesh only; on the mesh itself they are refined
-from the half-mesh states by inverse iteration with Rayleigh-Ritz, each
-step on the pencil of the last energy where the outer condition depends
-on it, and certified once by two exact Sturm counts, with bisection by
-index as the fallback.  The solved equation is the reduced radial problem
+Both routes solve one operator, Numerov's recurrence T(E) for chi = P/sqrt(r)
+on the uniform x = ln r mesh of the grid (solve_matrix); they differ only in
+where a state's energy bracket comes from.  The solved equation is
 
     -u''/(2M) - (ell+1)/(M r) u' + [q1 q2 / r + W0 + V_extra(r)] u = E u
 
@@ -26,8 +20,7 @@ import numpy as np
 # unused here; bound because perfbench/tracing.py wraps radial.solve_ivp
 # and radial.eigsh
 from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.linalg import LinAlgError, eigh, eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dstebz
+from scipy.linalg.lapack import dstebz, dtbtrs
 from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh  # noqa: F401
 
@@ -204,8 +197,9 @@ def _log_mesh(problem: RadialProblem):
     return h, q, b
 
 
-# ---------------------------------------------------------------------------
-# shooting route
+_CERTIFY_GAP = 1e-9
+_BISECT_TOL = 1e-10
+_MAX_DOUBLINGS = 64
 
 
 def _log_step(s: float, g, h: float) -> float:
@@ -217,13 +211,115 @@ def _log_step(s: float, g, h: float) -> float:
     return h * s + h * h / 2.0 * d2 + h ** 3 / 6.0 * d3
 
 
-def _numerov(c, y0: float, y1: float) -> list[float]:
-    """y_{i+1} = c_i y_i - y_{i-1} from (y0, y1), one node per entry of c."""
-    ys = [y0, y1]
-    for ci in c:
-        y0, y1 = y1, ci * y1 - y0
-        ys.append(y1)
-    return ys
+def _propagate(d) -> np.ndarray:
+    """y_0 = 1, y_(i+1) = d_i y_i - y_(i-1), y_(-1) = 0: one LAPACK tbtrs
+    solve, its band in Fortran order, which f2py passes without a copy."""
+    ab = np.ones((3, len(d) + 1), order="F")
+    ab[1, :-1] = -d
+    y, info = dtbtrs(ab, np.eye(len(d) + 1, 1), uplo="L", diag="U")
+    if info != 0:
+        raise ConvergenceError(f"tbtrs failed: info {info}")
+    return y[:, 0]
+
+
+class _Numerov:
+    """T(E) on the unknowns' grid window [lo, hi): y_(i+1) = d_i y_i -
+    y_(i-1) for y = f chi, f = 1 - h^2 (q - E b)/12 and d = 12/f - 10, end
+    rows the branches' Robin starts (chi = 1 at the edge node, one _log_step
+    to the next).  kappa(E) is the outer R'/R below the energy top, None a
+    Dirichlet wall; a Dirichlet end drops its node."""
+
+    def __init__(self, problem: RadialProblem, inner: RobinBoundary,
+                 kappa, top: float = math.inf):
+        self.h, self.q, self.b = _log_mesh(problem)
+        self.r, self.ell = problem.grid, problem.ell
+        # chi'/chi in x at the inner node: u'/u = a with chi = r^(ell+1/2) u
+        self.s_in = self.ell + 0.5 + inner.log_derivative * self.r[0]
+        self.kappa, self.top, self.counts = kappa, top, 0
+        self.lo = 0 if math.isfinite(self.s_in) else 1
+        self.hi = len(self.r) - (kappa is None)
+        self.off = np.full(self.hi - self.lo - 1, -1.0)
+
+    def diagonal(self, e):
+        """d(E) and f on every node."""
+        h, g = self.h, self.q - e * self.b
+        f = 1.0 - h * h / 12.0 * g
+        d = 12.0 / f - 10.0
+        if self.lo == 0:
+            d[0] = f[1] / f[0] * math.exp(_log_step(self.s_in, g[:3], h))
+        if self.kappa is not None:
+            s_out = 0.5 + self.kappa(e) * self.r[-1]
+            d[-1] = f[-2] / f[-1] * math.exp(_log_step(s_out, g[:-4:-1], -h))
+        return d, f
+
+    def count(self, e) -> int:
+        """T(E)'s negative eigenvalues: stebz's Sturm counts over (vl, 0]."""
+        self.counts += 1
+        d = self.diagonal(e)[0][self.lo:self.hi]
+        vl = min(d.min() - 3.0, -1.0)
+        m, *_, info = dstebz(d, self.off, 1, vl, 0.0, 0, 0, -2.0 * vl, "E")
+        if info != 0:
+            raise ConvergenceError(f"stebz count failed: info {info}")
+        return m
+
+    def start(self) -> list[tuple[float, int]]:
+        """(energy, count) at the bottom of q/b and, if T has states there,
+        the lowest energy with f > 0 on every node, where it may have none."""
+        floor = float(np.max((self.q - 12.0 / self.h ** 2) / self.b))
+        floor += _CERTIFY_GAP * max(1.0, abs(floor))
+        e0 = max(float(np.min(self.q / self.b)), floor)
+        pts = [(e0, self.count(e0))]
+        if pts[0][1] and e0 > floor:
+            pts.insert(0, (floor, self.count(floor)))
+        if pts[0][1]:
+            raise StiffnessError(f"log mesh too coarse for Numerov: T(E) has "
+                                 f"{pts[0][1]} states below E = {floor:.6g}")
+        return pts
+
+    def branches(self, e, mid):
+        """y outward on nodes lo..mid+1 and inward on mid..hi-1, and f."""
+        d, f = self.diagonal(e)
+        return (_propagate(d[self.lo:mid + 1]),
+                _propagate(d[self.hi - 1:mid:-1])[::-1], f)
+
+    def mismatch(self, e, mid) -> float:
+        """The branches' Casoratian at nodes mid, mid + 1, det T(E), over
+        their norms there: bounded, free of poles, of sign (-1)^count."""
+        yo, yi, _ = self.branches(e, mid)
+        no, ni = math.hypot(yo[-2], yo[-1]), math.hypot(yi[0], yi[1])
+        if not (math.isfinite(no) and math.isfinite(ni) and no * ni > 0.0):
+            raise StiffnessError(f"Numerov propagation overflowed at E = {e}")
+        return (yo[-1] * yi[0] - yo[-2] * yi[1]) / (no * ni)
+
+    def vector(self, e, mid) -> np.ndarray:
+        """u at a root E: the branches spliced over nodes mid, mid + 1."""
+        yo, yi, f = self.branches(e, mid)
+        if not f.min() > 0.0:
+            # h^2 (q - E b)/12 >= 1 somewhere: Numerov flips the sign of chi
+            # at every such node, so E need not be an eigenvalue
+            raise StiffnessError(f"log mesh too coarse for Numerov at E = {e}")
+        chi = np.zeros(len(self.r))
+        chi[self.lo:mid + 1] = yo[:-1]
+        chi[mid + 1:self.hi] = yi[1:] * (yo[-2] * yi[0] + yo[-1] * yi[1]) / (
+            yi[0] ** 2 + yi[1] ** 2)
+        chi /= f
+        # int P^2 dr = int (r chi)^2 dx, trapezoid rule on the uniform x mesh
+        norm = math.sqrt(np.trapezoid((self.r * chi) ** 2, dx=self.h))
+        return chi * self.r ** (-self.ell - 0.5) / norm
+
+
+def _root(op: _Numerov, lo: float, hi: float, xtol: float, rtol: float):
+    """Energy, u and mismatch evaluations of the root in [lo, hi], spliced
+    at hi's outer turning point (last node with q < E b, in [3, n - 4])."""
+    inside = np.flatnonzero(op.q < hi * op.b)
+    mid = min(max(inside[-1] if inside.size else 0, 3), len(op.r) - 4)
+    try:
+        e, res = brentq(op.mismatch, lo, hi, args=(mid,), xtol=xtol,
+                        rtol=rtol, full_output=True)
+    except ValueError as exc:
+        raise NoSignChange(f"mismatch has the same sign at both bracket "
+                           f"ends {lo!r} and {hi!r}") from exc
+    return e, op.vector(e, mid), res.function_calls
 
 
 def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
@@ -231,379 +327,107 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
                    asymptotics: SystemAsymptotics | None = None,
                    rtol: float = 1e-12) -> tuple[float, RadialFunction]:
     """Numerov shooting on the log mesh (J. W. Cooley, Math. Comp. 15, 363
-    (1961)): propagate chi outward from the inner Robin slope and inward
-    from the outer one, match at the middle node, and root-find the energy
-    on the sign of the normalized Casoratian there.  rtol is the relative
-    energy tolerance of the root finder.
-
-    The error is O(h^4) in the step of the problem's own log mesh, with no
-    extrapolation: a coarser grid gives a less accurate energy.  The matrix
-    route shares the mesh, so agreement between the two routes does not
-    check the mesh; only analytic references do.
-
-    If asymptotics is given, the outer log-derivative is recomputed from
-    each trial energy instead of being frozen at the supplied boundary.
-    """
+    (1961)): the energy in e_bracket where T(E)'s branches, outward from the
+    inner Robin slope and inward from the outer one, match at the outer
+    turning point of the bracket's upper end (_root), to relative tolerance
+    rtol.  With asymptotics the outer log-derivative follows each trial
+    energy.  The error is O(h^4) in the mesh step, as the matrix route's: the
+    routes' agreement does not check the mesh.  A mesh too coarse for
+    Numerov raises StiffnessError."""
     _require_location(inner, INNER)
     _require_location(outer, OUTER)
     if not math.isfinite(inner.log_derivative):
         raise DomainError("shooting requires a genuine inner Robin condition")
     if asymptotics is None and not math.isfinite(outer.log_derivative):
         raise DomainError("shooting requires a genuine outer Robin condition")
-    h, q, b = _log_mesh(problem)
-    r = problem.grid
-    ell, n = problem.ell, len(r)
-    mid = (n - 1) // 2
-    # chi'/chi in x at the inner node: u'/u = a with chi = r^(ell+1/2) u
-    s_in = ell + 0.5 + inner.log_derivative * r[0]
-
-    def branches(e):
-        """Numerov y = f chi, outward on nodes 0..mid+1, inward on mid..n-1."""
-        g = q - e * b
-        f = 1.0 - h * h / 12.0 * g
-        c = ((12.0 - 10.0 * f) / f).tolist()
-        if asymptotics is not None:
-            kap = replace(asymptotics, energy=e).kappa(r[-1])
-        else:
-            kap = outer.log_derivative
-        # each branch starts from chi = 1 at its edge node and one Taylor
-        # step of ln chi, so both Robin slopes hold for any r_min and r_max
-        step_in = _log_step(s_in, g[:3], h)
-        step_out = _log_step(0.5 + kap * r[-1], g[:-4:-1], -h)
-        yo = _numerov(c[1:mid + 1], f[0], f[1] * math.exp(step_in))
-        yi = _numerov(c[n - 2:mid:-1], f[-1], f[-2] * math.exp(step_out))[::-1]
-        return yo, yi, f
-
-    def mismatch(e):
-        yo, yi, _ = branches(e)
-        no, ni = math.hypot(yo[-2], yo[-1]), math.hypot(yi[0], yi[1])
-        if not (math.isfinite(no) and math.isfinite(ni) and no * ni > 0.0):
-            raise StiffnessError(f"Numerov propagation overflowed at E = {e}")
-        # discrete Wronskian of the recurrence, constant along the mesh;
-        # normalized it is bounded and free of poles at nodes of chi
-        return (yo[-1] * yi[0] - yo[-2] * yi[1]) / (no * ni)
-
-    e_lo, e_hi = e_bracket
-    f_lo, f_hi = mismatch(e_lo), mismatch(e_hi)
-    if f_lo * f_hi > 0.0:
-        raise NoSignChange(
-            f"mismatch has the same sign at both bracket ends "
-            f"({f_lo:.3g}, {f_hi:.3g})"
-        )
-    energy = brentq(mismatch, e_lo, e_hi, xtol=1e-12, rtol=rtol)
-
-    yo, yi, f = branches(energy)
-    if not f.min() > 0.0:
-        # h^2 (q - E b)/12 >= 1 somewhere: Numerov flips the sign of chi at
-        # every such node, so the root above need not be an eigenvalue
-        raise StiffnessError(f"log mesh too coarse for Numerov at E = {energy}")
-    # splice the inward branch onto the outward one over nodes mid, mid+1
-    scale = (yo[-2] * yi[0] + yo[-1] * yi[1]) / (yi[0] ** 2 + yi[1] ** 2)
-    chi = np.concatenate([yo[:-1], scale * np.asarray(yi[1:])]) / f
-    u = chi * r ** (-ell - 0.5)
-    p = r ** (ell + 1) * u
-    norm = math.sqrt(np.trapezoid(p * p, r))
-    u /= norm * math.copysign(1.0, u[0])
-    return energy, RadialFunction(r, u, ell, "u")
+    op = _Numerov(problem, inner, lambda e: outer.log_derivative
+                  if asymptotics is None
+                  else replace(asymptotics, energy=e).kappa(problem.grid[-1]))
+    op.start()
+    energy, u, _ = _root(op, *e_bracket, xtol=1e-12, rtol=rtol)
+    return energy, RadialFunction(problem.grid, u, problem.ell, "u")
 
 
-# ---------------------------------------------------------------------------
-# matrix route
-
-_WALL = RobinBoundary(OUTER, 0.0, 1.0)
-_MAX_STEPS = 30
-_SETTLED = 1e-12
-_CERTIFY_GAP = 1e-9
-_BISECT_TOL = 1e-10
-
-
-def _assembler(problem: RadialProblem, inner: RobinBoundary):
-    """Symmetric tridiagonal pencil (A, B) for chi(x) = P(r)/sqrt(r) on the
-    uniform x = ln r mesh as a function of the outer condition, Robin rows
-    folded in by ghost-point elimination (halved to preserve symmetry);
-    Dirichlet ends drop their unknown.  The mesh, the potential and the
-    inner row are built once, and each call folds in only the outer row,
-    the one entry of A and of B that it changes.  A pencil is A's diagonal
-    and off-diagonal, B's diagonal, and the grid window [lo, hi) of the
-    unknowns."""
-    h, q, bb = _log_mesh(problem)
-    r = problem.grid
-    ell = problem.ell
-    diag = 2.0 / h ** 2 + q
-    lo = 1
-    if math.isfinite(inner.log_derivative):
-        # chi-variable log-derivative at the inner edge
-        s0 = ell + 0.5 + inner.log_derivative * r[0]
-        diag[0] = (1.0 + h * s0) / h ** 2 + q[0] / 2.0
-        bb[0] /= 2.0
-        lo = 0
-
-    def assemble(outer: RobinBoundary):
-        d, b, hi = diag.copy(), bb.copy(), len(r) - 1
-        if math.isfinite(outer.log_derivative):
-            s1 = outer.log_derivative * r[-1] + 0.5
-            d[-1] = (1.0 - h * s1) / h ** 2 + q[-1] / 2.0
-            b[-1] /= 2.0
-            hi = len(r)
-        off = np.full(hi - lo - 1, -1.0 / h ** 2)
-        return d[lo:hi], off, b[lo:hi], (lo, hi)
-
-    return assemble
-
-
-def _scaled(d, e, b):
-    """T = B^(-1/2) A B^(-1/2), which shares the pencil's inertia: its
-    diagonal and off-diagonal, and B^(-1/2)."""
-    s = 1.0 / np.sqrt(b)
-    return d * s * s, e * s[:-1] * s[1:], s
-
-
-def _step(d, e, b, w, v):
-    """One inverse-iteration step per column of v at its Ritz value w_j,
-    (A - w_j B) y = B v_j (LAPACK gtsv), then Rayleigh-Ritz on the columns
-    jointly.  The step restores the vectors' relative accuracy at the inner
-    nodes; the Ritz step keeps the vectors of clustered states
-    B-orthonormal.  Returns the Ritz values and vectors."""
-    y = np.empty_like(v)
-    for j, wj in enumerate(w):
-        *_, yj, info = dgtsv(e, d - wj * b, e, (b * v[:, j])[:, None])
-        if info != 0:
-            raise LinAlgError(f"dgtsv info {info} at E = {wj}")
-        y[:, j] = yj[:, 0] / np.linalg.norm(yj)
-    # y'Ay = sum pot y^2 - e sum (dy)^2 with pot = d + e * (neighbours of
-    # the node): both sums are O(1), where d ~ 2/h^2 would cancel
-    pot = d + 2.0 * e[0]
-    pot[[0, -1]] = d[[0, -1]] + e[0]
-    dy = np.diff(y, axis=0)
-    w, c = eigh(y.T @ (pot[:, None] * y) - e[0] * (dy.T @ dy),
-                y.T @ (b[:, None] * y))
-    return w, y @ c
-
-
-def _rows(problem, window, v):
-    """Pencil vectors (columns of v on the unknowns `window`) as rows of u
-    on the grid, normalised and positive at the inner edge."""
-    lo, hi = window
-    grid = problem.grid
-    chi = np.zeros((v.shape[1], len(grid)))
-    chi[:, lo:hi] = v.T
-    u = chi * grid ** (-problem.ell - 0.5)
-    norm = np.sqrt(np.trapezoid(chi * chi * grid ** 2, np.log(grid)))
-    return u / (norm * np.copysign(1.0, u[:, max(lo, 1)]))[:, None]
-
-
-def _eig(problem, pencil, k, first=0):
-    """States first..k-1 of the pencil, assembled on problem's mesh: their
-    energies and, one row per state, u on the grid, normalised and
-    positive at the inner edge.  Bisection on the Sturm count of
-    T = B^(-1/2) A B^(-1/2) returns exactly these states by index (LAPACK
-    stebz, run to the absolute _BISECT_TOL: its default tolerance,
-    eps * ||T|| ~ 4e-2, does not resolve them), and one _step on stebz's
-    vectors gives them to rounding level.  A state bisected alone is told
-    apart from a neighbour more than _BISECT_TOL away, at least ten times
-    below the gap that _refine's certificate resolves."""
-    d, e, b, window = pencil
-    if k > len(d):
-        raise DomainError(f"k = {k} exceeds the {len(d)} unknowns of the mesh")
-    td, te, s = _scaled(d, e, b)
-    try:
-        w, x = eigh_tridiagonal(td, te, select="i",
-                                select_range=(first, k - 1),
-                                lapack_driver="stebz",
-                                tol=_BISECT_TOL)
-        w, v = _step(d, e, b, w, s[:, None] * x)
-    except LinAlgError as exc:
-        raise ConvergenceError(f"eigensolve failed: {exc}") from exc
-    return w, _rows(problem, window, v)
-
-
-def _sturm_counts(d, e, b, sigma):
-    """Exact number of pencil eigenvalues below each shift in sigma.  LAPACK
-    stebz over (vl, sigma_i], with vl under T's Gershgorin discs and a
-    tolerance wider than the interval, makes its two Sturm counts and does
-    not bisect."""
-    td, te, _ = _scaled(d, e, b)
-    r = np.abs(te)
-    vl = np.min(td - np.append(r, 0.0) - np.append(0.0, r))
-    vl -= abs(vl) + 1.0
-    counts = []
-    for x in sigma:
-        m, *_, info = dstebz(td, te, 1, vl, x, 0, 0, 2.0 * (x - vl), "E")
-        if info != 0:
-            raise ConvergenceError(f"stebz count failed: info {info}")
-        counts.append(m)
-    return np.array(counts)
-
-
-def _refine(problem, pencil_at, w, u, first=0):
-    """States first, first+1, ... of problem's mesh from approximations
-    (energies w, u rows on the grid, as _eig returns them).  pencil_at(E)
-    is the pencil under the outer row of energy E: one pencil for all E
-    under a fixed outer condition, or that of kappa(r_max; E) for a
-    self-consistent state, which is refined alone.  _step repeats at the
-    current Ritz values, each time on the pencil of the last energy, until
-    they move by at most _SETTLED max(1, |w_j|), at most _MAX_STEPS times
-    (A. Ruhe, SIAM J. Numer. Anal. 10, 674 (1973)), so the outer
-    condition settles with the inverse iteration.  A state whose pencil
-    still moves then raises ConvergenceError; on a fixed pencil it is left
-    to the certificate.  Each state j is certified once, on the last
-    pencil, by two exact Sturm counts: j levels below w_j - delta and
-    j + 1 below w_j + delta, delta = _CERTIFY_GAP max(1, |w_j|)
-    (W. H. Wittrick and F. W. Williams, Q. J. Mech. Appl. Math. 24, 263
-    (1971)).  A state that fails is bisected by index on that pencil
-    (_eig).  Returns the energies, the u rows, the steps made and which
-    states fell back."""
-    w = np.asarray(w, dtype=float)
-    pencil = pencil_at(w[0])
-    v = (u * problem.grid ** (problem.ell + 0.5))[:, slice(*pencil[3])].T
-    j = first + np.arange(len(w))
-    try:
-        for steps in range(1, _MAX_STEPS + 1):
-            w_prev, (w, v) = w, _step(*pencil[:3], w, v)
-            if np.all(np.abs(w - w_prev)
-                      <= _SETTLED * np.maximum(1.0, np.abs(w))):
-                break
-            last, pencil = pencil, pencil_at(w[0])
-        else:
-            if pencil[0][-1] != last[0][-1]:
-                raise ConvergenceError(f"outer condition of state {first} "
-                                       f"did not settle in {_MAX_STEPS} steps")
-    except LinAlgError as exc:
-        raise ConvergenceError(f"eigensolve failed: {exc}") from exc
-    delta = _CERTIFY_GAP * np.maximum(1.0, np.abs(w))
-    below = _sturm_counts(*pencil[:3], np.concatenate([w - delta, w + delta]))
-    failed = np.any(below.reshape(2, -1) != [j, j + 1], axis=0)
-    u = _rows(problem, pencil[3], v)
-    for i in np.flatnonzero(failed):
-        w[i:i + 1], u[i:i + 1] = _eig(problem, pencil, j[i] + 1, j[i])
-    return w, u, steps, failed
-
-
-def _log_state(**stats):
-    _log.debug("state %(state)d on %(mesh)d nodes: %(steps)d refinement "
-               "steps, fallback %(fallback)s", stats)
-
-
-def _companion(problem, inner, outer, k):
-    """Checks the arguments of a matrix solve, before any eigensolve, and
-    returns its Richardson companion problem on half the nodes."""
-    if k < 1:
-        raise DomainError("k must be at least 1")
-    _require_location(inner, INNER)
-    _require_location(outer, OUTER)
-    g = problem.grid
-    n2 = (len(g) + 1) // 2
-    if n2 < 50:
-        raise DomainError(f"the Richardson half mesh has {n2} < 50 points")
-    walls = sum(not math.isfinite(bc.log_derivative) for bc in (inner, outer))
-    for n, mesh in ((len(g), "mesh"), (n2, "Richardson half mesh")):
-        if k > n - walls:
-            raise DomainError(f"k = {k} exceeds the {n - walls} unknowns of "
-                              f"the {mesh}")
-    g2 = log_grid(g[0], g[-1], n2)
-    extra = problem.extra_potential
-    return replace(problem, grid=g2, extra_potential=None if extra is None
-                   else np.interp(g2, g, extra))
-
-
-def _transfer(prob2, u2, grid):
-    """u rows of the half mesh, splined in x = ln r onto the grid."""
-    from scipy.interpolate import CubicSpline
-
-    return CubicSpline(np.log(prob2.grid), u2, axis=1)(np.log(grid))
-
-
-def _richardson(problem, prob2, fine, coarse):
-    """Step doubling of the (energies, u rows) `fine` of the mesh with the
-    same states `coarse` of its half mesh, u already on the mesh
-    (_transfer).  It removes the leading O(h^2) error, whose smooth field
-    in the raw u spoils inner-cusp diagnostics at the 1e-3 level (1e-6
-    after it)."""
-    (w, u), (w2, u2) = fine, coarse
-    g, ell = problem.grid, problem.ell
-    c = ((len(g) - 1) / (len(prob2.grid) - 1)) ** 2 - 1.0
-    u = u + (u - u2) / c
-    p = u * g ** (ell + 1)
-    u /= np.sqrt(np.trapezoid(p * p, g))[:, None]
-    return [(float(e), RadialFunction(g, row, ell, "u"))
-            for e, row in zip(w + (w - w2) / c, u)]
+def _states(op: _Numerov, k: int) -> list[tuple[float, RadialFunction]]:
+    """The k lowest states of T(E), as solve_matrix finds them."""
+    if not 1 <= k <= op.hi - op.lo:
+        raise DomainError(f"k = {k} is not between 1 and the {op.hi - op.lo} "
+                          f"unknowns of the mesh")
+    pts = op.start()
+    e = pts[-1][0]
+    step = abs(e) or 1.0
+    while pts[-1][1] < k:
+        if len(pts) > _MAX_DOUBLINGS:
+            raise DomainError(f"k = {k} exceeds the {pts[-1][1]} states of "
+                              f"the mesh below E = {e:.6g}")
+        e = min(e + step, 0.5 * (e + op.top))  # doubling, or halving to top
+        step *= 2.0
+        pts.append((e, op.count(e)))
+    out, done = [], 0
+    for j in range(k):
+        lo, hi = max(p for p in pts if p[1] <= j), min(p for p in pts
+                                                       if p[1] > j)
+        while (lo[1], hi[1]) != (j, j + 1):
+            e = 0.5 * (lo[0] + hi[0])
+            if hi[0] - lo[0] <= _BISECT_TOL * max(1.0, abs(e)):
+                raise ConvergenceError(
+                    f"state {j} not isolated: {lo[1]} states below "
+                    f"{lo[0]!r}, {hi[1]} below {hi[0]!r}")
+            pts.append((e, op.count(e)))
+            lo, hi = (pts[-1], hi) if pts[-1][1] <= j else (lo, pts[-1])
+        # tighter than shooting's default: shifts must hold to 1e-12
+        e, u, calls = _root(op, lo[0], hi[0], xtol=1e-14, rtol=1e-13)
+        delta = _CERTIFY_GAP * max(1.0, abs(e))
+        below = (op.count(e - delta), op.count(e + delta))
+        if below != (j, j + 1):
+            raise ConvergenceError(
+                f"state {j} failed its certificate: T(E) has {below[0]} "
+                f"and {below[1]} states below E -/+ {delta:.1g}")
+        _log.debug("state %(state)d on %(mesh)d nodes: %(counts)d counts, "
+                   "%(mismatches)d mismatch evaluations",
+                   {"state": j, "mesh": len(op.r), "counts": op.counts - done,
+                    "mismatches": calls})
+        done = op.counts
+        out.append((e, RadialFunction(op.r, u, op.ell, "u")))
+    return out
 
 
 def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
                  outer: RobinBoundary, k: int) -> list[tuple[float, RadialFunction]]:
-    """k lowest eigenpairs of the discretized radial problem, Richardson-
-    extrapolated from a half-resolution companion mesh.  Only the half
-    mesh is bisected (_eig); its states, splined onto the mesh, are refined
-    there jointly and certified by Sturm counts (_refine)."""
-    prob2 = _companion(problem, inner, outer, k)
-    w2, u2 = _eig(prob2, _assembler(prob2, inner)(outer), k)
-    u2 = _transfer(prob2, u2, problem.grid)
-    pencil = _assembler(problem, inner)(outer)
-    w, u, steps, failed = _refine(problem, lambda e: pencil, w2, u2)
-    for j in range(k):
-        _log_state(state=j, mesh=len(problem.grid), steps=steps,
-                   fallback=bool(failed[j]))
-    return _richardson(problem, prob2, (w, u), (w2, u2))
+    """The k lowest states under fixed Robin or Dirichlet ends, of the
+    tridiagonal T(E) = tridiag(-1, d(E), -1) of Numerov's recurrence, whose
+    end rows are the two Robin starts: it is singular at the eigenvalues and
+    has as many negative eigenvalues as states below E (B. R. Johnson, J.
+    Chem. Phys. 67, 4086 (1977)).  State j is isolated by bisecting this
+    count to (j, j + 1), solved there as by solve_shooting, and certified by
+    counts of j below E_j - delta and j + 1 below E_j + delta, delta = 1e-9
+    max(1, |E_j|), or raises ConvergenceError."""
+    _require_location(inner, INNER)
+    _require_location(outer, OUTER)
+    kappa = outer.log_derivative
+    return _states(_Numerov(problem, inner, None if math.isinf(kappa)
+                            else lambda e: kappa), k)
 
 
 def solve_matrix_selfconsistent(problem: RadialProblem, inner: RobinBoundary,
                                 total_reduced_mass: float, total_charge: float,
                                 k: int) -> list[tuple[float, RadialFunction]]:
-    """k lowest states, each under the outer Robin condition of its own
-    energy, R'/R = kappa(r_max; E_j), as solve_shooting with asymptotics.
-
-    One bisection on the half mesh gives the Dirichlet-wall levels D_j and
-    their vectors.  The Dirichlet pencil is the leading principal block of
-    every Robin pencil, so by Cauchy interlacing D_j lies between Robin
-    levels j and j + 1 for any kappa.  State j starts from (D_j, its
-    Dirichlet vector) and is refined with each step under the kappa of its
-    last energy (_refine, certified as state j).  Only A's last diagonal
-    entry depends on E, with slope -(r_max/h) dkappa/dE < 0 for Q >= -1,
-    so Sturm counts still count the states below E.  A state that falls
-    back is refined once more from its bisected level, so that it is
-    certified on its own energy's pencil.  The half-mesh states, splined
-    onto the mesh, start the same refinement there, and the two meshes
-    are Richardson-extrapolated.  Each mesh's pencil is built once
-    (_assembler).  robin_outer's guard r_max >= 20/decay binds the ground
-    state only."""
-    prob2 = _companion(problem, inner, _WALL, k)
+    """solve_matrix with each state under the outer Robin condition of its
+    own energy, R'/R = kappa(r_max; E_j), as solve_shooting with asymptotics:
+    T(E)'s outer row takes kappa(E), and falls with E, in every count and
+    mismatch.  robin_outer's guard r_max >= 20/decay binds the ground
+    state's energy only; excited states keep their O(1/r^2) remainder."""
+    _require_location(inner, INNER)
     r_max = problem.grid[-1]
-
-    def settle(prob, assemble, e, row, j):
-        def pencil_at(e):
-            sys = SystemAsymptotics(total_reduced_mass, total_charge, e)
-            return assemble(robin_outer(sys, r_max) if j == 0
-                            else RobinBoundary(OUTER, 1.0, -sys.kappa(r_max)))
-
-        w, u, steps, failed = _refine(prob, pencil_at, [e], row[None], j)
-        if failed[0]:
-            w, u, more, again = _refine(prob, pencil_at, w, u, j)
-            if again[0]:
-                raise ConvergenceError(f"state {j} failed its certificate on "
-                                       f"the pencil of its own energy")
-            steps += more
-        _log_state(state=j, mesh=len(prob.grid), steps=steps,
-                   fallback=bool(failed[0]))
-        return w[0], u[0]
-
-    def settle_all(prob, levels, rows, assemble):
-        w, u = zip(*(settle(prob, assemble, e, row, j)
-                     for j, (e, row) in enumerate(zip(levels, rows))))
-        return np.array(w), np.array(u)
-
-    assemble2 = _assembler(prob2, inner)
-    w2, u2 = settle_all(prob2, *_eig(prob2, assemble2(_WALL), k), assemble2)
-    u2 = _transfer(prob2, u2, problem.grid)
-    fine = settle_all(problem, w2, u2, _assembler(problem, inner))
-    return _richardson(problem, prob2, fine, (w2, u2))
+    pairs = _states(_Numerov(problem, inner, lambda e: SystemAsymptotics(
+        total_reduced_mass, total_charge, e).kappa(r_max), top=0.0), k)
+    robin_outer(SystemAsymptotics(total_reduced_mass, total_charge,
+                                  pairs[0][0]), r_max)
+    return pairs
 
 
 def outer_log_derivative(fn: RadialFunction, n_points: int = 8) -> float:
-    """R'/R at r_max from a spline through ln|R| on the outermost points.
-
-    Meaningful only while R is resolved above the eigenvector noise floor
-    (shooting output, or matrix states whose tail has not decayed to
-    rounding level)."""
+    """R'/R at r_max from a spline through ln|R| on the outermost points."""
     big_r = fn.as_full() if fn.meaning == "u" else fn
     g = big_r.grid[-n_points:]
     v = big_r.values[-n_points:]

@@ -142,12 +142,29 @@ def test_cmd_solve_no_sign_change_exit_code(tmp_path):
 
 
 def test_cmd_solve_k_beyond_the_mesh_exit_code(tmp_path, capsys):
-    # 400 nodes and the Dirichlet start of the outer loop: 399 unknowns
+    # 400 nodes with Robin ends are 400 unknowns, of which the r_max = 40
+    # box holds only a few bound states
     spec = {"ell": 0, "pair_product": -1.0, "grid": {"n": 400}}
     path = tmp_path / "h.json"
     path.write_text(json.dumps(spec))
+    assert main(["solve", str(path), "-k", "401"]) == 2
+    assert "400 unknowns" in capsys.readouterr().err
     assert main(["solve", str(path), "-k", "400"]) == 2
-    assert "399 unknowns" in capsys.readouterr().err
+    assert "states of the mesh below" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [2000, 4800])
+def test_cmd_solve_matrix_states_meet_the_outer_condition(tmp_path, capsys,
+                                                           n):
+    # every state's R'/R at r_max, read off its function, is the
+    # kappa(r_max; E) of its own energy
+    spec = {"ell": 0, "pair_product": -1.0,
+            "grid": {"r_min": 1e-5, "r_max": 40.0, "n": n}}
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(spec))
+    assert main(["solve", str(path), "-k", "3"]) == 0
+    for st in json.loads(capsys.readouterr().out)["matrix"]["states"]:
+        assert abs(st["outer_logder"] - st["outer_target"]) <= 1e-5
 
 
 @pytest.mark.parametrize("spec, table", [
@@ -159,6 +176,7 @@ def test_cmd_solve_k_beyond_the_mesh_exit_code(tmp_path, capsys):
     ({"ell": 0, "pair_product": -1.0, "bracket": -0.5}, None),
     ({"ell": 0, "pair_product": -1.0, "bracket": [-0.6, -0.5, -0.4]}, None),
     ({"ell": 0, "pair_product": -1.0, "bracket": ["-0.6", "-0.4"]}, None),
+    ({"ell": 0, "pair_product": -1.0}, ""),
 ])
 def test_cmd_solve_malformed_spec_exit_code(tmp_path, capsys, spec, table):
     if table is not None:
@@ -166,9 +184,13 @@ def test_cmd_solve_malformed_spec_exit_code(tmp_path, capsys, spec, table):
         spec["extra_potential"] = str(tmp_path / "extra.txt")
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    assert main(["solve", str(path), "--method", "shoot"]) == 2
+    # the input error is the only report: no warning is issued before it
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["solve", str(path), "--method", "shoot"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("cuspbc: input error: problem spec")
+    assert err.count("\n") == 1 and caught == []
 
 
 def test_cmd_basis_end_to_end(tmp_path, capsys):

@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
@@ -12,17 +11,13 @@ from cuspbc import radial
 from cuspbc.cusp import cusp_limit_first
 from cuspbc.errors import (ConvergenceError, DomainError, NoSignChange,
                            RegimeError, StiffnessError)
-from cuspbc.radial import (RadialProblem, RobinBoundary, _eig, _refine,
-                           SystemAsymptotics, asymptotic_tail,
-                           hydrogen_reference, log_grid, outer_log_derivative,
+from cuspbc.radial import (RadialProblem, RobinBoundary, SystemAsymptotics,
+                           asymptotic_tail, hydrogen_reference, log_grid,
+                           outer_log_derivative,
                            robin_inner, robin_outer, solve_matrix,
                            solve_matrix_selfconsistent, solve_shooting)
 
 CASES = [(1, 0), (2, 0), (2, 1), (3, 2)]
-
-
-def _pencil(problem, inner, outer):
-    return radial._assembler(problem, inner)(outer)
 
 
 def _hydrogen_setup(z, n_state, ell, n=2000):
@@ -146,10 +141,16 @@ def test_shooting_requires_a_fine_log_grid():
                             grid=np.linspace(1e-3, 40.0, 400))
     with pytest.raises(DomainError):
         solve_shooting(problem, inner, outer, (-0.6, -0.4))
-    # 100 nodes: h^2 (q - E b)/12 exceeds 1 near r_max at every bracketed E
+    # 100 nodes: h^2 (q - E b)/12 exceeds 1 near r_max at every bracketed E,
+    # and T(E) has a state below the lowest energy where it does not; the
+    # matrix routes refuse the mesh for the same reason
     problem = replace(problem, grid=log_grid(1e-5, 40.0, 100))
     with pytest.raises(StiffnessError):
         solve_shooting(problem, inner, outer, (-0.6, -0.4))
+    with pytest.raises(StiffnessError):
+        solve_matrix(problem, inner, outer, 1)
+    with pytest.raises(StiffnessError):
+        solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 1)
 
 
 def test_shooting_inner_robin_away_from_origin():
@@ -222,43 +223,39 @@ def test_matrix_spherical_bessel_box():
         assert e == pytest.approx(root ** 2 / (2 * r_max ** 2), abs=1e-5)
 
 
-def test_matrix_k_beyond_the_mesh():
-    # 50 nodes with Robin ends are 50 unknowns: all of them can be asked for
-    grid = log_grid(1e-5, 40.0, 50)
-    problem = RadialProblem(0, 1.0, -1.0, 0.0, grid)
+def test_matrix_k_beyond_the_mesh(monkeypatch):
+    # k beyond the unknowns is refused before any count: 50 nodes with
+    # Robin ends are 50 unknowns, and a Dirichlet outer wall leaves 49
+    def no_count(*args, **kwargs):
+        raise AssertionError("a count ran")
+
+    problem = RadialProblem(0, 1.0, -1.0, 0.0, log_grid(1e-5, 40.0, 50))
     inner, wall = robin_inner(0, -1.0), RobinBoundary("outer", 0.0, 1.0)
     robin = robin_outer(SystemAsymptotics(1.0, 0.0, -0.5), 40.0)
-    assert np.all(np.diff(
-        _eig(problem, _pencil(problem, inner, robin), 50)[0]) > 0.0)
-    # a Dirichlet outer wall leaves 49
-    with pytest.raises(DomainError, match="49 unknowns"):
-        _eig(problem, _pencil(problem, inner, wall), 50)
-    # 200 nodes hold 150 states, the 100-node Richardson half mesh does not
-    problem = replace(problem, grid=log_grid(1e-5, 40.0, 200))
-    with pytest.raises(DomainError, match="100 unknowns"):
-        solve_matrix(problem, inner, robin, 150)
+    with monkeypatch.context() as patch:
+        patch.setattr(radial, "dstebz", no_count)
+        with pytest.raises(DomainError, match="the 50 unknowns"):
+            solve_matrix(problem, inner, robin, 51)
+        with pytest.raises(DomainError, match="the 49 unknowns"):
+            solve_matrix(problem, inner, wall, 50)
+        with pytest.raises(DomainError, match="the 50 unknowns"):
+            solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 51)
+    # more bound states than the box holds below E = 0
+    problem = replace(problem, grid=log_grid(1e-5, 40.0, 400))
+    with pytest.raises(DomainError, match="states of the mesh below"):
+        solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 40)
+    # a 50-node grid solves where its mesh resolves the state: hydrogen 1s
+    # between r = 0.5 and 8, where u' = -u and R'/R = -1 hold exactly
+    small = RadialProblem(0, 1.0, -1.0, 0.0, log_grid(0.5, 8.0, 50))
+    e = solve_matrix(small, inner, RobinBoundary("outer", 1.0, 1.0), 1)[0][0]
+    assert e == pytest.approx(-0.5, abs=1e-5)
 
 
-def test_matrix_small_grid_names_the_half_mesh(monkeypatch):
-    # a grid under 99 points has a Richardson half mesh under 50: the
-    # error says so before any eigensolve runs, as does an oversized k
-    def no_eigensolve(*args, **kwargs):
-        raise AssertionError("eigensolve ran")
-
-    monkeypatch.setattr(radial, "eigh_tridiagonal", no_eigensolve)
-    inner = robin_inner(0, -1.0)
-    robin = robin_outer(SystemAsymptotics(1.0, 0.0, -0.5), 40.0)
-    small = RadialProblem(0, 1.0, -1.0, 0.0, log_grid(1e-5, 40.0, 50))
-    with pytest.raises(DomainError, match="half mesh"):
-        solve_matrix(small, inner, robin, 1)
-    with pytest.raises(DomainError, match="half mesh"):
-        solve_matrix_selfconsistent(small, inner, 1.0, 0.0, 1)
-    problem = replace(small, grid=log_grid(1e-5, 40.0, 200))
-    with pytest.raises(DomainError, match="100 unknowns of the Richardson"):
-        solve_matrix(problem, inner, robin, 150)
-    # the self-consistent solve starts from Dirichlet walls: 99 unknowns
-    with pytest.raises(DomainError, match="99 unknowns of the Richardson"):
-        solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 100)
+def _operator(problem, inner, outer):
+    """T(E) of problem's mesh under fixed inner and outer conditions."""
+    kappa = outer.log_derivative
+    return radial._Numerov(problem, inner,
+                           None if math.isinf(kappa) else lambda e: kappa)
 
 
 def _sturm_count(pencil, sigma):
@@ -277,34 +274,45 @@ def _sturm_count(pencil, sigma):
     return count
 
 
-def _bisect(pencil, lo, hi, iters=40):
-    """Shrink each bracket [lo_j, hi_j] onto pencil eigenvalue j."""
+def _t_count(op, energies):
+    """States of op's T(E) below each energy, by the oracle: the negative
+    eigenvalues of T's diagonal with -1 off-diagonals and B = 1, one column
+    of diagonals per energy."""
+    d = np.array([op.diagonal(e)[0][op.lo:op.hi] for e in energies]).T
+    m = len(d)
+    return _sturm_count((d, -np.ones(m - 1), np.ones(m)),
+                        np.zeros(len(energies)))
+
+
+def _t_bisect(op, lo, hi, iters=20):
+    """Shrink each bracket [lo_j, hi_j] onto state j of T(E) by the
+    oracle's counts."""
     j = np.arange(len(lo))
-    lo, hi = np.longdouble(lo), np.longdouble(hi)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     for _ in range(iters):
         mid = (lo + hi) / 2
-        above = _sturm_count(pencil, mid) <= j  # eigenvalue j >= mid
+        above = _t_count(op, mid) <= j  # state j lies at or above mid
         lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
     return (lo + hi) / 2
 
 
 def _check_certified(problem, inner, outer, k, delta=1e-9):
-    pencil = _pencil(problem, inner, outer)
-    w, u = _eig(problem, pencil, k)
-    pencil = pencil[:3]
+    pairs = solve_matrix(problem, inner, outer, k)
+    w = np.array([e for e, _ in pairs])
+    op = _operator(problem, inner, outer)
     j = np.arange(k)
-    # exactly j levels below w_j - delta and j + 1 below w_j + delta: the
-    # returned states are the k lowest, none skipped or repeated
-    assert np.array_equal(_sturm_count(pencil, w - delta), j)
-    assert np.array_equal(_sturm_count(pencil, w + delta), j + 1)
-    ref = _bisect(pencil, w - delta, w + delta)
-    assert np.max(np.abs(w - ref)) <= 1e-10
-    # B-orthonormal pencil vectors are u's orthonormal in the trapezoid rule
-    # over x = ln r, whose end weights are B's halved Robin rows
+    # exactly j states of T below w_j - delta and j + 1 below w_j + delta:
+    # the returned states are the k lowest, none skipped or repeated
+    assert np.array_equal(_t_count(op, w - delta), j)
+    assert np.array_equal(_t_count(op, w + delta), j + 1)
+    ref = _t_bisect(op, w - delta, w + delta)
+    assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(w))
+    # states of different energies are orthogonal to the mesh's O(h^4)
+    # error: int u_i u_j r^(2 ell + 2) dr by the trapezoid rule over ln r
     g = problem.grid
-    p = u * g ** (problem.ell + 1.5)
+    p = np.array([fn.values for _, fn in pairs]) * g ** (problem.ell + 1.5)
     gram = np.trapezoid(p[:, None, :] * p[None, :, :], np.log(g))
-    assert np.max(np.abs(gram - np.eye(k))) <= 1e-10
+    assert np.max(np.abs(gram - np.eye(k))) <= 1e-5
     return w
 
 
@@ -319,63 +327,78 @@ def test_matrix_spectrum_certified_by_sturm_count():
     _check_certified(box, wall_in, wall_out, 3)
 
 
-def test_matrix_spectrum_certified_for_a_clustered_pair():
-    # two deep Gaussian wells 5 apart; the second depth is tuned so that
-    # each well alone has the same lowest level on this mesh, and the pair
-    # then splits only by tunnelling
-    grid = log_grid(1e-3, 14.0, 2000)
+def _clustered_pair(n=2000):
+    # two deep Gaussian wells 5 apart, tabulated on the grid; the second
+    # depth is tuned so that each well alone has the same lowest Numerov
+    # level on the 2000-node mesh, and the pair then splits only by
+    # tunnelling, by 3.3e-7
+    grid = log_grid(1e-3, 14.0, n)
     extra = -sum(depth * np.exp(-((grid - c) / 0.5) ** 2)
-                 for c, depth in ((3.0, 12.0), (8.0, 11.99731574)))
+                 for c, depth in ((3.0, 12.0), (8.0, 11.99999479819502)))
     problem = RadialProblem(0, 1.0, 0.0, 0.0, grid, extra_potential=extra)
-    w = _check_certified(problem, robin_inner(0, 0.0),
-                         RobinBoundary("outer", 0.0, 1.0), 3)
+    return problem, robin_inner(0, 0.0), RobinBoundary("outer", 0.0, 1.0)
+
+
+def test_matrix_spectrum_certified_for_a_clustered_pair():
+    w = _check_certified(*_clustered_pair(), 3)
     assert 0.0 < w[1] - w[0] < 1e-6
 
 
 def test_matrix_lapack_failure_is_a_convergence_error(monkeypatch):
     _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0, n=200)
-
-    def no_convergence(*args, **kwargs):
-        raise LinAlgError("stebz (eigh_tridiagonal) err -1")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(radial, "eigh_tridiagonal", no_convergence)
-        with pytest.raises(ConvergenceError):
-            solve_matrix(problem, inner, outer, 1)
-    # a failed Sturm count of the certificate
+    # a failed count
     with monkeypatch.context() as patch:
         patch.setattr(radial, "dstebz", lambda d, e, *args: (
             0, d, None, None, 1))
         with pytest.raises(ConvergenceError, match="stebz"):
             solve_matrix(problem, inner, outer, 1)
-    # an exactly singular shifted pencil in the inverse-iteration step
-    monkeypatch.setattr(radial, "dgtsv", lambda dl, d, du, b: (
-        dl, d, du, b, 1))
-    with pytest.raises(ConvergenceError):
+    # a failed banded triangular solve of a branch
+    monkeypatch.setattr(radial, "dtbtrs", lambda ab, b, **kwargs: (b, -1))
+    with pytest.raises(ConvergenceError, match="tbtrs"):
         solve_matrix(problem, inner, outer, 1)
 
 
 def test_matrix_convergence_rate():
-    # raw second-order discretization: error drops >= 3.5x per mesh doubling
+    # Numerov's O(h^4): the error drops >= 12x per mesh doubling
     errs = []
     for n in (500, 1000, 2000):
         e_ref, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0, n=n)
-        e = _eig(problem, _pencil(problem, inner, outer), 1)[0][0]
-        errs.append(abs(e - e_ref))
-    assert errs[0] / errs[1] >= 3.5
-    assert errs[1] / errs[2] >= 3.5
+        errs.append(abs(solve_matrix(problem, inner, outer, 1)[0][0] - e_ref))
+    assert errs[0] / errs[1] >= 12.0
+    assert errs[1] / errs[2] >= 12.0
 
 
 def test_solved_functions_carry_the_cusp():
-    for z in (1.0, 2.0):
-        for n_state, ell in CASES:
-            e_ref, problem, inner, outer, sysa = _hydrogen_setup(
-                z, n_state, ell, n=4000)
-            _, fn = solve_matrix(problem, inner, outer,
-                                 n_state - ell)[n_state - ell - 1]
-            n_fit = int(np.searchsorted(problem.grid, 0.05 / z))
-            est = cusp_limit_first(fn, ell, n_points=n_fit)
-            assert est == pytest.approx(-z, abs=1e-6)
+    # both routes' functions, spliced at the outer turning point: for
+    # ell >= 1 a splice inside the inner forbidden region would scale the
+    # inner branch wrongly
+    for n in (2000, 4000):
+        for z in (1.0, 2.0):
+            for n_state, ell in CASES:
+                e_ref, problem, inner, outer, sysa = _hydrogen_setup(
+                    z, n_state, ell, n=n)
+                _, fm = solve_matrix(problem, inner, outer,
+                                     n_state - ell)[n_state - ell - 1]
+                _, fs = solve_shooting(problem, inner, outer,
+                                       (1.1 * e_ref, 0.9 * e_ref),
+                                       asymptotics=sysa)
+                n_fit = int(np.searchsorted(problem.grid, 0.05 / z))
+                for fn in (fm, fs):
+                    est = cusp_limit_first(fn, ell, n_points=n_fit)
+                    assert est == pytest.approx(-z, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [2000, 4000])
+def test_shooting_3d_function_is_hydrogens(n):
+    # hydrogen 3d: u = R/r^2 is e^(-r/3) up to normalisation
+    e_ref, problem, inner, outer, sysa = _hydrogen_setup(1.0, 3, 2, n=n)
+    _, fn = solve_shooting(problem, inner, outer, (1.1 * e_ref, 0.9 * e_ref),
+                           asymptotics=sysa)
+    r, u = fn.grid, fn.values
+    near = r <= 1.0
+    exact = np.exp(-r[near] / 3.0)
+    ratio = u[near] / exact
+    assert np.max(np.abs(ratio / ratio[-1] - 1.0)) <= 1e-6
 
 
 def test_shooting_function_boundary_checks():
@@ -429,66 +452,64 @@ def test_selfconsistent_states_each_under_their_own_kappa(z, r_max):
 
 
 @pytest.mark.parametrize("z, r_max", OWN_KAPPA_CASES)
-def test_selfconsistent_states_certified_on_their_own_pencils(z, r_max,
-                                                             monkeypatch):
-    # the last mesh refinement of each state, recorded with the energy of
-    # the last pencil it asked for, the one it is certified on
+def test_selfconsistent_states_certified_on_their_own_pencils(z, r_max):
+    # each state is certified on T(E) under the outer condition of its own
+    # energy: the self-consistent operator's outer row at E_j is the fixed
+    # row of kappa(r_max; E_j), and the oracle counts j states of that T
+    # below E_j - 1e-9 and j + 1 below E_j + 1e-9
     problem, inner = _own_kappa_problem(z, r_max)
-    last = {}
-
-    def recording(prob, pencil_at, w, u, first=0):
-        asked = []
-
-        def pencil_of(e):
-            asked.append((e, pencil_at(e)))
-            return asked[-1][1]
-
-        out = _refine(prob, pencil_of, w, u, first)
-        if prob is problem:
-            last[first] = (out[0][0], *asked[-1])
-        return out
-
-    monkeypatch.setattr(radial, "_refine", recording)
-    solve_matrix_selfconsistent(problem, inner, 1.0, z - 1.0, 3)
-    assert sorted(last) == [0, 1, 2]
-    for j, (w, e, pencil) in last.items():
-        # the outer condition is that of the state's own energy
+    pairs = solve_matrix_selfconsistent(problem, inner, 1.0, z - 1.0, 3)
+    own = radial._Numerov(problem, inner, lambda e: SystemAsymptotics(
+        1.0, z - 1.0, e).kappa(r_max), top=0.0)
+    for j, (w, fn) in enumerate(pairs):
         kappa = SystemAsymptotics(1.0, z - 1.0, w).kappa(r_max)
-        outer = RobinBoundary(
-            "outer", 1.0, -SystemAsymptotics(1.0, z - 1.0, e).kappa(r_max))
-        assert outer.log_derivative == pytest.approx(kappa, abs=1e-9)
-        for got, want in zip(pencil, _pencil(problem, inner, outer)):
-            assert np.array_equal(got, want)
-        # exactly j levels of its pencil below w - 1e-9, j + 1 below w + 1e-9
-        counts = _sturm_count(pencil[:3], [w - 1e-9, w + 1e-9])
-        assert list(counts) == [j, j + 1]
+        op = _operator(problem, inner, RobinBoundary("outer", 1.0, -kappa))
+        assert np.array_equal(own.diagonal(w)[0], op.diagonal(w)[0])
+        assert list(_t_count(op, [w - 1e-9, w + 1e-9])) == [j, j + 1]
+        assert outer_log_derivative(fn) == pytest.approx(kappa, abs=1e-5)
 
 
-def test_assembler_folds_each_outer_row_afresh():
-    # one builder under a sequence of outer conditions gives what a fresh
-    # builder gives for each, and later calls leave earlier pencils alone
-    problem, inner = _own_kappa_problem(2.0, 20.0)
-    outers = [RobinBoundary("outer", 1.0, 2.0), radial._WALL,
-              RobinBoundary("outer", 1.0, 1.5), RobinBoundary("outer", 1.0, 2.0)]
-    assemble = radial._assembler(problem, inner)
-    built = [assemble(outer) for outer in outers]
-    for pencil, outer in zip(built, outers):
-        fresh = _pencil(problem, inner, outer)
-        assert pencil[3] == fresh[3]
-        for got, want in zip(pencil[:3], fresh[:3]):
-            assert np.array_equal(got, want)
+@pytest.mark.parametrize("z, n_state, ell", [(1.0, 1, 0), (1.0, 3, 2),
+                                             (2.0, 2, 1)])
+def test_count_never_decreases_with_energy(z, n_state, ell):
+    # the outer row under kappa(E) falls with E, as every inner row does;
+    # the inner Robin row need not, so the count is checked on a dense
+    # energy grid: it never decreases and steps up at each level
+    _, problem, inner, _, _ = _hydrogen_setup(z, n_state, ell)
+    r_max = problem.grid[-1]
+    op = radial._Numerov(problem, inner, lambda e: SystemAsymptotics(
+        1.0, z - 1.0, e).kappa(r_max), top=0.0)
+    energies = np.linspace(-0.6 * z * z, -z * z / 84.5, 1001)
+    counts = np.array([op.count(e) for e in energies])
+    steps = np.diff(counts)
+    assert counts[0] == 0 and np.all((steps == 0) | (steps == 1))
+    first = np.flatnonzero(steps)[0]
+    ground = -z * z / (2.0 * n_state * n_state)
+    assert energies[first] < ground < energies[first + 1]
+    outer_row = [op.diagonal(e)[0][-1] for e in energies]
+    assert np.all(np.diff(outer_row) < 0.0)
+
+
+def test_selfconsistent_guard_binds_the_settled_ground_state():
+    # robin_outer's r_max >= 20/decay holds for the ground state's energy
+    # (Z = 1: r_max >= 20) and for no trial energy: a box just above it
+    # solves for three states, although the counts visit energies far
+    # above E_0, and a box just below it is refused
+    inner = robin_inner(0, -1.0)
+
+    def box(r_max):
+        return RadialProblem(0, 1.0, -1.0, 0.0, log_grid(1e-5, r_max, 2000))
+
+    pairs = solve_matrix_selfconsistent(box(20.02), inner, 1.0, 0.0, 3)
+    assert pairs[0][0] == pytest.approx(-0.5, abs=1e-8)
+    with pytest.raises(DomainError, match="too small"):
+        solve_matrix_selfconsistent(box(19.98), inner, 1.0, 0.0, 1)
 
 
 def test_selfconsistent_solve_builds_each_mesh_once(monkeypatch):
-    # one potential() per mesh, for its bisection or first pencil and for
-    # every refinement step under every kappa, none of which falls back;
-    # the states are those of building every pencil afresh
+    # one potential() per solve: every count and mismatch of T(E), under
+    # every kappa(E), reuses the mesh's terms
     problem, inner = _own_kappa_problem(1.0, 40.0)
-    assembler = radial._assembler
-    with monkeypatch.context() as m:
-        m.setattr(radial, "_assembler", lambda prob, inner_: (
-            lambda outer: assembler(prob, inner_)(outer)))
-        ref = solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
     potential = RadialProblem.potential
     sizes = []
 
@@ -497,46 +518,51 @@ def test_selfconsistent_solve_builds_each_mesh_once(monkeypatch):
         return potential(self, r)
 
     monkeypatch.setattr(RadialProblem, "potential", counting)
-    pairs = solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
-    assert sizes == [2000, 4000]
-    for (e, fn), (e_ref, fn_ref) in zip(pairs, ref):
-        assert e == e_ref and np.array_equal(fn.values, fn_ref.values)
-
-
-def _clustered_pair():
-    # test_matrix_spectrum_certified_for_a_clustered_pair's wells, whose
-    # two lowest levels split by 3.3e-7
-    grid = log_grid(1e-3, 14.0, 2000)
-    extra = -sum(depth * np.exp(-((grid - c) / 0.5) ** 2)
-                 for c, depth in ((3.0, 12.0), (8.0, 11.99731574)))
-    problem = RadialProblem(0, 1.0, 0.0, 0.0, grid, extra_potential=extra)
-    return problem, robin_inner(0, 0.0), RobinBoundary("outer", 0.0, 1.0)
+    solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
+    assert sizes == [4000]
 
 
 def test_stebz_counts_match_the_sturm_oracle():
     _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0)
     for prob, inner_, outer_ in ((problem, inner, outer), _clustered_pair()):
-        pencil = _pencil(prob, inner_, outer_)
-        w = _eig(prob, pencil, 6)[0]
-        pencil = pencil[:3]
-        sigma = np.concatenate([np.linspace(-20.0, 50.0, 141),
-                                w - 1e-9, w + 1e-9, w - 1e-12, w + 1e-12])
-        assert np.array_equal(radial._sturm_counts(*pencil, sigma),
-                              _sturm_count(pencil, sigma))
+        op = _operator(prob, inner_, outer_)
+        w = np.array([e for e, _ in solve_matrix(prob, inner_, outer_, 6)])
+        energies = np.concatenate([np.linspace(-20.0, 50.0, 141), w - 1e-9,
+                                   w + 1e-9, w - 1e-12, w + 1e-12])
+        assert np.array_equal([op.count(e) for e in energies],
+                              _t_count(op, energies))
 
 
 def test_clustered_pair_bisected_one_state_at_a_time():
-    # the fallback bisects one state alone; each of the pair (split
-    # 3.3e-7) is its own level, as the extended-precision oracle finds it
+    # each of the pair (split 3.3e-7) is isolated alone by the counts, and
+    # its energy is the level the extended-precision oracle bisects from
+    # the whole spectrum's range
     problem, inner, outer = _clustered_pair()
-    pencil = _pencil(problem, inner, outer)
-    ref = _bisect(pencil[:3], np.full(2, -20.0), np.full(2, 50.0), iters=80)
-    w, u = _eig(problem, pencil, 2)
-    for j in (0, 1):
-        wj, uj = _eig(problem, pencil, j + 1, j)
-        assert abs(wj[0] - ref[j]) <= 1e-10
-        assert np.allclose(uj[0], u[j], rtol=0.0,
-                           atol=1e-6 * np.abs(u[j]).max())
+    op = _operator(problem, inner, outer)
+    ref = _t_bisect(op, np.full(2, -20.0), np.full(2, 50.0), iters=50)
+    w = np.array([e for e, _ in solve_matrix(problem, inner, outer, 2)])
+    assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_states_closer_than_the_bisection_tolerance_raise(monkeypatch):
+    # with the bisection stopped 1e-3 wide, the pair split by 3.3e-7 stays
+    # in one bracket: it is refused, not solved as one state
+    monkeypatch.setattr(radial, "_BISECT_TOL", 1e-3)
+    with pytest.raises(ConvergenceError, match="state 0 not isolated"):
+        solve_matrix(*_clustered_pair(), 2)
+
+
+def test_clustered_pair_refined_on_the_full_mesh():
+    # the wells are tabulated on the grid, whose nodes T(E) samples: the
+    # three lowest states keep their order, and refining the mesh 8x moves
+    # each by its O(h^4) error, 5e-6 at most (in the outer well, where the
+    # radial step is widest)
+    problem, inner, wall = _clustered_pair()
+    w = [e for e, _ in solve_matrix(problem, inner, wall, 3)]
+    fine = [e for e, _ in solve_matrix(_clustered_pair(16000)[0], inner,
+                                       wall, 3)]
+    assert np.all(np.diff(w) > 0.0)
+    assert np.max(np.abs(np.subtract(w, fine))) <= 1e-5
 
 
 def _solve_events(caplog, solve, *args):
@@ -547,155 +573,90 @@ def _solve_events(caplog, solve, *args):
     return out, [r.args for r in caplog.records if r.name == "cuspbc.radial"]
 
 
-def test_refinement_from_the_neighbouring_state_falls_back(monkeypatch,
-                                                           caplog):
-    problem = RadialProblem(0, 1.0, -2.0, 0.0, log_grid(1e-5, 40.0, 2000))
-    inner = robin_inner(0, -2.0)
-    outer = robin_outer(SystemAsymptotics(1.0, 1.0, -2.0), 40.0)
-    pencil = _pencil(problem, inner, outer)
-    w, u = _eig(problem, pencil, 2)
-    # started from state 1 but certified as state 0: the count finds one
-    # level below it, and state 0 is bisected by index instead
-    w0, u0, _, failed = _refine(problem, lambda e: pencil, w[1:], u[1:], 0)
-    assert failed.tolist() == [True]
-    w_ref, u_ref = _eig(problem, pencil, 1)
-    assert np.array_equal(w0, w_ref) and np.array_equal(u0, u_ref)
-    # the same through the self-consistent solve: every half-mesh state
-    # starts from the Dirichlet state above its own
-    ref = solve_matrix_selfconsistent(problem, inner, 1.0, 1.0, 2)
-    eig = radial._eig
-
-    def one_up(prob, pencil_, k, first=0):
-        if pencil_[3][1] < prob.grid.size:  # the Dirichlet wall's pencil
-            return eig(prob, pencil_, k + 1, first + 1)
-        return eig(prob, pencil_, k, first)
-
-    monkeypatch.setattr(radial, "_eig", one_up)
-    pairs, events = _solve_events(caplog, solve_matrix_selfconsistent,
-                                  problem, inner, 1.0, 1.0, 2)
-    assert [(ev["mesh"], ev["fallback"]) for ev in events] == [
-        (1000, True), (1000, True), (2000, False), (2000, False)]
-    for (e, fn), (e_ref, fn_ref) in zip(pairs, ref):
-        assert e == pytest.approx(e_ref, abs=1e-12)
-        assert np.allclose(fn.values, fn_ref.values, rtol=1e-8, atol=1e-10)
-
-
-def test_fallback_state_refined_on_its_own_pencil(monkeypatch, caplog):
-    # at r_max = 25 the outer condition moves the 3s level by 1e-3, so the
-    # 3s state, bisected under the kappa of the 4s state it started from,
-    # must be refined once more under its own
-    problem, inner = _own_kappa_problem(1.0, 25.0)
-    ref = solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
-    eig = radial._eig
-
-    def skip_3s(prob, pencil_, k, first=0):
-        if pencil_[3][1] < prob.grid.size:  # the Dirichlet wall's pencil
-            w, u = eig(prob, pencil_, k + 1, first)
-            return np.delete(w, 2), np.delete(u, 2, axis=0)
-        return eig(prob, pencil_, k, first)
-
-    monkeypatch.setattr(radial, "_eig", skip_3s)
-    pairs, events = _solve_events(caplog, solve_matrix_selfconsistent,
-                                  problem, inner, 1.0, 0.0, 3)
-    assert [ev["fallback"] for ev in events] == [False, False, True,
-                                                 False, False, False]
-    for (e, _), (e_ref, _) in zip(pairs, ref):
-        assert e == pytest.approx(e_ref, abs=1e-11)
-
-
-def test_clustered_pair_refined_on_the_full_mesh(monkeypatch, caplog):
-    problem, inner, wall = _clustered_pair()
-    # what bisecting both meshes gives
-    prob2 = radial._companion(problem, inner, wall, 3)
-    w2, u2 = _eig(prob2, _pencil(prob2, inner, wall), 3)
-    ref = radial._richardson(problem, prob2,
-                             _eig(problem, _pencil(problem, inner, wall), 3),
-                             (w2, radial._transfer(prob2, u2, problem.grid)))
-    # the third state needs three refinement steps to pass its certificate;
-    # with two it is bisected by index, and the result is the same
-    for cap, fallback in ((2, [False, False, True]),
-                          (3, [False, False, False])):
-        monkeypatch.setattr(radial, "_MAX_STEPS", cap)
-        pairs, events = _solve_events(caplog, solve_matrix, problem, inner,
-                                      wall, 3)
-        assert [ev["fallback"] for ev in events] == fallback
-        assert [ev["steps"] for ev in events] == [cap] * 3
-        for (e, _), (e_ref, _) in zip(pairs, ref):
-            assert e == pytest.approx(e_ref, abs=1e-12)
-
-
 def test_matrix_solves_log_one_event_per_state(caplog):
     assert any(isinstance(h, logging.NullHandler)
                for h in logging.getLogger("cuspbc").handlers)
     _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0)
-    _, events = _solve_events(caplog, solve_matrix, problem, inner, outer, 2)
-    assert events == [{"state": j, "mesh": 2000, "steps": 2,
-                       "fallback": False} for j in (0, 1)]
-    # the self-consistent solve refines each state on both meshes
-    _, events = _solve_events(caplog, solve_matrix_selfconsistent, problem,
-                              inner, 1.0, 0.0, 2)
-    assert [(ev["state"], ev["mesh"], ev["fallback"]) for ev in events] == [
-        (0, 1000, False), (1, 1000, False), (0, 2000, False),
-        (1, 2000, False)]
-    assert all(ev["steps"] >= 1 for ev in events)
+    for solve, args in ((solve_matrix, (outer, 2)),
+                        (solve_matrix_selfconsistent, (1.0, 0.0, 2))):
+        _, events = _solve_events(caplog, solve, problem, inner, *args)
+        assert [(ev["state"], ev["mesh"]) for ev in events] == [
+            (0, 2000), (1, 2000)]
+        # every state makes its two certificate counts and evaluates the
+        # mismatch at least at both bracket ends
+        assert all(sorted(ev) == ["counts", "mesh", "mismatches", "state"]
+                   and ev["counts"] >= 2 and ev["mismatches"] >= 2
+                   for ev in events)
+
+
+def _recorded_counts(monkeypatch):
+    """(energy, count) of every count of T(E), in the order made."""
+    made = []
+    count = radial._Numerov.count
+
+    def recording(self, e):
+        made.append((e, count(self, e)))
+        return made[-1][1]
+
+    monkeypatch.setattr(radial._Numerov, "count", recording)
+    return made
 
 
 def test_one_bisection_per_matrix_solve(monkeypatch):
-    # only the Richardson half mesh is bisected; every full-mesh state is
-    # refined from it and certified without a fallback bisection
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[0]))
-        return eigh_tridiagonal(*args, **kwargs)
-
-    monkeypatch.setattr(radial, "eigh_tridiagonal", counting)
-    for z in (1.0, 2.0):
-        for n_state, ell in CASES:
-            _, problem, inner, outer, _ = _hydrogen_setup(z, n_state, ell)
-            calls.clear()
-            solve_matrix(problem, inner, outer, n_state - ell)
-            assert calls == [1000]
-    for z, r_max in OWN_KAPPA_CASES:
-        problem, inner = _own_kappa_problem(z, r_max)
-        calls.clear()
-        solve_matrix_selfconsistent(problem, inner, 1.0, z - 1.0, 3)
-        assert calls == [1999]
+    # one bisection per solve, its counts shared by all k states: no energy
+    # is counted twice, and the counts never decrease with energy
+    made = _recorded_counts(monkeypatch)
+    solves = [(solve_matrix, *_hydrogen_setup(z, n_state, ell)[1:4],
+               n_state - ell)
+              for z in (1.0, 2.0) for n_state, ell in CASES]
+    solves += [(solve_matrix_selfconsistent, *_own_kappa_problem(z, r_max),
+                1.0, z - 1.0, 3) for z, r_max in OWN_KAPPA_CASES]
+    for solve, *args in solves:
+        made.clear()
+        solve(*args)
+        energies = [e for e, _ in made]
+        assert len(set(energies)) == len(energies)
+        counts = [c for _, c in sorted(made)]
+        assert counts == sorted(counts)
 
 
 def test_selfconsistent_solve_certifies_each_state_once(monkeypatch):
-    # k = 3: one bisection of the half mesh's Dirichlet levels, then one
-    # certificate of two Sturm counts per state and mesh, 3 x 2 x 2 in all
-    calls = {"eigh_tridiagonal": 0, "dstebz": 0}
-    for name in calls:
-        def counting(*args, _name=name, _f=getattr(radial, name), **kwargs):
-            calls[_name] += 1
-            return _f(*args, **kwargs)
+    # k = 3: each state is certified by exactly two counts, at E_j -/+
+    # delta, and every LAPACK stebz call is one recorded count
+    made = _recorded_counts(monkeypatch)
+    calls = []
+    stebz = radial.dstebz
 
-        monkeypatch.setattr(radial, name, counting)
+    def counting(*args):
+        calls.append(args)
+        return stebz(*args)
+
+    monkeypatch.setattr(radial, "dstebz", counting)
     problem, inner = _own_kappa_problem(1.0, 40.0)
-    solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
-    assert calls == {"eigh_tridiagonal": 1, "dstebz": 12}
+    pairs = solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
+    assert len(calls) == len(made)
+    for j, (w, _) in enumerate(pairs):
+        delta = 1e-9 * max(1.0, abs(w))
+        near = sorted((e - w, c) for e, c in made if abs(e - w) <= 2 * delta)
+        assert [c for _, c in near] == [j, j + 1]
+        assert np.allclose([s for s, _ in near], [-delta, delta], rtol=1e-6)
 
 
-def test_selfconsistent_state_that_does_not_settle_raises(monkeypatch):
-    # at r_max = 25 the 2s state starts 2e-7 from its own-kappa level: its
-    # one step moves the outer condition, which has not settled after it
-    problem, inner = _own_kappa_problem(1.0, 25.0)
-    monkeypatch.setattr(radial, "_MAX_STEPS", 1)
-    with pytest.raises(ConvergenceError, match="state 1 did not settle"):
-        solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
+def test_state_failing_its_certificate_raises(monkeypatch):
+    # a root finder that returns the lower end of its bracket gives an
+    # energy with no state of T(E) within delta above it: the count finds
+    # j, not j + 1, states below E_j + delta
+    class Result:
+        function_calls = 0
 
-
-def test_selfconsistent_state_failing_twice_raises(monkeypatch):
-    # counts that place no level anywhere fail every certificate: the
-    # fallback's second refinement fails too, so the state is not
-    # certified on the pencil of its own energy
-    monkeypatch.setattr(radial, "_sturm_counts",
-                        lambda d, e, b, sigma: np.zeros(len(sigma), int))
+    monkeypatch.setattr(radial, "brentq", lambda f, a, b, **kwargs: (
+        a, Result()))
     problem, inner = _own_kappa_problem(2.0, 20.0)
     with pytest.raises(ConvergenceError, match="state 0 failed its cert"):
         solve_matrix_selfconsistent(problem, inner, 1.0, 1.0, 1)
+    outer = RobinBoundary("outer", 0.0, 1.0)
+    with pytest.raises(ConvergenceError, match="state 0 failed its cert"):
+        solve_matrix(problem, inner, outer, 2)
 
 
 def test_hydrogen_reference_values():
