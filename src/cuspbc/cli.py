@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input/parse error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from .cusp import (CoalescencePair, LocalWavefunction, cusp_a, cusp_b,
                    cusp_limit_first, cusp_series, local_u, validity_radius)
 from .errors import (CuspbcError, InputError, NumericalError, Overflow,
                      RegimeError)
-from .gridfn import csv_texts
+from .gridfn import csv_template, csv_texts
 from .hfr import HFROrbital
 
 
@@ -89,18 +90,20 @@ def _write_text(path, text):
             fh.truncate()
 
 
-def _emit(args, columns, rows, meta):
-    """Write tabular output as CSV (repr-stable floats) or as JSON with the
-    identical numeric content."""
+def _emit(args, columns, data, meta):
+    """Write the table of the float arrays data, one per column, as CSV
+    (floats as their repr) or as JSON with the identical numeric content,
+    on one line, through json's C encoder."""
+    table = np.column_stack(data)
     if args.format == "json":
         text = json.dumps({"meta": meta, "columns": columns,
-                           "rows": [list(r) for r in rows]}, indent=2) + "\n"
+                           "rows": table.tolist()}) + "\n"
     else:
         lines = [f"# {k}={v!r}" for k, v in meta.items()]
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(repr(x) for x in row))
-        text = "\n".join(lines) + "\n"
+        row = ",".join(["%r"] * len(columns)) + "\n"
+        text = "\n".join(lines) + "\n" + csv_template(
+            [""] * len(table), row) % tuple(table.ravel().tolist())
     if args.output:
         _write_text(args.output, text)
     else:
@@ -137,8 +140,7 @@ def cmd_local(args) -> int:
         "r_star": validity_radius(pair, args.w0),
         "r0": (args.ell + 1) / abs(a) if a != 0.0 else math.inf,
     }
-    rows = list(zip(r.tolist(), u.tolist(), big_r.tolist(), density.tolist()))
-    _emit(args, ["r", "u", "R", "density"], rows, meta)
+    _emit(args, ["r", "u", "R", "density"], [r, u, big_r, density], meta)
     return 0
 
 
@@ -333,10 +335,9 @@ def cmd_compare_he(args) -> int:
         "z": z, "w0": w0, "beta": lw.beta, "u0": u0, "r0": r0,
         "rel_error_r0": rel_at(r0), "rel_error_r0_half": rel_at(r0 / 2.0),
     }
-    rows = list(zip(r.tolist(), hfr.tolist(), uk.tolist(),
-                    dens_h.tolist(), dens_k.tolist(), rel.tolist()))
     _emit(args, ["r", "psi_hfr", "psi_kummer", "density_hfr",
-                 "density_kummer", "rel_error"], rows, meta)
+                 "density_kummer", "rel_error"],
+          [r, hfr, uk, dens_h, dens_k, rel], meta)
     print(f"rel_error(r0={r0!r}) = {meta['rel_error_r0']!r}", file=sys.stderr)
     print(f"rel_error(r0/2) = {meta['rel_error_r0_half']!r}", file=sys.stderr)
     return 0
@@ -352,7 +353,9 @@ def _add_io_args(p):
     p.add_argument("--output", default=None, help="write to file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: do not change it."""
     ap = argparse.ArgumentParser(prog="cuspbc",
                                  description="Coulomb cusp and boundary-condition toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

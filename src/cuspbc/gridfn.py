@@ -65,15 +65,25 @@ def _csv_column(a: np.ndarray) -> list[str]:
     return list(map(repr, a.tolist()))
 
 
+def csv_template(lead, row: str) -> str:
+    """A `%` template of one CSV line per cell of lead: the cell's text, then
+    row, whose %r fields one flat tuple of floats fills, line by line (%r of
+    a float is its repr).  lead and row's literal text must hold no `%`."""
+    return row.join(lead) + row if lead else ""
+
+
 def csv_texts(functions):
     """Yield the to_csv() text of each function in turn.  A grid that is
     the previous function's grid array is not formatted again, so the
-    states of one solve, which share their grid, pay for it once."""
-    grid = cells = None
+    states of one solve, which share their grid, pay for it once, and share
+    one template per (ell, meaning)."""
+    grid = None
     for fn in functions:
         if fn.grid is not grid:
-            grid, cells = fn.grid, _csv_column(fn.grid)
+            grid, cells, templates = fn.grid, _csv_column(fn.grid), {}
         tail = f",{fn.ell},{fn.meaning}\n"
+        if tail not in templates:
+            templates[tail] = csv_template(cells, f",%r{tail}")
         values = fn.values.astype(float, casting="same_kind", copy=False)
-        yield "r,value,ell,meaning\n" + "".join(
-            [f"{r},{v!r}{tail}" for r, v in zip(cells, values.tolist())])
+        text = templates[tail] % tuple(values.tolist())
+        yield "r,value,ell,meaning\n" + text

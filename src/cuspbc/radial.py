@@ -358,8 +358,10 @@ def _states(op: _Numerov, k: int) -> list[tuple[float, RadialFunction]]:
     step = abs(e) or 1.0
     while pts[-1][1] < k:
         if len(pts) > _MAX_DOUBLINGS:
+            below = (f"E = {op.top:g}, the bound states the box holds"
+                     if math.isfinite(op.top) else f"E = {e:.6g}")
             raise DomainError(f"k = {k} exceeds the {pts[-1][1]} states of "
-                              f"the mesh below E = {e:.6g}")
+                              f"the mesh below {below}")
         e = min(e + step, 0.5 * (e + op.top))  # doubling, or halving to top
         step *= 2.0
         pts.append((e, op.count(e)))

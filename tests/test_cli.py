@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cuspbc import gridfn, radial
+from cuspbc import cli, gridfn, radial
 from cuspbc.cli import _write_text, main, parse_pair
 from cuspbc.errors import InputError
 
+from test_gridfn import EDGE_GRID, EDGE_VALUES
 from test_hfr import HE_ORBITAL_ENERGY, HE_TERMS
 
 DATA = Path(__file__).resolve().parents[1] / "data"
@@ -151,6 +153,19 @@ def test_cmd_solve_k_beyond_the_mesh_exit_code(tmp_path, capsys):
     assert "400 unknowns" in capsys.readouterr().err
     assert main(["solve", str(path), "-k", "400"]) == 2
     assert "states of the mesh below" in capsys.readouterr().err
+
+
+def test_cmd_solve_k_beyond_the_bound_states_names_them(tmp_path, capsys):
+    # the search for states stops below E = 0, where the r_max = 40 box
+    # holds 6 bound states on 400 nodes: the message names that edge, not
+    # the last trial energy halved towards it
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"ell": 0, "pair_product": -1.0,
+                                "grid": {"n": 400}}))
+    assert main(["solve", str(path), "-k", "10"]) == 2
+    assert capsys.readouterr().err == (
+        "cuspbc: input error: k = 10 exceeds the 6 states of the mesh "
+        "below E = 0, the bound states the box holds\n")
 
 
 @pytest.mark.parametrize("n", [2000, 4800])
@@ -510,3 +525,118 @@ def test_solve_writes_matrix_states_before_shooting(tmp_path, capsys):
         data = (tmp_path / f"out.matrix.{i}.csv").read_bytes()
         assert data == (tmp_path / f"ref.matrix.{i}.csv").read_bytes()
     assert not (tmp_path / "out.shoot.csv").exists()
+
+
+def _row_reference(columns, data, meta, fmt):
+    """The table as written one row at a time: `repr` per CSV cell, or
+    the pure-Python (indented) JSON encoder."""
+    rows = [list(row) for row in zip(*(np.asarray(c).tolist() for c in data))]
+    if fmt == "json":
+        return json.dumps({"meta": meta, "columns": columns, "rows": rows},
+                          indent=2)
+    lines = [f"# {k}={v!r}" for k, v in meta.items()]
+    lines.append(",".join(columns))
+    lines += [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _same_json(text, reference):
+    # NaN and Infinity load as their names, so that they compare equal
+    assert (json.loads(text, parse_constant=str)
+            == json.loads(reference, parse_constant=str))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["local", "compare-he"])
+def test_tabular_output_matches_the_row_reference(tmp_path, monkeypatch,
+                                                  command, fmt):
+    if command == "local":
+        argv = LOCAL
+    else:
+        argv = ["compare-he", str(_write_he_orbital(tmp_path)),
+                "--e", repr(HE_ORBITAL_ENERGY), "--n", "61"]
+    tables = []
+    emit = cli._emit
+
+    def spy(args, columns, data, meta):
+        tables.append((columns, data, meta))
+        return emit(args, columns, data, meta)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    out = tmp_path / "out"
+    assert main(argv + ["--format", fmt, "--output", str(out)]) == 0
+    (table,) = tables
+    reference = _row_reference(*table, fmt)
+    if fmt == "csv":
+        assert out.read_bytes() == reference.encode("utf-8")
+    else:
+        _same_json(out.read_text(), reference)
+
+
+def test_emit_edge_floats_and_a_percent_in_meta(capsys):
+    # subnormals, the smallest normal, signed zero, 1e16 and exponent
+    # forms in the cells; `%` in a meta value is written as it is
+    columns = ["r", "value", "neg"]
+    data = [EDGE_GRID, EDGE_VALUES, -EDGE_VALUES]
+    meta = {"note": "100% of %s, %r and %(x)s", "r0": math.inf, "n": 6}
+    args = argparse.Namespace(format="csv", output=None)
+    cli._emit(args, columns, data, meta)
+    text = capsys.readouterr().out
+    assert text == _row_reference(columns, data, meta, "csv")
+    assert text.startswith("# note='100% of %s, %r and %(x)s'\n")
+    # one row, one column
+    cli._emit(args, ["x"], [np.array([-0.0])], {})
+    assert capsys.readouterr().out == "x\n-0.0\n"
+
+
+def test_emit_json_keeps_nan_and_infinity(capsys):
+    columns = ["r", "value"]
+    data = [EDGE_GRID, np.array([math.nan, math.inf, -math.inf, -0.0,
+                                 5e-324, 1e16])]
+    meta = {"r0": math.inf, "e": math.nan, "kind": "100%"}
+    cli._emit(argparse.Namespace(format="json", output=None),
+              columns, data, meta)
+    text = capsys.readouterr().out
+    assert "NaN" in text and "-Infinity" in text
+    _same_json(text, _row_reference(columns, data, meta, "json"))
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    # the top-level parser and one per subcommand
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli.build_parser.cache_clear()
+    try:
+        spec = _solve_spec(tmp_path, None)
+        orbital = str(_write_he_orbital(tmp_path))
+        assert main(["solve", spec]) == 0
+        assert built[0] == "cuspbc" and len(built) == 7
+        once = list(built)
+        assert main(["compare-he", orbital, "--e", repr(HE_ORBITAL_ENERGY),
+                     "--n", "11"]) == 0
+        assert main(["solve", spec, "-k", "2"]) == 0
+        # a bad command line still exits, and help still prints
+        for argv in (["solve"], ["solve", spec, "-k", "two"], ["bogus"],
+                     ["compare-he", orbital]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        for argv, usage in ((["--help"], "usage: cuspbc "),
+                            (["solve", "--help"], "usage: cuspbc solve ")):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith(usage)
+        # no value of one call is left for the next
+        parser = cli.build_parser()
+        assert parser.parse_args(["solve", spec]).k == 1
+        assert built == once
+    finally:
+        cli.build_parser.cache_clear()

@@ -79,6 +79,12 @@ def test_csv_texts_equal_each_to_csv():
     assert list(csv_texts([])) == []
 
 
+def test_csv_of_an_empty_grid():
+    fn = RadialFunction(np.array([]), np.array([]))
+    assert fn.to_csv() == "r,value,ell,meaning\n"
+    assert list(csv_texts([fn, fn])) == [fn.to_csv()] * 2
+
+
 def test_csv_of_complex_values_raises():
     fn = RadialFunction(EDGE_GRID, EDGE_VALUES + 1j)
     with pytest.raises(TypeError):
