@@ -14,7 +14,7 @@ from .radial import (RadialProblem, RobinBoundary, SystemAsymptotics,
                      asymptotic_tail, hydrogen_reference, log_grid,
                      robin_inner, robin_outer, solve_matrix,
                      solve_matrix_selfconsistent, solve_shooting)
-from .special import EvalDomain, kummer_1f1, legendre_p, pochhammer, spherical_harmonic
+from .special import kummer_1f1, legendre_p, pochhammer, spherical_harmonic
 
 __version__ = "0.1.0"
 
@@ -30,6 +30,6 @@ __all__ = [
     "RobinBoundary", "SystemAsymptotics", "asymptotic_tail",
     "hydrogen_reference", "log_grid", "robin_inner", "robin_outer",
     "solve_matrix", "solve_matrix_selfconsistent", "solve_shooting",
-    "EvalDomain", "kummer_1f1", "legendre_p", "pochhammer",
-    "spherical_harmonic", "__version__",
+    "kummer_1f1", "legendre_p", "pochhammer", "spherical_harmonic",
+    "__version__",
 ]

@@ -9,7 +9,7 @@ series arithmetic (binary floats are rationals, so the check is bit-level).
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,12 +18,13 @@ import numpy as np
 from .cusp import cusp_limit_first, cusp_limit_second
 from .errors import DomainError
 from .gridfn import RadialFunction
-from .radial import SystemAsymptotics
+from .radial import SystemAsymptotics, asymptotic_tail
 
 SLATER = "slater"
 GAUSSIAN = "gaussian"
 
 TAIL_POWER_FLOOR = 3  # powers of the tail start at ell + 3
+_Z_AXIS = (0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -80,12 +81,21 @@ class GaussianHeadTerm:
 
 
 def asymptotic_slater(sys: SystemAsymptotics):
-    """The large-r tail as a basis function: e^{-decay r} r^power."""
-    def f(r):
-        rs = np.asarray(r, dtype=float)
-        return np.exp(-sys.decay * rs) * rs ** sys.power
+    """The large-r tail as a basis function: e^{-decay r} r^power, r > 0."""
+    return functools.partial(asymptotic_tail, sys, 1.0)
 
-    return f
+
+def _shape(term, ell: int, direction=_Z_AXIS):
+    """(c, p, rate, step) of a term along a unit direction: the term is
+    r^ell * c * r^p * exp(-rate * r^step) there."""
+    if isinstance(term, SlaterTerm):
+        return term.coeff, term.power, term.zeta, 1
+    if isinstance(term, GaussianHeadTerm):
+        return term.coeff, term.power, term.g, 2
+    nx, ny, nz = direction
+    i, j, k = term.powers
+    return (term.coeff * (nx ** i * ny ** j * nz ** k),
+            term.total_power - ell, term.g, 2)
 
 
 @dataclass(frozen=True)
@@ -106,8 +116,7 @@ class CuspBasis:
         object.__setattr__(self, "cusp_terms", tuple(self.cusp_terms))
         object.__setattr__(self, "tail_terms", tuple(self.tail_terms))
         for t in self.tail_terms:
-            p = t.total_power if isinstance(t, GaussianTerm) \
-                else self.ell + t.power
+            p = self.ell + _shape(t, self.ell)[1]
             if p < self.ell + TAIL_POWER_FLOOR:
                 raise DomainError(
                     f"tail power {p} below the floor ell+3 = "
@@ -120,7 +129,7 @@ class CuspBasis:
         a > 0), safe for near-origin correlation windows only."""
         return self.kind == SLATER and self.a > 0.0
 
-    def evaluate_u(self, r, direction=(0.0, 0.0, 1.0)):
+    def evaluate_u(self, r, direction=_Z_AXIS):
         """u(r) = R(r)/r^ell along a fixed direction."""
         rs = np.asarray(r, dtype=float)
         if self.windowed:
@@ -134,80 +143,40 @@ class CuspBasis:
                 )
         out = np.zeros_like(rs)
         for t in self.cusp_terms + self.tail_terms:
-            if isinstance(t, SlaterTerm):
-                out = out + t.coeff * rs ** t.power * np.exp(-t.zeta * rs)
-            elif isinstance(t, GaussianHeadTerm):
-                out = out + t.coeff * rs ** t.power * np.exp(-t.g * rs ** 2)
-            else:
-                nx, ny, nz = direction
-                ang = nx ** t.powers[0] * ny ** t.powers[1] * nz ** t.powers[2]
-                out = out + t.coeff * ang * rs ** (t.total_power - self.ell) \
-                    * np.exp(-t.g * rs ** 2)
+            c, p, rate, step = _shape(t, self.ell, direction)
+            out = out + c * rs ** p * np.exp(-rate * rs ** step)
         return out
 
-    def evaluate(self, r, direction=(0.0, 0.0, 1.0)):
+    def evaluate(self, r, direction=_Z_AXIS):
         return np.asarray(r, dtype=float) ** self.ell \
             * self.evaluate_u(r, direction)
 
 
-def _term_series(term, ell: int, order: int, direction) -> list[Fraction]:
-    """Exact Taylor coefficients (orders 0..order) of the term's u-part."""
-    c = [Fraction(0)] * (order + 1)
-    if isinstance(term, SlaterTerm):
-        coeff, p, rate = Fraction(term.coeff), term.power, Fraction(-term.zeta)
-        fact = Fraction(1)
-        for k in range(order + 1 - p):
-            c[p + k] += coeff * rate ** k / fact
-            fact *= k + 1
-    elif isinstance(term, GaussianHeadTerm):
-        coeff, p, rate = Fraction(term.coeff), term.power, Fraction(-term.g)
-        fact = Fraction(1)
-        for k in range((order - p) // 2 + 1):
-            c[p + 2 * k] += coeff * rate ** k / fact
-            fact *= k + 1
-    else:
-        i, j, kk = term.powers
-        ang = Fraction(direction[0]) ** i * Fraction(direction[1]) ** j \
-            * Fraction(direction[2]) ** kk
-        coeff = Fraction(term.coeff) * ang
-        p = term.total_power - ell
-        rate = Fraction(-term.g)
-        fact = Fraction(1)
-        for k in range((order - p) // 2 + 1):
-            c[p + 2 * k] += coeff * rate ** k / fact
-            fact *= k + 1
-    return c
-
-
-def taylor_u(basis: CuspBasis, order: int,
-             direction=(0, 0, 1)) -> list[Fraction]:
-    """Exact Taylor coefficients of u = R/r^ell through the given order."""
+def taylor_u(basis: CuspBasis, order: int) -> list[Fraction]:
+    """Exact Taylor coefficients of u = R/r^ell along z through the given
+    order: c r^p exp(-rate r^step) adds c (-rate)^k / k! at p + step k."""
     total = [Fraction(0)] * (order + 1)
     for t in basis.cusp_terms + basis.tail_terms:
-        for k, ck in enumerate(_term_series(t, basis.ell, order, direction)):
-            total[k] += ck
+        c, p, rate, step = _shape(t, basis.ell)
+        c, rate, fact = Fraction(c), Fraction(-rate), 1
+        for k in range((order - p) // step + 1):
+            total[p + step * k] += c * rate ** k / fact
+            fact *= k + 1
     return total
 
 
 def build_basis(kind: str, ell: int, a: float, b: float,
-                tail_exponents, l_max: int | None = None,
-                tail_coeffs=None, g0: float = 1.0,
+                tail_exponents, tail_coeffs=None, g0: float = 1.0,
                 window: float | None = None) -> CuspBasis:
     """Head term carrying (1, a, b) plus tail terms at powers ell+3..ell+L.
 
     tail_exponents are the zeta_lambda (Slater) or g (Gaussian) of the tail
-    terms, one per power starting at ell+3; l_max defaults to 2 + their
-    count.  Gaussian tails are stored as Cartesian z-powers.
+    terms, one per power starting at ell+3, so L = 2 + their count.
+    Gaussian tails are stored as Cartesian z-powers.
     """
     exps = list(tail_exponents)
     if any(not (e > 0.0) for e in exps):
         raise DomainError("tail exponents must be positive")
-    if l_max is None:
-        l_max = TAIL_POWER_FLOOR - 1 + len(exps)
-    if len(exps) != l_max - TAIL_POWER_FLOOR + 1:
-        raise DomainError(
-            f"need {l_max - TAIL_POWER_FLOOR + 1} tail exponents for L = {l_max}"
-        )
     coeffs = [1.0] * len(exps) if tail_coeffs is None else list(tail_coeffs)
     if len(coeffs) != len(exps):
         raise DomainError("tail_coeffs length must match tail_exponents")
@@ -304,7 +273,7 @@ def basis_from_text(text: str) -> CuspBasis:
     floor = ell + TAIL_POWER_FLOOR
     cusp_terms, tail_terms = [], []
     for t in terms:
-        p = t.total_power if isinstance(t, GaussianTerm) else ell + t.power
+        p = ell + _shape(t, ell)[1]
         (cusp_terms if p < floor else tail_terms).append(t)
     window = float(meta["window"]) if "window" in meta else None
     return CuspBasis(kind, ell, float(meta["a"]), float(meta["b"]),

@@ -268,21 +268,18 @@ def cmd_env(args) -> int:
         raise InputError(f"environment file {args.environment}: {exc}") from exc
     pair = parse_pair(args.pair)
     probes = _float_list(args.probes, "--probes")
-    print(f"w0 = {env_mod.w0(env, pair)!r}")
-    theta, phi = args.theta, args.phi
-    for lam in range(args.lam_max + 1):
-        coeff = env_mod.multipole_term(env, pair, lam, 1.0, theta, phi)
+    w0 = env_mod.w0(env, pair)
+    print(f"w0 = {w0!r}")
+    coeffs = [env_mod.multipole_term(env, pair, lam, 1.0, args.theta, args.phi)
+              for lam in range(args.lam_max + 1)]
+    for lam, coeff in enumerate(coeffs):
         print(f"multipole_coeff[{lam}] = {coeff!r}")
     if pair.identical:
-        odd_ok = True
-        for lam in range(1, args.lam_max + 1, 2):
-            val = env_mod.multipole_term(env, pair, lam, 1.0, theta, phi)
-            odd_ok = odd_ok and val == 0.0
-            print(f"odd_audit[{lam}] = {val!r}")
-        print(f"odd_terms_exactly_zero = {odd_ok}")
+        for lam in range(1, len(coeffs), 2):
+            print(f"odd_audit[{lam}] = {coeffs[lam]!r}")
+        print(f"odd_terms_exactly_zero = {all(c == 0.0 for c in coeffs[1::2])}")
     for r in probes:
-        resid = abs(env_mod.spherical_average_w(env, pair, r)
-                    - env_mod.w0(env, pair))
+        resid = abs(env_mod.spherical_average_w(env, pair, r) - w0)
         print(f"average_residual[{r!r}] = {resid!r}")
     return 0
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import DomainError, FitError, Overflow, ParityError, RegimeError
 from .gridfn import RadialFunction
-from .special import (DEFAULT_DOMAIN, EvalDomain, _scaled, _sphere_nodes,
-                      spherical_harmonic)
+from .special import _scaled, _sphere_nodes, spherical_harmonic
 
 INFINITE_MASS = math.inf
 PROTON_ELECTRON_MASS_RATIO = 1836.152673
@@ -192,7 +191,7 @@ def cusp_series(pair: CoalescencePair, ell: int, w0: float, e: float,
     return CuspSeries(ell=ell, alpha=alpha, beta_sq=beta_sq, coeffs=tuple(coeffs))
 
 
-def local_u(lw: LocalWavefunction, r, dom: EvalDomain = DEFAULT_DOMAIN):
+def local_u(lw: LocalWavefunction, r):
     """Reduced local wave function
     u(r) = u0 e^{-beta r} 1F1(ell+1+alpha/beta; 2 ell+2; 2 beta r).
 
@@ -212,16 +211,15 @@ def local_u(lw: LocalWavefunction, r, dom: EvalDomain = DEFAULT_DOMAIN):
         x = 2.0 * lw.beta * flat
         if not np.isfinite(x).all():
             raise Overflow("2 beta r exceeds the double range")
-        out = lw.u0 * _scaled(lw.kummer_a, lw.kummer_b, x, -0.5 * x, dom)
+        out = lw.u0 * _scaled(lw.kummer_a, lw.kummer_b, x, -0.5 * x)
     if not np.isfinite(out).all():
         raise Overflow(f"u(r) exceeds the double range (beta = {lw.beta})")
     return out.reshape(rs.shape) if rs.ndim else float(out[0])
 
 
-def local_psi(lw: LocalWavefunction, r, theta: float, phi: float,
-              dom: EvalDomain = DEFAULT_DOMAIN):
+def local_psi(lw: LocalWavefunction, r, theta: float, phi: float):
     """psi = r^ell u(r) Y_lm(theta, phi) (complex)."""
-    u = local_u(lw, r, dom)
+    u = local_u(lw, r)
     y = spherical_harmonic(lw.ell, lw.m, theta, phi)
     return np.asarray(r, dtype=float) ** lw.ell * u * y
 

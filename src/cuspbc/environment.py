@@ -154,22 +154,22 @@ def w_multipole(env: Environment, pair: CoalescencePair,
                      for lam in range(lam_max + 1))
 
 
-def spherical_average_w(env: Environment, pair: CoalescencePair, r: float,
-                        n_theta: int = 64, n_phi: int = 128) -> float:
-    """Average of w_exact over directions, Gauss-Legendre in cos(theta) and
-    a uniform grid in phi.  Inside the nearest spectator radius only the
-    monopole survives, so this reproduces w0 independent of r.
+def spherical_average_w(env: Environment, pair: CoalescencePair, r: float) -> float:
+    """Average of w_exact over directions, Gauss-Legendre in cos(theta) at
+    64 nodes and a uniform grid of 128 in phi.  Inside the nearest
+    spectator radius only the monopole survives, so this reproduces w0
+    independent of r.
 
     The reduction uses compensated summation over a fixed ordering, so
     repeated calls are bit-identical."""
-    nodes, phis, weights = _sphere_nodes(n_theta, n_phi)
+    nodes, phis, weights = _sphere_nodes(64, 128)
     st = np.sqrt(1.0 - nodes ** 2)
     dirs = np.stack([
         np.outer(st, np.cos(phis)).ravel(),
         np.outer(st, np.sin(phis)).ravel(),
-        np.outer(nodes, np.ones(n_phi)).ravel(),
+        np.outer(nodes, np.ones(phis.size)).ravel(),
     ], axis=1)
-    wgt = np.repeat(weights, n_phi)
+    wgt = np.repeat(weights, phis.size)
     f1, f2 = _mass_fractions(pair)
     pos = np.array([c.position for c in env.charges]).reshape(-1, 3)
     qs = np.array([c.q for c in env.charges])

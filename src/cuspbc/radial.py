@@ -357,14 +357,18 @@ def _states(op: _Numerov, k: int) -> list[tuple[float, RadialFunction]]:
     e = pts[-1][0]
     step = abs(e) or 1.0
     while pts[-1][1] < k:
-        if len(pts) > _MAX_DOUBLINGS:
-            below = (f"E = {op.top:g}, the bound states the box holds"
-                     if math.isfinite(op.top) else f"E = {e:.6g}")
-            raise DomainError(f"k = {k} exceeds the {pts[-1][1]} states of "
-                              f"the mesh below {below}")
         e = min(e + step, 0.5 * (e + op.top))  # doubling, or halving to top
         step *= 2.0
-        pts.append((e, op.count(e)))
+        try:
+            count = op.count(e) if len(pts) <= _MAX_DOUBLINGS else None
+        except OverflowError:  # an end row's Robin step e^(...) overflowed
+            count = None
+        if count is None:
+            below = (f"E = {op.top:g}, the bound states the box holds"
+                     if math.isfinite(op.top) else f"E = {pts[-1][0]:.6g}")
+            raise DomainError(f"k = {k} exceeds the {pts[-1][1]} states of "
+                              f"the mesh below {below}")
+        pts.append((e, count))
     out, done = [], 0
     for j in range(k):
         lo, hi = max(p for p in pts if p[1] <= j), min(p for p in pts

@@ -10,28 +10,14 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, Overflow, PoleError
 
-
-@dataclass(frozen=True)
-class EvalDomain:
-    """Series truncation control: hard term cap and relative tolerance."""
-
-    max_terms: int = 500
-    rel_tol: float = 1e-14
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
-        if not (0.0 < self.rel_tol < 1.0):
-            raise DomainError("rel_tol must lie in (0, 1)")
-
-
-DEFAULT_DOMAIN = EvalDomain()
+# series truncation: a hard term cap and the relative tolerance of a term
+MAX_TERMS = 500
+REL_TOL = 1e-14
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -48,10 +34,10 @@ def _is_nonpositive_integer(b: float) -> bool:
     return b <= 0.0 and b == math.floor(b)
 
 
-def kummer_series(a: float, b: float, x: float, dom: EvalDomain = DEFAULT_DOMAIN) -> float:
+def kummer_series(a: float, b: float, x: float) -> float:
     """Raw series sum of 1F1(a; b; x), no transformation.
 
-    Stops once the term stays below rel_tol * |partial sum| for two
+    Stops once the term stays below REL_TOL * |partial sum| for two
     consecutive terms (hysteresis against an accidentally small term),
     counting only terms that the next one undercuts (or that are 0, as
     all after them are): a leading term made tiny by a small a does not
@@ -63,23 +49,23 @@ def kummer_series(a: float, b: float, x: float, dom: EvalDomain = DEFAULT_DOMAIN
     term = 1.0
     small = 0
     ratio = a / b * x
-    for k in range(1, dom.max_terms + 1):
+    for k in range(1, MAX_TERMS + 1):
         term *= ratio
         total += term
         ratio = (a + k) / (b + k) * x / (k + 1)
         shrinking = abs(ratio) < 1.0 or term == 0.0
-        if abs(term) <= dom.rel_tol * abs(total) and shrinking:
+        if abs(term) <= REL_TOL * abs(total) and shrinking:
             small += 1
             if small >= 2:
                 return total
         else:
             small = 0
     raise NoConvergence(
-        f"1F1({a}, {b}, {x}) did not converge within {dom.max_terms} terms"
+        f"1F1({a}, {b}, {x}) did not converge within {MAX_TERMS} terms"
     )
 
 
-def _masked_sum(x: np.ndarray, ratio, dom: EvalDomain, what: str) -> np.ndarray:
+def _masked_sum(x: np.ndarray, ratio, what: str) -> np.ndarray:
     """Sum the series 1 + t_1 + t_2 + ... elementwise, t_k = t_{k-1} ratio(k, x).
 
     Each element stops under kummer_series' rule and leaves the working
@@ -93,13 +79,13 @@ def _masked_sum(x: np.ndarray, ratio, dom: EvalDomain, what: str) -> np.ndarray:
     prev_small = np.zeros(x.size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         r = ratio(1, x)
-        for k in range(1, dom.max_terms + 1):
+        for k in range(1, MAX_TERMS + 1):
             if idx.size == 0:
                 return out
             term *= r
             total += term
             r = ratio(k + 1, x)
-            small = ((np.abs(term) <= dom.rel_tol * np.abs(total))
+            small = ((np.abs(term) <= REL_TOL * np.abs(total))
                      & ((np.abs(r) < 1.0) | (term == 0.0)))
             done = small & prev_small
             if done.any():
@@ -111,20 +97,20 @@ def _masked_sum(x: np.ndarray, ratio, dom: EvalDomain, what: str) -> np.ndarray:
     if idx.size == 0:
         return out
     raise NoConvergence(
-        f"{what} did not converge within {dom.max_terms} terms "
+        f"{what} did not converge within {MAX_TERMS} terms "
         f"(x = {x[0]!r})"
     )
 
 
-def _series(a: float, b: float, x: np.ndarray, dom: EvalDomain) -> np.ndarray:
+def _series(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """kummer_series over an array, element for element the same sums.
 
     One point takes the scalar loop itself: numpy's per-call overhead on a
     one-element array makes the masked sum some 15x slower there."""
     if x.size == 1:
-        return np.array([kummer_series(a, b, float(x[0]), dom)])
+        return np.array([kummer_series(a, b, float(x[0]))])
     return _masked_sum(x, lambda k, xs: (a + (k - 1)) / (b + (k - 1)) * xs / k,
-                       dom, f"1F1({a}, {b}, x)")
+                       f"1F1({a}, {b}, x)")
 
 
 _LARGE_X_TERMS = 40
@@ -170,7 +156,7 @@ def _gamma_sign(v: float) -> float:
     return -1.0 if v < 0.0 and math.floor(v) % 2 == 1 else 1.0
 
 
-def _large_x(a: float, b: float, xs: np.ndarray, dom: EvalDomain):
+def _large_x(a: float, b: float, xs: np.ndarray):
     """Large-x expansion of 1F1(a; b; x) in log form (DLMF 13.7.2, x > 0):
 
         1F1(a; b; x) = sign * exp(x + rest),
@@ -181,18 +167,18 @@ def _large_x(a: float, b: float, xs: np.ndarray, dom: EvalDomain):
     arrays; the caller adds x (or x shifted by a prefactor's exponent)
     before exponentiating, so 1F1 itself is never formed where it
     overflows.  Meant for x >= kummer_crossover(a, b), where S converges
-    to rel_tol; a must not be 0, -1, ... (the series is exact there).
+    to REL_TOL; a must not be 0, -1, ... (the series is exact there).
     """
     # (1 - a)_s (b - a)_s, each factor rounded once (exact near its zeros)
     big_s = _masked_sum(xs, lambda k, xa: (k - a) * ((b - a) + (k - 1)) / k / xa,
-                        dom, f"large-x 1F1({a}, {b}, x)")
+                        f"large-x 1F1({a}, {b}, x)")
     with np.errstate(divide="ignore"):
         rest = (math.lgamma(b) - math.lgamma(a) + (a - b) * np.log(xs)
                 + np.log(np.abs(big_s)))
     return rest, _gamma_sign(b) * _gamma_sign(a) * np.sign(big_s)
 
 
-def _scaled(a: float, b: float, x: np.ndarray, shift, dom: EvalDomain) -> np.ndarray:
+def _scaled(a: float, b: float, x: np.ndarray, shift) -> np.ndarray:
     """e^shift 1F1(a; b; x) for a flat x >= 0, shift a scalar or an array
     like x: the series below kummer_crossover, the log-form expansion from
     it on, so a shift of -x/2 keeps e^{-x/2} 1F1 finite where 1F1 is not.
@@ -201,17 +187,17 @@ def _scaled(a: float, b: float, x: np.ndarray, shift, dom: EvalDomain) -> np.nda
     far = x >= kummer_crossover(a, b)
     with np.errstate(over="ignore"):
         if not far.any():
-            return np.exp(shift) * _series(a, b, x, dom)
+            return np.exp(shift) * _series(a, b, x)
         shift = np.broadcast_to(shift, x.shape)
         out = np.empty_like(x)
         near = ~far
-        out[near] = np.exp(shift[near]) * _series(a, b, x[near], dom)
-        rest, sign = _large_x(a, b, x[far], dom)
+        out[near] = np.exp(shift[near]) * _series(a, b, x[near])
+        rest, sign = _large_x(a, b, x[far])
         out[far] = sign * np.exp((shift[far] + x[far]) + rest)
     return out
 
 
-def kummer_1f1(a: float, b: float, x, dom: EvalDomain = DEFAULT_DOMAIN):
+def kummer_1f1(a: float, b: float, x):
     """1F1(a; b; x) for a scalar x (returns a float) or an array x.
 
     Negative arguments go through the Kummer transformation
@@ -230,14 +216,14 @@ def kummer_1f1(a: float, b: float, x, dom: EvalDomain = DEFAULT_DOMAIN):
     neg = flat < 0.0
     if _is_nonpositive_integer(a):
         # terminating polynomial (degree -a); exact, no transformation needed
-        out = _series(a, b, flat, dom)
+        out = _series(a, b, flat)
     elif not neg.any():
-        out = _scaled(a, b, flat, 0.0, dom)
+        out = _scaled(a, b, flat, 0.0)
     else:
         out = np.empty_like(flat)
-        out[~neg] = _scaled(a, b, flat[~neg], 0.0, dom)
+        out[~neg] = _scaled(a, b, flat[~neg], 0.0)
         # x + (-x) = 0 exactly: e^x cancels the transformed expansion's e^{-x}
-        out[neg] = _scaled(b - a, b, -flat[neg], flat[neg], dom)
+        out[neg] = _scaled(b - a, b, -flat[neg], flat[neg])
     if not np.isfinite(out).all():
         raise Overflow(f"1F1({a}, {b}, x) exceeds the double range")
     return out.reshape(xs.shape) if xs.ndim else float(out[0])

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,3 +146,49 @@ def test_interchange_parse_errors():
     bad = "# cuspbc-basis kind=slater ell=0 a=0.0 b=0.0\nS 1.0 zero 1.0\n"
     with pytest.raises(DomainError, match="line 2"):
         basis_from_text(bad)
+
+
+CARTESIAN_TEXT = """# cuspbc-basis kind=gaussian ell=1 a=-0.5 b=0.25
+S 1.0 0 0.5
+GH 0.5 1 0.8
+G 0.4 1 1 0 0.6
+S 0.3 3 1.2
+G 0.7 1 0 3 0.9
+G -1.1 0 2 2 1.3
+GH 0.2 4 0.5
+"""
+
+
+def test_cartesian_tails_off_the_z_axis():
+    basis = basis_from_text(CARTESIAN_TEXT)
+    # head and tail split by total power against ell + 3 = 4
+    assert basis.cusp_terms == (SlaterTerm(1.0, 0, 0.5),
+                                GaussianHeadTerm(0.5, 1, 0.8),
+                                GaussianTerm(0.4, (1, 1, 0), 0.6))
+    assert basis.tail_terms == (SlaterTerm(0.3, 3, 1.2),
+                                GaussianTerm(0.7, (1, 0, 3), 0.9),
+                                GaussianTerm(-1.1, (0, 2, 2), 1.3),
+                                GaussianHeadTerm(0.2, 4, 0.5))
+    assert basis_to_text(basis) == CARTESIAN_TEXT
+
+    # along an oblique unit direction, each kind by its own formula
+    n = (0.48, 0.6, 0.64)
+    r = np.linspace(0.0, 3.0, 13)
+    x, y, z = (c * r for c in n)
+    ref = r * (np.exp(-0.5 * r) + 0.5 * r * np.exp(-0.8 * r ** 2)
+               + 0.3 * r ** 3 * np.exp(-1.2 * r)
+               + 0.2 * r ** 4 * np.exp(-0.5 * r ** 2))
+    ref += 0.4 * x * y * np.exp(-0.6 * r ** 2)
+    ref += 0.7 * x * z ** 3 * np.exp(-0.9 * r ** 2)
+    ref += -1.1 * y ** 2 * z ** 2 * np.exp(-1.3 * r ** 2)
+    assert np.allclose(basis.evaluate(r, n), ref, rtol=1e-14, atol=0.0)
+
+    # along z every term with an x or y power is 0: the series is that of
+    # the S and GH terms alone, and a z-power term adds c (-g)^k / k!
+    radial_only = basis_from_text("\n".join(
+        ln for ln in CARTESIAN_TEXT.splitlines() if not ln.startswith("G ")))
+    assert taylor_u(basis, 6) == taylor_u(radial_only, 6)
+    along_z = basis_from_text(CARTESIAN_TEXT + "G 0.7 0 0 4 0.9\n")
+    added = [a - b for a, b in zip(taylor_u(along_z, 6), taylor_u(basis, 6))]
+    c, g = Fraction(0.7), Fraction(0.9)
+    assert added == [0, 0, 0, c, 0, -c * g, 0]

@@ -237,6 +237,36 @@ def test_cmd_env_report(tmp_path, capsys):
     assert float(vals["average_residual[1.0]"]) < 1e-10
 
 
+def test_cmd_env_computes_each_multipole_term_once(tmp_path, capsys,
+                                                  monkeypatch):
+    # the odd-lambda audit reads the printed coefficients: lam_max + 1
+    # multipole terms in all, and the report's text is unchanged
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(
+        {"charges": [{"q": 2.0, "position": [0.0, 0.0, 3.0]}]}))
+    calls = []
+    term = cli.env_mod.multipole_term
+    monkeypatch.setattr(cli.env_mod, "multipole_term",
+                        lambda *a: calls.append(a[2]) or term(*a))
+    assert main(["env", str(path), "e-e", "singlet",
+                 "--lam-max", "6", "--probes", "1.0"]) == 0
+    assert calls == list(range(7))
+    assert capsys.readouterr().out == (
+        "w0 = -1.3333333333333333\n"
+        "multipole_coeff[0] = -1.3333333333333333\n"
+        "multipole_coeff[1] = 0.0\n"
+        "multipole_coeff[2] = -0.019324752439166863\n"
+        "multipole_coeff[3] = 0.0\n"
+        "multipole_coeff[4] = 0.00015370410484841365\n"
+        "multipole_coeff[5] = 0.0\n"
+        "multipole_coeff[6] = 1.1833912378149277e-05\n"
+        "odd_audit[1] = 0.0\n"
+        "odd_audit[3] = 0.0\n"
+        "odd_audit[5] = 0.0\n"
+        "odd_terms_exactly_zero = True\n"
+        "average_residual[1.0] = 2.220446049250313e-16\n")
+
+
 def test_cmd_compare_he_bands_and_determinism(tmp_path):
     orbital = _write_he_orbital(tmp_path)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -251,6 +251,20 @@ def test_matrix_k_beyond_the_mesh(monkeypatch):
     assert e == pytest.approx(-0.5, abs=1e-5)
 
 
+def test_matrix_k_beyond_the_countable_energies():
+    # counting up to k = 150 doubles the trial energy until the outer
+    # Robin row's e^(log step) leaves the double range: the mesh's 135
+    # states below the last energy it could count are named instead
+    problem = RadialProblem(0, 1.0, -1.0, 0.0, log_grid(1e-5, 40.0, 400))
+    inner = robin_inner(0, -1.0)
+    outer = robin_outer(SystemAsymptotics(1.0, 0.0, -0.5), 40.0)
+    assert len(solve_matrix(problem, inner, outer, 100)) == 100
+    for k in (150, 200):
+        with pytest.raises(DomainError, match=f"k = {k} exceeds the 135 "
+                           "states of the mesh below E = 8187.49"):
+            solve_matrix(problem, inner, outer, k)
+
+
 def _operator(problem, inner, outer):
     """T(E) of problem's mesh under fixed inner and outer conditions."""
     kappa = outer.log_derivative
