@@ -115,6 +115,12 @@ class CuspBasis:
             raise DomainError("ell must be non-negative")
         object.__setattr__(self, "cusp_terms", tuple(self.cusp_terms))
         object.__setattr__(self, "tail_terms", tuple(self.tail_terms))
+        for t in self.cusp_terms + self.tail_terms:
+            if _shape(t, self.ell)[1] < 0:  # only a Gaussian's x^i y^j z^k
+                raise DomainError(
+                    f"term power {t.total_power} below ell = {self.ell}: "
+                    f"u = R/r^ell would be singular at r = 0"
+                )
         for t in self.tail_terms:
             p = self.ell + _shape(t, self.ell)[1]
             if p < self.ell + TAIL_POWER_FLOOR:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError, Overflow
 
@@ -54,8 +53,11 @@ class HFROrbital:
         rs = np.asarray(r, dtype=float)
         if np.any(rs < 0.0):
             raise DomainError("r must be non-negative")
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = sum(_signed_exp(c, _log_norm(n, z) + xlogy(n - 1, rs)
+        # ln r^(n-1) is -inf at r = 0 for n > 1, and 0 for n = 1
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_r = np.log(rs)
+            out = sum(_signed_exp(c, _log_norm(n, z)
+                                  + ((n - 1) * log_r if n > 1 else 0.0)
                                   - z * rs) for n, z, c in self.terms)
         return _finite(out, "orbital value")
 

@@ -12,17 +12,12 @@ log-derivative kappa(r) at the outer edge.
 
 from __future__ import annotations
 
+import importlib
 import logging
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-# unused here; bound because perfbench/tracing.py wraps radial.solve_ivp
-# and radial.eigsh
-from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.linalg.lapack import dstebz, dtbtrs
-from scipy.optimize import brentq
-from scipy.sparse.linalg import eigsh  # noqa: F401
 
 from .cusp import CuspSeries, CoalescencePair, cusp_series
 from .errors import (ConvergenceError, DomainError, NoSignChange,
@@ -33,6 +28,32 @@ INNER = "inner"
 OUTER = "outer"
 
 _log = logging.getLogger(__name__)
+
+# scipy names read here as plain globals, each imported on first use so
+# that `import cuspbc` needs numpy alone.  A name bound first (by a test, or
+# by a tracer wrapping it) is kept.  Nothing here calls solve_ivp or eigsh:
+# they are bound only for a per-layer tracer that counts them.
+_SCIPY = {"dstebz": "scipy.linalg.lapack", "dtbtrs": "scipy.linalg.lapack",
+          "brentq": "scipy.optimize", "solve_ivp": "scipy.integrate",
+          "eigsh": "scipy.sparse.linalg"}
+
+
+def __getattr__(name):
+    """Import the scipy name `name` and bind it here (PEP 562)."""
+    if name not in _SCIPY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_SCIPY[name]),
+                                      name)
+    return value
+
+
+def bind_scipy() -> None:
+    """Bind the scipy names the solvers call, unless bound already.  Every
+    solve does so first; a caller that times solves calls it beforehand, so
+    that the first time does not include scipy's import."""
+    for name in ("dstebz", "dtbtrs", "brentq"):
+        if name not in globals():
+            __getattr__(name)
 
 
 @dataclass(frozen=True)
@@ -231,6 +252,7 @@ class _Numerov:
 
     def __init__(self, problem: RadialProblem, inner: RobinBoundary,
                  kappa, top: float = math.inf):
+        bind_scipy()
         self.h, self.q, self.b = _log_mesh(problem)
         self.r, self.ell = problem.grid, problem.ell
         # chi'/chi in x at the inner node: u'/u = a with chi = r^(ell+1/2) u
@@ -348,26 +370,43 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
     return energy, RadialFunction(problem.grid, u, problem.ell, "u")
 
 
+def _count(op: _Numerov, e) -> int | None:
+    """op.count(e), or None where an end row's Robin step e^(...) overflows."""
+    try:
+        return op.count(e)
+    except OverflowError:
+        return None
+
+
 def _states(op: _Numerov, k: int) -> list[tuple[float, RadialFunction]]:
     """The k lowest states of T(E), as solve_matrix finds them."""
     if not 1 <= k <= op.hi - op.lo:
         raise DomainError(f"k = {k} is not between 1 and the {op.hi - op.lo} "
                           f"unknowns of the mesh")
+
+    def beyond(e, count):
+        below = (f"E = {op.top:g}, the bound states the box holds"
+                 if math.isfinite(op.top) else f"E = {e:.6g}")
+        return DomainError(f"k = {k} exceeds the {count} states of the mesh "
+                           f"below {below}")
+
     pts = op.start()
     e = pts[-1][0]
+    if math.isfinite(op.top):
+        # the search below halves from e towards top (E = 0), and the count
+        # never falls with E: one count where the halving would stop shows
+        # whether k states lie below
+        last = op.top + (e - op.top) * 0.5 ** (_MAX_DOUBLINGS + 1 - len(pts))
+        count = _count(op, last)
+        if count is not None and count < k:
+            raise beyond(last, count)
     step = abs(e) or 1.0
     while pts[-1][1] < k:
         e = min(e + step, 0.5 * (e + op.top))  # doubling, or halving to top
         step *= 2.0
-        try:
-            count = op.count(e) if len(pts) <= _MAX_DOUBLINGS else None
-        except OverflowError:  # an end row's Robin step e^(...) overflowed
-            count = None
+        count = _count(op, e) if len(pts) <= _MAX_DOUBLINGS else None
         if count is None:
-            below = (f"E = {op.top:g}, the bound states the box holds"
-                     if math.isfinite(op.top) else f"E = {pts[-1][0]:.6g}")
-            raise DomainError(f"k = {k} exceeds the {pts[-1][1]} states of "
-                              f"the mesh below {below}")
+            raise beyond(*pts[-1])
         pts.append((e, count))
     out, done = [], 0
     for j in range(k):

@@ -78,6 +78,24 @@ def test_tail_power_floor_enforced():
         build_basis("slater", 0, -1.0, 0.5, [-1.0])
 
 
+def test_gaussian_power_below_ell_is_refused():
+    # x^i y^j z^k of total power 1 < ell = 2 leaves 0.5/r in u = R/r^ell,
+    # which no Taylor series at r = 0 holds
+    text = ("# cuspbc-basis kind=gaussian ell=2 a=0.0 b=0.0\n"
+            "GH 1.0 0 1.0\nG 0.5 0 0 1 1.0\n")
+    with pytest.raises(DomainError, match="term power 1 below ell = 2"):
+        basis_from_text(text)
+    head = GaussianHeadTerm(1.0, 0, 1.0)
+    for terms in [((head, GaussianTerm(0.5, (0, 1, 0), 1.0)), ()),
+                  ((head,), (GaussianTerm(0.5, (1, 0, 0), 1.0),))]:
+        with pytest.raises(DomainError, match="below ell = 2"):
+            CuspBasis("gaussian", 2, 0.0, 0.0, *terms)
+    # total power ell itself is the regular r^ell
+    basis = CuspBasis("gaussian", 2, 0.0, 0.0,
+                      (head, GaussianTerm(0.5, (0, 1, 1), 1.0)), ())
+    assert taylor_u(basis, 2)[0] == 1
+
+
 def test_sampled_verification_agrees():
     r = np.linspace(1e-4, 0.008, 14)
     basis = build_basis("slater", 0, -2.0, 1.9, [1.5], tail_coeffs=[0.7])

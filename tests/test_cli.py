@@ -168,6 +168,33 @@ def test_cmd_solve_k_beyond_the_bound_states_names_them(tmp_path, capsys):
         "below E = 0, the bound states the box holds\n")
 
 
+@pytest.mark.parametrize("n, k", [(400, 10), (16000, 60)])
+def test_k_beyond_the_bound_states_is_found_in_few_counts(monkeypatch, n, k):
+    # the count never falls with E, so one count where the halving towards
+    # E = 0 would stop decides it: no walk of counts up to that energy
+    calls = []
+    count, start = radial._Numerov.count, radial._Numerov.start
+
+    def counting(self, e):
+        calls.append(e)
+        return count(self, e)
+
+    def starting(self):
+        pts = start(self)
+        calls.clear()
+        return pts
+
+    monkeypatch.setattr(radial._Numerov, "count", counting)
+    monkeypatch.setattr(radial._Numerov, "start", starting)
+    problem = radial.RadialProblem(0, 1.0, -1.0, 0.0,
+                                   radial.log_grid(1e-5, 40.0, n))
+    with pytest.raises(InputError, match=f"k = {k} exceeds the 6 states of "
+                       "the mesh below E = 0, the bound states the box"):
+        radial.solve_matrix_selfconsistent(
+            problem, radial.robin_inner(0, -1.0), 1.0, 0.0, k)
+    assert 1 <= len(calls) <= 3
+
+
 @pytest.mark.parametrize("n", [2000, 4800])
 def test_cmd_solve_matrix_states_meet_the_outer_condition(tmp_path, capsys,
                                                            n):

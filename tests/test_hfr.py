@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from cuspbc.errors import DomainError, Overflow
-from cuspbc.hfr import HFROrbital
+from cuspbc.hfr import HFROrbital, _log_norm, _signed_exp
 
 SAMPLE = Path(__file__).resolve().parents[1] / "data" / "hydrogen_1s.hfr"
 
@@ -110,3 +111,31 @@ def test_orbital_beyond_the_double_range_raises_overflow():
         orb.radial(np.array([0.0, 0.5]))
     with pytest.raises(Overflow):
         orb.mean_inv_r
+
+
+def test_radial_at_and_near_the_origin():
+    # only the n = 1 terms reach r = 0; r^(n-1) of the others vanishes
+    # there, and a subnormal r must not make it infinite or raise
+    orb = HFROrbital(((1, 1.5, 0.8), (2, 2.5, 0.3), (3, 0.9, -0.2),
+                      (1, 4.0, 0.1)))
+    at_zero = HFROrbital(((1, 1.5, 0.8), (1, 4.0, 0.1))).radial(0.0)
+    r = np.array([0.0, 5e-324, 1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = orb.radial(r)
+        assert orb.radial(0.0) == at_zero
+    assert values[0] == at_zero
+    assert np.all(np.isfinite(values))
+    assert values[1:] == pytest.approx([at_zero] * 2, rel=1e-15)
+
+
+def test_radial_matches_the_xlogy_form_on_the_compare_he_grid():
+    # r^(n-1) in log form as ln r times n - 1: bit for bit the
+    # scipy.special.xlogy form on compare-he's default 601-point grid
+    from scipy.special import xlogy
+
+    r = np.linspace(0.0, 6.0, 601)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = sum(_signed_exp(c, _log_norm(n, z) + xlogy(n - 1, r) - z * r)
+                   for n, z, c in HE_TERMS)
+    assert np.array_equal(HFROrbital(HE_TERMS).radial(r), want)

@@ -1,4 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import cuspbc
+
+SRC = Path(cuspbc.__file__).resolve().parents[1]
+SUBMODULES = ("basis", "cli", "cusp", "environment", "gridfn", "hfr",
+              "radial", "special")
 
 
 def test_every_exported_name_resolves():
@@ -8,3 +19,101 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from cuspbc import *", namespace)
     assert set(cuspbc.__all__) <= set(namespace)
+
+
+def _fresh(code, cwd):
+    """Run code in a new interpreter that imports cuspbc from this
+    checkout, and return the JSON it prints last."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    prelude = ("import json, sys\n"
+               "def scipy_modules():\n"
+               "    return sorted(m for m in sys.modules\n"
+               "                  if m.split('.')[0] == 'scipy')\n")
+    proc = subprocess.run([sys.executable, "-c",
+                           prelude + textwrap.dedent(code)],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy(tmp_path):
+    loaded = _fresh(f"""
+        import cuspbc
+        from cuspbc import {", ".join(SUBMODULES)}
+        print(json.dumps(scipy_modules()))
+        """, tmp_path)
+    assert loaded == []
+
+
+def test_cli_runs_without_a_solve_load_no_scipy(tmp_path):
+    # every subcommand but `solve` runs on numpy alone
+    (tmp_path / "env.json").write_text(json.dumps(
+        {"charges": [{"q": 2.0, "position": [0.0, 0.0, 3.0]}]}))
+    (tmp_path / "he.hfr").write_text(
+        "1 1.4553870053179185 0.7407925\n2 1.3552466748849417 0.0272015\n")
+    loaded = _fresh("""
+        import contextlib, io
+        from cuspbc.cli import main
+        runs = [["cusp", "e-e", "singlet"],
+                ["local", "e-nucleus", "Z=1", "--e", "-0.5"],
+                ["env", "env.json", "e-e", "singlet", "--probes", "0.1"],
+                ["basis", "gaussian", "e-nucleus", "Z=2", "--tail", "1.5"],
+                ["compare-he", "he.hfr", "--e", "-0.9179556",
+                 "--output", "he.csv"],
+                ["compare-he", "he.hfr", "--e", "-0.9179556",
+                 "--format", "json", "--output", "he.json"]]
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            codes = [main(argv) for argv in runs]
+        print(json.dumps([codes, scipy_modules()]))
+        """, tmp_path)
+    assert loaded == [[0] * 6, []]
+
+
+def test_first_solve_loads_lapack_and_brentq_only(tmp_path):
+    # scipy.optimize, brentq's package, itself imports scipy.sparse; a
+    # solve loads nothing that bind_scipy, which a timing caller runs
+    # first, has not
+    bound, loaded = _fresh("""
+        from cuspbc.radial import (RadialProblem, SystemAsymptotics,
+                                   bind_scipy, log_grid, robin_inner,
+                                   robin_outer, solve_matrix)
+        problem = RadialProblem(0, 1.0, -1.0, 0.0, log_grid(1e-5, 40.0, 400))
+        outer = robin_outer(SystemAsymptotics(1.0, 0.0, -0.5), 40.0)
+        bind_scipy()
+        bound = scipy_modules()
+        solve_matrix(problem, robin_inner(0, -1.0), outer, 1)
+        print(json.dumps([bound, scipy_modules()]))
+        """, tmp_path)
+    assert bound == loaded
+    assert {"scipy.linalg", "scipy.linalg.lapack", "scipy.optimize"} \
+        <= set(loaded)
+    assert not [m for m in loaded if m.startswith(("scipy.integrate",
+                                                   "scipy.interpolate"))]
+
+
+def test_radial_binds_its_scipy_names_on_first_use(tmp_path):
+    bound = _fresh("""
+        from cuspbc import radial
+        before = "solve_ivp" in vars(radial)
+        import scipy.integrate, scipy.sparse.linalg
+        print(json.dumps([before,
+                          radial.solve_ivp is scipy.integrate.solve_ivp,
+                          "solve_ivp" in vars(radial),
+                          radial.eigsh is scipy.sparse.linalg.eigsh]))
+        """, tmp_path)
+    assert bound == [False, True, True, True]
+
+
+def test_radial_has_no_other_lazy_names(tmp_path):
+    missing = _fresh("""
+        from cuspbc import radial
+        try:
+            radial.no_such_name
+        except AttributeError as exc:
+            print(json.dumps([str(exc), "scipy" in sys.modules]))
+        """, tmp_path)
+    assert missing == ["module 'cuspbc.radial' has no attribute "
+                       "'no_such_name'", False]
