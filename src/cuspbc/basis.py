@@ -273,14 +273,22 @@ def basis_from_text(text: str) -> CuspBasis:
         terms.append(term)
     if not meta:
         raise DomainError("missing '# cuspbc-basis ...' header line")
-    kind = meta["kind"]
-    ell = int(meta["ell"])
+
+    def field(key, cast):
+        if key not in meta:
+            raise DomainError(f"basis header: missing field {key!r}")
+        try:
+            return cast(meta[key])
+        except ValueError as exc:
+            raise DomainError(f"basis header: field {key!r}: {exc}") from exc
+
+    kind, ell = field("kind", str), field("ell", int)
     # split head from tail by the power floor
     floor = ell + TAIL_POWER_FLOOR
     cusp_terms, tail_terms = [], []
     for t in terms:
         p = ell + _shape(t, ell)[1]
         (cusp_terms if p < floor else tail_terms).append(t)
-    window = float(meta["window"]) if "window" in meta else None
-    return CuspBasis(kind, ell, float(meta["a"]), float(meta["b"]),
+    window = field("window", float) if "window" in meta else None
+    return CuspBasis(kind, ell, field("a", float), field("b", float),
                      tuple(cusp_terms), tuple(tail_terms), window=window)

@@ -23,8 +23,7 @@ from . import environment as env_mod
 from . import radial
 from .cusp import (CoalescencePair, LocalWavefunction, cusp_a, cusp_b,
                    cusp_limit_first, cusp_series, local_u, validity_radius)
-from .errors import (CuspbcError, InputError, NumericalError, Overflow,
-                     RegimeError)
+from .errors import CuspbcError, InputError, NumericalError, Overflow
 from .gridfn import csv_template, csv_texts
 from .hfr import HFROrbital
 
@@ -193,8 +192,7 @@ def _report_state(problem, a, energy, fn, m_prime, q_total):
     n_fit = max(12, int(np.searchsorted(g, min(0.05 / scale, g[-1] / 100.0))))
     cusp_est = cusp_limit_first(fn, problem.ell, n_points=n_fit)
     sysa = radial.SystemAsymptotics(m_prime, q_total, energy)
-    big_r = fn.as_full()
-    logder = radial.outer_log_derivative(big_r)
+    logder = radial.outer_log_derivative(fn)
     return {
         "energy": energy,
         "cusp_limit": cusp_est,
@@ -228,10 +226,14 @@ def cmd_solve(args) -> int:
         if bracket is None:
             raise InputError("shooting needs a 'bracket' entry in the spec")
         t0 = time.perf_counter()
+        # as the matrix route, the r_max guard binds the energy found
+        r_max = problem.grid[-1]
         guess = radial.SystemAsymptotics(m_prime, q_total, min(bracket))
-        outer = radial.robin_outer(guess, problem.grid[-1])
+        outer = radial.RobinBoundary(radial.OUTER, 1.0, -guess.kappa(r_max))
         energy, fn = radial.solve_shooting(problem, inner, outer, bracket,
                                            asymptotics=guess)
+        radial.robin_outer(radial.SystemAsymptotics(m_prime, q_total, energy),
+                           r_max)
         reports["shoot"] = {
             "seconds": time.perf_counter() - t0,
             "states": [_report_state(problem, a, energy, fn, m_prime,
@@ -291,11 +293,7 @@ def cmd_compare_he(args) -> int:
     z = args.z
     pair = CoalescencePair.electron_nucleus(z, args.a_mass)
     w0 = (pair.q1 + pair.q2) * inv_r
-    if args.e >= w0:
-        raise RegimeError(f"E = {args.e} is not below W0 = {w0}")
-    m_red = pair.reduced_mass
-    lw = LocalWavefunction(ell=0, m=0, u0=1.0, alpha=m_red * pair.q1 * pair.q2,
-                           beta=math.sqrt(2.0 * m_red * (w0 - args.e)))
+    lw = LocalWavefunction.from_pair(pair, 0, 0, w0, args.e)
     if args.r0_kind == "cusp":
         r0 = 1.0 / abs(cusp_a(pair, 0))
     else:

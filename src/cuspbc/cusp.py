@@ -243,16 +243,27 @@ def validity_radius(pair: CoalescencePair, w0: float) -> float:
 DEFAULT_FIT_POINTS = 14
 
 
+def _polyfit(x: np.ndarray, v: np.ndarray, deg: int) -> np.ndarray:
+    """Least-squares coefficients c_0 ... c_deg of the polynomial in x
+    through (x, v), fitted in x / max|x| so that the Vandermonde matrix
+    stays well conditioned."""
+    scale = np.max(np.abs(x))
+    if scale == 0.0:
+        raise FitError("degenerate fit window")
+    vand = np.vander(x / scale, deg + 1, increasing=True)
+    c_t, *_ = np.linalg.lstsq(vand, v, rcond=None)
+    return c_t / scale ** np.arange(deg + 1)
+
+
 def _fit_inner_coeffs(grid: np.ndarray, values: np.ndarray, ell: int,
                       n_points: int = DEFAULT_FIT_POINTS) -> np.ndarray:
     """Least-squares fit of a degree-(ell+4) polynomial to the innermost
     grid points, returned as coefficients in r (c_0 ... c_{ell+4}).
 
-    The fit variable is scaled to the window size; repeated numerical
-    l'Hospital by finite differences would be catastrophically
-    ill-conditioned, coefficient ratios of this fit are the stable
-    equivalent.  Degree ell+4 keeps the r^{ell+4} curvature term out of
-    the c_{ell+2} estimate the second-order limit relies on.
+    Repeated numerical l'Hospital by finite differences would be
+    catastrophically ill-conditioned, coefficient ratios of this fit are
+    the stable equivalent.  Degree ell+4 keeps the r^{ell+4} curvature term
+    out of the c_{ell+2} estimate the second-order limit relies on.
     """
     deg = ell + 4
     n = max(deg + 2, min(n_points, len(grid)))
@@ -260,46 +271,38 @@ def _fit_inner_coeffs(grid: np.ndarray, values: np.ndarray, ell: int,
         raise FitError(
             f"need at least {deg + 2} grid points for an ell = {ell} cusp fit"
         )
-    r = np.asarray(grid[:n], dtype=float)
-    v = np.asarray(values[:n])
-    scale = np.max(np.abs(r))
-    if scale == 0.0:
-        raise FitError("degenerate fit window")
-    t = r / scale
-    vand = np.vander(t, deg + 1, increasing=True)
-    c_t, *_ = np.linalg.lstsq(vand, v, rcond=None)
-    return c_t / scale ** np.arange(deg + 1)
+    return _polyfit(np.asarray(grid[:n], dtype=float),
+                    np.asarray(values[:n]), deg)
 
 
-def _checked_ratio(coeffs: np.ndarray, ell: int, shift: int) -> float:
+def _cusp_limit(f: RadialFunction, ell: int | None, n_points: int,
+                order: int) -> float:
+    """lim_{r->0} d_r^{ell+order} Psi / d_r^ell Psi = (ell+order)!/ell!
+    c_{ell+order}/c_ell, from the inner fit to the full radial function."""
+    if ell is None:
+        ell = f.ell
+    g = f.as_full()
+    coeffs = _fit_inner_coeffs(g.grid, g.values, ell, n_points)
     c_ell = coeffs[ell]
-    top = np.max(np.abs(coeffs))
-    if abs(c_ell) <= 1e-9 * top:
+    if abs(c_ell) <= 1e-9 * np.max(np.abs(coeffs)):
         raise FitError(
             f"leading coefficient c_{ell} vanishes; wrong ell supplied?"
         )
-    return float(np.real(coeffs[ell + shift] / c_ell))
+    return math.perm(ell + order, order) * float(
+        np.real(coeffs[ell + order] / c_ell))
 
 
 def cusp_limit_first(f: RadialFunction, ell: int | None = None,
                      n_points: int = DEFAULT_FIT_POINTS) -> float:
     """Estimate lim_{r->0} d_r^{ell+1} Psi / d_r^ell Psi = (ell+1) u'(0)/u(0)
     from inner samples of the full radial function."""
-    if ell is None:
-        ell = f.ell
-    g = f.as_full() if f.meaning == "u" else f
-    coeffs = _fit_inner_coeffs(g.grid, g.values, ell, n_points)
-    return (ell + 1) * _checked_ratio(coeffs, ell, 1)
+    return _cusp_limit(f, ell, n_points, 1)
 
 
 def cusp_limit_second(f: RadialFunction, ell: int | None = None,
                       n_points: int = DEFAULT_FIT_POINTS) -> float:
     """Estimate lim_{r->0} d_r^{ell+2} Psi / d_r^ell Psi = (ell+1)(ell+2) b."""
-    if ell is None:
-        ell = f.ell
-    g = f.as_full() if f.meaning == "u" else f
-    coeffs = _fit_inner_coeffs(g.grid, g.values, ell, n_points)
-    return (ell + 1) * (ell + 2) * _checked_ratio(coeffs, ell, 2)
+    return _cusp_limit(f, ell, n_points, 2)
 
 
 @dataclass(frozen=True)
@@ -334,10 +337,8 @@ def kato_average_check(f: AngularRadialFunction,
     directional = cusp_limit_first(
         RadialFunction(r, np.real(f.fn(r, theta0, phi0)), 0, "R"), 0)
 
-    cos_theta, phi, w = _sphere_nodes(n_theta, n_phi)
-    theta = np.repeat(np.arccos(cos_theta), n_phi)
-    vals = np.real(f.fn(r[:, None], theta[None, :],
-                        np.tile(phi, n_theta)[None, :]))
-    avg = np.broadcast_to(vals, (r.size, theta.size)) @ np.repeat(w, n_phi)
+    theta, phi, _, w = _sphere_nodes(n_theta, n_phi)
+    vals = np.real(f.fn(r[:, None], theta[None, :], phi[None, :]))
+    avg = np.broadcast_to(vals, (r.size, theta.size)) @ w
     averaged = cusp_limit_first(RadialFunction(r, avg, 0, "R"), 0)
     return directional, averaged

@@ -96,26 +96,33 @@ def w0(env: Environment, pair: CoalescencePair) -> float:
     return (pair.q1 + pair.q2) * math.fsum(c.q / c.radius for c in env.charges)
 
 
+def _pair_terms(env: Environment, pair: CoalescencePair, r: float,
+                n: np.ndarray) -> np.ndarray:
+    """q_i q1 / |x_i - f1 r n| + q_i q2 / |x_i + f2 r n|, the spectator
+    Coulomb energy of the pair at separation r along each unit vector n:
+    one row per row of n (shape (m, 3)), one column per charge."""
+    f1, f2 = _mass_fractions(pair)
+    pos = np.array([c.position for c in env.charges]).reshape(-1, 3)
+    qs = np.array([c.q for c in env.charges])
+    # axis 0: particle 1 at +f1 r n, particle 2 at -f2 r n
+    shift = np.array([f1, -f2]) * r
+    x, y, z = (pos[:, k] - np.multiply.outer(shift, n[:, k])[:, :, None]
+               for k in range(3))
+    d = np.sqrt(x * x + y * y + z * z)
+    if not d.all():
+        raise SingularityError("pair particle coincides with a spectator charge")
+    terms = np.multiply.outer([pair.q1, pair.q2], qs)[:, None, :] / d
+    return terms[0] + terms[1]
+
+
 def w_exact(env: Environment, pair: CoalescencePair,
             r: float, theta: float, phi: float) -> float:
     """Exact spectator potential energy for pair separation r along
     direction (theta, phi)."""
     if r < 0.0:
         raise DomainError("r must be non-negative")
-    f1, f2 = _mass_fractions(pair)
-    n = _direction(theta, phi)
-    p1 = f1 * r * n
-    p2 = -f2 * r * n
-    terms = []
-    for c in env.charges:
-        pos = np.asarray(c.position)
-        d1 = np.linalg.norm(pos - p1)
-        d2 = np.linalg.norm(pos - p2)
-        if d1 == 0.0 or d2 == 0.0:
-            raise SingularityError("pair particle coincides with a spectator charge")
-        terms.append(c.q * pair.q1 / d1)
-        terms.append(c.q * pair.q2 / d2)
-    return math.fsum(terms)
+    terms = _pair_terms(env, pair, r, _direction(theta, phi)[None])
+    return math.fsum(terms[0].tolist())
 
 
 def multipole_term(env: Environment, pair: CoalescencePair, lam: int,
@@ -162,20 +169,6 @@ def spherical_average_w(env: Environment, pair: CoalescencePair, r: float) -> fl
 
     The reduction uses compensated summation over a fixed ordering, so
     repeated calls are bit-identical."""
-    nodes, phis, weights = _sphere_nodes(64, 128)
-    st = np.sqrt(1.0 - nodes ** 2)
-    dirs = np.stack([
-        np.outer(st, np.cos(phis)).ravel(),
-        np.outer(st, np.sin(phis)).ravel(),
-        np.outer(nodes, np.ones(phis.size)).ravel(),
-    ], axis=1)
-    wgt = np.repeat(weights, phis.size)
-    f1, f2 = _mass_fractions(pair)
-    pos = np.array([c.position for c in env.charges]).reshape(-1, 3)
-    qs = np.array([c.q for c in env.charges])
-    d1 = np.linalg.norm(pos[None, :, :] - f1 * r * dirs[:, None, :], axis=2)
-    d2 = np.linalg.norm(pos[None, :, :] + f2 * r * dirs[:, None, :], axis=2)
-    if np.any(d1 == 0.0) or np.any(d2 == 0.0):
-        raise SingularityError("quadrature node hits a spectator charge")
-    vals = wgt[:, None] * (qs * pair.q1 / d1 + qs * pair.q2 / d2)
+    _, _, n, w = _sphere_nodes(64, 128)
+    vals = w[:, None] * _pair_terms(env, pair, r, n)
     return math.fsum(vals.ravel().tolist())

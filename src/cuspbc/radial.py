@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cusp import CuspSeries, CoalescencePair, cusp_series
+from .cusp import CuspSeries, CoalescencePair, _polyfit, cusp_series
 from .errors import (ConvergenceError, DomainError, NoSignChange,
                      RegimeError, SingularityError, StiffnessError)
 from .gridfn import RadialFunction
@@ -472,15 +472,14 @@ def solve_matrix_selfconsistent(problem: RadialProblem, inner: RobinBoundary,
 
 
 def outer_log_derivative(fn: RadialFunction, n_points: int = 8) -> float:
-    """R'/R at r_max from a spline through ln|R| on the outermost points."""
-    big_r = fn.as_full() if fn.meaning == "u" else fn
+    """R'/R at r_max: the slope there of the degree-(n_points - 1)
+    polynomial through ln|R| on the n_points outermost nodes, in r - r_max."""
+    big_r = fn.as_full()
     g = big_r.grid[-n_points:]
     v = big_r.values[-n_points:]
     if np.any(v == 0.0):
         raise SingularityError("zero radial value in the outer window")
-    from scipy.interpolate import CubicSpline
-
-    return float(CubicSpline(g, np.log(np.abs(v)))(g[-1], 1))
+    return float(_polyfit(g - g[-1], np.log(np.abs(v)), n_points - 1)[1])
 
 
 def hydrogen_reference(n: int, ell: int, z: float) -> tuple[float, CuspSeries]:

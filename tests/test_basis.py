@@ -166,6 +166,17 @@ def test_interchange_parse_errors():
         basis_from_text(bad)
 
 
+@pytest.mark.parametrize("header, field", [
+    ("kind=slater", "'ell'"),
+    ("kind=slater ell=x a=0.0 b=0.0", "'ell'"),
+    ("kind=slater ell=0 a=0.0", "'b'"),
+    ("kind=slater ell=0 a=zz b=0.0", "'a'"),
+])
+def test_interchange_malformed_header_names_the_field(header, field):
+    with pytest.raises(DomainError, match=f"basis header: .*field {field}"):
+        basis_from_text(f"# cuspbc-basis {header}\nS 1.0 0 1.0\n")
+
+
 CARTESIAN_TEXT = """# cuspbc-basis kind=gaussian ell=1 a=-0.5 b=0.25
 S 1.0 0 0.5
 GH 0.5 1 0.8

@@ -209,6 +209,24 @@ def test_cmd_solve_matrix_states_meet_the_outer_condition(tmp_path, capsys,
         assert abs(st["outer_logder"] - st["outer_target"]) <= 1e-5
 
 
+@pytest.mark.parametrize("method", ["matrix", "shoot"])
+def test_cmd_solve_guards_r_max_at_the_energy_found(tmp_path, capsys, method):
+    # E = -0.5 needs r_max >= 20/decay = 20; the bracket's lower end
+    # (decay 1.1) would pass 19
+    for r_max, code in ((19.0, 2), (20.02, 0)):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({
+            "ell": 0, "pair_product": -1.0,
+            "grid": {"n": 2000, "r_max": r_max}, "bracket": [-0.6, -0.4]}))
+        assert main(["solve", str(path), "--method", method]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and "too small; need >= 20" in err
+        else:
+            (state,) = json.loads(out)[method]["states"]
+            assert state["energy"] == pytest.approx(-0.5, abs=1e-6)
+
+
 @pytest.mark.parametrize("spec, table", [
     ([{"ell": 0, "pair_product": -1.0}], None),
     ({"ell": 0, "pair_product": -1.0, "grid": [1e-5, 40.0]}, None),

@@ -129,6 +129,51 @@ def test_sphere_nodes_cached_bit_identical(monkeypatch):
             kato_average_check(f)) == cached
 
 
+def test_sphere_nodes_layout():
+    n_theta, n_phi = 5, 7
+    theta, phi, n, w = _sphere_nodes(n_theta, n_phi)
+    assert theta.shape == phi.shape == w.shape == (n_theta * n_phi,)
+    assert n.shape == (n_theta * n_phi, 3)
+    assert abs(math.fsum(w.tolist()) - 1.0) <= 1e-15
+    assert np.all(np.abs(np.linalg.norm(n, axis=1) - 1.0) <= 1e-15)
+    # theta-major: theta holds for n_phi nodes while phi runs its grid
+    cos_theta, _ = np.polynomial.legendre.leggauss(n_theta)
+    assert np.array_equal(theta.reshape(n_theta, n_phi)[:, 0],
+                          np.arccos(cos_theta))
+    assert np.all(theta.reshape(n_theta, n_phi) == theta[::n_phi, None])
+    assert np.array_equal(phi.reshape(n_theta, n_phi),
+                          np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi,
+                                  (n_theta, 1)))
+    assert np.array_equal(n[:, 2], np.repeat(cos_theta, n_phi))
+    assert np.allclose(n[:, :2], np.sin(theta)[:, None] * np.stack(
+        [np.cos(phi), np.sin(phi)], axis=1), rtol=0.0, atol=1e-15)
+    for a in (theta, phi, n, w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_w_exact_matches_a_per_charge_sum():
+    # reference: one Coulomb term per particle and charge, summed exactly
+    rng = np.random.default_rng(8)
+    pairs = (CoalescencePair.electron_nucleus(2.0),
+             CoalescencePair.electron_nucleus(3.0, 7.0), EE_PAIR)
+    for _ in range(20):
+        env = _random_env(rng, 1, 6)
+        r = float(rng.uniform(0.0, 2.0))
+        th, ph = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
+        n = [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph),
+             math.cos(th)]
+        for pair in pairs:
+            f1, f2 = environment._mass_fractions(pair)
+            ref = math.fsum(
+                c.q * q / math.dist(c.position, [f * r * x for x in n])
+                for c in env.charges for q, f in ((pair.q1, f1),
+                                                  (pair.q2, -f2)))
+            assert w_exact(env, pair, r, th, ph) == pytest.approx(
+                ref, rel=1e-14, abs=0.0)
+
+
 def test_json_round_trip():
     env = Environment((PointCharge(1.0, (0.1, -0.2, 2.0)),
                        PointCharge(-0.5, (1.0, 1.0, -1.0))))

@@ -94,6 +94,27 @@ def test_first_solve_loads_lapack_and_brentq_only(tmp_path):
                                                    "scipy.interpolate"))]
 
 
+def test_cli_solve_and_its_report_load_what_bind_scipy_loads(tmp_path):
+    # the report's cusp and outer-slope fits run on numpy alone
+    (tmp_path / "h.json").write_text(json.dumps(
+        {"ell": 0, "pair_product": -1.0, "grid": {"n": 600},
+         "bracket": [-0.6, -0.4]}))
+    bound, loaded = _fresh("""
+        import contextlib, io
+        from cuspbc import radial
+        from cuspbc.cli import main
+        radial.bind_scipy()
+        bound = scipy_modules()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["solve", "h.json", "--method", "both", "-k", "3",
+                         "--output", "fn"]) == 0
+        print(json.dumps([bound, scipy_modules()]))
+        """, tmp_path)
+    assert loaded == bound
+    assert not [m for m in loaded if m.startswith(("scipy.integrate",
+                                                   "scipy.interpolate"))]
+
+
 def test_radial_binds_its_scipy_names_on_first_use(tmp_path):
     bound = _fresh("""
         from cuspbc import radial
