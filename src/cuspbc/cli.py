@@ -23,8 +23,9 @@ from . import environment as env_mod
 from . import radial
 from .cusp import (CoalescencePair, LocalWavefunction, cusp_a, cusp_b,
                    cusp_limit_first, cusp_series, local_u, validity_radius)
-from .errors import CuspbcError, InputError, NumericalError, Overflow
-from .gridfn import csv_template, csv_texts
+from .errors import (CuspbcError, DomainError, InputError, NumericalError,
+                     Overflow)
+from .gridfn import csv_texts
 from .hfr import HFROrbital
 
 
@@ -101,8 +102,8 @@ def _emit(args, columns, data, meta):
         lines = [f"# {k}={v!r}" for k, v in meta.items()]
         lines.append(",".join(columns))
         row = ",".join(["%r"] * len(columns)) + "\n"
-        text = "\n".join(lines) + "\n" + csv_template(
-            [""] * len(table), row) % tuple(table.ravel().tolist())
+        text = ("\n".join(lines) + "\n" + row * len(table)
+                % tuple(table.ravel().tolist()))
     if args.output:
         _write_text(args.output, text)
     else:
@@ -271,6 +272,8 @@ def cmd_env(args) -> int:
         raise InputError(f"environment file {args.environment}: {exc}") from exc
     pair = parse_pair(args.pair)
     probes = _float_list(args.probes, "--probes")
+    if args.lam_max < 0:
+        raise DomainError("--lam-max must be non-negative")
     w0 = env_mod.w0(env, pair)
     print(f"w0 = {w0!r}")
     coeffs = [env_mod.multipole_term(env, pair, lam, 1.0, args.theta, args.phi)

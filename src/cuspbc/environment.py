@@ -18,7 +18,7 @@ import numpy as np
 
 from .cusp import CoalescencePair
 from .errors import DomainError, InputError, SingularityError
-from .special import _sphere_nodes, legendre_p
+from .special import _legendre_upto, _sphere_nodes
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,15 @@ def _mass_fractions(pair: CoalescencePair) -> tuple[float, float]:
 
 
 def _direction(theta: float, phi: float) -> np.ndarray:
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise DomainError("angles must be finite")
     st = math.sin(theta)
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
+def _check_r(r: float) -> None:
+    if not (r >= 0.0 and math.isfinite(r)):
+        raise DomainError("r must be finite and non-negative")
 
 
 def w0(env: Environment, pair: CoalescencePair) -> float:
@@ -119,10 +126,29 @@ def w_exact(env: Environment, pair: CoalescencePair,
             r: float, theta: float, phi: float) -> float:
     """Exact spectator potential energy for pair separation r along
     direction (theta, phi)."""
-    if r < 0.0:
-        raise DomainError("r must be non-negative")
+    _check_r(r)
     terms = _pair_terms(env, pair, r, _direction(theta, phi)[None])
     return math.fsum(terms[0].tolist())
+
+
+def _multipole_terms(env: Environment, pair: CoalescencePair, lams,
+                     r: float, theta: float, phi: float) -> list[float]:
+    """Terms of the orders lams (ascending) of the interior multipole
+    expansion of w_exact: coeff * r^lam * fsum_i q_i P_lam(cos gamma_i) /
+    r_i^(lam+1), with one Legendre pass per spectator up to the last order.
+    A coefficient that cancels exactly gives +0.0."""
+    _check_r(r)
+    f1, f2 = _mass_fractions(pair)
+    n = _direction(theta, phi)
+    spectators = [(c.q, c.radius, _legendre_upto(
+        lams[-1], float(np.dot(n, c.position)) / c.radius))
+        for c in env.charges]
+    out = []
+    for lam in lams:
+        coeff = pair.q1 * f1 ** lam + (-1.0) ** lam * pair.q2 * f2 ** lam
+        out.append(0.0 if coeff == 0.0 else coeff * r ** lam * math.fsum(
+            q * p[lam] / radius ** (lam + 1) for q, radius, p in spectators))
+    return out
 
 
 def multipole_term(env: Environment, pair: CoalescencePair, lam: int,
@@ -132,33 +158,26 @@ def multipole_term(env: Environment, pair: CoalescencePair, lam: int,
     The angular factor is P_lam(cos gamma_i) with gamma_i the angle between
     the separation axis and the i-th spectator position.  For identical
     particles the odd-lambda coefficient cancels exactly (x + (-x) = 0 in
-    floating point), not merely to rounding.
+    floating point), not merely to rounding, and the term is +0.0.
     """
     if lam < 0:
         raise DomainError("lambda must be non-negative")
-    f1, f2 = _mass_fractions(pair)
-    coeff = pair.q1 * f1 ** lam + (-1.0) ** lam * pair.q2 * f2 ** lam
-    if coeff == 0.0:
-        return 0.0
-    n = _direction(theta, phi)
-    s = math.fsum(
-        c.q * legendre_p(lam, float(np.dot(n, c.position)) / c.radius)
-        / c.radius ** (lam + 1)
-        for c in env.charges
-    )
-    return coeff * r ** lam * s
+    return _multipole_terms(env, pair, [lam], r, theta, phi)[0]
 
 
 def w_multipole(env: Environment, pair: CoalescencePair,
                 r: float, theta: float, phi: float, lam_max: int) -> float:
-    """Interior multipole expansion of w_exact, valid for r below the
-    nearest spectator radius (geometric convergence in r/min_radius)."""
+    """Interior multipole expansion of w_exact through order lam_max, valid
+    for r below the nearest spectator radius (geometric convergence in
+    r/min_radius)."""
+    if lam_max < 0:
+        raise DomainError("lam_max must be non-negative")
     if r >= env.min_radius:
         raise DomainError(
             f"multipole expansion requires r < {env.min_radius} (nearest charge)"
         )
-    return math.fsum(multipole_term(env, pair, lam, r, theta, phi)
-                     for lam in range(lam_max + 1))
+    return math.fsum(_multipole_terms(env, pair, range(lam_max + 1),
+                                      r, theta, phi))
 
 
 def spherical_average_w(env: Environment, pair: CoalescencePair, r: float) -> float:
@@ -169,6 +188,7 @@ def spherical_average_w(env: Environment, pair: CoalescencePair, r: float) -> fl
 
     The reduction uses compensated summation over a fixed ordering, so
     repeated calls are bit-identical."""
+    _check_r(r)
     _, _, n, w = _sphere_nodes(64, 128)
     vals = w[:, None] * _pair_terms(env, pair, r, n)
     return math.fsum(vals.ravel().tolist())

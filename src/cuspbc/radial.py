@@ -144,7 +144,12 @@ def asymptotic_tail(sys: SystemAsymptotics, v0: float, r) -> float:
 
 
 def log_grid(r_min: float = 1e-5, r_max: float = 40.0, n: int = 2000) -> np.ndarray:
-    return np.exp(np.linspace(math.log(r_min), math.log(r_max), n))
+    """n radii uniform in ln r whose end nodes are exactly r_min and r_max."""
+    if n < 2:
+        raise DomainError("log grid needs at least 2 points")
+    grid = np.exp(np.linspace(math.log(r_min), math.log(r_max), n))
+    grid[0], grid[-1] = r_min, r_max
+    return grid
 
 
 @dataclass(frozen=True)
@@ -471,15 +476,18 @@ def solve_matrix_selfconsistent(problem: RadialProblem, inner: RobinBoundary,
     return pairs
 
 
-def outer_log_derivative(fn: RadialFunction, n_points: int = 8) -> float:
-    """R'/R at r_max: the slope there of the degree-(n_points - 1)
-    polynomial through ln|R| on the n_points outermost nodes, in r - r_max."""
+_OUTER_POINTS = 8
+
+
+def outer_log_derivative(fn: RadialFunction) -> float:
+    """R'/R at r_max: the slope there of the degree-7 polynomial through
+    ln|R| on the _OUTER_POINTS = 8 outermost nodes, in r - r_max."""
     big_r = fn.as_full()
-    g = big_r.grid[-n_points:]
-    v = big_r.values[-n_points:]
+    g = big_r.grid[-_OUTER_POINTS:]
+    v = big_r.values[-_OUTER_POINTS:]
     if np.any(v == 0.0):
         raise SingularityError("zero radial value in the outer window")
-    return float(_polyfit(g - g[-1], np.log(np.abs(v)), n_points - 1)[1])
+    return float(_polyfit(g - g[-1], np.log(np.abs(v)), _OUTER_POINTS - 1)[1])
 
 
 def hydrogen_reference(n: int, ell: int, z: float) -> tuple[float, CuspSeries]:

@@ -35,82 +35,67 @@ def _is_nonpositive_integer(b: float) -> bool:
 
 
 def kummer_series(a: float, b: float, x: float) -> float:
-    """Raw series sum of 1F1(a; b; x), no transformation.
-
-    Stops once the term stays below REL_TOL * |partial sum| for two
-    consecutive terms (hysteresis against an accidentally small term),
-    counting only terms that the next one undercuts (or that are 0, as
-    all after them are): a leading term made tiny by a small a does not
-    end a sum whose later terms grow.
-    """
+    """Raw series sum of 1F1(a; b; x), no transformation (see _sum)."""
     if _is_nonpositive_integer(b):
         raise PoleError(f"1F1 pole: b = {b} is zero or a negative integer")
-    total = 1.0
-    term = 1.0
-    small = 0
-    ratio = a / b * x
-    for k in range(1, MAX_TERMS + 1):
-        term *= ratio
-        total += term
-        ratio = (a + k) / (b + k) * x / (k + 1)
-        shrinking = abs(ratio) < 1.0 or term == 0.0
-        if abs(term) <= REL_TOL * abs(total) and shrinking:
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-    raise NoConvergence(
-        f"1F1({a}, {b}, {x}) did not converge within {MAX_TERMS} terms"
-    )
+    return float(_series(a, b, np.array([float(x)]))[0])
 
 
-def _masked_sum(x: np.ndarray, ratio, what: str) -> np.ndarray:
+def _sum(x: np.ndarray, ratio, what: str) -> np.ndarray:
     """Sum the series 1 + t_1 + t_2 + ... elementwise, t_k = t_{k-1} ratio(k, x).
 
-    Each element stops under kummer_series' rule and leaves the working
-    set; terms that overflow never pass the rule, so they end in
-    NoConvergence.
+    An element stops once its term stays below REL_TOL * |partial sum| for
+    two consecutive terms (hysteresis against an accidentally small term),
+    counting only terms that the next one undercuts (or that are 0, as all
+    after them are): a leading term made tiny by a small a does not end a
+    sum whose later terms grow.  Stopped elements leave the working set;
+    terms that overflow never pass the rule, so they end in NoConvergence.
+    One point runs the same loop on Python floats, which numpy's per-call
+    overhead on a one-element array would make some 15x slower.
     """
-    out = np.empty_like(x)
-    idx = np.arange(x.size)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    prev_small = np.zeros(x.size, dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = ratio(1, x)
+    if x.size == 1:
+        xv, term, total, prev_small = float(x[0]), 1.0, 1.0, False
+        r = ratio(1, xv)
         for k in range(1, MAX_TERMS + 1):
-            if idx.size == 0:
-                return out
             term *= r
             total += term
-            r = ratio(k + 1, x)
-            small = ((np.abs(term) <= REL_TOL * np.abs(total))
-                     & ((np.abs(r) < 1.0) | (term == 0.0)))
-            done = small & prev_small
-            if done.any():
-                out[idx[done]] = total[done]
-                keep = ~done
-                idx, x, term, total = idx[keep], x[keep], term[keep], total[keep]
-                r, small = r[keep], small[keep]
+            r = ratio(k + 1, xv)
+            small = (abs(term) <= REL_TOL * abs(total)
+                     and (abs(r) < 1.0 or term == 0.0))
+            if small and prev_small:
+                return np.array([total])
             prev_small = small
-    if idx.size == 0:
-        return out
+    else:
+        out, idx = np.empty_like(x), np.arange(x.size)
+        term, total = np.ones_like(x), np.ones_like(x)
+        prev_small = np.zeros(x.size, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = ratio(1, x)
+            for k in range(1, MAX_TERMS + 1):
+                term *= r
+                total += term
+                r = ratio(k + 1, x)
+                small = ((np.abs(term) <= REL_TOL * np.abs(total))
+                         & ((np.abs(r) < 1.0) | (term == 0.0)))
+                done = small & prev_small
+                if done.any():
+                    out[idx[done]] = total[done]
+                    keep = ~done
+                    idx, x, term, total = (idx[keep], x[keep], term[keep],
+                                           total[keep])
+                    r, small = r[keep], small[keep]
+                if idx.size == 0:
+                    return out
+                prev_small = small
     raise NoConvergence(
         f"{what} did not converge within {MAX_TERMS} terms "
-        f"(x = {x[0]!r})"
-    )
+        f"(x = {float(x[0])!r})")
 
 
 def _series(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """kummer_series over an array, element for element the same sums.
-
-    One point takes the scalar loop itself: numpy's per-call overhead on a
-    one-element array makes the masked sum some 15x slower there."""
-    if x.size == 1:
-        return np.array([kummer_series(a, b, float(x[0]))])
-    return _masked_sum(x, lambda k, xs: (a + (k - 1)) / (b + (k - 1)) * xs / k,
-                       f"1F1({a}, {b}, x)")
+    """The 1F1(a; b; x) power series over a flat array x."""
+    return _sum(x, lambda k, xs: (a + (k - 1)) / (b + (k - 1)) * xs / k,
+                f"1F1({a}, {b}, x)")
 
 
 _LARGE_X_TERMS = 40
@@ -170,8 +155,8 @@ def _large_x(a: float, b: float, xs: np.ndarray):
     to REL_TOL; a must not be 0, -1, ... (the series is exact there).
     """
     # (1 - a)_s (b - a)_s, each factor rounded once (exact near its zeros)
-    big_s = _masked_sum(xs, lambda k, xa: (k - a) * ((b - a) + (k - 1)) / k / xa,
-                        f"large-x 1F1({a}, {b}, x)")
+    big_s = _sum(xs, lambda k, xa: (k - a) * ((b - a) + (k - 1)) / k / xa,
+                 f"large-x 1F1({a}, {b}, x)")
     with np.errstate(divide="ignore"):
         rest = (math.lgamma(b) - math.lgamma(a) + (a - b) * np.log(xs)
                 + np.log(np.abs(big_s)))
@@ -249,20 +234,24 @@ def _sphere_nodes(n_theta: int, n_phi: int):
     return out
 
 
-def legendre_p(lam: int, x: float) -> float:
-    """Legendre polynomial P_lam(x) by the Bonnet three-term recurrence."""
-    if lam < 0:
+def _legendre_upto(lam_max: int, x: float) -> list[float]:
+    """P_0(x), ..., P_lam_max(x) from one pass of the Bonnet three-term
+    recurrence; x must lie in [-1, 1] up to 1e-12 (NaN does not)."""
+    if lam_max < 0:
         raise DomainError("Legendre degree must be non-negative")
     # cos(gamma) assembled from angles can exceed 1 by a few ulp
-    if abs(x) > 1.0 + 1e-12:
-        raise DomainError(f"legendre_p argument {x} outside [-1, 1]")
+    if not abs(x) <= 1.0 + 1e-12:
+        raise DomainError(f"Legendre argument {x} outside [-1, 1]")
     x = min(1.0, max(-1.0, x))
-    if lam == 0:
-        return 1.0
-    p_prev, p = 1.0, x
-    for k in range(1, lam):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p
+    p = [1.0, x]
+    for k in range(1, lam_max):
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    return p[:lam_max + 1]
+
+
+def legendre_p(lam: int, x: float) -> float:
+    """Legendre polynomial P_lam(x) by the Bonnet three-term recurrence."""
+    return _legendre_upto(lam, x)[lam]
 
 
 def _assoc_legendre_norm(l: int, m: int, x: float) -> float:

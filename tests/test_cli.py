@@ -312,6 +312,27 @@ def test_cmd_env_computes_each_multipole_term_once(tmp_path, capsys,
         "average_residual[1.0] = 2.220446049250313e-16\n")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--theta", "nan"], ["--phi", "inf"], ["--probes=-1,nan"],
+    ["--probes=0.5,-1"], ["--lam-max", "-1"]])
+def test_cmd_env_rejects_invalid_inputs(tmp_path, capsys, flags):
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(
+        {"charges": [{"q": 2.0, "position": [0.0, 0.0, 3.0]}]}))
+    assert main(["env", str(path), "e-nucleus", "Z=2"] + flags) == 2
+    out, err = capsys.readouterr()
+    assert "nan" not in out and "odd_terms_exactly_zero" not in out
+    assert err.startswith("cuspbc: input error:")
+
+
+def test_cmd_solve_grid_of_no_points_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"ell": 0, "pair_product": -1.0,
+                                "grid": {"n": 0}}))
+    assert main(["solve", str(path), "--method", "matrix"]) == 2
+    assert capsys.readouterr().err.startswith("cuspbc: input error:")
+
+
 def test_cmd_compare_he_bands_and_determinism(tmp_path):
     orbital = _write_he_orbital(tmp_path)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -174,6 +174,84 @@ def test_w_exact_matches_a_per_charge_sum():
                 ref, rel=1e-14, abs=0.0)
 
 
+PAIRS = (CoalescencePair.electron_nucleus(2.0),
+         CoalescencePair.electron_nucleus(3.0, 7.0),
+         EE_PAIR, CoalescencePair.electron_electron("triplet"))
+
+
+def _reference_terms(env, pair, lam_max, r, th, ph):
+    """Each order on its own: a scalar Bonnet loop per charge and order, and
+    a per-charge fsum, as the expansion is written."""
+    f1, f2 = environment._mass_fractions(pair)
+    st = math.sin(th)
+    n = np.array([st * math.cos(ph), st * math.sin(ph), math.cos(th)])
+    out = []
+    for lam in range(lam_max + 1):
+        coeff = pair.q1 * f1 ** lam + (-1.0) ** lam * pair.q2 * f2 ** lam
+        if coeff == 0.0:
+            out.append(0.0)
+            continue
+        parts = []
+        for c in env.charges:
+            x = min(1.0, max(-1.0, float(np.dot(n, c.position)) / c.radius))
+            p_prev, p = 1.0, x
+            for k in range(1, lam):
+                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            parts.append(c.q * (1.0 if lam == 0 else p) / c.radius ** (lam + 1))
+        out.append(coeff * r ** lam * math.fsum(parts))
+    return out
+
+
+def test_multipole_matches_a_per_order_reference_bitwise():
+    rng = np.random.default_rng(9)
+    for _ in range(12):
+        env = _random_env(rng, 1, 5)
+        r = float(rng.uniform(0.0, 0.9)) * env.min_radius
+        th, ph = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)
+        for pair in PAIRS:
+            ref = _reference_terms(env, pair, 30, r, th, ph)
+            got = [multipole_term(env, pair, lam, r, th, ph)
+                   for lam in range(31)]
+            assert [v.hex() for v in got] == [v.hex() for v in ref]
+            assert (w_multipole(env, pair, r, th, ph, 30).hex()
+                    == math.fsum(ref).hex())
+            if pair.identical:  # cancelled odd orders are +0.0, not -0.0
+                assert all(v == 0.0 and math.copysign(1.0, v) == 1.0
+                           for v in got[1::2])
+
+
+def test_w_multipole_runs_one_legendre_pass_per_spectator(monkeypatch):
+    env = _random_env(np.random.default_rng(10), 4, 4)
+    calls = []
+    upto = environment._legendre_upto
+    monkeypatch.setattr(environment, "_legendre_upto",
+                        lambda lam, x: calls.append(lam) or upto(lam, x))
+    w_multipole(env, HYDROGEN_PAIR, 0.2, 0.4, 1.3, lam_max=30)
+    assert calls == [30] * 4
+
+
+@pytest.mark.parametrize("r, theta, phi", [
+    (0.2, math.nan, 0.3), (0.2, 0.3, math.nan), (0.2, math.inf, 0.3),
+    (math.nan, 0.3, 0.3), (math.inf, 0.3, 0.3), (-0.1, 0.3, 0.3)])
+def test_non_finite_or_negative_inputs_raise(r, theta, phi):
+    env = Environment((PointCharge(1.0, (0.0, 0.0, 1.0)),
+                       PointCharge(-2.0, (1.0, 2.0, 0.5))))
+    for fn in (lambda: w_exact(env, EE_PAIR, r, theta, phi),
+               lambda: w_multipole(env, EE_PAIR, r, theta, phi, 6),
+               lambda: multipole_term(env, EE_PAIR, 2, r, theta, phi)):
+        with pytest.raises(DomainError):
+            fn()
+    if math.isfinite(theta) and math.isfinite(phi):
+        with pytest.raises(DomainError):
+            spherical_average_w(env, EE_PAIR, r)
+
+
+def test_negative_lam_max_rejected():
+    env = Environment((PointCharge(1.0, (0.0, 0.0, 1.0)),))
+    with pytest.raises(DomainError):
+        w_multipole(env, EE_PAIR, 0.2, 0.3, 0.3, lam_max=-1)
+
+
 def test_json_round_trip():
     env = Environment((PointCharge(1.0, (0.1, -0.2, 2.0)),
                        PointCharge(-0.5, (1.0, 1.0, -1.0))))

@@ -56,6 +56,23 @@ def test_robin_outer_examples():
         SystemAsymptotics(1.0, 0.0, 0.1)
 
 
+@pytest.mark.parametrize("r_max", [20.0, 25.0, 45.0])
+def test_log_grid_ends_on_its_bounds(r_max):
+    grid = log_grid(1e-5, r_max, 2000)
+    assert grid[0] == 1e-5 and grid[-1] == r_max
+    assert np.all(np.diff(grid) > 0.0)
+    if r_max == 20.0:  # the r_max >= 20/decay guard accepts the last node
+        bc = robin_outer(SystemAsymptotics(1.0, 0.0, -0.5), grid[-1])
+        assert bc.log_derivative == pytest.approx(-1.0, abs=1e-15)
+
+
+def test_log_grid_needs_two_points():
+    assert log_grid(1e-5, 20.0, 2).tolist() == [1e-5, 20.0]
+    for n in (0, 1):
+        with pytest.raises(DomainError):
+            log_grid(1e-5, 20.0, n)
+
+
 def test_boundary_validation():
     with pytest.raises(DomainError):
         RobinBoundary("inner", 0.0, 0.0)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cuspbc.errors import DomainError, NoConvergence, PoleError
-from cuspbc.special import (REL_TOL, kummer_1f1, kummer_series, legendre_p,
+from cuspbc.special import (REL_TOL, _legendre_upto, kummer_1f1,
+                            kummer_crossover, kummer_series, legendre_p,
                             pochhammer, spherical_harmonic)
 
 
@@ -32,6 +33,13 @@ def test_kummer_pole_and_convergence_errors():
     # the terms of e^2000 grow up to k = 2000, past the 500-term cap
     with pytest.raises(NoConvergence):
         kummer_series(1.0, 1.0, 2000.0)
+
+
+def test_no_convergence_names_the_point_as_a_float():
+    with pytest.raises(NoConvergence, match=r"\(x = 2000\.0\)$"):
+        kummer_series(1.0, 1.0, 2000.0)
+    with pytest.raises(NoConvergence, match=r"\(x = 502\.0\)$"):
+        kummer_1f1(5.6e-256, 1.0, np.array([1.0, 502.0]))
 
 
 def test_kummer_array_input():
@@ -101,6 +109,46 @@ def test_legendre_values():
     assert legendre_p(2, 0.5) == pytest.approx(0.5 * (3 * 0.25 - 1), abs=1e-15)
     with pytest.raises(DomainError):
         legendre_p(2, 1.5)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.5])
+def test_legendre_rejects_arguments_outside_the_interval(x):
+    # a clamp alone maps NaN to -1 and returns a finite P_lam(-1)
+    with pytest.raises(DomainError):
+        legendre_p(3, x)
+    with pytest.raises(DomainError):
+        _legendre_upto(3, x)
+
+
+def test_legendre_upto_against_mpmath():
+    mpmath.mp.dps = 30
+    for x in np.linspace(-1.0, 1.0, 41).tolist() + [0.123456789, -0.987]:
+        ps = _legendre_upto(40, x)
+        assert len(ps) == 41
+        for lam, p in enumerate(ps):
+            assert abs(p - float(mpmath.legendre(lam, x))) <= 1e-12
+            assert p == legendre_p(lam, x)
+    assert _legendre_upto(0, 0.3) == [1.0]
+    assert _legendre_upto(1, 0.3) == [1.0, 0.3]
+    with pytest.raises(DomainError):
+        _legendre_upto(-1, 0.3)
+
+
+@pytest.mark.parametrize("a, b", [(1.3, 2.5), (-2.7, 1.5), (0.4, 4.0),
+                                  (6.2, 0.5)])
+def test_scalar_and_array_sums_agree_bitwise(a, b):
+    # one point takes the scalar branch of the summation loop, a point
+    # inside an array the masked branch: same bits on both sides of the
+    # crossover (series and large-x expansion) and for both signs of x
+    cross = max(kummer_crossover(a, b), kummer_crossover(b - a, b))
+    for x in (0.37, 0.8 * cross, 1.2 * cross, 2.5 * cross):
+        for v in (x, -x):
+            scalar = kummer_1f1(a, b, v)
+            one = kummer_1f1(a, b, np.array([v]))
+            inside = kummer_1f1(a, b, np.array([0.5, v, -3.0 * v]))
+            assert scalar.hex() == one[0].hex() == inside[1].hex()
+        raw = kummer_series(a, b, 0.37)
+        assert raw.hex() == kummer_1f1(a, b, np.array([1.0, 0.37]))[1].hex()
 
 
 def test_spherical_harmonic_basics():
