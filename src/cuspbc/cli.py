@@ -111,6 +111,8 @@ def _emit(args, columns, data, meta):
 
 
 def cmd_cusp(args) -> int:
+    if args.order < 0:
+        raise InputError(f"--order must be non-negative, got {args.order}")
     pair = parse_pair(args.pair)
     a = cusp_a(pair, args.ell)
     b = cusp_b(pair, args.ell, args.w0, args.e)
@@ -274,18 +276,20 @@ def cmd_env(args) -> int:
     probes = _float_list(args.probes, "--probes")
     if args.lam_max < 0:
         raise DomainError("--lam-max must be non-negative")
+    # all computed before the first print: an input error leaves no output
     w0 = env_mod.w0(env, pair)
-    print(f"w0 = {w0!r}")
     coeffs = [env_mod.multipole_term(env, pair, lam, 1.0, args.theta, args.phi)
               for lam in range(args.lam_max + 1)]
+    resids = [abs(env_mod.spherical_average_w(env, pair, r) - w0)
+              for r in probes]
+    print(f"w0 = {w0!r}")
     for lam, coeff in enumerate(coeffs):
         print(f"multipole_coeff[{lam}] = {coeff!r}")
     if pair.identical:
         for lam in range(1, len(coeffs), 2):
             print(f"odd_audit[{lam}] = {coeffs[lam]!r}")
         print(f"odd_terms_exactly_zero = {all(c == 0.0 for c in coeffs[1::2])}")
-    for r in probes:
-        resid = abs(env_mod.spherical_average_w(env, pair, r) - w0)
+    for r, resid in zip(probes, resids):
         print(f"average_residual[{r!r}] = {resid!r}")
     return 0
 

@@ -324,10 +324,11 @@ class AngularRadialFunction:
 
 
 def kato_average_check(f: AngularRadialFunction,
-                       direction: tuple[float, float] = (1.0, 0.5),
-                       n_theta: int = 32, n_phi: int = 64) -> tuple[float, float]:
+                       direction: tuple[float, float] = (1.0, 0.5)
+                       ) -> tuple[float, float]:
     """Radial log-derivative limit along a fixed direction, and the same
-    limit for the spherical average of f (Gauss-Legendre x trapezoid).
+    limit for the spherical average of f (Gauss-Legendre x trapezoid on
+    32 x 64 nodes).
 
     For functions whose anisotropy enters first at O(r^3) the two agree;
     a linear anisotropic term makes them differ.
@@ -337,7 +338,7 @@ def kato_average_check(f: AngularRadialFunction,
     directional = cusp_limit_first(
         RadialFunction(r, np.real(f.fn(r, theta0, phi0)), 0, "R"), 0)
 
-    theta, phi, _, w = _sphere_nodes(n_theta, n_phi)
+    theta, phi, _, w = _sphere_nodes(32, 64)
     vals = np.real(f.fn(r[:, None], theta[None, :], phi[None, :]))
     avg = np.broadcast_to(vals, (r.size, theta.size)) @ w
     averaged = cusp_limit_first(RadialFunction(r, avg, 0, "R"), 0)

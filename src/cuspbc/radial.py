@@ -15,7 +15,7 @@ from __future__ import annotations
 import importlib
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,6 +71,8 @@ class RobinBoundary:
     def __post_init__(self):
         if self.location not in (INNER, OUTER):
             raise DomainError("location must be 'inner' or 'outer'")
+        if not (math.isfinite(self.c_dpsi) and math.isfinite(self.c_psi)):
+            raise DomainError("(c_dpsi, c_psi) must be finite")
         if self.c_dpsi == 0.0 and self.c_psi == 0.0:
             raise DomainError("(c_dpsi, c_psi) must not both vanish")
 
@@ -205,11 +207,6 @@ class RadialProblem:
         return v
 
 
-def _require_location(bc: RobinBoundary, where: str) -> None:
-    if bc.location != where:
-        raise DomainError(f"boundary marked {bc.location} used at {where}")
-
-
 def _log_mesh(problem: RadialProblem):
     """Step h of the uniform x = ln r mesh and, on its nodes, the terms of
     chi'' = (q - E b) chi: q = 1/4 + ell(ell+1) + 2M r^2 V and b = 2M r^2."""
@@ -252,19 +249,31 @@ class _Numerov:
     """T(E) on the unknowns' grid window [lo, hi): y_(i+1) = d_i y_i -
     y_(i-1) for y = f chi, f = 1 - h^2 (q - E b)/12 and d = 12/f - 10, end
     rows the branches' Robin starts (chi = 1 at the edge node, one _log_step
-    to the next).  kappa(E) is the outer R'/R below the energy top, None a
-    Dirichlet wall; a Dirichlet end drops its node."""
+    to the next); a Dirichlet end drops its node.  outer is a RobinBoundary
+    or the tail's (M', Q), whose R'/R = kappa(E) is kappa(r_max; E) of each
+    E below top = 0; kappa is None for a Dirichlet wall."""
 
     def __init__(self, problem: RadialProblem, inner: RobinBoundary,
-                 kappa, top: float = math.inf):
+                 outer: RobinBoundary | tuple[float, float]):
+        for bc, where in ((inner, INNER), (outer, OUTER)):
+            if isinstance(bc, RobinBoundary) and bc.location != where:
+                raise DomainError(f"boundary marked {bc.location} used at "
+                                  f"{where}")
         bind_scipy()
         self.h, self.q, self.b = _log_mesh(problem)
         self.r, self.ell = problem.grid, problem.ell
         # chi'/chi in x at the inner node: u'/u = a with chi = r^(ell+1/2) u
         self.s_in = self.ell + 0.5 + inner.log_derivative * self.r[0]
-        self.kappa, self.top, self.counts = kappa, top, 0
+        self.top, self.counts = math.inf, 0
+        if isinstance(outer, RobinBoundary):
+            kappa = outer.log_derivative
+            self.kappa = None if math.isinf(kappa) else lambda e: kappa
+        else:
+            (mass, charge), r_max, self.top = outer, self.r[-1], 0.0
+            self.kappa = lambda e: SystemAsymptotics(mass, charge,
+                                                     e).kappa(r_max)
         self.lo = 0 if math.isfinite(self.s_in) else 1
-        self.hi = len(self.r) - (kappa is None)
+        self.hi = len(self.r) - (self.kappa is None)
         self.off = np.full(self.hi - self.lo - 1, -1.0)
 
     def diagonal(self, e):
@@ -358,18 +367,13 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
     inner Robin slope and inward from the outer one, match at the outer
     turning point of the bracket's upper end (_root), to relative tolerance
     rtol.  With asymptotics the outer log-derivative follows each trial
-    energy.  The error is O(h^4) in the mesh step, as the matrix route's: the
-    routes' agreement does not check the mesh.  A mesh too coarse for
-    Numerov raises StiffnessError."""
-    _require_location(inner, INNER)
-    _require_location(outer, OUTER)
-    if not math.isfinite(inner.log_derivative):
-        raise DomainError("shooting requires a genuine inner Robin condition")
-    if asymptotics is None and not math.isfinite(outer.log_derivative):
-        raise DomainError("shooting requires a genuine outer Robin condition")
-    op = _Numerov(problem, inner, lambda e: outer.log_derivative
-                  if asymptotics is None
-                  else replace(asymptotics, energy=e).kappa(problem.grid[-1]))
+    energy, and outer is not used.  The error is O(h^4) in the mesh step,
+    as the matrix route's: the routes' agreement does not check the mesh.
+    A mesh too coarse for Numerov raises StiffnessError."""
+    op = _Numerov(problem, inner, outer if asymptotics is None else (
+        asymptotics.total_reduced_mass, asymptotics.total_charge))
+    if op.lo or op.kappa is None:
+        raise DomainError("shooting requires genuine Robin conditions")
     op.start()
     energy, u, _ = _root(op, *e_bracket, xtol=1e-12, rtol=rtol)
     return energy, RadialFunction(problem.grid, u, problem.ell, "u")
@@ -452,11 +456,7 @@ def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
     count to (j, j + 1), solved there as by solve_shooting, and certified by
     counts of j below E_j - delta and j + 1 below E_j + delta, delta = 1e-9
     max(1, |E_j|), or raises ConvergenceError."""
-    _require_location(inner, INNER)
-    _require_location(outer, OUTER)
-    kappa = outer.log_derivative
-    return _states(_Numerov(problem, inner, None if math.isinf(kappa)
-                            else lambda e: kappa), k)
+    return _states(_Numerov(problem, inner, outer), k)
 
 
 def solve_matrix_selfconsistent(problem: RadialProblem, inner: RobinBoundary,
@@ -467,12 +467,10 @@ def solve_matrix_selfconsistent(problem: RadialProblem, inner: RobinBoundary,
     T(E)'s outer row takes kappa(E), and falls with E, in every count and
     mismatch.  robin_outer's guard r_max >= 20/decay binds the ground
     state's energy only; excited states keep their O(1/r^2) remainder."""
-    _require_location(inner, INNER)
-    r_max = problem.grid[-1]
-    pairs = _states(_Numerov(problem, inner, lambda e: SystemAsymptotics(
-        total_reduced_mass, total_charge, e).kappa(r_max), top=0.0), k)
+    pairs = _states(_Numerov(problem, inner, (total_reduced_mass,
+                                              total_charge)), k)
     robin_outer(SystemAsymptotics(total_reduced_mass, total_charge,
-                                  pairs[0][0]), r_max)
+                                  pairs[0][0]), problem.grid[-1])
     return pairs
 
 

@@ -53,23 +53,24 @@ def _sum(x: np.ndarray, ratio, what: str) -> np.ndarray:
     One point runs the same loop on Python floats, which numpy's per-call
     overhead on a one-element array would make some 15x slower.
     """
-    if x.size == 1:
-        xv, term, total, prev_small = float(x[0]), 1.0, 1.0, False
-        r = ratio(1, xv)
-        for k in range(1, MAX_TERMS + 1):
-            term *= r
-            total += term
-            r = ratio(k + 1, xv)
-            small = (abs(term) <= REL_TOL * abs(total)
-                     and (abs(r) < 1.0 or term == 0.0))
-            if small and prev_small:
-                return np.array([total])
-            prev_small = small
-    else:
-        out, idx = np.empty_like(x), np.arange(x.size)
-        term, total = np.ones_like(x), np.ones_like(x)
-        prev_small = np.zeros(x.size, dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore"):
+    # numpy-scalar a or b makes the one-point terms numpy arithmetic too
+    with np.errstate(over="ignore", invalid="ignore"):
+        if x.size == 1:
+            xv, term, total, prev_small = float(x[0]), 1.0, 1.0, False
+            r = ratio(1, xv)
+            for k in range(1, MAX_TERMS + 1):
+                term *= r
+                total += term
+                r = ratio(k + 1, xv)
+                small = (abs(term) <= REL_TOL * abs(total)
+                         and (abs(r) < 1.0 or term == 0.0))
+                if small and prev_small:
+                    return np.array([total])
+                prev_small = small
+        else:
+            out, idx = np.empty_like(x), np.arange(x.size)
+            term, total = np.ones_like(x), np.ones_like(x)
+            prev_small = np.zeros(x.size, dtype=bool)
             r = ratio(1, x)
             for k in range(1, MAX_TERMS + 1):
                 term *= r

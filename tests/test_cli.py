@@ -70,6 +70,15 @@ def test_cmd_cusp_bad_pair_exit_code(capsys):
     assert main(["cusp", "e-mu", "singlet"]) == 2
 
 
+def test_cmd_cusp_negative_order_is_an_input_error(capsys):
+    # order -1 would print no a_k line at all: it is refused instead
+    assert main(["cusp", "e-nucleus", "Z=1", "--order", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cuspbc: input error: --order")
+    assert main(["cusp", "e-nucleus", "Z=1", "--order", "0"]) == 0
+    assert "a_0 = 1.0\n" in capsys.readouterr().out
+
+
 def test_cmd_local_hydrogen(tmp_path, capsys):
     out = tmp_path / "local.csv"
     rc = main(["local", "e-nucleus", "Z=1", "--ell", "0", "--e", "-0.5",
@@ -426,6 +435,20 @@ def test_cmd_env_bad_probe_exit_code(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""  # rejected before any report line
     assert "--probes" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--probes=-1"], ["--probes=0.1,nan"],
+                                   ["--theta", "nan", "--probes", "0.1"]])
+def test_cmd_env_invalid_input_prints_no_partial_report(tmp_path, capsys,
+                                                        flags):
+    # identical particles: a report would open with w0, the multipole
+    # coefficients and the odd audit, none of which may precede the error
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps({"charges": [{"q": 1.0,
+                                             "position": [0.0, 0.0, 2.0]}]}))
+    assert main(["env", str(path), "e-e", "singlet"] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cuspbc: input error:")
 
 
 @pytest.mark.parametrize("doc", [

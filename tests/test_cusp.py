@@ -182,9 +182,8 @@ def test_kato_average_check_one_broadcast_call():
                                           np.shape(phi)))
         return np.exp(-2.0 * r) * (1.0 + 0.3 * r * np.sin(theta) * np.cos(phi))
 
-    d, avg = kato_average_check(AngularRadialFunction(f, grid),
-                                n_theta=8, n_phi=16)
-    assert shapes == [(14,), (14, 8 * 16)]
+    d, avg = kato_average_check(AngularRadialFunction(f, grid))
+    assert shapes == [(14,), (14, 32 * 64)]
     assert d == pytest.approx(-2.0 + 0.3 * math.sin(1.0) * math.cos(0.5),
                               abs=1e-7)
     assert avg == pytest.approx(-2.0, abs=1e-7)

@@ -151,6 +151,32 @@ def test_shooting_dirichlet_outer_needs_asymptotics():
     assert e == pytest.approx(e_ref, abs=1e-6)
 
 
+def test_shooting_with_asymptotics_ignores_the_fixed_outer():
+    # with asymptotics the outer R'/R is kappa(r_max; E) of each trial
+    # energy: the guess's fixed kappa and a Dirichlet wall give the same bits
+    for z, n_state, ell in [(1.0, 1, 0), (1.7, 2, 1), (3.0, 3, 0)]:
+        e_ref, problem, inner, _, _ = _hydrogen_setup(z, n_state, ell)
+        bracket = (1.05 * e_ref, 0.95 * e_ref)
+        guess = SystemAsymptotics(1.0, z - 1.0, min(bracket))
+        fixed = RobinBoundary("outer", 1.0, -guess.kappa(problem.grid[-1]))
+        wall = RobinBoundary("outer", 0.0, 1.0)
+        (e1, f1), (e2, f2) = (solve_shooting(problem, inner, outer, bracket,
+                                             asymptotics=guess)
+                              for outer in (fixed, wall))
+        assert e1 == e2 and f1.values.tobytes() == f2.values.tobytes()
+        assert e1 == pytest.approx(e_ref, abs=1e-8)
+    # a Dirichlet inner end is refused with or without asymptotics
+    with pytest.raises(DomainError, match="genuine Robin"):
+        solve_shooting(problem, RobinBoundary("inner", 0.0, 1.0), wall,
+                       bracket, asymptotics=guess)
+
+
+def test_robin_coefficients_must_be_finite():
+    for c in ((math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(DomainError, match="finite"):
+            RobinBoundary("outer", *c)
+
+
 def test_shooting_requires_a_fine_log_grid():
     sysa = SystemAsymptotics(1.0, 0.0, -0.5)
     inner, outer = robin_inner(0, -1.0), robin_outer(sysa, 40.0)
@@ -284,9 +310,7 @@ def test_matrix_k_beyond_the_countable_energies():
 
 def _operator(problem, inner, outer):
     """T(E) of problem's mesh under fixed inner and outer conditions."""
-    kappa = outer.log_derivative
-    return radial._Numerov(problem, inner,
-                           None if math.isinf(kappa) else lambda e: kappa)
+    return radial._Numerov(problem, inner, outer)
 
 
 def _sturm_count(pencil, sigma):
@@ -490,8 +514,7 @@ def test_selfconsistent_states_certified_on_their_own_pencils(z, r_max):
     # below E_j - 1e-9 and j + 1 below E_j + 1e-9
     problem, inner = _own_kappa_problem(z, r_max)
     pairs = solve_matrix_selfconsistent(problem, inner, 1.0, z - 1.0, 3)
-    own = radial._Numerov(problem, inner, lambda e: SystemAsymptotics(
-        1.0, z - 1.0, e).kappa(r_max), top=0.0)
+    own = radial._Numerov(problem, inner, (1.0, z - 1.0))
     for j, (w, fn) in enumerate(pairs):
         kappa = SystemAsymptotics(1.0, z - 1.0, w).kappa(r_max)
         op = _operator(problem, inner, RobinBoundary("outer", 1.0, -kappa))
@@ -507,9 +530,7 @@ def test_count_never_decreases_with_energy(z, n_state, ell):
     # the inner Robin row need not, so the count is checked on a dense
     # energy grid: it never decreases and steps up at each level
     _, problem, inner, _, _ = _hydrogen_setup(z, n_state, ell)
-    r_max = problem.grid[-1]
-    op = radial._Numerov(problem, inner, lambda e: SystemAsymptotics(
-        1.0, z - 1.0, e).kappa(r_max), top=0.0)
+    op = radial._Numerov(problem, inner, (1.0, z - 1.0))
     energies = np.linspace(-0.6 * z * z, -z * z / 84.5, 1001)
     counts = np.array([op.count(e) for e in energies])
     steps = np.diff(counts)

@@ -42,6 +42,16 @@ def test_no_convergence_names_the_point_as_a_float():
         kummer_1f1(5.6e-256, 1.0, np.array([1.0, 502.0]))
 
 
+def test_numpy_scalar_parameters_fail_without_a_warning():
+    # numpy-scalar a or b makes the one-point terms numpy arithmetic, whose
+    # overflow warns (an error under the suite's filters) unless silenced;
+    # the terms still overflow, and the sum ends as with Python floats
+    with pytest.raises(NoConvergence):
+        kummer_series(np.float64(1.0), np.float64(1.0), 2000.0)
+    with pytest.raises(NoConvergence):
+        kummer_1f1(np.float64(-400.0), 1.5, 1e5)
+
+
 def test_kummer_array_input():
     x = np.array([[-3.0, 0.0], [0.5, 25.0]])
     got = kummer_1f1(1.3, 2.5, x)
