@@ -181,8 +181,9 @@ def _load_problem(path):
         bracket = spec.get("bracket")
         if bracket is not None:
             bracket = np.asarray(bracket)
-            if bracket.shape != (2,) or bracket.dtype.kind not in "iuf":
-                raise ValueError("bracket must be two numbers")
+            if (bracket.shape != (2,) or bracket.dtype.kind not in "iuf"
+                    or not np.all(np.isfinite(bracket))):
+                raise ValueError("bracket must be two finite numbers")
             bracket = tuple(bracket.tolist())
     except (AttributeError, KeyError, TypeError, ValueError, OSError) as exc:
         raise InputError(f"problem spec {path}: {exc}") from exc
@@ -230,13 +231,11 @@ def cmd_solve(args) -> int:
             raise InputError("shooting needs a 'bracket' entry in the spec")
         t0 = time.perf_counter()
         # as the matrix route, the r_max guard binds the energy found
-        r_max = problem.grid[-1]
         guess = radial.SystemAsymptotics(m_prime, q_total, min(bracket))
-        outer = radial.RobinBoundary(radial.OUTER, 1.0, -guess.kappa(r_max))
-        energy, fn = radial.solve_shooting(problem, inner, outer, bracket,
+        energy, fn = radial.solve_shooting(problem, inner, None, bracket,
                                            asymptotics=guess)
         radial.robin_outer(radial.SystemAsymptotics(m_prime, q_total, energy),
-                           r_max)
+                           problem.grid[-1])
         reports["shoot"] = {
             "seconds": time.perf_counter() - t0,
             "states": [_report_state(problem, a, energy, fn, m_prime,

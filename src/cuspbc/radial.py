@@ -31,8 +31,9 @@ _log = logging.getLogger(__name__)
 
 # scipy names read here as plain globals, each imported on first use so
 # that `import cuspbc` needs numpy alone.  A name bound first (by a test, or
-# by a tracer wrapping it) is kept.  Nothing here calls solve_ivp or eigsh:
-# they are bound only for a per-layer tracer that counts them.
+# by a tracer wrapping it) is kept.  Nothing here calls brentq (_brent is
+# the root), solve_ivp or eigsh: they are bound only for a per-layer tracer
+# that counts them, and no solve imports them.
 _SCIPY = {"dstebz": "scipy.linalg.lapack", "dtbtrs": "scipy.linalg.lapack",
           "brentq": "scipy.optimize", "solve_ivp": "scipy.integrate",
           "eigsh": "scipy.sparse.linalg"}
@@ -48,10 +49,11 @@ def __getattr__(name):
 
 
 def bind_scipy() -> None:
-    """Bind the scipy names the solvers call, unless bound already.  Every
-    solve does so first; a caller that times solves calls it beforehand, so
-    that the first time does not include scipy's import."""
-    for name in ("dstebz", "dtbtrs", "brentq"):
+    """Bind the scipy names the solvers call, LAPACK's dstebz and dtbtrs,
+    unless bound already; brentq is bound for the tracer only.  Every solve
+    does so first; a caller that times solves calls it beforehand, so that
+    the first time does not include scipy's import."""
+    for name in ("dstebz", "dtbtrs"):
         if name not in globals():
             __getattr__(name)
 
@@ -344,34 +346,99 @@ class _Numerov:
         return chi * self.r ** (-self.ell - 0.5) / norm
 
 
+_MAXITER = 100
+_RTOL_FLOOR = 4.0 * 2.0 ** -52
+
+
+def _brent(f, lo: float, hi: float, xtol: float, rtol: float):
+    """Root of f in [lo, hi] and the evaluations of f it took, by Brent's
+    method (R. P. Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4) as scipy's brentq.c writes it, step for step, so that both
+    are brentq's to the bit.  It stops once the root is bracketed within
+    2 delta, delta = (xtol + rtol |x|)/2; xtol > 0 and rtol >= _RTOL_FLOOR
+    keep every step above the spacing of doubles.  Ends where f has one
+    sign raise NoSignChange, and _MAXITER steps short of the tolerance
+    ConvergenceError."""
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    calls = 2
+    if fpre == 0.0:
+        return xpre, calls
+    if fcur == 0.0:
+        return xcur, calls
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NoSignChange(f"mismatch has the same sign at both bracket "
+                           f"ends {lo!r} and {hi!r}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        # xblk is the far end of the bracket, xpre the previous iterate
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, calls
+        stry = math.inf  # bisect, unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic through the three points
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0.0:  # in C, x/0 is inf or nan, and bisects
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0
+                                                else -delta)
+        fcur = float(f(xcur))
+        calls += 1
+    raise ConvergenceError(f"root not within (xtol + rtol |x|) of {xcur!r} "
+                           f"after {_MAXITER} steps")
+
+
 def _root(op: _Numerov, lo: float, hi: float, xtol: float, rtol: float):
     """Energy, u and mismatch evaluations of the root in [lo, hi], spliced
     at hi's outer turning point (last node with q < E b, in [3, n - 4])."""
     inside = np.flatnonzero(op.q < hi * op.b)
     mid = min(max(inside[-1] if inside.size else 0, 3), len(op.r) - 4)
-    try:
-        e, res = brentq(op.mismatch, lo, hi, args=(mid,), xtol=xtol,
-                        rtol=rtol, full_output=True)
-    except ValueError as exc:
-        raise NoSignChange(f"mismatch has the same sign at both bracket "
-                           f"ends {lo!r} and {hi!r}") from exc
-    return e, op.vector(e, mid), res.function_calls
+    e, calls = _brent(lambda e: op.mismatch(e, mid), lo, hi, xtol, rtol)
+    return e, op.vector(e, mid), calls
 
 
 def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
-                   outer: RobinBoundary, e_bracket: tuple[float, float],
+                   outer: RobinBoundary | None,
+                   e_bracket: tuple[float, float],
                    asymptotics: SystemAsymptotics | None = None,
                    rtol: float = 1e-12) -> tuple[float, RadialFunction]:
     """Numerov shooting on the log mesh (J. W. Cooley, Math. Comp. 15, 363
     (1961)): the energy in e_bracket where T(E)'s branches, outward from the
     inner Robin slope and inward from the outer one, match at the outer
     turning point of the bracket's upper end (_root), to relative tolerance
-    rtol.  With asymptotics the outer log-derivative follows each trial
-    energy, and outer is not used.  The error is O(h^4) in the mesh step,
-    as the matrix route's: the routes' agreement does not check the mesh.
-    A mesh too coarse for Numerov raises StiffnessError."""
-    op = _Numerov(problem, inner, outer if asymptotics is None else (
-        asymptotics.total_reduced_mass, asymptotics.total_charge))
+    rtol >= 4 * 2**-52.  With asymptotics the outer log-derivative follows
+    each trial energy, and outer is not used (it may be None).  The error
+    is O(h^4) in the mesh step, as the matrix route's: the routes'
+    agreement does not check the mesh.  A mesh too coarse for Numerov
+    raises StiffnessError."""
+    if not all(math.isfinite(e) for e in e_bracket):
+        raise DomainError(f"e_bracket must be finite, got {e_bracket!r}")
+    if not (_RTOL_FLOOR <= rtol < math.inf):
+        raise DomainError(f"rtol = {rtol!r} must be finite and at least "
+                          f"4 * 2**-52")
+    if asymptotics is not None:
+        outer = (asymptotics.total_reduced_mass, asymptotics.total_charge)
+    elif outer is None:
+        raise DomainError("shooting needs an outer boundary or asymptotics")
+    op = _Numerov(problem, inner, outer)
     if op.lo or op.kappa is None:
         raise DomainError("shooting requires genuine Robin conditions")
     op.start()

@@ -646,6 +646,20 @@ def test_solve_writes_matrix_states_before_shooting(tmp_path, capsys):
     assert not (tmp_path / "out.shoot.csv").exists()
 
 
+@pytest.mark.parametrize("bracket", [[-0.6, math.inf], [math.nan, -0.4]])
+def test_solve_non_finite_bracket_is_an_input_error(tmp_path, capsys,
+                                                    bracket):
+    # json reads Infinity and NaN; the spec is refused before any solve
+    spec = _solve_spec(tmp_path, bracket)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", spec, "--method", "shoot"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"cuspbc: input error: problem spec {spec}: bracket must "
+                   f"be two finite numbers\n")
+
+
 def _row_reference(columns, data, meta, fmt):
     """The table as written one row at a time: `repr` per CSV cell, or
     the pure-Python (indented) JSON encoder."""

@@ -72,9 +72,14 @@ def test_cli_runs_without_a_solve_load_no_scipy(tmp_path):
     assert loaded == [[0] * 6, []]
 
 
-def test_first_solve_loads_lapack_and_brentq_only(tmp_path):
-    # scipy.optimize, brentq's package, itself imports scipy.sparse; a
-    # solve loads nothing that bind_scipy, which a timing caller runs
+# packages no solve needs: scipy.optimize (brentq's, which the in-house
+# root replaces) and what its package import pulls in
+NOT_SOLVED_WITH = ("scipy.optimize", "scipy.sparse", "scipy.special",
+                   "scipy.spatial", "scipy.integrate", "scipy.interpolate")
+
+
+def test_first_solve_loads_lapack_only(tmp_path):
+    # a solve loads nothing that bind_scipy, which a timing caller runs
     # first, has not
     bound, loaded = _fresh("""
         from cuspbc.radial import (RadialProblem, SystemAsymptotics,
@@ -88,10 +93,8 @@ def test_first_solve_loads_lapack_and_brentq_only(tmp_path):
         print(json.dumps([bound, scipy_modules()]))
         """, tmp_path)
     assert bound == loaded
-    assert {"scipy.linalg", "scipy.linalg.lapack", "scipy.optimize"} \
-        <= set(loaded)
-    assert not [m for m in loaded if m.startswith(("scipy.integrate",
-                                                   "scipy.interpolate"))]
+    assert {"scipy.linalg", "scipy.linalg.lapack"} <= set(loaded)
+    assert not [m for m in loaded if m.startswith(NOT_SOLVED_WITH)]
 
 
 def test_cli_solve_and_its_report_load_what_bind_scipy_loads(tmp_path):
@@ -111,8 +114,7 @@ def test_cli_solve_and_its_report_load_what_bind_scipy_loads(tmp_path):
         print(json.dumps([bound, scipy_modules()]))
         """, tmp_path)
     assert loaded == bound
-    assert not [m for m in loaded if m.startswith(("scipy.integrate",
-                                                   "scipy.interpolate"))]
+    assert not [m for m in loaded if m.startswith(NOT_SOLVED_WITH)]
 
 
 def test_radial_binds_its_scipy_names_on_first_use(tmp_path):

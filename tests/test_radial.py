@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -153,17 +154,20 @@ def test_shooting_dirichlet_outer_needs_asymptotics():
 
 def test_shooting_with_asymptotics_ignores_the_fixed_outer():
     # with asymptotics the outer R'/R is kappa(r_max; E) of each trial
-    # energy: the guess's fixed kappa and a Dirichlet wall give the same bits
+    # energy: the guess's fixed kappa, a Dirichlet wall and no outer
+    # boundary at all give the same bits
     for z, n_state, ell in [(1.0, 1, 0), (1.7, 2, 1), (3.0, 3, 0)]:
         e_ref, problem, inner, _, _ = _hydrogen_setup(z, n_state, ell)
         bracket = (1.05 * e_ref, 0.95 * e_ref)
         guess = SystemAsymptotics(1.0, z - 1.0, min(bracket))
         fixed = RobinBoundary("outer", 1.0, -guess.kappa(problem.grid[-1]))
         wall = RobinBoundary("outer", 0.0, 1.0)
-        (e1, f1), (e2, f2) = (solve_shooting(problem, inner, outer, bracket,
-                                             asymptotics=guess)
-                              for outer in (fixed, wall))
-        assert e1 == e2 and f1.values.tobytes() == f2.values.tobytes()
+        (e1, f1), (e2, f2), (e3, f3) = (
+            solve_shooting(problem, inner, outer, bracket, asymptotics=guess)
+            for outer in (fixed, wall, None))
+        assert e1 == e2 == e3
+        assert f1.values.tobytes() == f2.values.tobytes() \
+            == f3.values.tobytes()
         assert e1 == pytest.approx(e_ref, abs=1e-8)
     # a Dirichlet inner end is refused with or without asymptotics
     with pytest.raises(DomainError, match="genuine Robin"):
@@ -217,6 +221,91 @@ def test_shooting_no_sign_change():
     e_ref, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0, n=200)
     with pytest.raises(NoSignChange):
         solve_shooting(problem, inner, outer, (-0.9, -0.7), asymptotics=sysa)
+
+
+def _hydrogen_mismatch():
+    """Shooting's mismatch for hydrogen 1s on a 2,000-node mesh, spliced
+    where _root splices it, and a bracket of its root."""
+    _, problem, inner, _, _ = _hydrogen_setup(1.0, 1, 0)
+    op = radial._Numerov(problem, inner, (1.0, 0.0))
+    inside = np.flatnonzero(op.q < -0.4 * op.b)
+    return (lambda e: op.mismatch(e, inside[-1])), -0.6, -0.4
+
+
+ROOT_CASES = [
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 10.0, 3.0, 0.0),  # a reversed bracket
+    (lambda x: x * x - 2.0, 0.0, 2.0),  # ends of equal |f|
+    (lambda x: math.atan(50.0 * (x - 0.2)), -1.0, 3.0),
+    (lambda x: x * math.exp(x) - 1.0, -1.0, 1.0),
+    # products of values this small underflow to 0 in the step
+    (lambda x: 1e-120 * (x * x - 0.3), 0.0, 1.0),
+    (lambda x: x - 1.0, 1.0, 2.0),  # a root at the lower end
+    (lambda x: x - 1.0, 0.0, 1.0),  # and at the upper
+]
+
+
+@pytest.mark.parametrize("xtol, rtol", [
+    (2e-12, 4 * 2.0 ** -52),  # brentq's defaults
+    (1e-12, 1e-12),  # solve_shooting
+    (1e-14, 1e-13),  # the matrix route's states
+    (5e-324, 4 * 2.0 ** -52)])
+def test_brent_is_brentq_to_the_bit(xtol, rtol):
+    for f, lo, hi in ROOT_CASES + [_hydrogen_mismatch()]:
+        x, res = brentq(f, lo, hi, xtol=xtol, rtol=rtol, full_output=True)
+        e, calls = radial._brent(f, lo, hi, xtol, rtol)
+        assert type(e) is float
+        assert (e.hex(), calls) == (x.hex(), res.function_calls)
+
+
+def test_brent_failures_are_typed():
+    with pytest.raises(NoSignChange, match="bracket ends -1 and 1.0$"):
+        radial._brent(lambda x: x * x + 1.0, -1, 1.0, 1e-12, 1e-12)
+
+    # at a fivefold root both run out of their 100 steps at the same x
+    def f(x):
+        return (x - 0.7) ** 5
+
+    x, res = brentq(f, 0.0, 1.0, xtol=1e-12, rtol=1e-12, full_output=True,
+                    disp=False)
+    assert (res.converged, res.iterations) == (False, 100)
+    with pytest.raises(ConvergenceError, match=f"of {x!r} after 100 steps"):
+        radial._brent(f, 0.0, 1.0, 1e-12, 1e-12)
+
+
+def test_every_route_returns_float_energies():
+    e_ref, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0)
+    energies = [e for e, _ in solve_matrix(problem, inner, outer, 2)]
+    energies += [e for e, _ in solve_matrix_selfconsistent(problem, inner,
+                                                           1.0, 0.0, 2)]
+    energies += [solve_shooting(problem, inner, outer, (-0.6, -0.4))[0],
+                 solve_shooting(problem, inner, None, (-0.6, -0.4),
+                                asymptotics=sysa)[0]]
+    assert [type(e) for e in energies] == [float] * 6
+    assert energies == pytest.approx([e_ref, -0.125] * 2 + [e_ref] * 2,
+                                     abs=1e-6)
+
+
+def test_shooting_inputs_are_checked_before_any_count(monkeypatch):
+    def no_count(*args, **kwargs):
+        raise AssertionError("a count ran")
+
+    _, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0, n=200)
+    monkeypatch.setattr(radial, "dstebz", no_count)
+    for rtol in (1e-17, 2.0 ** -51, 0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="rtol"):
+            solve_shooting(problem, inner, outer, (-0.6, -0.4),
+                           asymptotics=sysa, rtol=rtol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bracket in ((-0.6, math.inf), (-math.inf, -0.4),
+                        (math.nan, -0.4)):
+            with pytest.raises(DomainError, match="e_bracket must be finite"):
+                solve_shooting(problem, inner, outer, bracket,
+                               asymptotics=sysa)
+    with pytest.raises(DomainError, match="outer boundary or asymptotics"):
+        solve_shooting(problem, inner, None, (-0.6, -0.4))
 
 
 def test_matrix_hydrogen_two_states():
@@ -698,11 +787,8 @@ def test_state_failing_its_certificate_raises(monkeypatch):
     # a root finder that returns the lower end of its bracket gives an
     # energy with no state of T(E) within delta above it: the count finds
     # j, not j + 1, states below E_j + delta
-    class Result:
-        function_calls = 0
-
-    monkeypatch.setattr(radial, "brentq", lambda f, a, b, **kwargs: (
-        a, Result()))
+    monkeypatch.setattr(radial, "_brent", lambda f, lo, hi, xtol, rtol: (
+        lo, 0))
     problem, inner = _own_kappa_problem(2.0, 20.0)
     with pytest.raises(ConvergenceError, match="state 0 failed its cert"):
         solve_matrix_selfconsistent(problem, inner, 1.0, 1.0, 1)
