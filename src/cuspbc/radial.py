@@ -34,9 +34,8 @@ _log = logging.getLogger(__name__)
 # by a tracer wrapping it) is kept.  Nothing here calls brentq (_brent is
 # the root), solve_ivp or eigsh: they are bound only for a per-layer tracer
 # that counts them, and no solve imports them.
-_SCIPY = {"dstebz": "scipy.linalg.lapack", "dtbtrs": "scipy.linalg.lapack",
-          "brentq": "scipy.optimize", "solve_ivp": "scipy.integrate",
-          "eigsh": "scipy.sparse.linalg"}
+_SCIPY = {"dtbtrs": "scipy.linalg.lapack", "brentq": "scipy.optimize",
+          "solve_ivp": "scipy.integrate", "eigsh": "scipy.sparse.linalg"}
 
 
 def __getattr__(name):
@@ -49,13 +48,11 @@ def __getattr__(name):
 
 
 def bind_scipy() -> None:
-    """Bind the scipy names the solvers call, LAPACK's dstebz and dtbtrs,
-    unless bound already; brentq is bound for the tracer only.  Every solve
-    does so first; a caller that times solves calls it beforehand, so that
-    the first time does not include scipy's import."""
-    for name in ("dstebz", "dtbtrs"):
-        if name not in globals():
-            __getattr__(name)
+    """Bind the scipy name the solvers call, LAPACK's dtbtrs, unless bound
+    already.  Every solve does so first; a caller that times solves calls it
+    beforehand, so that the first time does not include scipy's import."""
+    if "dtbtrs" not in globals():
+        __getattr__("dtbtrs")
 
 
 @dataclass(frozen=True)
@@ -214,7 +211,7 @@ def _log_mesh(problem: RadialProblem):
     chi'' = (q - E b) chi: q = 1/4 + ell(ell+1) + 2M r^2 V and b = 2M r^2."""
     r = problem.grid
     x = np.log(r)
-    h = x[1] - x[0]
+    h = float(x[1] - x[0])
     if not np.allclose(np.diff(x), h, rtol=1e-8):
         raise DomainError("radial solvers require a logarithmic grid")
     b = 2.0 * problem.mass * r ** 2
@@ -234,17 +231,6 @@ def _log_step(s: float, g, h: float) -> float:
     d2 = g[0] - s * s
     d3 = (-3.0 * g[0] + 4.0 * g[1] - g[2]) / (2.0 * h) - 2.0 * s * d2
     return h * s + h * h / 2.0 * d2 + h ** 3 / 6.0 * d3
-
-
-def _propagate(d) -> np.ndarray:
-    """y_0 = 1, y_(i+1) = d_i y_i - y_(i-1), y_(-1) = 0: one LAPACK tbtrs
-    solve, its band in Fortran order, which f2py passes without a copy."""
-    ab = np.ones((3, len(d) + 1), order="F")
-    ab[1, :-1] = -d
-    y, info = dtbtrs(ab, np.eye(len(d) + 1, 1), uplo="L", diag="U")
-    if info != 0:
-        raise ConvergenceError(f"tbtrs failed: info {info}")
-    return y[:, 0]
 
 
 class _Numerov:
@@ -276,7 +262,14 @@ class _Numerov:
                                                      e).kappa(r_max)
         self.lo = 0 if math.isfinite(self.s_in) else 1
         self.hi = len(self.r) - (self.kappa is None)
-        self.off = np.full(self.hi - self.lo - 1, -1.0)
+        # q/b's suffix minima: the nodes with q < E b end at the last of
+        # them below E
+        self.qb_min = np.minimum.accumulate((self.q / self.b)[::-1])[::-1]
+        # both branches' band, unit lower with two subdiagonals, in Fortran
+        # order, which f2py passes to LAPACK tbtrs without a copy; split is
+        # the inward block's first row
+        self.ab = np.ones((3, self.hi - self.lo + 2), order="F")
+        self.split = 2
 
     def diagonal(self, e):
         """d(E) and f on every node."""
@@ -284,62 +277,129 @@ class _Numerov:
         f = 1.0 - h * h / 12.0 * g
         d = 12.0 / f - 10.0
         if self.lo == 0:
-            d[0] = f[1] / f[0] * math.exp(_log_step(self.s_in, g[:3], h))
+            f0, f1 = f[:2].tolist()
+            d[0] = f1 / f0 * math.exp(_log_step(self.s_in, g[:3].tolist(), h))
         if self.kappa is not None:
             s_out = 0.5 + self.kappa(e) * self.r[-1]
-            d[-1] = f[-2] / f[-1] * math.exp(_log_step(s_out, g[:-4:-1], -h))
+            f1, f0 = f[-2:].tolist()
+            d[-1] = f1 / f0 * math.exp(_log_step(s_out, g[:-4:-1].tolist(),
+                                                 -h))
         return d, f
 
-    def count(self, e) -> int:
-        """T(E)'s negative eigenvalues: stebz's Sturm counts over (vl, 0]."""
-        self.counts += 1
-        d = self.diagonal(e)[0][self.lo:self.hi]
-        vl = min(d.min() - 3.0, -1.0)
-        m, *_, info = dstebz(d, self.off, 1, vl, 0.0, 0, 0, -2.0 * vl, "E")
+    def node(self, i) -> int:
+        """Node i clamped to [3, n - 4], leaving each branch the nodes
+        around it that the splice and the count read."""
+        return min(max(i, 3), len(self.r) - 4)
+
+    def turning(self, e) -> int:
+        """E's outer turning node, the last with q < E b, as a node()."""
+        return self.node(int(np.searchsorted(self.qb_min, e)) - 1)
+
+    def solve(self, d, mid) -> np.ndarray:
+        """Both branches in one tbtrs solve: y = 1 at node lo outward over
+        nodes lo..mid+1, then y = 1 at node hi-1 inward over hi-1..mid, the
+        band's three couplings between the two blocks zero."""
+        lo, hi, ab = self.lo, self.hi, self.ab
+        s = mid - lo + 2
+        np.negative(d[lo:mid + 1], out=ab[1, :s - 1])
+        np.negative(d[hi - 1:mid:-1], out=ab[1, s:-1])
+        ab[1, s - 1] = 0.0
+        ab[2, self.split - 2:self.split] = 1.0
+        ab[2, s - 2:s] = 0.0
+        self.split = s
+        y = np.zeros(ab.shape[1])
+        y[0] = y[s] = 1.0
+        y, info = dtbtrs(ab, y, uplo="L", diag="U", overwrite_b=True)
         if info != 0:
-            raise ConvergenceError(f"stebz count failed: info {info}")
-        return m
+            raise ConvergenceError(f"tbtrs failed: info {info}")
+        return y
+
+    def count(self, e) -> int:
+        """T(E)'s negative eigenvalues, the states below E, by the twisted
+        factorisation of T at a node t (K. V. Fernando, SIAM J. Matrix
+        Anal. Appl. 18, 1013 (1997)).  The outward branch on nodes lo..t is
+        T's leading minors D_0 = 1 ... D_k, the inward one on hi-1..t its
+        trailing minors E_m = 1 ... E_(k+1); the count is their sign
+        changes plus [gamma < 0], gamma = d_t - D_(k-1)/D_k -
+        E_(k+2)/E_(k+1).  t is E's outer turning node, where the mismatch
+        splices the branches; where a branch overflows there, t is the node
+        where the two branches' growth, the cumulative arccosh(|d|/2) over
+        |d| > 2, balances, and a second overflow raises StiffnessError."""
+        self.counts += 1
+        d = self.diagonal(e)[0]
+        t = self.turning(e)
+        for _ in range(2):
+            y = self.solve(d, t)
+            k = t - self.lo  # y[k] = D_k and y[-1] = E_(k+1), at node t
+            dk, ek = y[k].item(), y[-1].item()
+            if dk and ek and np.isfinite(y).all():
+                sign = np.signbit(y)
+                # less the changes around y[k + 1], D_(k+1), which is unused
+                changes = (np.count_nonzero(sign[1:] != sign[:-1])
+                           - (sign[k] != sign[k + 1])
+                           - (sign[k + 1] != sign[k + 2]))
+                gamma = d[t].item() - y[k - 1].item() / dk - y[-2].item() / ek
+                return int(changes) + (gamma < 0.0)
+            growth = np.cumsum(np.arccosh(np.maximum(
+                np.abs(d[self.lo:self.hi]) / 2.0, 1.0)))
+            t = self.node(self.lo + int(np.searchsorted(growth,
+                                                        growth[-1] / 2.0)))
+        raise StiffnessError(f"Numerov propagation overflowed at E = {e} "
+                             f"from either split of T(E)")
 
     def start(self) -> list[tuple[float, int]]:
         """(energy, count) at the bottom of q/b and, if T has states there,
         the lowest energy with f > 0 on every node, where it may have none."""
+        def count(e):
+            try:
+                return self.count(e)
+            except OverflowError:
+                raise StiffnessError(f"an end row's Robin step overflows at "
+                                     f"E = {e:.6g}") from None
+
         floor = float(np.max((self.q - 12.0 / self.h ** 2) / self.b))
         floor += _CERTIFY_GAP * max(1.0, abs(floor))
         e0 = max(float(np.min(self.q / self.b)), floor)
-        pts = [(e0, self.count(e0))]
+        pts = [(e0, count(e0))]
         if pts[0][1] and e0 > floor:
-            pts.insert(0, (floor, self.count(floor)))
+            pts.insert(0, (floor, count(floor)))
         if pts[0][1]:
             raise StiffnessError(f"log mesh too coarse for Numerov: T(E) has "
                                  f"{pts[0][1]} states below E = {floor:.6g}")
         return pts
 
     def branches(self, e, mid):
-        """y outward on nodes lo..mid+1 and inward on mid..hi-1, and f."""
+        """solve() split at mid at E, f, and the outward and the inward
+        branch at nodes mid, mid + 1."""
         d, f = self.diagonal(e)
-        return (_propagate(d[self.lo:mid + 1]),
-                _propagate(d[self.hi - 1:mid:-1])[::-1], f)
+        y = self.solve(d, mid)
+        k = mid - self.lo
+        return y, f, y[k:k + 2].tolist(), y[:-3:-1].tolist()
 
     def mismatch(self, e, mid) -> float:
         """The branches' Casoratian at nodes mid, mid + 1, det T(E), over
         their norms there: bounded, free of poles, of sign (-1)^count."""
-        yo, yi, _ = self.branches(e, mid)
-        no, ni = math.hypot(yo[-2], yo[-1]), math.hypot(yi[0], yi[1])
-        if not (math.isfinite(no) and math.isfinite(ni) and no * ni > 0.0):
+        _, _, (o0, o1), (i0, i1) = self.branches(e, mid)
+        norms = math.hypot(o0, o1) * math.hypot(i0, i1)
+        if not 0.0 < norms < math.inf:
             raise StiffnessError(f"Numerov propagation overflowed at E = {e}")
-        return (yo[-1] * yi[0] - yo[-2] * yi[1]) / (no * ni)
+        return (o1 * i0 - o0 * i1) / norms
 
     def vector(self, e, mid) -> np.ndarray:
         """u at a root E: the branches spliced over nodes mid, mid + 1."""
-        yo, yi, f = self.branches(e, mid)
+        y, f, (o0, o1), (i0, i1) = self.branches(e, mid)
         if not f.min() > 0.0:
             # h^2 (q - E b)/12 >= 1 somewhere: Numerov flips the sign of chi
             # at every such node, so E need not be an eigenvalue
             raise StiffnessError(f"log mesh too coarse for Numerov at E = {e}")
+        k = mid - self.lo
         chi = np.zeros(len(self.r))
-        chi[self.lo:mid + 1] = yo[:-1]
-        chi[mid + 1:self.hi] = yi[1:] * (yo[-2] * yi[0] + yo[-1] * yi[1]) / (
-            yi[0] ** 2 + yi[1] ** 2)
+        chi[self.lo:mid + 1] = y[:k + 1]
+        # the inward branch scaled to the outward one over both nodes, its
+        # pair normalised first, as it may reach 1e308
+        ni = math.hypot(i0, i1)
+        chi[mid + 1:self.hi] = y[-2:k + 1:-1] * ((o0 * (i0 / ni)
+                                                  + o1 * (i1 / ni)) / ni)
         chi /= f
         # int P^2 dr = int (r chi)^2 dx, trapezoid rule on the uniform x mesh
         norm = math.sqrt(np.trapezoid((self.r * chi) ** 2, dx=self.h))
@@ -408,9 +468,8 @@ def _brent(f, lo: float, hi: float, xtol: float, rtol: float):
 
 def _root(op: _Numerov, lo: float, hi: float, xtol: float, rtol: float):
     """Energy, u and mismatch evaluations of the root in [lo, hi], spliced
-    at hi's outer turning point (last node with q < E b, in [3, n - 4])."""
-    inside = np.flatnonzero(op.q < hi * op.b)
-    mid = min(max(inside[-1] if inside.size else 0, 3), len(op.r) - 4)
+    at hi's outer turning node."""
+    mid = op.turning(hi)
     e, calls = _brent(lambda e: op.mismatch(e, mid), lo, hi, xtol, rtol)
     return e, op.vector(e, mid), calls
 

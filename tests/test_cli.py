@@ -218,6 +218,20 @@ def test_cmd_solve_matrix_states_meet_the_outer_condition(tmp_path, capsys,
         assert abs(st["outer_logder"] - st["outer_target"]) <= 1e-5
 
 
+def test_cmd_solve_large_box(tmp_path, capsys):
+    # hydrogen in an r_max = 400 box on 16,000 nodes: its inward branches
+    # pass 1e154, and the states splice without overflow or warning
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"ell": 0, "pair_product": -1.0,
+                                "grid": {"r_max": 400.0, "n": 16000}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(path), "-k", "3"]) == 0
+    states = json.loads(capsys.readouterr().out)["matrix"]["states"]
+    assert [st["energy"] for st in states] == pytest.approx(
+        [-0.5, -0.125, -1.0 / 18.0], abs=1e-10)
+
+
 @pytest.mark.parametrize("method", ["matrix", "shoot"])
 def test_cmd_solve_guards_r_max_at_the_energy_found(tmp_path, capsys, method):
     # E = -0.5 needs r_max >= 20/decay = 20; the bracket's lower end

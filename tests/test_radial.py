@@ -10,8 +10,8 @@ from scipy.special import spherical_jn
 
 from cuspbc import radial
 from cuspbc.cusp import cusp_limit_first
-from cuspbc.errors import (ConvergenceError, DomainError, NoSignChange,
-                           RegimeError, StiffnessError)
+from cuspbc.errors import (ConvergenceError, CuspbcError, DomainError,
+                           NoSignChange, RegimeError, StiffnessError)
 from cuspbc.radial import (RadialProblem, RobinBoundary, SystemAsymptotics,
                            asymptotic_tail, hydrogen_reference, log_grid,
                            outer_log_derivative,
@@ -292,7 +292,7 @@ def test_shooting_inputs_are_checked_before_any_count(monkeypatch):
         raise AssertionError("a count ran")
 
     _, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0, n=200)
-    monkeypatch.setattr(radial, "dstebz", no_count)
+    monkeypatch.setattr(radial._Numerov, "count", no_count)
     for rtol in (1e-17, 2.0 ** -51, 0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="rtol"):
             solve_shooting(problem, inner, outer, (-0.6, -0.4),
@@ -365,7 +365,7 @@ def test_matrix_k_beyond_the_mesh(monkeypatch):
     inner, wall = robin_inner(0, -1.0), RobinBoundary("outer", 0.0, 1.0)
     robin = robin_outer(SystemAsymptotics(1.0, 0.0, -0.5), 40.0)
     with monkeypatch.context() as patch:
-        patch.setattr(radial, "dstebz", no_count)
+        patch.setattr(radial._Numerov, "count", no_count)
         with pytest.raises(DomainError, match="the 50 unknowns"):
             solve_matrix(problem, inner, robin, 51)
         with pytest.raises(DomainError, match="the 49 unknowns"):
@@ -490,13 +490,7 @@ def test_matrix_spectrum_certified_for_a_clustered_pair():
 
 def test_matrix_lapack_failure_is_a_convergence_error(monkeypatch):
     _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0, n=200)
-    # a failed count
-    with monkeypatch.context() as patch:
-        patch.setattr(radial, "dstebz", lambda d, e, *args: (
-            0, d, None, None, 1))
-        with pytest.raises(ConvergenceError, match="stebz"):
-            solve_matrix(problem, inner, outer, 1)
-    # a failed banded triangular solve of a branch
+    # a failed banded triangular solve of the branches
     monkeypatch.setattr(radial, "dtbtrs", lambda ab, b, **kwargs: (b, -1))
     with pytest.raises(ConvergenceError, match="tbtrs"):
         solve_matrix(problem, inner, outer, 1)
@@ -663,7 +657,7 @@ def test_selfconsistent_solve_builds_each_mesh_once(monkeypatch):
     assert sizes == [4000]
 
 
-def test_stebz_counts_match_the_sturm_oracle():
+def test_twisted_counts_match_the_sturm_oracle(monkeypatch):
     _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0)
     for prob, inner_, outer_ in ((problem, inner, outer), _clustered_pair()):
         op = _operator(prob, inner_, outer_)
@@ -672,6 +666,66 @@ def test_stebz_counts_match_the_sturm_oracle():
                                    w + 1e-9, w - 1e-12, w + 1e-12])
         assert np.array_equal([op.count(e) for e in energies],
                               _t_count(op, energies))
+    # the tail's outer row as E -> 0-: kappa(r_max; E) grows without bound
+    # and the row's d underflows to 0, a zero trailing minor next to the
+    # outer edge
+    op = _operator(problem, inner, (1.0, 0.0))
+    assert op.diagonal(-1e-19)[0][-1] == 0.0
+    assert op.count(-1e-19) == _t_count(op, [-1e-19])[0]
+    # a deep energy in a large box: the inward branch from r_max = 400
+    # overflows before the turning node (there is none at E = -2), so the
+    # count takes its second split, where the branches' growth balances
+    big = RadialProblem(0, 1.0, -1.0, 0.0, log_grid(1e-5, 400.0, 16000))
+    op = _operator(big, inner, (1.0, 0.0))
+    solves = _recorded_solves(monkeypatch)
+    assert op.count(-2.0) == _t_count(op, [-2.0])[0]
+    assert len(solves) == 2
+
+
+@pytest.mark.parametrize("z, r_max, tol", [(1.0, 400.0, 1.5e-11),
+                                            (3.0, 150.0, 3e-10)])
+def test_large_boxes_splice_without_overflow(z, r_max, tol):
+    # the inward branch grows past 1e154 from r_max to the turning point:
+    # the splice normalises its pair, as the mismatch does, and squares
+    # nothing
+    problem = RadialProblem(0, 1.0, -z, 0.0, log_grid(1e-5, r_max, 16000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = solve_matrix_selfconsistent(problem, robin_inner(0, -z),
+                                            1.0, z - 1.0, 3)
+    for j, (e, fn) in enumerate(pairs):
+        assert e == pytest.approx(-z * z / (2.0 * (j + 1) ** 2), abs=tol)
+        assert np.all(np.isfinite(fn.values))
+
+
+@pytest.mark.parametrize("z", [6.0, 10.0])
+def test_start_count_overflowing_its_robin_row_is_a_stiffness_error(z):
+    # r_max = 400 on 2,000 nodes: the fixed outer Robin row's step e^(...)
+    # overflows at the first count of the search
+    problem = RadialProblem(0, 1.0, -z, 0.0, log_grid(1e-5, 400.0, 2000))
+    outer = robin_outer(SystemAsymptotics(1.0, z - 1.0, -z * z / 2.0), 400.0)
+    with pytest.raises(StiffnessError, match="end row"):
+        solve_matrix(problem, robin_inner(0, -z), outer, 2)
+
+
+@pytest.mark.parametrize("n", [2000, 16000])
+@pytest.mark.parametrize("r_max", [40.0, 150.0, 400.0])
+@pytest.mark.parametrize("z, ell", [(1.0, 0), (1.0, 2), (3.0, 0), (3.0, 2),
+                                    (6.0, 0), (6.0, 2)])
+def test_selfconsistent_solve_returns_or_raises_a_typed_error(z, ell, r_max,
+                                                              n):
+    # boxes whose branches or end rows overflow raise a CuspbcError; none
+    # raises another exception or warns
+    problem = RadialProblem(ell, 1.0, -z, 0.0, log_grid(1e-5, r_max, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            pairs = solve_matrix_selfconsistent(
+                problem, robin_inner(ell, -z / (ell + 1)), 1.0, z - 1.0, 3)
+        except CuspbcError:
+            return
+    energies = [e for e, _ in pairs]
+    assert energies == sorted(energies) and energies[-1] < 0.0
 
 
 def test_clustered_pair_bisected_one_state_at_a_time():
@@ -743,6 +797,27 @@ def _recorded_counts(monkeypatch):
     return made
 
 
+def test_a_solve_binds_tbtrs_alone():
+    # one LAPACK routine makes every count, mismatch and state function
+    solve_matrix(*_hydrogen_setup(1.0, 1, 0, n=200)[1:4], 1)
+    assert "dtbtrs" in vars(radial)
+    with pytest.raises(AttributeError):
+        getattr(radial, "dstebz")
+
+
+def _recorded_solves(monkeypatch):
+    """The arguments of every LAPACK tbtrs call, in the order made."""
+    made = []
+    tbtrs = radial.dtbtrs
+
+    def recording(*args, **kwargs):
+        made.append(args)
+        return tbtrs(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "dtbtrs", recording)
+    return made
+
+
 def test_one_bisection_per_matrix_solve(monkeypatch):
     # one bisection per solve, its counts shared by all k states: no energy
     # is counted twice, and the counts never decrease with energy
@@ -763,19 +838,20 @@ def test_one_bisection_per_matrix_solve(monkeypatch):
 
 def test_selfconsistent_solve_certifies_each_state_once(monkeypatch):
     # k = 3: each state is certified by exactly two counts, at E_j -/+
-    # delta, and every LAPACK stebz call is one recorded count
-    made = _recorded_counts(monkeypatch)
-    calls = []
-    stebz = radial.dstebz
+    # delta, and the LAPACK tbtrs calls are one per count, one per
+    # mismatch evaluation and one per state's function
+    made, calls = _recorded_counts(monkeypatch), _recorded_solves(monkeypatch)
+    mismatches = []
+    mismatch = radial._Numerov.mismatch
 
-    def counting(*args):
-        calls.append(args)
-        return stebz(*args)
+    def recording(self, e, mid):
+        mismatches.append(e)
+        return mismatch(self, e, mid)
 
-    monkeypatch.setattr(radial, "dstebz", counting)
+    monkeypatch.setattr(radial._Numerov, "mismatch", recording)
     problem, inner = _own_kappa_problem(1.0, 40.0)
     pairs = solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
-    assert len(calls) == len(made)
+    assert len(calls) == len(made) + len(mismatches) + 3
     for j, (w, _) in enumerate(pairs):
         delta = 1e-9 * max(1.0, abs(w))
         near = sorted((e - w, c) for e, c in made if abs(e - w) <= 2 * delta)
