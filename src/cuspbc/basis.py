@@ -10,6 +10,7 @@ series arithmetic (binary floats are rationals, so the check is bit-level).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -181,8 +182,10 @@ def build_basis(kind: str, ell: int, a: float, b: float,
     Gaussian tails are stored as Cartesian z-powers.
     """
     exps = list(tail_exponents)
-    if any(not (e > 0.0) for e in exps):
-        raise DomainError("tail exponents must be positive")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("cusp coefficients a and b must be finite")
+    if any(not (0.0 < e < math.inf) for e in exps):
+        raise DomainError("tail exponents must be positive and finite")
     coeffs = [1.0] * len(exps) if tail_coeffs is None else list(tail_coeffs)
     if len(coeffs) != len(exps):
         raise DomainError("tail_coeffs length must match tail_exponents")

@@ -40,6 +40,8 @@ class CoalescencePair:
     spin_channel: str | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.q1) and math.isfinite(self.q2)):
+            raise DomainError("charges must be finite")
         for m in (self.m1, self.m2):
             if not (m > 0.0):
                 raise DomainError("masses must be positive (or math.inf)")

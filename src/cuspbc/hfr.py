@@ -42,11 +42,15 @@ class HFROrbital:
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise DomainError("orbital needs at least one term")
-        for n, z, _ in terms:
+        for n, z, c in terms:
             if n < 1:
                 raise DomainError("principal number n must be >= 1")
-            if not (z > 0.0):
-                raise DomainError("zeta must be positive")
+            if not (0.0 < z < math.inf):
+                raise DomainError("zeta must be positive and finite")
+            if not math.isfinite(c):
+                raise DomainError("coefficients must be finite")
+        if not any(c for _, _, c in terms):
+            raise DomainError("orbital has no nonzero coefficient")
 
     def radial(self, r):
         """R(r) for r >= 0, each term formed in log form."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 import importlib
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,8 @@ _log = logging.getLogger(__name__)
 
 # scipy names read here as plain globals, each imported on first use so
 # that `import cuspbc` needs numpy alone.  A name bound first (by a test, or
-# by a tracer wrapping it) is kept.  Nothing here calls brentq (_brent is
-# the root), solve_ivp or eigsh: they are bound only for a per-layer tracer
-# that counts them, and no solve imports them.
+# by a tracer wrapping it) is kept.  brentq, solve_ivp and eigsh are never
+# called: they are bound only for a per-layer tracer that counts them.
 _SCIPY = {"dtbtrs": "scipy.linalg.lapack", "brentq": "scipy.optimize",
           "solve_ivp": "scipy.integrate", "eigsh": "scipy.sparse.linalg"}
 
@@ -100,8 +100,11 @@ class SystemAsymptotics:
     energy: float
 
     def __post_init__(self):
-        if not (self.total_reduced_mass > 0.0):
-            raise DomainError("total_reduced_mass must be positive")
+        if not (0.0 < self.total_reduced_mass < math.inf):
+            raise DomainError("total_reduced_mass must be positive and finite")
+        if not (math.isfinite(self.total_charge)
+                and math.isfinite(self.energy)):
+            raise DomainError("total_charge and energy must be finite")
         if not (self.energy < 0.0):
             raise RegimeError("asymptotic tail requires a bound state (E < 0)")
 
@@ -148,6 +151,9 @@ def log_grid(r_min: float = 1e-5, r_max: float = 40.0, n: int = 2000) -> np.ndar
     """n radii uniform in ln r whose end nodes are exactly r_min and r_max."""
     if n < 2:
         raise DomainError("log grid needs at least 2 points")
+    if not (0.0 < r_min < r_max < math.inf):
+        raise DomainError(f"log grid needs 0 < r_min < r_max < inf, got "
+                          f"r_min = {r_min!r}, r_max = {r_max!r}")
     grid = np.exp(np.linspace(math.log(r_min), math.log(r_max), n))
     grid[0], grid[-1] = r_min, r_max
     return grid
@@ -167,12 +173,16 @@ class RadialProblem:
         object.__setattr__(self, "grid", g)
         if g.size < 50:
             raise DomainError("grid needs at least 50 points")
-        if g[0] <= 0.0 or np.any(np.diff(g) <= 0.0):
-            raise DomainError("grid must be strictly increasing with r_min > 0")
-        if self.ell < 0:
-            raise DomainError("ell must be non-negative")
-        if not (self.mass > 0.0):
-            raise DomainError("mass must be positive")
+        if not (g[0] > 0.0 and np.all(np.diff(g) > 0.0) and g[-1] < math.inf):
+            raise DomainError("grid must be finite and strictly increasing "
+                              "with r_min > 0")
+        if not (isinstance(self.ell, numbers.Integral) and self.ell >= 0):
+            raise DomainError(f"ell must be a non-negative integer, got "
+                              f"{self.ell!r}")
+        if not (0.0 < self.mass < math.inf):
+            raise DomainError("mass must be positive and finite")
+        if not (math.isfinite(self.pair_product) and math.isfinite(self.w0)):
+            raise DomainError("pair_product and w0 must be finite")
         if self.extra_potential is not None:
             v = np.asarray(self.extra_potential, dtype=float)
             object.__setattr__(self, "extra_potential", v)
@@ -272,18 +282,23 @@ class _Numerov:
         self.split = 2
 
     def diagonal(self, e):
-        """d(E) and f on every node."""
+        """d(E) and f on every node; StiffnessError if an end row overflows."""
         h, g = self.h, self.q - e * self.b
         f = 1.0 - h * h / 12.0 * g
         d = 12.0 / f - 10.0
-        if self.lo == 0:
-            f0, f1 = f[:2].tolist()
-            d[0] = f1 / f0 * math.exp(_log_step(self.s_in, g[:3].tolist(), h))
-        if self.kappa is not None:
-            s_out = 0.5 + self.kappa(e) * self.r[-1]
-            f1, f0 = f[-2:].tolist()
-            d[-1] = f1 / f0 * math.exp(_log_step(s_out, g[:-4:-1].tolist(),
-                                                 -h))
+        try:
+            if self.lo == 0:
+                f0, f1 = f[:2].tolist()
+                d[0] = f1 / f0 * math.exp(_log_step(self.s_in, g[:3].tolist(),
+                                                    h))
+            if self.kappa is not None:
+                s_out = 0.5 + self.kappa(e) * self.r[-1]
+                f1, f0 = f[-2:].tolist()
+                d[-1] = f1 / f0 * math.exp(_log_step(s_out,
+                                                     g[:-4:-1].tolist(), -h))
+        except OverflowError:
+            raise StiffnessError(f"an end row's Robin step overflows at "
+                                 f"E = {e:.6g}") from None
         return d, f
 
     def node(self, i) -> int:
@@ -350,19 +365,12 @@ class _Numerov:
     def start(self) -> list[tuple[float, int]]:
         """(energy, count) at the bottom of q/b and, if T has states there,
         the lowest energy with f > 0 on every node, where it may have none."""
-        def count(e):
-            try:
-                return self.count(e)
-            except OverflowError:
-                raise StiffnessError(f"an end row's Robin step overflows at "
-                                     f"E = {e:.6g}") from None
-
         floor = float(np.max((self.q - 12.0 / self.h ** 2) / self.b))
         floor += _CERTIFY_GAP * max(1.0, abs(floor))
         e0 = max(float(np.min(self.q / self.b)), floor)
-        pts = [(e0, count(e0))]
+        pts = [(e0, self.count(e0))]
         if pts[0][1] and e0 > floor:
-            pts.insert(0, (floor, count(floor)))
+            pts.insert(0, (floor, self.count(floor)))
         if pts[0][1]:
             raise StiffnessError(f"log mesh too coarse for Numerov: T(E) has "
                                  f"{pts[0][1]} states below E = {floor:.6g}")
@@ -410,59 +418,42 @@ _MAXITER = 100
 _RTOL_FLOOR = 4.0 * 2.0 ** -52
 
 
-def _brent(f, lo: float, hi: float, xtol: float, rtol: float):
-    """Root of f in [lo, hi] and the evaluations of f it took, by Brent's
-    method (R. P. Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 4) as scipy's brentq.c writes it, step for step, so that both
-    are brentq's to the bit.  It stops once the root is bracketed within
-    2 delta, delta = (xtol + rtol |x|)/2; xtol > 0 and rtol >= _RTOL_FLOOR
-    keep every step above the spacing of doubles.  Ends where f has one
-    sign raise NoSignChange, and _MAXITER steps short of the tolerance
-    ConvergenceError."""
-    xpre, xcur = float(lo), float(hi)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
+def _regula_falsi(f, lo: float, hi: float, xtol: float, rtol: float):
+    """Root of f in [lo, hi] and the evaluations of f it took, by the
+    Anderson-Bjorck regula falsi (BIT 13, 253 (1973)): secant steps through
+    the bracket's ends, a kept end's f scaled by 1 - f(x)/f(last) (or 1/2),
+    and a bisection after five steps that do not halve the bracket.  Steps
+    stay delta = (xtol + rtol |x|)/2 inside the bracket, 2 delta wide at
+    the root; xtol > 0 and rtol >= _RTOL_FLOOR keep them above the spacing
+    of doubles.  Same-sign ends raise NoSignChange, and _MAXITER steps
+    short of the tolerance ConvergenceError."""
+    a, b = float(lo), float(hi)
+    fa, fb = float(f(a)), float(f(b))
     calls = 2
-    if fpre == 0.0:
-        return xpre, calls
-    if fcur == 0.0:
-        return xcur, calls
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+    if fa and fb and (fa < 0.0) == (fb < 0.0):
         raise NoSignChange(f"mismatch has the same sign at both bracket "
                            f"ends {lo!r} and {hi!r}")
-    xblk = fblk = spre = scur = 0.0
+    if abs(fa) < abs(fb):  # b is the last point, a the bracket's far end
+        a, b, fa, fb = b, a, fb, fa
+    width, stalled = abs(b - a), 0
     for _ in range(_MAXITER):
-        # xblk is the far end of the bracket, xpre the previous iterate
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, calls
-        stry = math.inf  # bisect, unless interpolation gives a short step
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic through the three points
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                if den != 0.0:  # in C, x/0 is inf or nan, and bisects
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
-        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0
-                                                else -delta)
-        fcur = float(f(xcur))
+        delta = (xtol + rtol * abs(b)) / 2.0
+        if fb == 0.0 or abs(b - a) <= 2.0 * delta:
+            return b, calls
+        if abs(b - a) <= width / 2.0:
+            width, stalled = abs(b - a), 0
+        stalled += 1
+        x = b - (b - a) * (fb / (fb - fa)) if stalled <= 5 else (a + b) / 2.0
+        x = min(max(x, min(a, b) + delta), max(a, b) - delta)
+        fx = float(f(x))
         calls += 1
-    raise ConvergenceError(f"root not within (xtol + rtol |x|) of {xcur!r} "
+        if (fx < 0.0) != (fb < 0.0):
+            a, fa = b, fb
+        else:
+            m = 1.0 - fx / fb
+            fa *= m if m > 0.0 else 0.5
+        b, fb = x, fx
+    raise ConvergenceError(f"root not within (xtol + rtol |x|) of {b!r} "
                            f"after {_MAXITER} steps")
 
 
@@ -470,7 +461,7 @@ def _root(op: _Numerov, lo: float, hi: float, xtol: float, rtol: float):
     """Energy, u and mismatch evaluations of the root in [lo, hi], spliced
     at hi's outer turning node."""
     mid = op.turning(hi)
-    e, calls = _brent(lambda e: op.mismatch(e, mid), lo, hi, xtol, rtol)
+    e, calls = _regula_falsi(lambda e: op.mismatch(e, mid), lo, hi, xtol, rtol)
     return e, op.vector(e, mid), calls
 
 
@@ -506,10 +497,10 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
 
 
 def _count(op: _Numerov, e) -> int | None:
-    """op.count(e), or None where an end row's Robin step e^(...) overflows."""
+    """op.count(e), or None where T(E) cannot be counted (StiffnessError)."""
     try:
         return op.count(e)
-    except OverflowError:
+    except StiffnessError:
         return None
 
 

@@ -221,3 +221,12 @@ def test_cartesian_tails_off_the_z_axis():
     added = [a - b for a, b in zip(taylor_u(along_z, 6), taylor_u(basis, 6))]
     c, g = Fraction(0.7), Fraction(0.9)
     assert added == [0, 0, 0, c, 0, -c * g, 0]
+
+
+@pytest.mark.parametrize("kind", ["slater", "gaussian"])
+@pytest.mark.parametrize("a, b, tail", [
+    (math.nan, 0.5, [1.5]), (-1.0, math.inf, [1.5]), (-1.0, 0.5, [math.inf]),
+    (-1.0, 0.5, [math.nan])])
+def test_build_basis_needs_finite_inputs(kind, a, b, tail):
+    with pytest.raises(DomainError):
+        build_basis(kind, 0, a, b, tail)

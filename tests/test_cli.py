@@ -787,3 +787,42 @@ def test_parser_is_built_once(tmp_path, monkeypatch, capsys):
         assert built == once
     finally:
         cli.build_parser.cache_clear()
+
+
+def test_solve_shoot_robin_row_overflow_is_a_numerical_failure(tmp_path,
+                                                               capsys):
+    # at E = -1e8 the end rows' Robin step e^(...) overflows: one line on
+    # stderr and exit code 3, no traceback
+    spec = tmp_path / "h.json"
+    spec.write_text(json.dumps({"ell": 0, "pair_product": -1.0,
+                                "grid": {"n": 2000},
+                                "bracket": [-1e8, -0.4]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(spec), "--method", "shoot"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("cuspbc: numerical failure: an end row's Robin step "
+                   "overflows at E = -1e+08\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # charges enter exact (Fraction) series arithmetic
+    (["basis", "slater", "e-nucleus", "Z=nan"], "charges must be finite"),
+    (["basis", "slater", "e-nucleus", "Z=inf"], "charges must be finite"),
+    (["basis", "gaussian", "e-nucleus", "Z=2", "--tail", "inf"],
+     "tail exponents must be positive and finite"),
+    # an all-zero orbital has no norm to divide <1/r> by
+    (["compare-he", "ZERO", "--e", "-0.9"],
+     "orbital has no nonzero coefficient")])
+def test_non_finite_or_empty_inputs_are_input_errors(tmp_path, capsys, argv,
+                                                     message):
+    zero = tmp_path / "zero.hfr"
+    zero.write_text("1 1.0 0.0\n", encoding="utf-8")
+    argv = [str(zero) if a == "ZERO" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"cuspbc: input error: {message}\n"

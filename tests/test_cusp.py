@@ -22,6 +22,10 @@ def test_reduced_mass_and_alpha():
         CoalescencePair(-1.0, 1.0, math.inf, math.inf)
     with pytest.raises(DomainError):
         CoalescencePair(-1.0, 1.0, -2.0, 1.0)
+    # the charges enter exact (Fraction) series arithmetic
+    for q1, q2 in [(math.nan, 1.0), (-1.0, math.inf), (-math.inf, 1.0)]:
+        with pytest.raises(DomainError, match="charges must be finite"):
+            CoalescencePair(q1, q2)
 
 
 def test_cusp_a_values():

@@ -38,6 +38,11 @@ def test_parse_errors():
         HFROrbital.from_text("0 1.0 1.0\n")
     with pytest.raises(DomainError):
         HFROrbital.from_text("1 -1.0 1.0\n")
+    # an all-zero expansion has no norm to divide <1/r> by
+    for text in ("1 1.0 0.0\n", "1 1.0 0.0\n2 2.0 -0.0\n", "1 inf 1.0\n",
+                 "1 nan 1.0\n", "1 1.0 nan\n", "1 1.0 -inf\n"):
+        with pytest.raises(DomainError):
+            HFROrbital.from_text(text)
 
 
 def test_mean_inv_r_single_sto():

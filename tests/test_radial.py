@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
@@ -74,6 +76,16 @@ def test_log_grid_needs_two_points():
             log_grid(1e-5, 20.0, n)
 
 
+@pytest.mark.parametrize("r_min, r_max", [
+    (0.0, 20.0), (-1e-5, 20.0), (1e-5, math.nan), (20.0, 1e-5), (1.0, 1.0),
+    (1e-5, math.inf), (math.nan, 20.0)])
+def test_log_grid_needs_finite_increasing_bounds(r_min, r_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="0 < r_min < r_max < inf"):
+            log_grid(r_min, r_max, 100)
+
+
 def test_boundary_validation():
     with pytest.raises(DomainError):
         RobinBoundary("inner", 0.0, 0.0)
@@ -116,6 +128,31 @@ def test_problem_validation():
     ok = RadialProblem(0, 1.0, -1.0, 0.0, grid,
                        extra_potential=np.exp(-grid))
     assert ok.potential()[0] == pytest.approx(-1.0 / grid[0] + 1.0, rel=1e-6)
+
+
+_GRID = log_grid(1e-5, 40.0, 100)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RadialProblem(0, math.inf, -1.0, 0.0, _GRID),
+    lambda: RadialProblem(0, 1.0, -1.0, math.inf, _GRID),
+    lambda: RadialProblem(0, 1.0, math.nan, 0.0, _GRID),
+    lambda: RadialProblem(0, 1.0, -1.0, math.nan, _GRID),
+    lambda: RadialProblem(0.5, 1.0, -1.0, 0.0, _GRID),
+    lambda: RadialProblem(0, 1.0, -1.0, 0.0, np.append(_GRID[:-1], math.nan)),
+    lambda: RadialProblem(0, 1.0, -1.0, 0.0, np.append(_GRID, math.inf)),
+    lambda: SystemAsymptotics(math.inf, 0.0, -0.5),
+    lambda: SystemAsymptotics(1.0, math.nan, -0.5),
+    lambda: SystemAsymptotics(1.0, math.inf, -0.5),
+    lambda: SystemAsymptotics(1.0, 0.0, -math.inf)],
+    ids=["mass-inf", "w0-inf", "pair-nan", "w0-nan", "ell-half", "grid-nan",
+         "grid-inf", "tail-mass-inf", "tail-charge-nan", "tail-charge-inf",
+         "tail-energy-inf"])
+def test_non_finite_radial_inputs_are_domain_errors(make):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            make()
 
 
 def test_shooting_hydrogen():
@@ -223,6 +260,18 @@ def test_shooting_no_sign_change():
         solve_shooting(problem, inner, outer, (-0.9, -0.7), asymptotics=sysa)
 
 
+@pytest.mark.parametrize("tail", [False, True])
+def test_shooting_robin_row_overflow_is_a_stiffness_error(tail):
+    # at E = -1e8 the end rows' Robin step e^(...) overflows in the first
+    # mismatch evaluation
+    _, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StiffnessError, match="end row's Robin step"):
+            solve_shooting(problem, inner, outer, (-1e8, -0.4),
+                           asymptotics=sysa if tail else None)
+
+
 def _hydrogen_mismatch():
     """Shooting's mismatch for hydrogen 1s on a 2,000-node mesh, spliced
     where _root splices it, and a bracket of its root."""
@@ -246,32 +295,87 @@ ROOT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("xtol, rtol", [
-    (2e-12, 4 * 2.0 ** -52),  # brentq's defaults
-    (1e-12, 1e-12),  # solve_shooting
-    (1e-14, 1e-13),  # the matrix route's states
-    (5e-324, 4 * 2.0 ** -52)])
-def test_brent_is_brentq_to_the_bit(xtol, rtol):
+ROOT_TOLS = [(2e-12, 4 * 2.0 ** -52),  # brentq's defaults
+             (1e-12, 1e-12),  # solve_shooting
+             (1e-14, 1e-13),  # the matrix route's states
+             (5e-324, 4 * 2.0 ** -52)]
+
+
+@pytest.mark.parametrize("xtol, rtol", ROOT_TOLS)
+def test_regula_falsi_agrees_with_brentq(xtol, rtol):
+    # both roots lie within xtol + rtol |x| of the sign change, so within
+    # twice that of each other; over all cases the root takes no more
+    # evaluations than brentq
+    ours = theirs = 0
     for f, lo, hi in ROOT_CASES + [_hydrogen_mismatch()]:
         x, res = brentq(f, lo, hi, xtol=xtol, rtol=rtol, full_output=True)
-        e, calls = radial._brent(f, lo, hi, xtol, rtol)
-        assert type(e) is float
-        assert (e.hex(), calls) == (x.hex(), res.function_calls)
+        e, calls = radial._regula_falsi(f, lo, hi, xtol, rtol)
+        assert type(e) is float and type(calls) is int
+        assert min(lo, hi) <= e <= max(lo, hi)
+        assert abs(e - x) <= 2.0 * (xtol + rtol * abs(x))
+        ours, theirs = ours + calls, theirs + res.function_calls
+    assert ours <= theirs
+
+
+# sign-exact monotone shapes of t = x - root: each has the sign of t,
+# so the computed f changes sign exactly at the root; all but the last,
+# a triple root, are simple roots or a step
+ROOT_SHAPES = [lambda t, k: t, lambda t, k: math.atan(k * t),
+               lambda t, k: math.expm1(k * t), lambda t, k: math.sinh(k * t),
+               lambda t, k: float((t > 0.0) - (t < 0.0)),
+               lambda t, k: t ** 3]
+
+
+@given(shape=st.sampled_from(range(len(ROOT_SHAPES))),
+       k=st.floats(0.1, 10.0), scale=st.floats(-100.0, 100.0), sign=st.sampled_from([-1.0, 1.0]),
+       root=st.floats(-10.0, 10.0), lo=st.floats(-10.0, 10.0),
+       hi=st.floats(-10.0, 10.0), xtol=st.floats(1e-14, 1e-6),
+       rtol=st.floats(4 * 2.0 ** -52, 1e-6))
+def test_regula_falsi_property(shape, k, scale, sign, root, lo, hi, xtol,
+                               rtol):
+    # a root within xtol + rtol |x| of the sign change, or a typed error:
+    # NoSignChange where the bracket misses the root, ConvergenceError only
+    # at the triple root (t^3), where regula falsi converges linearly
+    g = ROOT_SHAPES[shape]
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return sign * 10.0 ** scale * g(x - root, k)
+
+    if not min(lo, hi) <= root <= max(lo, hi):
+        with pytest.raises(NoSignChange):
+            radial._regula_falsi(f, lo, hi, xtol, rtol)
+        return
+    try:
+        x, n = radial._regula_falsi(f, lo, hi, xtol, rtol)
+    except ConvergenceError:
+        assert shape == len(ROOT_SHAPES) - 1
+        return
+    assert n == len(calls) <= radial._MAXITER + 2
+    assert min(lo, hi) <= x <= max(lo, hi)
+    assert abs(x - root) <= xtol + rtol * abs(x)
+
+
+@pytest.mark.parametrize("xtol, rtol", ROOT_TOLS)
+def test_regula_falsi_bisects_a_creeping_bracket(xtol, rtol):
+    # f is flat beside a steep end: secant steps alone creep in from both
+    # ends and run out of their 100 steps; five steps that do not halve the
+    # bracket make the sixth bisect (brentq takes 8 evaluations)
+    x, calls = radial._regula_falsi(lambda x: -math.expm1(3.0 * (x - 3.0)),
+                                    6.0, 0.0, xtol, rtol)
+    assert abs(x - 3.0) <= xtol + rtol * 3.0
+    assert calls <= 13
 
 
 def test_brent_failures_are_typed():
     with pytest.raises(NoSignChange, match="bracket ends -1 and 1.0$"):
-        radial._brent(lambda x: x * x + 1.0, -1, 1.0, 1e-12, 1e-12)
-
-    # at a fivefold root both run out of their 100 steps at the same x
-    def f(x):
-        return (x - 0.7) ** 5
-
-    x, res = brentq(f, 0.0, 1.0, xtol=1e-12, rtol=1e-12, full_output=True,
-                    disp=False)
-    assert (res.converged, res.iterations) == (False, 100)
-    with pytest.raises(ConvergenceError, match=f"of {x!r} after 100 steps"):
-        radial._brent(f, 0.0, 1.0, 1e-12, 1e-12)
+        radial._regula_falsi(lambda x: x * x + 1.0, -1, 1.0, 1e-12, 1e-12)
+    # regula falsi converges only linearly at a root of odd multiplicity:
+    # at a fivefold one it runs out of its 100 steps
+    with pytest.raises(ConvergenceError, match="after 100 steps"):
+        radial._regula_falsi(lambda x: (x - 0.7) ** 5, 0.0, 1.0, 1e-12,
+                             1e-12)
 
 
 def test_every_route_returns_float_energies():
@@ -863,8 +967,8 @@ def test_state_failing_its_certificate_raises(monkeypatch):
     # a root finder that returns the lower end of its bracket gives an
     # energy with no state of T(E) within delta above it: the count finds
     # j, not j + 1, states below E_j + delta
-    monkeypatch.setattr(radial, "_brent", lambda f, lo, hi, xtol, rtol: (
-        lo, 0))
+    monkeypatch.setattr(radial, "_regula_falsi",
+                        lambda f, lo, hi, xtol, rtol: (lo, 0))
     problem, inner = _own_kappa_problem(2.0, 20.0)
     with pytest.raises(ConvergenceError, match="state 0 failed its cert"):
         solve_matrix_selfconsistent(problem, inner, 1.0, 1.0, 1)
