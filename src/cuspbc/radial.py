@@ -34,8 +34,9 @@ _log = logging.getLogger(__name__)
 # that `import cuspbc` needs numpy alone.  A name bound first (by a test, or
 # by a tracer wrapping it) is kept.  brentq, solve_ivp and eigsh are never
 # called: they are bound only for a per-layer tracer that counts them.
-_SCIPY = {"dtbtrs": "scipy.linalg.lapack", "brentq": "scipy.optimize",
-          "solve_ivp": "scipy.integrate", "eigsh": "scipy.sparse.linalg"}
+_SCIPY = {"dtbtrs": "scipy.linalg.lapack", "dnrm2": "scipy.linalg.blas",
+          "brentq": "scipy.optimize", "solve_ivp": "scipy.integrate",
+          "eigsh": "scipy.sparse.linalg"}
 
 
 def __getattr__(name):
@@ -48,11 +49,13 @@ def __getattr__(name):
 
 
 def bind_scipy() -> None:
-    """Bind the scipy name the solvers call, LAPACK's dtbtrs, unless bound
-    already.  Every solve does so first; a caller that times solves calls it
-    beforehand, so that the first time does not include scipy's import."""
-    if "dtbtrs" not in globals():
-        __getattr__("dtbtrs")
+    """Bind the scipy names the solvers call, LAPACK's dtbtrs and BLAS's
+    dnrm2, unless bound already.  Every solve does so first; a caller that
+    times solves calls it beforehand, so that the first time does not
+    include scipy's import."""
+    for name in ("dtbtrs", "dnrm2"):
+        if name not in globals():
+            __getattr__(name)
 
 
 @dataclass(frozen=True)
@@ -259,6 +262,8 @@ class _Numerov:
                                   f"{where}")
         bind_scipy()
         self.h, self.q, self.b = _log_mesh(problem)
+        # the weights of v'T'v = -|w chi|^2 (mismatch)
+        self.w = self.h * np.sqrt(self.b)
         self.r, self.ell = problem.grid, problem.ell
         # chi'/chi in x at the inner node: u'/u = a with chi = r^(ell+1/2) u
         self.s_in = self.ell + 0.5 + inner.log_derivative * self.r[0]
@@ -283,9 +288,13 @@ class _Numerov:
 
     def diagonal(self, e):
         """d(E) and f on every node; StiffnessError if an end row overflows."""
-        h, g = self.h, self.q - e * self.b
-        f = 1.0 - h * h / 12.0 * g
-        d = 12.0 / f - 10.0
+        # g = q - E b, f = 1 - h^2 g/12 and d = 12/f - 10, no temporaries
+        h, g = self.h, self.b * e
+        np.subtract(self.q, g, out=g)
+        f = g * (h * h / 12.0)
+        np.subtract(1.0, f, out=f)
+        d = 12.0 / f
+        d -= 10.0
         try:
             if self.lo == 0:
                 f0, f1 = f[:2].tolist()
@@ -376,26 +385,43 @@ class _Numerov:
                                  f"{pts[0][1]} states below E = {floor:.6g}")
         return pts
 
-    def branches(self, e, mid):
-        """solve() split at mid at E, f, and the outward and the inward
-        branch at nodes mid, mid + 1."""
+    def branches(self, e):
+        """At E: solve() split at E's outer turning node mid, f and mid; the
+        outward and the inward branch at nodes mid, mid + 1, each pair over
+        its norm; and the two norms, or StiffnessError if one overflows."""
+        mid = self.turning(e)
         d, f = self.diagonal(e)
         y = self.solve(d, mid)
         k = mid - self.lo
-        return y, f, y[k:k + 2].tolist(), y[:-3:-1].tolist()
-
-    def mismatch(self, e, mid) -> float:
-        """The branches' Casoratian at nodes mid, mid + 1, det T(E), over
-        their norms there: bounded, free of poles, of sign (-1)^count."""
-        _, _, (o0, o1), (i0, i1) = self.branches(e, mid)
-        norms = math.hypot(o0, o1) * math.hypot(i0, i1)
-        if not 0.0 < norms < math.inf:
+        (o0, o1), (i0, i1) = y[k:k + 2].tolist(), y[:-3:-1].tolist()
+        no, ni = math.hypot(o0, o1), math.hypot(i0, i1)
+        if not 0.0 < no * ni < math.inf:
             raise StiffnessError(f"Numerov propagation overflowed at E = {e}")
-        return (o1 * i0 - o0 * i1) / norms
+        return y, f, mid, (o0 / no, o1 / no), (i0 / ni, i1 / ni), (no, ni)
 
-    def vector(self, e, mid) -> np.ndarray:
+    def mismatch(self, e) -> tuple[float, float]:
+        """The branches' Casoratian at nodes mid, mid + 1 over their norms
+        there, det T(E) bounded and free of poles, of sign (-1)^count; and
+        Cooley's energy correction (J. W. Cooley, Math. Comp. 15, 363
+        (1961)), the Newton step -v'Tv / v'T'v of v, the outward branch up
+        to mid and the inward one scaled to meet it there, whose residual
+        Tv is on row mid alone.  T' = diag(-h^2 b / f^2) leaves out the end
+        rows' E-dependence, so v'T'v = -|w chi|^2 with chi = y / f."""
+        y, f, mid, (o0, o1), (i0, i1), (no, ni) = self.branches(e)
+        lo, hi, k = self.lo, self.hi, mid - self.lo
+        # |w chi| over each branch by BLAS nrm2, which neither overflows nor
+        # underflows on the inward branch's 1e308
+        out = y[:k + 1] / f[lo:mid + 1]
+        out *= self.w[lo:mid + 1]
+        inw = y[k + 2:-1] / f[hi - 1:mid:-1]
+        inw *= self.w[hi - 1:mid:-1]
+        wo, wi = i0 * dnrm2(out) / no, o0 * dnrm2(inw) / ni
+        cas = o1 * i0 - o0 * i1
+        return cas, o0 * i0 * cas / (wo * wo + wi * wi)
+
+    def vector(self, e) -> np.ndarray:
         """u at a root E: the branches spliced over nodes mid, mid + 1."""
-        y, f, (o0, o1), (i0, i1) = self.branches(e, mid)
+        y, f, mid, (o0, o1), (i0, i1), (no, ni) = self.branches(e)
         if not f.min() > 0.0:
             # h^2 (q - E b)/12 >= 1 somewhere: Numerov flips the sign of chi
             # at every such node, so E need not be an eigenvalue
@@ -405,9 +431,8 @@ class _Numerov:
         chi[self.lo:mid + 1] = y[:k + 1]
         # the inward branch scaled to the outward one over both nodes, its
         # pair normalised first, as it may reach 1e308
-        ni = math.hypot(i0, i1)
-        chi[mid + 1:self.hi] = y[-2:k + 1:-1] * ((o0 * (i0 / ni)
-                                                  + o1 * (i1 / ni)) / ni)
+        chi[mid + 1:self.hi] = y[-2:k + 1:-1] * ((o0 * i0 + o1 * i1) * no
+                                                 / ni)
         chi /= f
         # int P^2 dr = int (r chi)^2 dx, trapezoid rule on the uniform x mesh
         norm = math.sqrt(np.trapezoid((self.r * chi) ** 2, dx=self.h))
@@ -416,53 +441,77 @@ class _Numerov:
 
 _MAXITER = 100
 _RTOL_FLOOR = 4.0 * 2.0 ** -52
+# Cooley's steps below _ROUNDING max(1, |E|) may be the mismatch's rounding:
+# on 8,000 to 16,000 nodes they stall at up to about 1e-11 of E
+_ROUNDING = 1e-11
 
 
-def _regula_falsi(f, lo: float, hi: float, xtol: float, rtol: float):
-    """Root of f in [lo, hi] and the evaluations of f it took, by the
-    Anderson-Bjorck regula falsi (BIT 13, 253 (1973)): secant steps through
-    the bracket's ends, a kept end's f scaled by 1 - f(x)/f(last) (or 1/2),
-    and a bisection after five steps that do not halve the bracket.  Steps
-    stay delta = (xtol + rtol |x|)/2 inside the bracket, 2 delta wide at
-    the root; xtol > 0 and rtol >= _RTOL_FLOOR keep them above the spacing
-    of doubles.  Same-sign ends raise NoSignChange, and _MAXITER steps
-    short of the tolerance ConvergenceError."""
-    a, b = float(lo), float(hi)
-    fa, fb = float(f(a)), float(f(b))
-    calls = 2
-    if fa and fb and (fa < 0.0) == (fb < 0.0):
-        raise NoSignChange(f"mismatch has the same sign at both bracket "
-                           f"ends {lo!r} and {hi!r}")
-    if abs(fa) < abs(fb):  # b is the last point, a the bracket's far end
-        a, b, fa, fb = b, a, fb, fa
-    width, stalled = abs(b - a), 0
+def _newton(f, lo: float, hi: float, xtol: float, rtol: float,
+            lo_sign: float | None = None, floor: float = 0.0):
+    """Root of f in [lo, hi] and the evaluations of f it took, by Newton's
+    method inside the bracket.  f(x) returns a value of f's sign and a
+    Newton step, about -f/f'.  Given lo_sign, f's sign at lo (hi's being
+    the other), neither end is evaluated and the first step is from hi;
+    otherwise both ends are, same-sign ends raise NoSignChange, and the
+    first step is from the midpoint.  A step that leaves the bracket, or is
+    over half the step before it, becomes a bisection.  With delta = (xtol
+    + rtol |x|)/2 and noise = floor max(1, |x|), the rounding of f's steps,
+    the root is x + step once a Newton step at most half the Newton step
+    before it, last, is within max(delta, noise) and leaves an error of
+    about step^2/|last| (at the rate |step/last| the steps shrink by) within
+    delta; or once two Newton steps in a row are within noise; or the
+    midpoint of a bracket 2 delta wide.  At a root of odd multiplicity m >
+    1 the steps shrink by (m - 1)/m only, and the bisections end it.  xtol
+    > 0 and rtol >= _RTOL_FLOOR keep delta above the spacing of doubles;
+    _MAXITER evaluations short of the tolerance raise ConvergenceError."""
+    a, b = float(lo), float(hi)  # f < 0 at a iff neg
+    if lo_sign is None:
+        (fa, _), (fb, _) = f(a), f(b)
+        calls, x = 2, 0.5 * (a + b)
+        if fa and fb and (fa < 0.0) == (fb < 0.0):
+            raise NoSignChange(f"mismatch has the same sign at both bracket "
+                               f"ends {lo!r} and {hi!r}")
+        if not (fa and fb):
+            return (a if fa == 0.0 else b), calls
+        neg = fa < 0.0
+    else:
+        calls, x, neg = 0, b, lo_sign < 0.0
+    last, newton = math.inf, False  # the step to x, and whether Newton's
     for _ in range(_MAXITER):
-        delta = (xtol + rtol * abs(b)) / 2.0
-        if fb == 0.0 or abs(b - a) <= 2.0 * delta:
-            return b, calls
-        if abs(b - a) <= width / 2.0:
-            width, stalled = abs(b - a), 0
-        stalled += 1
-        x = b - (b - a) * (fb / (fb - fa)) if stalled <= 5 else (a + b) / 2.0
-        x = min(max(x, min(a, b) + delta), max(a, b) - delta)
-        fx = float(f(x))
+        fx, step = f(x)
         calls += 1
-        if (fx < 0.0) != (fb < 0.0):
-            a, fa = b, fb
+        if fx == 0.0:
+            return x, calls
+        if (fx < 0.0) == neg:
+            a = x
         else:
-            m = 1.0 - fx / fb
-            fa *= m if m > 0.0 else 0.5
-        b, fb = x, fx
-    raise ConvergenceError(f"root not within (xtol + rtol |x|) of {b!r} "
+            b = x
+        delta = (xtol + rtol * abs(x)) / 2.0
+        left, right = min(a, b), max(a, b)
+        nxt = x + step
+        noise = floor * max(1.0, abs(x))
+        settled = (abs(step) <= min(max(delta, noise), abs(last) / 2.0)
+                   and step * step <= delta * abs(last))
+        if newton and left <= nxt <= right and (
+                settled or max(abs(step), abs(last)) <= noise):
+            return nxt, calls
+        if right - left <= 2.0 * delta:
+            return 0.5 * (left + right), calls
+        newton = left < nxt < right and abs(step) <= abs(last) / 2.0
+        if not newton:
+            nxt = 0.5 * (left + right)
+        last, x = nxt - x, nxt
+    raise ConvergenceError(f"root not within (xtol + rtol |x|) of {x!r} "
                            f"after {_MAXITER} steps")
 
 
-def _root(op: _Numerov, lo: float, hi: float, xtol: float, rtol: float):
-    """Energy, u and mismatch evaluations of the root in [lo, hi], spliced
-    at hi's outer turning node."""
-    mid = op.turning(hi)
-    e, calls = _regula_falsi(lambda e: op.mismatch(e, mid), lo, hi, xtol, rtol)
-    return e, op.vector(e, mid), calls
+def _root(op: _Numerov, lo: float, hi: float, xtol: float, rtol: float,
+          lo_sign: float | None = None):
+    """Energy, u and mismatch evaluations of the root in [lo, hi]: _newton
+    on Cooley's steps, each spliced at its own energy's outer turning
+    node."""
+    e, calls = _newton(op.mismatch, lo, hi, xtol, rtol, lo_sign, _ROUNDING)
+    return e, op.vector(e), calls
 
 
 def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
@@ -471,14 +520,19 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
                    asymptotics: SystemAsymptotics | None = None,
                    rtol: float = 1e-12) -> tuple[float, RadialFunction]:
     """Numerov shooting on the log mesh (J. W. Cooley, Math. Comp. 15, 363
-    (1961)): the energy in e_bracket where T(E)'s branches, outward from the
-    inner Robin slope and inward from the outer one, match at the outer
-    turning point of the bracket's upper end (_root), to relative tolerance
-    rtol >= 4 * 2**-52.  With asymptotics the outer log-derivative follows
-    each trial energy, and outer is not used (it may be None).  The error
-    is O(h^4) in the mesh step, as the matrix route's: the routes'
-    agreement does not check the mesh.  A mesh too coarse for Numerov
-    raises StiffnessError."""
+    (1961)): the energy in e_bracket, whose ends may come in either order,
+    where T(E)'s branches, outward from the inner Robin slope and inward
+    from the outer one, match at E's outer turning point.  Both ends are
+    evaluated (same signs raise NoSignChange); Cooley's energy corrections
+    are then Newton steps from the midpoint, kept inside the bracket (_root,
+    _newton), until the error a step leaves, judged from the step before,
+    is within delta = (1e-12 + rtol |E|)/2, two steps in a row are below
+    1e-11 max(1, |E|), where the mismatch's rounding sets them, or the
+    bracket is 2 delta wide; rtol >= 4 * 2**-52.  With asymptotics the
+    outer log-derivative follows each trial energy, and outer is not used
+    (it may be None).  The error is O(h^4) in the mesh step, as the matrix
+    route's: the routes' agreement does not check the mesh.  A mesh too
+    coarse for Numerov raises StiffnessError."""
     if not all(math.isfinite(e) for e in e_bracket):
         raise DomainError(f"e_bracket must be finite, got {e_bracket!r}")
     if not (_RTOL_FLOOR <= rtol < math.inf):
@@ -492,8 +546,20 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
     if op.lo or op.kappa is None:
         raise DomainError("shooting requires genuine Robin conditions")
     op.start()
-    energy, u, _ = _root(op, *e_bracket, xtol=1e-12, rtol=rtol)
+    energy, u, calls = _root(op, *e_bracket, xtol=1e-12, rtol=rtol)
+    if _log.isEnabledFor(logging.DEBUG):
+        # the state is u's node count, which no count has checked
+        nodes = int(np.count_nonzero(np.diff(np.signbit(u))))
+        _log_state(op, nodes, op.counts, calls)
     return energy, RadialFunction(problem.grid, u, problem.ell, "u")
+
+
+def _log_state(op: _Numerov, state: int, counts: int, mismatches: int):
+    """The debug event of one solved state on the cuspbc logger."""
+    _log.debug("state %(state)d on %(mesh)d nodes: %(counts)d counts, "
+               "%(mismatches)d mismatch evaluations",
+               {"state": state, "mesh": len(op.r), "counts": counts,
+                "mismatches": mismatches})
 
 
 def _count(op: _Numerov, e) -> int | None:
@@ -546,18 +612,16 @@ def _states(op: _Numerov, k: int) -> list[tuple[float, RadialFunction]]:
                     f"{lo[0]!r}, {hi[1]} below {hi[0]!r}")
             pts.append((e, op.count(e)))
             lo, hi = (pts[-1], hi) if pts[-1][1] <= j else (lo, pts[-1])
-        # tighter than shooting's default: shifts must hold to 1e-12
-        e, u, calls = _root(op, lo[0], hi[0], xtol=1e-14, rtol=1e-13)
+        # tighter than shooting's default; the counts give the ends' signs
+        e, u, calls = _root(op, lo[0], hi[0], xtol=1e-14, rtol=1e-13,
+                            lo_sign=(-1.0) ** j)
         delta = _CERTIFY_GAP * max(1.0, abs(e))
         below = (op.count(e - delta), op.count(e + delta))
         if below != (j, j + 1):
             raise ConvergenceError(
                 f"state {j} failed its certificate: T(E) has {below[0]} "
                 f"and {below[1]} states below E -/+ {delta:.1g}")
-        _log.debug("state %(state)d on %(mesh)d nodes: %(counts)d counts, "
-                   "%(mismatches)d mismatch evaluations",
-                   {"state": j, "mesh": len(op.r), "counts": op.counts - done,
-                    "mismatches": calls})
+        _log_state(op, j, op.counts - done, calls)
         done = op.counts
         out.append((e, RadialFunction(op.r, u, op.ell, "u")))
     return out
@@ -570,9 +634,12 @@ def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
     end rows are the two Robin starts: it is singular at the eigenvalues and
     has as many negative eigenvalues as states below E (B. R. Johnson, J.
     Chem. Phys. 67, 4086 (1977)).  State j is isolated by bisecting this
-    count to (j, j + 1), solved there as by solve_shooting, and certified by
-    counts of j below E_j - delta and j + 1 below E_j + delta, delta = 1e-9
-    max(1, |E_j|), or raises ConvergenceError."""
+    count to (j, j + 1), and solved there as by solve_shooting, but with
+    the ends' signs (-1)^j and (-1)^(j + 1) taken from the counts, the
+    first Newton step from the upper end, and (1e-14 + 1e-13 |E|)/2 in
+    place of shooting's (1e-12 + rtol |E|)/2; then certified by counts of j
+    below E_j - delta and j + 1 below E_j + delta, delta = 1e-9 max(1,
+    |E_j|), or raises ConvergenceError."""
     return _states(_Numerov(problem, inner, outer), k)
 
 

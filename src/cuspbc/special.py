@@ -94,8 +94,10 @@ def _sum(x: np.ndarray, ratio, what: str) -> np.ndarray:
 
 
 def _series(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """The 1F1(a; b; x) power series over a flat array x."""
-    return _sum(x, lambda k, xs: (a + (k - 1)) / (b + (k - 1)) * xs / k,
+    """The 1F1(a; b; x) power series over a flat array x.  Each ratio of
+    terms divides last: (a + k - 1)/(b + k - 1) alone overflows where b is
+    next to the pole at 0 (|b| < |a|/1.8e308), even at x = 0."""
+    return _sum(x, lambda k, xs: (a + (k - 1)) * xs / ((b + (k - 1)) * k),
                 f"1F1({a}, {b}, x)")
 
 

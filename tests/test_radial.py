@@ -260,6 +260,20 @@ def test_shooting_no_sign_change():
         solve_shooting(problem, inner, outer, (-0.9, -0.7), asymptotics=sysa)
 
 
+def test_shooting_bracket_in_either_order():
+    # the bracket's ends may come in either order; a bracket of one energy
+    # holds no sign change
+    _, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0)
+    e_up, _ = solve_shooting(problem, inner, outer, (-0.6, -0.4),
+                             asymptotics=sysa)
+    e_down, _ = solve_shooting(problem, inner, outer, (-0.4, -0.6),
+                               asymptotics=sysa)
+    assert e_down == pytest.approx(-0.5, abs=1e-8)
+    assert e_down == pytest.approx(e_up, abs=1e-12)
+    with pytest.raises(NoSignChange):
+        solve_shooting(problem, inner, outer, (-0.5, -0.5), asymptotics=sysa)
+
+
 @pytest.mark.parametrize("tail", [False, True])
 def test_shooting_robin_row_overflow_is_a_stiffness_error(tail):
     # at E = -1e8 the end rows' Robin step e^(...) overflows in the first
@@ -273,25 +287,35 @@ def test_shooting_robin_row_overflow_is_a_stiffness_error(tail):
 
 
 def _hydrogen_mismatch():
-    """Shooting's mismatch for hydrogen 1s on a 2,000-node mesh, spliced
-    where _root splices it, and a bracket of its root."""
+    """Shooting's mismatch for hydrogen 1s on a 2,000-node mesh, as _root
+    steps it, and a bracket of its root."""
     _, problem, inner, _, _ = _hydrogen_setup(1.0, 1, 0)
-    op = radial._Numerov(problem, inner, (1.0, 0.0))
-    inside = np.flatnonzero(op.q < -0.4 * op.b)
-    return (lambda e: op.mismatch(e, inside[-1])), -0.6, -0.4
+    return radial._Numerov(problem, inner, (1.0, 0.0)).mismatch, -0.6, -0.4
+
+
+def _with_step(f, fprime):
+    """f as _newton takes it: its value and the Newton step -f/f', an
+    infinite one where f' = 0."""
+    def value_and_step(x):
+        v, d = f(x), fprime(x)
+        return v, (-v / d if d else math.inf)
+    return value_and_step
 
 
 ROOT_CASES = [
-    (lambda x: math.cos(x) - x, 0.0, 1.0),
-    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
-    (lambda x: math.exp(x) - 10.0, 3.0, 0.0),  # a reversed bracket
-    (lambda x: x * x - 2.0, 0.0, 2.0),  # ends of equal |f|
-    (lambda x: math.atan(50.0 * (x - 0.2)), -1.0, 3.0),
-    (lambda x: x * math.exp(x) - 1.0, -1.0, 1.0),
-    # products of values this small underflow to 0 in the step
-    (lambda x: 1e-120 * (x * x - 0.3), 0.0, 1.0),
-    (lambda x: x - 1.0, 1.0, 2.0),  # a root at the lower end
-    (lambda x: x - 1.0, 0.0, 1.0),  # and at the upper
+    (lambda x: math.cos(x) - x, lambda x: -math.sin(x) - 1.0, 0.0, 1.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, lambda x: 3.0 * x * x - 2.0, 2.0,
+     3.0),
+    (lambda x: math.exp(x) - 10.0, math.exp, 3.0, 0.0),  # a reversed bracket
+    (lambda x: x * x - 2.0, lambda x: 2.0 * x, 0.0, 2.0),  # ends of equal |f|
+    (lambda x: math.atan(50.0 * (x - 0.2)),
+     lambda x: 50.0 / (1.0 + 2500.0 * (x - 0.2) ** 2), -1.0, 3.0),
+    (lambda x: x * math.exp(x) - 1.0, lambda x: (x + 1.0) * math.exp(x),
+     -1.0, 1.0),
+    # values this small: the products of a secant step would underflow
+    (lambda x: 1e-120 * (x * x - 0.3), lambda x: 2e-120 * x, 0.0, 1.0),
+    (lambda x: x - 1.0, lambda x: 1.0, 1.0, 2.0),  # a root at the lower end
+    (lambda x: x - 1.0, lambda x: 1.0, 0.0, 1.0),  # and at the upper
 ]
 
 
@@ -303,13 +327,17 @@ ROOT_TOLS = [(2e-12, 4 * 2.0 ** -52),  # brentq's defaults
 
 @pytest.mark.parametrize("xtol, rtol", ROOT_TOLS)
 def test_regula_falsi_agrees_with_brentq(xtol, rtol):
-    # both roots lie within xtol + rtol |x| of the sign change, so within
-    # twice that of each other; over all cases the root takes no more
-    # evaluations than brentq
+    # the root function, _newton with the step -f/f' (Cooley's step for the
+    # hydrogen mismatch): both roots lie within xtol + rtol |x| of the sign
+    # change, so within twice that of each other, and over all cases
+    # _newton takes no more evaluations than brentq
+    mismatch, lo, hi = _hydrogen_mismatch()
+    cases = [(f, _with_step(f, fp), a, b) for f, fp, a, b in ROOT_CASES]
+    cases.append((lambda e: mismatch(e)[0], mismatch, lo, hi))
     ours = theirs = 0
-    for f, lo, hi in ROOT_CASES + [_hydrogen_mismatch()]:
+    for f, g, lo, hi in cases:
         x, res = brentq(f, lo, hi, xtol=xtol, rtol=rtol, full_output=True)
-        e, calls = radial._regula_falsi(f, lo, hi, xtol, rtol)
+        e, calls = radial._newton(g, lo, hi, xtol, rtol)
         assert type(e) is float and type(calls) is int
         assert min(lo, hi) <= e <= max(lo, hi)
         assert abs(e - x) <= 2.0 * (xtol + rtol * abs(x))
@@ -317,13 +345,18 @@ def test_regula_falsi_agrees_with_brentq(xtol, rtol):
     assert ours <= theirs
 
 
-# sign-exact monotone shapes of t = x - root: each has the sign of t,
-# so the computed f changes sign exactly at the root; all but the last,
-# a triple root, are simple roots or a step
-ROOT_SHAPES = [lambda t, k: t, lambda t, k: math.atan(k * t),
-               lambda t, k: math.expm1(k * t), lambda t, k: math.sinh(k * t),
-               lambda t, k: float((t > 0.0) - (t < 0.0)),
-               lambda t, k: t ** 3]
+# sign-exact monotone shapes of t = x - root and their derivatives: each
+# has the sign of t, so the computed f changes sign exactly at the root;
+# all but the last, a triple root, are simple roots or a step
+ROOT_SHAPES = [(lambda t, k: t, lambda t, k: 1.0),
+               (lambda t, k: math.atan(k * t),
+                lambda t, k: k / (1.0 + (k * t) ** 2)),
+               (lambda t, k: math.expm1(k * t),
+                lambda t, k: k * math.exp(k * t)),
+               (lambda t, k: math.sinh(k * t),
+                lambda t, k: k * math.cosh(k * t)),
+               (lambda t, k: float((t > 0.0) - (t < 0.0)), lambda t, k: 0.0),
+               (lambda t, k: t ** 3, lambda t, k: 3.0 * t * t)]
 
 
 @given(shape=st.sampled_from(range(len(ROOT_SHAPES))),
@@ -333,25 +366,24 @@ ROOT_SHAPES = [lambda t, k: t, lambda t, k: math.atan(k * t),
        rtol=st.floats(4 * 2.0 ** -52, 1e-6))
 def test_regula_falsi_property(shape, k, scale, sign, root, lo, hi, xtol,
                                rtol):
-    # a root within xtol + rtol |x| of the sign change, or a typed error:
-    # NoSignChange where the bracket misses the root, ConvergenceError only
-    # at the triple root (t^3), where regula falsi converges linearly
-    g = ROOT_SHAPES[shape]
+    # _newton with the step -f/f': a root within xtol + rtol |x| of the
+    # sign change, the triple root (t^3) included, or NoSignChange where
+    # the bracket misses the root
+    g, gp = ROOT_SHAPES[shape]
     calls = []
 
     def f(x):
         calls.append(x)
         return sign * 10.0 ** scale * g(x - root, k)
 
+    def fprime(x):
+        return sign * 10.0 ** scale * gp(x - root, k)
+
     if not min(lo, hi) <= root <= max(lo, hi):
         with pytest.raises(NoSignChange):
-            radial._regula_falsi(f, lo, hi, xtol, rtol)
+            radial._newton(_with_step(f, fprime), lo, hi, xtol, rtol)
         return
-    try:
-        x, n = radial._regula_falsi(f, lo, hi, xtol, rtol)
-    except ConvergenceError:
-        assert shape == len(ROOT_SHAPES) - 1
-        return
+    x, n = radial._newton(_with_step(f, fprime), lo, hi, xtol, rtol)
     assert n == len(calls) <= radial._MAXITER + 2
     assert min(lo, hi) <= x <= max(lo, hi)
     assert abs(x - root) <= xtol + rtol * abs(x)
@@ -359,23 +391,38 @@ def test_regula_falsi_property(shape, k, scale, sign, root, lo, hi, xtol,
 
 @pytest.mark.parametrize("xtol, rtol", ROOT_TOLS)
 def test_regula_falsi_bisects_a_creeping_bracket(xtol, rtol):
-    # f is flat beside a steep end: secant steps alone creep in from both
-    # ends and run out of their 100 steps; five steps that do not halve the
-    # bracket make the sixth bisect (brentq takes 8 evaluations)
-    x, calls = radial._regula_falsi(lambda x: -math.expm1(3.0 * (x - 3.0)),
-                                    6.0, 0.0, xtol, rtol)
+    # f is flat beside a steep end: Newton's steps from the flat side leave
+    # the bracket and become bisections (brentq takes 8 evaluations)
+    f = _with_step(lambda x: -math.expm1(3.0 * (x - 3.0)),
+                   lambda x: -3.0 * math.exp(3.0 * (x - 3.0)))
+    x, calls = radial._newton(f, 6.0, 0.0, xtol, rtol)
     assert abs(x - 3.0) <= xtol + rtol * 3.0
-    assert calls <= 13
+    assert calls <= 8
+
+
+@pytest.mark.parametrize("power", [3, 5])
+def test_newton_converges_at_a_root_of_odd_multiplicity(power):
+    # Newton shrinks the error only by (m - 1)/m a step at an m-fold root:
+    # its steps stop halving, the bracket is bisected, and the root ends
+    # within the tolerance
+    x, calls = radial._newton(
+        _with_step(lambda x: (x - 0.7) ** power,
+                   lambda x: power * (x - 0.7) ** (power - 1)),
+        0.0, 1.0, 1e-12, 1e-12)
+    assert abs(x - 0.7) <= 1e-12 + 1e-12 * 0.7
+    assert calls <= 80
 
 
 def test_brent_failures_are_typed():
+    # the root function's typed failures: same-sign ends, and a bracket
+    # too wide to bisect to the tolerance in 100 steps where f gives no
+    # Newton step
     with pytest.raises(NoSignChange, match="bracket ends -1 and 1.0$"):
-        radial._regula_falsi(lambda x: x * x + 1.0, -1, 1.0, 1e-12, 1e-12)
-    # regula falsi converges only linearly at a root of odd multiplicity:
-    # at a fivefold one it runs out of its 100 steps
+        radial._newton(_with_step(lambda x: x * x + 1.0, lambda x: 2.0 * x),
+                       -1, 1.0, 1e-12, 1e-12)
     with pytest.raises(ConvergenceError, match="after 100 steps"):
-        radial._regula_falsi(lambda x: (x - 0.7) ** 5, 0.0, 1.0, 1e-12,
-                             1e-12)
+        radial._newton(lambda x: (x - 0.7, math.inf), 0.0, 2.0 ** 100,
+                       1e-12, 1e-12, lo_sign=-1.0)
 
 
 def test_every_route_returns_float_energies():
@@ -882,10 +929,76 @@ def test_matrix_solves_log_one_event_per_state(caplog):
         assert [(ev["state"], ev["mesh"]) for ev in events] == [
             (0, 2000), (1, 2000)]
         # every state makes its two certificate counts and evaluates the
-        # mismatch at least at both bracket ends
+        # mismatch at least once (the counts give the bracket ends' signs)
         assert all(sorted(ev) == ["counts", "mesh", "mismatches", "state"]
-                   and ev["counts"] >= 2 and ev["mismatches"] >= 2
+                   and ev["counts"] >= 2 and ev["mismatches"] >= 1
                    for ev in events)
+
+
+@pytest.mark.parametrize("n_state", [1, 2, 3])
+def test_shooting_logs_the_state_it_found(caplog, n_state):
+    # one event per solve, as the matrix route's per state: its state is
+    # the node count of u, its counts those of the stability check, and its
+    # mismatches include both bracket ends
+    e, problem, inner, outer, sysa = _hydrogen_setup(1.0, n_state, 0)
+    _, events = _solve_events(caplog, solve_shooting, problem, inner, outer,
+                              (1.1 * e, 0.9 * e), sysa)
+    assert len(events) == 1
+    assert (events[0]["state"], events[0]["mesh"]) == (n_state - 1, 2000)
+    assert events[0]["counts"] >= 1 and events[0]["mismatches"] >= 3
+
+
+@pytest.mark.parametrize("z, n_state, ell", [(1.0, 1, 0), (1.0, 2, 0),
+                                             (2.0, 2, 1), (2.0, 3, 2)])
+def test_cooley_step_is_a_newton_step(z, n_state, ell):
+    # from E_j + dE, on either side, Cooley's step lands within 4 dE^2/|E_j|
+    # of the state: Newton's quadratic convergence
+    _, problem, inner, _, _ = _hydrogen_setup(z, n_state, ell)
+    w = solve_matrix_selfconsistent(problem, inner, 1.0, z - 1.0,
+                                    n_state - ell)[-1][0]
+    op = radial._Numerov(problem, inner, (1.0, z - 1.0))
+    for rel in (1e-2, 1e-3, 1e-4, -1e-3, -1e-4):
+        de = rel * abs(w)
+        step = op.mismatch(w + de)[1]
+        assert abs(w + de + step - w) <= 4.0 * de * de / abs(w)
+
+
+def test_shooting_stops_at_the_rounding_of_its_steps(monkeypatch):
+    # on 8,000 nodes the mismatch's rounding sets Cooley's last steps for
+    # Z = 2, 3p, above shooting's tolerance: two steps in a row below
+    # 1e-11 |E| end the solve (without that rule it took 39 evaluations,
+    # the regula falsi 10), at the matrix route's energy
+    e, problem, inner, outer, sysa = _hydrogen_setup(2.0, 3, 1, n=8000)
+    made = _recorded_mismatches(monkeypatch)
+    e_s, _ = solve_shooting(problem, inner, outer, (1.1 * e, 0.9 * e),
+                            asymptotics=sysa)
+    assert len(made) <= 6
+    e_m = solve_matrix_selfconsistent(problem, inner, 1.0, 1.0, 2)[-1][0]
+    assert e_s == pytest.approx(e_m, abs=1e-12)
+
+
+def test_each_state_takes_few_mismatch_evaluations(monkeypatch):
+    # Cooley's Newton steps: over CASES at Z = 1, 2 and the OWN_KAPPA_CASES,
+    # the matrix route took 212 evaluations and shooting 72 under the
+    # Anderson-Bjorck regula falsi; these bounds are over 40 % below
+    made = _recorded_mismatches(monkeypatch)
+    matrix = shooting = 0
+    for z in (1.0, 2.0):
+        for n_state, ell in CASES:
+            e, problem, inner, outer, sysa = _hydrogen_setup(z, n_state, ell)
+            made.clear()
+            solve_matrix(problem, inner, outer, n_state - ell)
+            matrix += len(made)
+            made.clear()
+            solve_shooting(problem, inner, outer, (1.1 * e, 0.9 * e),
+                           asymptotics=sysa)
+            shooting += len(made)
+    for z, r_max in OWN_KAPPA_CASES:
+        made.clear()
+        solve_matrix_selfconsistent(*_own_kappa_problem(z, r_max), 1.0,
+                                    z - 1.0, 3)
+        matrix += len(made)
+    assert matrix <= 110 and shooting <= 40
 
 
 def _recorded_counts(monkeypatch):
@@ -898,6 +1011,19 @@ def _recorded_counts(monkeypatch):
         return made[-1][1]
 
     monkeypatch.setattr(radial._Numerov, "count", recording)
+    return made
+
+
+def _recorded_mismatches(monkeypatch):
+    """The energy of every mismatch evaluation, in the order made."""
+    made = []
+    mismatch = radial._Numerov.mismatch
+
+    def recording(self, e):
+        made.append(e)
+        return mismatch(self, e)
+
+    monkeypatch.setattr(radial._Numerov, "mismatch", recording)
     return made
 
 
@@ -945,14 +1071,7 @@ def test_selfconsistent_solve_certifies_each_state_once(monkeypatch):
     # delta, and the LAPACK tbtrs calls are one per count, one per
     # mismatch evaluation and one per state's function
     made, calls = _recorded_counts(monkeypatch), _recorded_solves(monkeypatch)
-    mismatches = []
-    mismatch = radial._Numerov.mismatch
-
-    def recording(self, e, mid):
-        mismatches.append(e)
-        return mismatch(self, e, mid)
-
-    monkeypatch.setattr(radial._Numerov, "mismatch", recording)
+    mismatches = _recorded_mismatches(monkeypatch)
     problem, inner = _own_kappa_problem(1.0, 40.0)
     pairs = solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
     assert len(calls) == len(made) + len(mismatches) + 3
@@ -967,8 +1086,8 @@ def test_state_failing_its_certificate_raises(monkeypatch):
     # a root finder that returns the lower end of its bracket gives an
     # energy with no state of T(E) within delta above it: the count finds
     # j, not j + 1, states below E_j + delta
-    monkeypatch.setattr(radial, "_regula_falsi",
-                        lambda f, lo, hi, xtol, rtol: (lo, 0))
+    monkeypatch.setattr(radial, "_newton",
+                        lambda f, lo, hi, *args: (lo, 0))
     problem, inner = _own_kappa_problem(2.0, 20.0)
     with pytest.raises(ConvergenceError, match="state 0 failed its cert"):
         solve_matrix_selfconsistent(problem, inner, 1.0, 1.0, 1)

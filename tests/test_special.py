@@ -25,6 +25,17 @@ def test_kummer_trivial_cases():
         assert kummer_1f1(0.0, 2.0, x) == 1.0
 
 
+def test_kummer_next_to_the_pole_at_zero():
+    # |b| < |a|/1.8e308: a/b alone overflows, and inf * 0 ended the series
+    # in NoConvergence even at x = 0; the terms divide by b last
+    b = -2.225073858507203e-309
+    assert kummer_1f1(1.0, b, 0.0) == 1.0
+    for x in (1e-300, -1e-300):
+        with mpmath.workdps(40):
+            ref = mpmath.hyp1f1(1, mpmath.mpf(b), x)
+        assert kummer_1f1(1.0, b, x) == pytest.approx(float(ref), rel=1e-14)
+
+
 def test_kummer_pole_and_convergence_errors():
     with pytest.raises(PoleError):
         kummer_1f1(1.0, 0.0, 1.0)
