@@ -262,8 +262,8 @@ class _Numerov:
                                   f"{where}")
         bind_scipy()
         self.h, self.q, self.b = _log_mesh(problem)
-        # the weights of v'T'v = -|w chi|^2 (mismatch)
-        self.w = self.h * np.sqrt(self.b)
+        # the weights of v'T'v = -|w chi|^2 and room for w chi (mismatch)
+        self.w, self.w_chi = self.h * np.sqrt(self.b), np.empty(len(self.b))
         self.r, self.ell = problem.grid, problem.ell
         # chi'/chi in x at the inner node: u'/u = a with chi = r^(ell+1/2) u
         self.s_in = self.ell + 0.5 + inner.log_derivative * self.r[0]
@@ -411,9 +411,10 @@ class _Numerov:
         lo, hi, k = self.lo, self.hi, mid - self.lo
         # |w chi| over each branch by BLAS nrm2, which neither overflows nor
         # underflows on the inward branch's 1e308
-        out = y[:k + 1] / f[lo:mid + 1]
+        out = np.divide(y[:k + 1], f[lo:mid + 1], out=self.w_chi[:k + 1])
         out *= self.w[lo:mid + 1]
-        inw = y[k + 2:-1] / f[hi - 1:mid:-1]
+        inw = np.divide(y[k + 2:-1], f[hi - 1:mid:-1],
+                        out=self.w_chi[k + 1:hi - lo])
         inw *= self.w[hi - 1:mid:-1]
         wo, wi = i0 * dnrm2(out) / no, o0 * dnrm2(inw) / ni
         cas = o1 * i0 - o0 * i1
