@@ -416,6 +416,8 @@ class _Numerov:
         inw = np.divide(y[k + 2:-1], f[hi - 1:mid:-1],
                         out=self.w_chi[k + 1:hi - lo])
         inw *= self.w[hi - 1:mid:-1]
+        # v = outward / o0 up to mid, inward / i0 beyond: v'Tv = o1/o0 -
+        # i1/i0 = cas / (o0 i0) and |w chi|^2 = (wo^2 + wi^2) / (o0 i0)^2
         wo, wi = i0 * dnrm2(out) / no, o0 * dnrm2(inw) / ni
         cas = o1 * i0 - o0 * i1
         return cas, o0 * i0 * cas / (wo * wo + wi * wi)
