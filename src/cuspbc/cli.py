@@ -224,8 +224,10 @@ def cmd_solve(args) -> int:
         }
         if args.output:
             # one grid shared by the k states: its column is formatted once
+            t0 = time.perf_counter()
             for i, text in enumerate(csv_texts(fn for _, fn in pairs)):
                 _write_text(f"{args.output}.matrix.{i}.csv", text)
+            reports["matrix"]["write_seconds"] = time.perf_counter() - t0
     if args.method in ("shoot", "both"):
         if bracket is None:
             raise InputError("shooting needs a 'bracket' entry in the spec")
@@ -242,7 +244,9 @@ def cmd_solve(args) -> int:
                                      q_total)],
         }
         if args.output:
+            t0 = time.perf_counter()
             _write_text(f"{args.output}.shoot.csv", fn.to_csv())
+            reports["shoot"]["write_seconds"] = time.perf_counter() - t0
     print(json.dumps(reports, indent=2))
     return 0
 

@@ -225,7 +225,7 @@ def _log_mesh(problem: RadialProblem):
     r = problem.grid
     x = np.log(r)
     h = float(x[1] - x[0])
-    if not np.allclose(np.diff(x), h, rtol=1e-8):
+    if not np.abs(np.diff(x) - h).max() <= 1e-8 + 1e-8 * abs(h):
         raise DomainError("radial solvers require a logarithmic grid")
     b = 2.0 * problem.mass * r ** 2
     q = 0.25 + problem.ell * (problem.ell + 1) + b * problem.potential()

@@ -632,18 +632,31 @@ def _solve_spec(tmp_path, bracket):
 
 def test_solve_k3_formats_the_grid_once(tmp_path, monkeypatch):
     calls = []
-    column = gridfn._csv_column
+    column = gridfn._column
 
     def spy(a):
         calls.append(a)
         return column(a)
 
-    monkeypatch.setattr(gridfn, "_csv_column", spy)
+    monkeypatch.setattr(gridfn, "_column", spy)
     assert main(["solve", _solve_spec(tmp_path, None), "-k", "3",
                  "--output", str(tmp_path / "out")]) == 0
     assert len(calls) == 1 and len(calls[0]) == 600
     assert sorted(p.name for p in tmp_path.glob("out.*")) == [
         f"out.matrix.{i}.csv" for i in range(3)]
+
+
+def test_solve_reports_write_seconds_with_output(tmp_path, capsys):
+    # the time each route spends formatting and writing its CSV files
+    argv = ["solve", _solve_spec(tmp_path, [-0.6, -0.4]), "--method", "both",
+            "-k", "2"]
+    assert main(argv + ["--output", str(tmp_path / "out")]) == 0
+    written = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    bare = json.loads(capsys.readouterr().out)
+    for method in ("matrix", "shoot"):
+        assert 0.0 < written[method]["write_seconds"] < math.inf
+        assert "write_seconds" not in bare[method]
 
 
 def test_solve_writes_matrix_states_before_shooting(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cuspbc import gridfn
 
@@ -34,6 +36,11 @@ def test_validation():
         RadialFunction(r, np.full(10, np.nan))
     with pytest.raises(DomainError):
         RadialFunction(r, np.ones(10), 0, "chi")
+    # next to +-inf, np.diff(grid) > 0 holds
+    with pytest.raises(DomainError, match="grid must be finite"):
+        RadialFunction([0, 1, np.inf], [1, 2, 3])
+    with pytest.raises(DomainError, match="grid must be finite"):
+        RadialFunction([-np.inf, 1], [1, 2])
 
 
 def test_csv_export():
@@ -58,10 +65,13 @@ def _row_format(fn):
 
 def test_csv_bytes_match_the_row_format():
     # subnormals, the smallest normal, signed zero and reprs in exponent
-    # form, one function at a time and as a group sharing its grid
+    # form, one function at a time and as a group sharing its grid; then
+    # strided and big-endian arrays
     fns = [RadialFunction(EDGE_GRID, EDGE_VALUES, 2, "u"),
            RadialFunction(EDGE_GRID, EDGE_VALUES)]
-    for fn in fns:
+    for fn in fns + [RadialFunction(EDGE_GRID[::2], EDGE_VALUES[1::2]),
+                     RadialFunction(EDGE_GRID.astype(">f8"),
+                                    EDGE_VALUES.astype(">f8"))]:
         assert fn.to_csv() == _row_format(fn)
     assert list(csv_texts(fns)) == [_row_format(fn) for fn in fns]
 
@@ -100,13 +110,13 @@ def test_csv_texts_format_a_shared_grid_once(monkeypatch):
             RadialFunction(2.0 * r, np.exp(-r))]
     expected = [fn.to_csv() for fn in fns]
     calls = []
-    column = gridfn._csv_column
+    column = gridfn._column
 
     def spy(a):
         calls.append(a)
         return column(a)
 
-    monkeypatch.setattr(gridfn, "_csv_column", spy)
+    monkeypatch.setattr(gridfn, "_column", spy)
     texts = csv_texts(fns)
     # each text is made when it is asked for
     assert next(texts) == expected[0] and len(calls) == 1
@@ -115,3 +125,53 @@ def test_csv_texts_format_a_shared_grid_once(monkeypatch):
     assert len(calls) == 3
     assert calls[0] is r and calls[1] is fns[3].grid
     assert np.array_equal(calls[2], 2.0 * r)
+
+
+def _texts(floats):
+    """The kernel's text of each float: the bytes of its cell but NUL."""
+    cells = gridfn._column(np.asarray(floats, dtype=float))
+    return [cell.tobytes().replace(b"\0", b"").decode() for cell in cells]
+
+
+def _assert_reprs(floats):
+    floats = np.asarray(floats, dtype=float)
+    floats = np.concatenate([floats, -floats])
+    assert _texts(floats) == [repr(x) for x in floats.tolist()]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=50))
+@example([-0.0, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308])
+def test_kernel_matches_repr(floats):
+    # subnormals and -0.0 included; the list sits in one block
+    assert _texts(floats) == [repr(x) for x in floats]
+
+
+def test_kernel_at_every_power_of_two():
+    # the lower end of the rounding interval is closer at 2^e, and every
+    # binary exponent, so every row of the table of powers of ten, is hit
+    p = np.ldexp(1.0, np.arange(-1074, 1024))
+    _assert_reprs(np.concatenate([np.nextafter(p, 0.0), p,
+                                  np.nextafter(p, np.inf)]))
+
+
+def test_kernel_at_powers_of_ten_and_layout_switches():
+    # repr is positional for decimal exponents -4 to 15, else d.ddde+XX
+    switches = np.array([1e16, 1e-4, 1e-5, 1e15, 9999999999999998.0])
+    _assert_reprs([1 * 5e-324, 2 * 5e-324, 3 * 5e-324]
+                  + [float(f"1e{j}") for j in range(-323, 309)]
+                  + [x for s in switches for x in
+                     (np.nextafter(s, 0.0), s, np.nextafter(s, 2 * s))])
+
+
+def test_kernel_on_integers_and_short_decimals():
+    _assert_reprs(np.arange(2 ** 53 - 1000, 2 ** 53 + 1001).astype(float))
+    _assert_reprs(np.arange(10 ** 4) / 1000)
+
+
+def test_kernel_on_random_bit_patterns():
+    # more rows than a block, so blocks end in the middle
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2 ** 63, 3 * gridfn._BLOCK + 5, dtype=np.uint64)
+    floats = bits.view(np.float64)
+    _assert_reprs(floats[np.isfinite(floats)])

@@ -47,6 +47,21 @@ def test_import_loads_no_scipy(tmp_path):
     assert loaded == []
 
 
+def test_import_builds_no_csv_tables(tmp_path):
+    # the CSV formatter's tables are built by the first CSV written
+    built = _fresh("""
+        import cuspbc
+        from cuspbc import gridfn
+        def built():
+            return [f.cache_info().currsize
+                    for f in (gridfn._pow10, gridfn._glyphs)]
+        before = built()
+        cuspbc.RadialFunction([1.0, 2.0], [3.0, 4.0]).to_csv()
+        print(json.dumps([before, built()]))
+        """, tmp_path)
+    assert built == [[0, 0], [1, 1]]
+
+
 def test_cli_runs_without_a_solve_load_no_scipy(tmp_path):
     # every subcommand but `solve` runs on numpy alone
     (tmp_path / "env.json").write_text(json.dumps(

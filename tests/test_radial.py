@@ -237,6 +237,22 @@ def test_shooting_requires_a_fine_log_grid():
         solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 1)
 
 
+@pytest.mark.parametrize("shift", [2e-8, 0.5e-8])
+def test_log_mesh_tolerance(shift):
+    # one node moved by shift in ln r: two steps miss h by shift, against
+    # the bound 1e-8 (1 + |h|) of a logarithmic grid
+    e, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0)
+    x = np.log(problem.grid)
+    x[1000] += shift
+    problem = replace(problem, grid=np.exp(x))
+    if shift > 1e-8:
+        with pytest.raises(DomainError, match="logarithmic grid"):
+            solve_matrix(problem, inner, outer, 1)
+    else:
+        assert solve_matrix(problem, inner, outer, 1)[0][0] == pytest.approx(
+            e, abs=1e-6)
+
+
 def test_shooting_inner_robin_away_from_origin():
     # u = e^{-r} satisfies u' = -u at every r, so hydrogen 1s stays exact
     # with the inner edge far from the nucleus; at r_min = 1, a r_min = -1
