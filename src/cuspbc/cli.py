@@ -25,7 +25,7 @@ from .cusp import (CoalescencePair, LocalWavefunction, cusp_a, cusp_b,
                    cusp_limit_first, cusp_series, local_u, validity_radius)
 from .errors import (CuspbcError, DomainError, InputError, NumericalError,
                      Overflow)
-from .gridfn import csv_texts
+from .gridfn import _rows, csv_texts
 from .hfr import HFROrbital
 
 
@@ -92,18 +92,20 @@ def _write_text(path, text):
 
 def _emit(args, columns, data, meta):
     """Write the table of the float arrays data, one per column, as CSV
-    (floats as their repr) or as JSON with the identical numeric content,
-    on one line, through json's C encoder."""
-    table = np.column_stack(data)
+    or as one line of JSON, the rows laid out by gridfn's Schubfach
+    kernel: byte for byte what a repr per CSV cell, or json.dumps (its C
+    encoder, default separators), writes."""
+    data = [np.asarray(c, dtype=float) for c in data]
     if args.format == "json":
-        text = json.dumps({"meta": meta, "columns": columns,
-                           "rows": table.tolist()}) + "\n"
+        # head ends in "[]}": the rows go between the brackets
+        head = json.dumps({"meta": meta, "columns": columns, "rows": []})
+        rows = b"".join(_rows(data, "[", ", ", "], ", ("NaN", "Infinity")))
+        text = head[:-2] + rows[:-2].decode() + "]}\n"
     else:
         lines = [f"# {k}={v!r}" for k, v in meta.items()]
         lines.append(",".join(columns))
-        row = ",".join(["%r"] * len(columns)) + "\n"
-        text = ("\n".join(lines) + "\n" + row * len(table)
-                % tuple(table.ravel().tolist()))
+        text = ("\n".join(lines) + "\n"
+                + b"".join(_rows(data, "", ",", "\n")).decode())
     if args.output:
         _write_text(args.output, text)
     else:
@@ -133,8 +135,11 @@ def cmd_local(args) -> int:
                                      args.w0, args.e, args.u0)
     r = _radii(args.r_max, args.n)
     u = local_u(lw, r)
-    big_r = r ** args.ell * u
-    density = r ** 2 * big_r ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        big_r = r ** args.ell * u
+        density = r ** 2 * big_r ** 2
+    if not (np.isfinite(big_r).all() and np.isfinite(density).all()):
+        raise Overflow("R or the density leaves the double range")
     a = cusp_a(pair, args.ell)
     meta = {
         "ell": args.ell, "m": args.m, "w0": args.w0, "e": args.e,

@@ -186,9 +186,9 @@ def spherical_average_w(env: Environment, pair: CoalescencePair, r: float) -> fl
     spectator radius only the monopole survives, so this reproduces w0
     independent of r.
 
-    The reduction uses compensated summation over a fixed ordering, so
-    repeated calls are bit-identical."""
+    Each node's charges are summed in numpy, and the weighted node sums
+    by compensated summation, over a fixed ordering, so repeated calls
+    are bit-identical."""
     _check_r(r)
     _, _, n, w = _sphere_nodes(64, 128)
-    vals = w[:, None] * _pair_terms(env, pair, r, n)
-    return math.fsum(vals.ravel().tolist())
+    return math.fsum((w * _pair_terms(env, pair, r, n).sum(axis=1)).tolist())

@@ -218,6 +218,46 @@ def _column(a):
     return cells
 
 
+def _rows(columns, lead, sep, end, names=("nan", "inf")):
+    """The rows of the equal-length columns as a list of ASCII byte
+    blocks: each row is lead, its cells joined by sep, then end.  A column
+    is float64, its cells as repr writes them but for names: "nan", "inf"
+    and "-inf" by default; or it is the _column cells of one (not all of
+    them).  A block holds at most _BLOCK floats, formatted in one _cells
+    call, and is written with one mask and one tobytes()."""
+    n = len(columns[0])
+    floats = [j for j, col in enumerate(columns) if col.dtype != _CELL]
+    step = _BLOCK // len(floats)  # rows a block
+    glue, fields = [lead] + [sep] * (len(columns) - 1) + [end], []
+    for j, text in enumerate(glue):  # text g0, cell c0, text g1, ...
+        fields += [(f"g{j}", f"V{len(text)}")] if text else []
+        fields += [(f"c{j}", _CELL)] if j < len(columns) else []
+    rows = np.empty(min(n, step), fields)
+    for j, text in enumerate(glue):
+        if text:
+            rows[f"g{j}"] = text.encode()
+    special = np.zeros(3, _CELL)
+    special["left"] = [names[0].encode(), names[1].encode(),
+                       b"-" + names[1].encode()]
+    out = []
+    for i in range(0, n, step):
+        block = rows[:n - i]
+        part = np.stack([columns[j][i:i + step] for j in floats], 1).ravel()
+        finite = np.isfinite(part)
+        if finite.all():
+            cells = _cells(part)
+        else:  # nan 0, inf 1, -inf 2
+            bad = part[~finite]
+            cells = _cells(np.where(finite, part, 0.0))
+            cells[~finite] = special[np.where(np.isnan(bad), 0, 1 + (bad < 0))]
+        cells = iter(cells.reshape(len(block), -1).T)
+        for j, col in enumerate(columns):
+            block[f"c{j}"] = col[i:i + step] if j not in floats else next(cells)
+        chars = block.view(np.uint8)
+        out.append(chars[chars != 0].tobytes())
+    return out
+
+
 def csv_texts(functions):
     """Yield the to_csv() text of each function in turn.  A grid that is
     the previous function's grid array is not formatted again, so the
@@ -227,15 +267,5 @@ def csv_texts(functions):
         if fn.grid is not grid:
             grid, cells = fn.grid, _column(fn.grid)
         values = fn.values.astype(float, casting="same_kind", copy=False)
-        tail = f",{fn.ell},{fn.meaning}\n".encode()
-        row = np.dtype([("r", _CELL), ("comma", "u1"), ("value", _CELL),
-                        ("tail", f"V{len(tail)}")])
-        text = [b"r,value,ell,meaning\n"]
-        for i in range(0, len(grid), _BLOCK):
-            block = slice(i, i + _BLOCK)
-            rows = np.empty(len(cells[block]), row)
-            rows["r"], rows["comma"], rows["tail"] = cells[block], 44, tail
-            rows["value"] = _cells(values[block])
-            chars = rows.view(np.uint8)
-            text.append(chars[chars != 0].tobytes())
-        yield b"".join(text).decode("ascii")
+        yield b"".join([b"r,value,ell,meaning\n", *_rows(
+            [cells, values], "", ",", f",{fn.ell},{fn.meaning}\n")]).decode()

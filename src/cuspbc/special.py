@@ -18,6 +18,7 @@ from .errors import DomainError, NoConvergence, Overflow, PoleError
 # series truncation: a hard term cap and the relative tolerance of a term
 MAX_TERMS = 500
 REL_TOL = 1e-14
+_STRIDE = 16  # terms between two readings of the stop rule
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -41,6 +42,13 @@ def kummer_series(a: float, b: float, x: float) -> float:
     return float(_series(a, b, np.array([float(x)]))[0])
 
 
+def _small(term, total, r):
+    """Whether each term passes the stop rule: below REL_TOL * |partial
+    sum|, and undercut by the next term (ratio r) or 0."""
+    return (abs(term) <= REL_TOL * abs(total)) & ((abs(r) < 1.0)
+                                                   | (term == 0.0))
+
+
 def _sum(x: np.ndarray, ratio, what: str) -> np.ndarray:
     """Sum the series 1 + t_1 + t_2 + ... elementwise, t_k = t_{k-1} ratio(k, x).
 
@@ -48,49 +56,46 @@ def _sum(x: np.ndarray, ratio, what: str) -> np.ndarray:
     two consecutive terms (hysteresis against an accidentally small term),
     counting only terms that the next one undercuts (or that are 0, as all
     after them are): a leading term made tiny by a small a does not end a
-    sum whose later terms grow.  Stopped elements leave the working set;
-    terms that overflow never pass the rule, so they end in NoConvergence.
-    One point runs the same loop on Python floats, which numpy's per-call
-    overhead on a one-element array would make some 15x slower.
+    sum whose later terms grow.  The rule is read only on the last two
+    terms of each stride of _STRIDE terms and at MAX_TERMS, so a sum may
+    run up to _STRIDE - 1 terms past the first two that pass it; only
+    there do stopped elements leave the working set.  Terms that overflow
+    never pass the rule, so they end in NoConvergence.  One point runs the
+    same schedule on Python floats, which numpy's per-call overhead on a
+    one-element array would make some 15x slower.
     """
+    one = x.size == 1
     # numpy-scalar a or b makes the one-point terms numpy arithmetic too
     with np.errstate(over="ignore", invalid="ignore"):
-        if x.size == 1:
-            xv, term, total, prev_small = float(x[0]), 1.0, 1.0, False
-            r = ratio(1, xv)
-            for k in range(1, MAX_TERMS + 1):
-                term *= r
-                total += term
-                r = ratio(k + 1, xv)
-                small = (abs(term) <= REL_TOL * abs(total)
-                         and (abs(r) < 1.0 or term == 0.0))
-                if small and prev_small:
-                    return np.array([total])
-                prev_small = small
+        if one:
+            x, term, total = float(x[0]), 1.0, 1.0
         else:
             out, idx = np.empty_like(x), np.arange(x.size)
             term, total = np.ones_like(x), np.ones_like(x)
-            prev_small = np.zeros(x.size, dtype=bool)
-            r = ratio(1, x)
-            for k in range(1, MAX_TERMS + 1):
+        r, k = ratio(1, x), 0
+        for end in range(_STRIDE, MAX_TERMS + _STRIDE, _STRIDE):
+            end = min(end, MAX_TERMS)
+            for k in range(k + 1, end + 1):
+                if k == end:  # term end - 1 is the first of the two read
+                    small = _small(term, total, r)
                 term *= r
                 total += term
                 r = ratio(k + 1, x)
-                small = ((np.abs(term) <= REL_TOL * np.abs(total))
-                         & ((np.abs(r) < 1.0) | (term == 0.0)))
-                done = small & prev_small
-                if done.any():
-                    out[idx[done]] = total[done]
-                    keep = ~done
-                    idx, x, term, total = (idx[keep], x[keep], term[keep],
-                                           total[keep])
-                    r, small = r[keep], small[keep]
-                if idx.size == 0:
-                    return out
-                prev_small = small
+            done = small & _small(term, total, r)
+            if one:
+                if done:
+                    return np.array([total])
+                continue
+            if done.any():
+                out[idx[done]] = total[done]
+                keep = ~done
+                idx, x, term, total, r = (idx[keep], x[keep], term[keep],
+                                          total[keep], r[keep])
+            if idx.size == 0:
+                return out
     raise NoConvergence(
         f"{what} did not converge within {MAX_TERMS} terms "
-        f"(x = {float(x[0])!r})")
+        f"(x = {float(x if one else x[0])!r})")
 
 
 def _series(a: float, b: float, x: np.ndarray) -> np.ndarray:

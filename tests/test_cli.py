@@ -108,6 +108,25 @@ def test_cmd_local_regime_error_exit_code():
     assert main(["local", "e-nucleus", "Z=1", "--e", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("flags", [["--r-max", "200"],
+                                   ["--ell", "20", "--r-max", "300"]])
+def test_cmd_local_overflow_writes_nothing(tmp_path, capsys, fmt, flags):
+    # u is finite, but the density (r = 200) or R itself (r^20 u at
+    # r = 300) is not: exit 3 before any output, and no RuntimeWarning
+    argv = ["local", "e-nucleus", "Z=2", "--e", "-0.9179556", "--w0",
+            "1.6875", "--n", "5", "--format", fmt] + flags
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+        assert main(argv + ["--output", str(out)]) == 3
+    assert capsys.readouterr() == ("", 2 * (
+        "cuspbc: numerical failure: R or the density leaves the double "
+        "range\n"))
+    assert not out.exists()
+
+
 def test_cmd_local_csv_json_content_identical(tmp_path):
     args = ["local", "e-nucleus", "Z=1", "--e", "-0.5", "--n", "21"]
     csv_path = tmp_path / "o.csv"
@@ -700,6 +719,13 @@ def _row_reference(columns, data, meta, fmt):
     return "\n".join(lines) + "\n"
 
 
+def _json_reference(columns, data, meta):
+    """The table as json.dumps (its C encoder, default separators) writes
+    it, with a newline."""
+    rows = [list(row) for row in zip(*(np.asarray(c).tolist() for c in data))]
+    return json.dumps({"meta": meta, "columns": columns, "rows": rows}) + "\n"
+
+
 def _same_json(text, reference):
     # NaN and Infinity load as their names, so that they compare equal
     assert (json.loads(text, parse_constant=str)
@@ -731,6 +757,7 @@ def test_tabular_output_matches_the_row_reference(tmp_path, monkeypatch,
         assert out.read_bytes() == reference.encode("utf-8")
     else:
         _same_json(out.read_text(), reference)
+        assert out.read_bytes() == _json_reference(*table).encode("utf-8")
 
 
 def test_emit_edge_floats_and_a_percent_in_meta(capsys):
@@ -839,3 +866,50 @@ def test_non_finite_or_empty_inputs_are_input_errors(tmp_path, capsys, argv,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"cuspbc: input error: {message}\n"
+
+
+def _mixed_floats(rng, shape):
+    # signs, magnitudes across the double range, and short decimals
+    out = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    out.flat[::7] = np.round(out.flat[::7], 3)
+    return out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_bytes_equal_the_references(capsys, fmt):
+    # the edge floats, -0.0, 5e-324, 1e16 and 2^53 +- 1 (2^53 + 1 rounds
+    # to 2^53), non-finite cells (nan, inf, -inf in CSV; NaN, Infinity,
+    # -Infinity in JSON), then a 601 x 6 table; byte for byte against
+    # repr per CSV cell or json.dumps
+    big = 2 ** 53
+    edges = np.array([-0.0, 5e-324, 1e16, big - 1, big + 1, big + 2,
+                      math.nan, math.inf, -math.inf], dtype=float)
+    meta = {"r0": math.inf, "e": math.nan, "kind": "100% \u00e9", "n": 6}
+    tables = [(["r", "value", "neg"], [EDGE_GRID, EDGE_VALUES, -EDGE_VALUES]),
+              (["x", "y"], [edges, -edges[::-1]]),
+              (list("abcdef"), list(_mixed_floats(np.random.default_rng(3),
+                                                  (6, 601))))]
+    args = argparse.Namespace(format=fmt, output=None)
+    for columns, data in tables:
+        cli._emit(args, columns, data, meta)
+        text = capsys.readouterr().out
+        if fmt == "json":
+            assert text == _json_reference(columns, data, meta)
+        else:
+            assert text == _row_reference(columns, data, meta, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_of_several_row_blocks(capsys, fmt):
+    # rows past one block of the kernel, so a block ends mid-table
+    n = 2 * gridfn._BLOCK + 5
+    data = list(_mixed_floats(np.random.default_rng(11), (3, n)))
+    data[1][gridfn._BLOCK - 1:gridfn._BLOCK + 2] = [math.nan, math.inf, -0.0]
+    meta = {"n": n}
+    cli._emit(argparse.Namespace(format=fmt, output=None), ["a", "b", "c"],
+              data, meta)
+    text = capsys.readouterr().out
+    if fmt == "json":
+        assert text == _json_reference(["a", "b", "c"], data, meta)
+    else:
+        assert text == _row_reference(["a", "b", "c"], data, meta, fmt)

@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from cuspbc import special
 from cuspbc.errors import DomainError, NoConvergence, PoleError
-from cuspbc.special import (REL_TOL, _legendre_upto, kummer_1f1,
+from cuspbc.special import (MAX_TERMS, REL_TOL, _legendre_upto, kummer_1f1,
                             kummer_crossover, kummer_series, legendre_p,
                             pochhammer, spherical_harmonic)
 
@@ -170,6 +171,71 @@ def test_scalar_and_array_sums_agree_bitwise(a, b):
             assert scalar.hex() == one[0].hex() == inside[1].hex()
         raw = kummer_series(a, b, 0.37)
         assert raw.hex() == kummer_1f1(a, b, np.array([1.0, 0.37]))[1].hex()
+
+
+def _sums(ratios):
+    """_sum with the term ratios ratios(k), at one point and at three;
+    returns the results and the largest k the ratio was asked for."""
+    seen = []
+
+    def ratio(k, x):
+        seen.append(k)
+        return x * ratios(k)  # x is 1.0 at every point
+
+    out = [special._sum(np.ones(n), ratio, "test") for n in (1, 3)]
+    return out, max(seen)
+
+
+def _partial_sum(ratios, n_terms):
+    term = total = 1.0
+    for k in range(1, n_terms + 1):
+        term *= ratios(k)
+        total += term
+    return total
+
+
+def test_sum_stops_only_at_a_check_point():
+    # every term after the first is below REL_TOL of the sum and undercut
+    # by the next, so the rule holds from term 2 on; it is read on terms
+    # _STRIDE - 1 and _STRIDE, and the sum stops there
+    (one, three), last = _sums(lambda k: 1e-20)
+    assert last == special._STRIDE + 1
+    assert one[0] == 1.0 and list(three) == [1.0] * 3
+    # terms halving: the sum ends at the first check point past the term
+    # where the rule holds, with every term up to it
+    (one, three), last = _sums(lambda k: 0.5)
+    stop = last - 1
+    assert stop % special._STRIDE == 0
+    assert 0.5 ** (stop - special._STRIDE) > REL_TOL  # not a stride later
+    assert one[0] == _partial_sum(lambda k: 0.5, stop) == three[2]
+
+
+def test_sum_does_not_stop_on_a_tiny_term_whose_successor_grows():
+    # terms _STRIDE - 1 and _STRIDE are tiny at the check point, but the
+    # next ratio is huge: term _STRIDE + 1 is 1 again, so no stop
+    s = special._STRIDE
+
+    def ratios(k):
+        return {s - 1: 1e-30, s: 1e-30, s + 1: 1e60}.get(k, 1.0 if k < s
+                                                          else 0.0)
+    (one, three), last = _sums(ratios)
+    assert last == 2 * s + 1
+    assert one[0] == _partial_sum(ratios, 2 * s) == s == three[1]
+
+
+def test_sum_reads_the_rule_at_max_terms():
+    # MAX_TERMS is not a multiple of the stride; the rule is read there
+    # too: it holds on the last two terms, then on the last one alone
+    assert MAX_TERMS % special._STRIDE != 0
+    (one, three), last = _sums(
+        lambda k: 1e-30 if k >= MAX_TERMS - 1 else 1.0)
+    assert last == MAX_TERMS + 1
+    assert one[0] == MAX_TERMS - 1 == three[0]
+    for ratios in (lambda k: 1e-30 if k >= MAX_TERMS else 1.0,
+                   lambda k: 1.0):
+        for n in (1, 3):
+            with pytest.raises(NoConvergence, match=f"{MAX_TERMS} terms"):
+                special._sum(np.ones(n), lambda k, x: x * ratios(k), "test")
 
 
 def test_spherical_harmonic_basics():
