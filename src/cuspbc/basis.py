@@ -18,7 +18,7 @@ import numpy as np
 
 from .cusp import cusp_limit_first, cusp_limit_second
 from .errors import DomainError
-from .gridfn import RadialFunction
+from .gridfn import RadialFunction, check_ell
 from .radial import SystemAsymptotics, asymptotic_tail
 
 SLATER = "slater"
@@ -112,8 +112,7 @@ class CuspBasis:
     def __post_init__(self):
         if self.kind not in (SLATER, GAUSSIAN):
             raise DomainError("kind must be 'slater' or 'gaussian'")
-        if self.ell < 0:
-            raise DomainError("ell must be non-negative")
+        check_ell(self.ell)
         object.__setattr__(self, "cusp_terms", tuple(self.cusp_terms))
         object.__setattr__(self, "tail_terms", tuple(self.tail_terms))
         for t in self.cusp_terms + self.tail_terms:

@@ -310,7 +310,11 @@ def cmd_compare_he(args) -> int:
     w0 = (pair.q1 + pair.q2) * inv_r
     lw = LocalWavefunction.from_pair(pair, 0, 0, w0, args.e)
     if args.r0_kind == "cusp":
-        r0 = 1.0 / abs(cusp_a(pair, 0))
+        a = cusp_a(pair, 0)
+        if a == 0.0:
+            raise DomainError("--r0-kind cusp needs a nonzero cusp "
+                              "coefficient, so Z != 0")
+        r0 = 1.0 / abs(a)
     else:
         r0 = 1.0 / inv_r
 
@@ -320,8 +324,12 @@ def cmd_compare_he(args) -> int:
     window = r <= r0 / 4.0
     u0 = float(np.dot(hfr[window], u[window]) / np.dot(u[window], u[window]))
     uk = u0 * u
-    dens_h = r ** 2 * hfr ** 2
-    dens_k = r ** 2 * uk ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens_h = r ** 2 * hfr ** 2
+        dens_k = r ** 2 * uk ** 2
+    if not (np.isfinite(dens_h).all() and np.isfinite(dens_k).all()):
+        raise Overflow("the orbital or Kummer density leaves the double "
+                       "range")
 
     def relative(psi_k, psi_h):
         # |psi_k^2 - psi_h^2| / psi_h^2, so the r^2 of both densities

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, FitError, Overflow, ParityError, RegimeError
-from .gridfn import RadialFunction
+from .gridfn import RadialFunction, check_ell
 from .special import _scaled, _sphere_nodes, spherical_harmonic
 
 INFINITE_MASS = math.inf
@@ -68,8 +68,7 @@ class CoalescencePair:
         return self.q1 == self.q2 and self.m1 == self.m2
 
     def check_ell(self, ell: int) -> None:
-        if ell < 0:
-            raise DomainError("ell must be non-negative")
+        check_ell(ell)
         if self.spin_channel == SINGLET and ell % 2 == 1:
             raise ParityError(f"singlet channel forbids odd ell = {ell}")
         if self.spin_channel == TRIPLET and ell % 2 == 0:
@@ -135,8 +134,9 @@ class LocalWavefunction:
     beta: float
 
     def __post_init__(self):
-        if self.ell < 0 or abs(self.m) > self.ell:
-            raise DomainError("need ell >= 0 and |m| <= ell")
+        check_ell(self.ell)
+        if abs(self.m) > self.ell:
+            raise DomainError(f"need |m| <= ell, got m = {self.m!r}")
         if not (self.beta > 0.0):
             raise RegimeError(
                 "local bound-state form requires beta > 0, i.e. E < W0"
@@ -281,8 +281,8 @@ def _cusp_limit(f: RadialFunction, ell: int | None, n_points: int,
                 order: int) -> float:
     """lim_{r->0} d_r^{ell+order} Psi / d_r^ell Psi = (ell+order)!/ell!
     c_{ell+order}/c_ell, from the inner fit to the full radial function."""
-    if ell is None:
-        ell = f.ell
+    ell = f.ell if ell is None else ell
+    check_ell(ell)
     g = f.as_full()
     coeffs = _fit_inner_coeffs(g.grid, g.values, ell, n_points)
     c_ell = coeffs[ell]

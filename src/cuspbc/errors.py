@@ -46,7 +46,7 @@ class SingularityError(NumericalError):
 
 
 class NoSignChange(NumericalError):
-    """Shooting bracket does not straddle an eigenvalue."""
+    """The shooting bracket does not hold exactly one state."""
 
 
 class StiffnessError(NumericalError):

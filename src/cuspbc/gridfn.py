@@ -4,11 +4,18 @@ the cusp checkers, and the CLI."""
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+
+
+def check_ell(ell) -> None:
+    """DomainError unless ell is a non-negative integer."""
+    if not (isinstance(ell, numbers.Integral) and ell >= 0):
+        raise DomainError(f"ell must be a non-negative integer, got {ell!r}")
 
 
 @dataclass(frozen=True)
@@ -39,8 +46,7 @@ class RadialFunction:
             raise DomainError("values must be finite")
         if self.meaning not in ("R", "u"):
             raise DomainError("meaning must be 'R' or 'u'")
-        if self.ell < 0:
-            raise DomainError("ell must be non-negative")
+        check_ell(self.ell)
 
     def as_full(self) -> "RadialFunction":
         """Return the R = r^ell * u view of this function."""

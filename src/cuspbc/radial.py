@@ -15,7 +15,6 @@ from __future__ import annotations
 import importlib
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .cusp import CuspSeries, CoalescencePair, _polyfit, cusp_series
 from .errors import (ConvergenceError, DomainError, NoSignChange,
                      RegimeError, SingularityError, StiffnessError)
-from .gridfn import RadialFunction
+from .gridfn import RadialFunction, check_ell
 
 INNER = "inner"
 OUTER = "outer"
@@ -88,8 +87,7 @@ class RobinBoundary:
 
 def robin_inner(ell: int, a: float) -> RobinBoundary:
     """Inner condition u' - a*u = 0 on the reduced function."""
-    if ell < 0:
-        raise DomainError("ell must be non-negative")
+    check_ell(ell)
     return RobinBoundary(INNER, 1.0, -a)
 
 
@@ -144,8 +142,8 @@ def robin_outer(sys: SystemAsymptotics, r_max: float) -> RobinBoundary:
 def asymptotic_tail(sys: SystemAsymptotics, v0: float, r) -> float:
     """R(r) = v0 exp(-decay*r) r^power at large r."""
     rs = np.asarray(r, dtype=float)
-    if np.any(rs <= 0.0):
-        raise DomainError("r must be positive")
+    if not (math.isfinite(v0) and np.all((rs > 0.0) & (rs < math.inf))):
+        raise DomainError("v0 must be finite and r positive and finite")
     out = v0 * np.exp(-sys.decay * rs) * rs ** sys.power
     return float(out) if rs.shape == () else out
 
@@ -179,9 +177,7 @@ class RadialProblem:
         if not (g[0] > 0.0 and np.all(np.diff(g) > 0.0) and g[-1] < math.inf):
             raise DomainError("grid must be finite and strictly increasing "
                               "with r_min > 0")
-        if not (isinstance(self.ell, numbers.Integral) and self.ell >= 0):
-            raise DomainError(f"ell must be a non-negative integer, got "
-                              f"{self.ell!r}")
+        check_ell(self.ell)
         if not (0.0 < self.mass < math.inf):
             raise DomainError("mass must be positive and finite")
         if not (math.isfinite(self.pair_product) and math.isfinite(self.w0)):
@@ -449,36 +445,25 @@ _RTOL_FLOOR = 4.0 * 2.0 ** -52
 _ROUNDING = 1e-11
 
 
-def _newton(f, lo: float, hi: float, xtol: float, rtol: float,
-            lo_sign: float | None = None, floor: float = 0.0):
+def _newton(f, lo: float, hi: float, x: float, lo_sign: float, xtol: float,
+            rtol: float, floor: float = 0.0):
     """Root of f in [lo, hi] and the evaluations of f it took, by Newton's
-    method inside the bracket.  f(x) returns a value of f's sign and a
-    Newton step, about -f/f'.  Given lo_sign, f's sign at lo (hi's being
-    the other), neither end is evaluated and the first step is from hi;
-    otherwise both ends are, same-sign ends raise NoSignChange, and the
-    first step is from the midpoint.  A step that leaves the bracket, or is
-    over half the step before it, becomes a bisection.  With delta = (xtol
-    + rtol |x|)/2 and noise = floor max(1, |x|), the rounding of f's steps,
-    the root is x + step once a Newton step at most half the Newton step
-    before it, last, is within max(delta, noise) and leaves an error of
-    about step^2/|last| (at the rate |step/last| the steps shrink by) within
-    delta; or once two Newton steps in a row are within noise; or the
-    midpoint of a bracket 2 delta wide.  At a root of odd multiplicity m >
-    1 the steps shrink by (m - 1)/m only, and the bisections end it.  xtol
-    > 0 and rtol >= _RTOL_FLOOR keep delta above the spacing of doubles;
-    _MAXITER evaluations short of the tolerance raise ConvergenceError."""
+    method inside the bracket from x, evaluating neither end.  f(x)
+    returns a value of f's sign and a Newton step, about -f/f'; lo_sign is
+    f's sign at lo, and hi's is the other.  A step that leaves the bracket,
+    or is over half the step before it, becomes a bisection.  With delta =
+    (xtol + rtol |x|)/2 and noise = floor max(1, |x|), the rounding of f's
+    steps, the root is x + step once a Newton step at most half the Newton
+    step before it, last, is within max(delta, noise) and leaves an error
+    of about step^2/|last| (at the rate |step/last| the steps shrink by)
+    within delta; or once two Newton steps in a row are within noise; or
+    the midpoint of a bracket 2 delta wide.  At a root of odd multiplicity
+    m > 1 the steps shrink by (m - 1)/m only, and the bisections end it.
+    xtol > 0 and rtol >= _RTOL_FLOOR keep delta above the spacing of
+    doubles; _MAXITER evaluations short of the tolerance raise
+    ConvergenceError."""
     a, b = float(lo), float(hi)  # f < 0 at a iff neg
-    if lo_sign is None:
-        (fa, _), (fb, _) = f(a), f(b)
-        calls, x = 2, 0.5 * (a + b)
-        if fa and fb and (fa < 0.0) == (fb < 0.0):
-            raise NoSignChange(f"mismatch has the same sign at both bracket "
-                               f"ends {lo!r} and {hi!r}")
-        if not (fa and fb):
-            return (a if fa == 0.0 else b), calls
-        neg = fa < 0.0
-    else:
-        calls, x, neg = 0, b, lo_sign < 0.0
+    calls, neg = 0, lo_sign < 0.0
     last, newton = math.inf, False  # the step to x, and whether Newton's
     for _ in range(_MAXITER):
         fx, step = f(x)
@@ -508,12 +493,14 @@ def _newton(f, lo: float, hi: float, xtol: float, rtol: float,
                            f"after {_MAXITER} steps")
 
 
-def _root(op: _Numerov, lo: float, hi: float, xtol: float, rtol: float,
-          lo_sign: float | None = None):
-    """Energy, u and mismatch evaluations of the root in [lo, hi]: _newton
-    on Cooley's steps, each spliced at its own energy's outer turning
-    node."""
-    e, calls = _newton(op.mismatch, lo, hi, xtol, rtol, lo_sign, _ROUNDING)
+def _root(op: _Numerov, j: int, lo: float, hi: float, x: float, xtol: float,
+          rtol: float):
+    """Energy, u and mismatch evaluations of state j, isolated in [lo, hi]
+    by counts of j and j + 1, which give the mismatch's signs there,
+    (-1)^j and (-1)^(j + 1): _newton from x on Cooley's steps, each spliced
+    at its own energy's outer turning node."""
+    e, calls = _newton(op.mismatch, lo, hi, x, (-1.0) ** j, xtol, rtol,
+                       _ROUNDING)
     return e, op.vector(e), calls
 
 
@@ -523,19 +510,20 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
                    asymptotics: SystemAsymptotics | None = None,
                    rtol: float = 1e-12) -> tuple[float, RadialFunction]:
     """Numerov shooting on the log mesh (J. W. Cooley, Math. Comp. 15, 363
-    (1961)): the energy in e_bracket, whose ends may come in either order,
-    where T(E)'s branches, outward from the inner Robin slope and inward
-    from the outer one, match at E's outer turning point.  Both ends are
-    evaluated (same signs raise NoSignChange); Cooley's energy corrections
-    are then Newton steps from the midpoint, kept inside the bracket (_root,
-    _newton), until the error a step leaves, judged from the step before,
-    is within delta = (1e-12 + rtol |E|)/2, two steps in a row are below
-    1e-11 max(1, |E|), where the mismatch's rounding sets them, or the
-    bracket is 2 delta wide; rtol >= 4 * 2**-52.  With asymptotics the
-    outer log-derivative follows each trial energy, and outer is not used
-    (it may be None).  The error is O(h^4) in the mesh step, as the matrix
-    route's: the routes' agreement does not check the mesh.  A mesh too
-    coarse for Numerov raises StiffnessError."""
+    (1961)): solve_matrix's state j, under the same Robin or Dirichlet ends,
+    in the caller's e_bracket (ends in either order), not one the counts
+    isolate.  Counts of j states below its lower end and j + 1 below its
+    upper one give the ends' signs, and any other pair raises NoSignChange;
+    Cooley's energy corrections are then Newton steps from the midpoint,
+    kept inside the bracket (_root, _newton), until the error a step
+    leaves, judged from the step before, is within delta = (1e-12 + rtol
+    |E|)/2, two steps in a row are below 1e-11 max(1, |E|), where the
+    mismatch's rounding sets them, or the bracket is 2 delta wide; rtol >=
+    4 * 2**-52.  With asymptotics the outer log-derivative follows each
+    trial energy, and outer is not used (it may be None).  The error is
+    O(h^4) in the mesh step, as the matrix route's: the routes' agreement
+    does not check the mesh.  A mesh too coarse for Numerov raises
+    StiffnessError."""
     if not all(math.isfinite(e) for e in e_bracket):
         raise DomainError(f"e_bracket must be finite, got {e_bracket!r}")
     if not (_RTOL_FLOOR <= rtol < math.inf):
@@ -546,14 +534,15 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
     elif outer is None:
         raise DomainError("shooting needs an outer boundary or asymptotics")
     op = _Numerov(problem, inner, outer)
-    if op.lo or op.kappa is None:
-        raise DomainError("shooting requires genuine Robin conditions")
     op.start()
-    energy, u, calls = _root(op, *e_bracket, xtol=1e-12, rtol=rtol)
-    if _log.isEnabledFor(logging.DEBUG):
-        # the state is u's node count, which no count has checked
-        nodes = int(np.count_nonzero(np.diff(np.signbit(u))))
-        _log_state(op, nodes, op.counts, calls)
+    lo, hi = sorted(map(float, e_bracket))
+    j, above = op.count(lo), op.count(hi)
+    if above != j + 1:
+        raise NoSignChange(f"T(E) has {j} states below {lo!r} and {above} "
+                           f"below {hi!r}: the bracket holds {above - j}, "
+                           f"not one")
+    energy, u, calls = _root(op, j, lo, hi, 0.5 * (lo + hi), 1e-12, rtol)
+    _log_state(op, j, op.counts, calls)
     return energy, RadialFunction(problem.grid, u, problem.ell, "u")
 
 
@@ -615,9 +604,8 @@ def _states(op: _Numerov, k: int) -> list[tuple[float, RadialFunction]]:
                     f"{lo[0]!r}, {hi[1]} below {hi[0]!r}")
             pts.append((e, op.count(e)))
             lo, hi = (pts[-1], hi) if pts[-1][1] <= j else (lo, pts[-1])
-        # tighter than shooting's default; the counts give the ends' signs
-        e, u, calls = _root(op, lo[0], hi[0], xtol=1e-14, rtol=1e-13,
-                            lo_sign=(-1.0) ** j)
+        # from the upper end, tighter than shooting's default
+        e, u, calls = _root(op, j, lo[0], hi[0], hi[0], 1e-14, 1e-13)
         delta = _CERTIFY_GAP * max(1.0, abs(e))
         below = (op.count(e - delta), op.count(e + delta))
         if below != (j, j + 1):
@@ -638,8 +626,7 @@ def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
     has as many negative eigenvalues as states below E (B. R. Johnson, J.
     Chem. Phys. 67, 4086 (1977)).  State j is isolated by bisecting this
     count to (j, j + 1), and solved there as by solve_shooting, but with
-    the ends' signs (-1)^j and (-1)^(j + 1) taken from the counts, the
-    first Newton step from the upper end, and (1e-14 + 1e-13 |E|)/2 in
+    the first Newton step from the upper end and (1e-14 + 1e-13 |E|)/2 in
     place of shooting's (1e-12 + rtol |E|)/2; then certified by counts of j
     below E_j - delta and j + 1 below E_j + delta, delta = 1e-9 max(1,
     |E_j|), or raises ConvergenceError."""

@@ -35,10 +35,20 @@ def _is_nonpositive_integer(b: float) -> bool:
     return b <= 0.0 and b == math.floor(b)
 
 
-def kummer_series(a: float, b: float, x: float) -> float:
-    """Raw series sum of 1F1(a; b; x), no transformation (see _sum)."""
+def _check_parameters(a: float, b: float) -> None:
+    """DomainError unless a and b are finite; PoleError at b = 0, -1, ..."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"1F1 parameters must be finite, got a = {a!r}, "
+                          f"b = {b!r}")
     if _is_nonpositive_integer(b):
         raise PoleError(f"1F1 pole: b = {b} is zero or a negative integer")
+
+
+def kummer_series(a: float, b: float, x: float) -> float:
+    """Raw series sum of 1F1(a; b; x), no transformation (see _sum)."""
+    _check_parameters(a, b)
+    if not math.isfinite(x):
+        raise DomainError("1F1 argument must be finite")
     return float(_series(a, b, np.array([float(x)]))[0])
 
 
@@ -197,11 +207,10 @@ def kummer_1f1(a: float, b: float, x):
     1F1(a;b;x) = e^x 1F1(b-a; b; -x), so every series summed has positive
     argument (the direct alternating series loses precision).  From
     kummer_crossover on, the large-x expansion replaces the series.
-    Raises DomainError for a non-finite x and Overflow where 1F1 exceeds
-    the double range.
+    Raises DomainError for a non-finite a, b or x and Overflow where 1F1
+    exceeds the double range.
     """
-    if _is_nonpositive_integer(b):
-        raise PoleError(f"1F1 pole: b = {b} is zero or a negative integer")
+    _check_parameters(a, b)
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)
     if not np.isfinite(flat).all():

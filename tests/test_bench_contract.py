@@ -86,3 +86,31 @@ def test_workload_command_lines_parse(tmp_path, monkeypatch):
     assert used("solve", "--method", "both")
     assert used("compare-he", "--energy-kind", "orbital", "--r0-kind",
                 "--format", "json", "--output")
+
+
+def test_workload_checks_pass_on_the_library(tmp_path, monkeypatch):
+    # one full hydrogen-sweep pass and the first operation of the other two
+    # workloads (seed 1), run and checked against their oracles as the
+    # benchmark does: a library change that would lower its ok_frac fails
+    # here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    failures = []
+    try:
+        workloads = _load("workloads")
+        for name in workloads.BUILDERS:
+            workdir = tmp_path / name
+            workdir.mkdir()
+            ops = workloads.build(name, 1, workdir, cuspbc)[0]
+            for op in ops if name == "hydrogen-sweep" else ops[:1]:
+                try:
+                    value, raised = op.run(), None
+                except Exception as exc:  # a failed operation, as in a run
+                    value, raised = None, exc
+                reason = op.check(value, raised)
+                if reason is not None:
+                    failures.append(f"{name}, {op.label}: {reason}")
+    finally:
+        # see test_workload_command_lines_parse
+        for module in ("he", "oracles"):
+            sys.modules.pop(module, None)
+    assert failures == []

@@ -127,6 +127,27 @@ def test_cmd_local_overflow_writes_nothing(tmp_path, capsys, fmt, flags):
     assert not out.exists()
 
 
+def test_cmd_compare_he_failures_are_typed(tmp_path, capsys):
+    # Z = 0 has no cusp radius 1/|a|: an input error, not a
+    # ZeroDivisionError; an orbital of 1e152 overflows the densities: a
+    # numerical failure that says so, with no RuntimeWarning and no output
+    he = str(_write_he_orbital(tmp_path))
+    big = tmp_path / "big.hfr"
+    big.write_text("1 1.6875 1e152\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare-he", he, "--e", "-2.0", "--z", "0"]) == 2
+        assert main(["compare-he", str(big), "--e", repr(HE_ORBITAL_ENERGY),
+                     "--output", str(out)]) == 3
+    assert capsys.readouterr() == ("", (
+        "cuspbc: input error: --r0-kind cusp needs a nonzero cusp "
+        "coefficient, so Z != 0\n"
+        "cuspbc: numerical failure: the orbital or Kummer density leaves "
+        "the double range\n"))
+    assert not out.exists()
+
+
 def test_cmd_local_csv_json_content_identical(tmp_path):
     args = ["local", "e-nucleus", "Z=1", "--e", "-0.5", "--n", "21"]
     csv_path = tmp_path / "o.csv"
@@ -684,7 +705,7 @@ def test_solve_writes_matrix_states_before_shooting(tmp_path, capsys):
     prefix = tmp_path / "out"
     argv = ["solve", _solve_spec(tmp_path, [-0.4, -0.2]), "-k", "3"]
     assert main(argv + ["--method", "both", "--output", str(prefix)]) == 3
-    assert "same sign" in capsys.readouterr().err
+    assert "holds 0, not one" in capsys.readouterr().err
     assert main(argv + ["--output", str(tmp_path / "ref")]) == 0
     for i in range(3):
         data = (tmp_path / f"out.matrix.{i}.csv").read_bytes()

@@ -1,12 +1,45 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cuspbc import gridfn
+from cuspbc.basis import build_basis
+from cuspbc.cusp import (CoalescencePair, LocalWavefunction,
+                         cusp_limit_first, cusp_series)
+from cuspbc.radial import robin_inner
 
 from cuspbc.errors import DomainError
 from cuspbc.gridfn import RadialFunction, csv_texts
+
+
+_PAIR = CoalescencePair.electron_nucleus(1.0)
+_R = np.linspace(0.0, 1.0, 50)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RadialFunction(_R, np.exp(-_R), 1.5, "u"),
+    lambda: RadialFunction(_R, np.exp(-_R), -1, "u"),
+    lambda: cusp_series(_PAIR, 0.5, 0.0, -0.5, 4),
+    lambda: LocalWavefunction.from_pair(_PAIR, 0.5, 0, 0.0, -0.5),
+    lambda: LocalWavefunction(0.5, 0, 1.0, -1.0, 1.0),
+    lambda: build_basis("slater", 0.5, -1.0, 0.5, [2.0]),
+    lambda: build_basis("gaussian", 0.5, -1.0, 0.5, [2.0]),
+    lambda: robin_inner(0.5, -1.0),
+    lambda: robin_inner("1", -1.0),
+    lambda: cusp_limit_first(RadialFunction(_R, np.exp(-_R), 1, "u"), 1.5)],
+    ids=["function", "function-negative", "series", "local-from-pair",
+         "local", "slater-basis", "gaussian-basis", "robin-inner",
+         "robin-inner-str", "cusp-limit"])
+def test_ell_must_be_a_non_negative_integer(make):
+    # checked as RadialProblem checks it, not accepted as 0.5 or left to a
+    # TypeError in a later factorial
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-negative integer"):
+            make()
 
 
 def test_meaning_conversion_round_trip():

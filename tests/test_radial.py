@@ -144,10 +144,16 @@ _GRID = log_grid(1e-5, 40.0, 100)
     lambda: SystemAsymptotics(math.inf, 0.0, -0.5),
     lambda: SystemAsymptotics(1.0, math.nan, -0.5),
     lambda: SystemAsymptotics(1.0, math.inf, -0.5),
-    lambda: SystemAsymptotics(1.0, 0.0, -math.inf)],
+    lambda: SystemAsymptotics(1.0, 0.0, -math.inf),
+    lambda: asymptotic_tail(SystemAsymptotics(1.0, 0.0, -0.5), 1.0, math.nan),
+    lambda: asymptotic_tail(SystemAsymptotics(1.0, 0.0, -0.5), 1.0,
+                            [1.0, math.inf]),
+    lambda: asymptotic_tail(SystemAsymptotics(1.0, 0.0, -0.5), math.nan, 1.0),
+    lambda: asymptotic_tail(SystemAsymptotics(1.0, 0.0, -0.5), math.inf, 1.0)],
     ids=["mass-inf", "w0-inf", "pair-nan", "w0-nan", "ell-half", "grid-nan",
          "grid-inf", "tail-mass-inf", "tail-charge-nan", "tail-charge-inf",
-         "tail-energy-inf"])
+         "tail-energy-inf", "tail-r-nan", "tail-r-inf", "tail-v0-nan",
+         "tail-v0-inf"])
 def test_non_finite_radial_inputs_are_domain_errors(make):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -179,11 +185,13 @@ def test_shooting_constant_shift():
 
 
 def test_shooting_dirichlet_outer_needs_asymptotics():
-    # a Dirichlet outer wall gives the inward branch no starting slope
+    # a Dirichlet outer wall drops T(E)'s outer node, as in solve_matrix:
+    # shooting finds the matrix route's state; asymptotics replace the wall
     e_ref, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0, n=200)
     wall = RobinBoundary("outer", 0.0, 1.0)
-    with pytest.raises(DomainError):
-        solve_shooting(problem, inner, wall, (-0.6, -0.4))
+    e_wall, _ = solve_shooting(problem, inner, wall, (-0.6, -0.4))
+    assert e_wall == pytest.approx(solve_matrix(problem, inner, wall, 1)[0][0],
+                                   rel=1e-12)
     e, _ = solve_shooting(problem, inner, wall, (-0.6, -0.4),
                           asymptotics=sysa)
     assert e == pytest.approx(e_ref, abs=1e-6)
@@ -206,10 +214,13 @@ def test_shooting_with_asymptotics_ignores_the_fixed_outer():
         assert f1.values.tobytes() == f2.values.tobytes() \
             == f3.values.tobytes()
         assert e1 == pytest.approx(e_ref, abs=1e-8)
-    # a Dirichlet inner end is refused with or without asymptotics
-    with pytest.raises(DomainError, match="genuine Robin"):
-        solve_shooting(problem, RobinBoundary("inner", 0.0, 1.0), wall,
-                       bracket, asymptotics=guess)
+    # a Dirichlet inner end with asymptotics: the self-consistent matrix
+    # route's state, here the 3s of Z = 3
+    wall_in = RobinBoundary("inner", 0.0, 1.0)
+    e_wall, _ = solve_shooting(problem, wall_in, wall, bracket,
+                               asymptotics=guess)
+    e_m = solve_matrix_selfconsistent(problem, wall_in, 1.0, 2.0, 3)[2][0]
+    assert e_wall == pytest.approx(e_m, rel=1e-12)
 
 
 def test_robin_coefficients_must_be_finite():
@@ -276,6 +287,32 @@ def test_shooting_no_sign_change():
         solve_shooting(problem, inner, outer, (-0.9, -0.7), asymptotics=sysa)
 
 
+@pytest.mark.parametrize("bracket, states", [((-0.9, -0.7), 0),
+                                             ((-0.6, -0.1), 2),
+                                             ((-0.6, -0.04), 3)])
+def test_shooting_bracket_must_hold_one_state(bracket, states):
+    # the counts at the bracket's ends are the states below each: a
+    # bracket holding none or several is refused, whichever way the
+    # mismatch's signs at its ends fall
+    problem = RadialProblem(0, 1.0, -1.0, 0.0, log_grid(1e-5, 80.0, 2000))
+    sysa = SystemAsymptotics(1.0, 0.0, -0.5)
+    with pytest.raises(NoSignChange, match=f"holds {states}, not one"):
+        solve_shooting(problem, robin_inner(0, -1.0), None, bracket,
+                       asymptotics=sysa)
+
+
+def test_dirichlet_shooting_is_the_matrix_routes_state():
+    # walls at both ends, a spherical box from r = 1e-3 to 1 (an outer
+    # wall alone: test_shooting_dirichlet_outer_needs_asymptotics), each of
+    # its three lowest states shot from a bracket around the matrix route's
+    wall_in = RobinBoundary("inner", 0.0, 1.0)
+    wall_out = RobinBoundary("outer", 0.0, 1.0)
+    box = RadialProblem(0, 1.0, 0.0, 0.0, log_grid(1e-3, 1.0, 2000))
+    for e_m, _ in solve_matrix(box, wall_in, wall_out, 3):
+        e_s, _ = solve_shooting(box, wall_in, wall_out, (0.9 * e_m, 1.1 * e_m))
+        assert e_s == pytest.approx(e_m, rel=1e-12)
+
+
 def test_shooting_bracket_in_either_order():
     # the bracket's ends may come in either order; a bracket of one energy
     # holds no sign change
@@ -307,6 +344,17 @@ def _hydrogen_mismatch():
     steps it, and a bracket of its root."""
     _, problem, inner, _, _ = _hydrogen_setup(1.0, 1, 0)
     return radial._Numerov(problem, inner, (1.0, 0.0)).mismatch, -0.6, -0.4
+
+
+def _newton_from(g, lo, hi, x, xtol, rtol):
+    """radial._newton from x, with f's sign at lo taken here, where a
+    caller's count gives it: the root and the evaluations of f, this one
+    included.  A zero at lo is the root."""
+    sign = g(lo)[0]
+    if sign == 0.0:
+        return float(lo), 1
+    root, calls = radial._newton(g, lo, hi, x, sign, xtol, rtol)
+    return root, calls + 1
 
 
 def _with_step(f, fprime):
@@ -344,16 +392,18 @@ ROOT_TOLS = [(2e-12, 4 * 2.0 ** -52),  # brentq's defaults
 @pytest.mark.parametrize("xtol, rtol", ROOT_TOLS)
 def test_regula_falsi_agrees_with_brentq(xtol, rtol):
     # the root function, _newton with the step -f/f' (Cooley's step for the
-    # hydrogen mismatch): both roots lie within xtol + rtol |x| of the sign
-    # change, so within twice that of each other, and over all cases
-    # _newton takes no more evaluations than brentq
+    # hydrogen mismatch) from the upper end, as the matrix route starts:
+    # both roots lie within xtol + rtol |x| of the sign change, so within
+    # twice that of each other, and over all cases _newton, with the
+    # evaluation that gives f's sign at lo, takes no more evaluations than
+    # brentq
     mismatch, lo, hi = _hydrogen_mismatch()
     cases = [(f, _with_step(f, fp), a, b) for f, fp, a, b in ROOT_CASES]
     cases.append((lambda e: mismatch(e)[0], mismatch, lo, hi))
     ours = theirs = 0
     for f, g, lo, hi in cases:
         x, res = brentq(f, lo, hi, xtol=xtol, rtol=rtol, full_output=True)
-        e, calls = radial._newton(g, lo, hi, xtol, rtol)
+        e, calls = _newton_from(g, lo, hi, hi, xtol, rtol)
         assert type(e) is float and type(calls) is int
         assert min(lo, hi) <= e <= max(lo, hi)
         assert abs(e - x) <= 2.0 * (xtol + rtol * abs(x))
@@ -382,9 +432,10 @@ ROOT_SHAPES = [(lambda t, k: t, lambda t, k: 1.0),
        rtol=st.floats(4 * 2.0 ** -52, 1e-6))
 def test_regula_falsi_property(shape, k, scale, sign, root, lo, hi, xtol,
                                rtol):
-    # _newton with the step -f/f': a root within xtol + rtol |x| of the
-    # sign change, the triple root (t^3) included, or NoSignChange where
-    # the bracket misses the root
+    # _newton with the step -f/f' from the midpoint, as shooting starts: a
+    # root within xtol + rtol |x| of the sign change, the triple root (t^3)
+    # included; where the bracket misses the root, it ends at hi, where
+    # the sign change was promised (unless f is 0 at lo, then the root)
     g, gp = ROOT_SHAPES[shape]
     calls = []
 
@@ -395,13 +446,12 @@ def test_regula_falsi_property(shape, k, scale, sign, root, lo, hi, xtol,
     def fprime(x):
         return sign * 10.0 ** scale * gp(x - root, k)
 
-    if not min(lo, hi) <= root <= max(lo, hi):
-        with pytest.raises(NoSignChange):
-            radial._newton(_with_step(f, fprime), lo, hi, xtol, rtol)
-        return
-    x, n = radial._newton(_with_step(f, fprime), lo, hi, xtol, rtol)
+    x, n = _newton_from(_with_step(f, fprime), lo, hi, 0.5 * (lo + hi),
+                        xtol, rtol)
     assert n == len(calls) <= radial._MAXITER + 2
     assert min(lo, hi) <= x <= max(lo, hi)
+    if not min(lo, hi) <= root <= max(lo, hi) and f(lo) != 0.0:
+        root = hi
     assert abs(x - root) <= xtol + rtol * abs(x)
 
 
@@ -411,7 +461,7 @@ def test_regula_falsi_bisects_a_creeping_bracket(xtol, rtol):
     # the bracket and become bisections (brentq takes 8 evaluations)
     f = _with_step(lambda x: -math.expm1(3.0 * (x - 3.0)),
                    lambda x: -3.0 * math.exp(3.0 * (x - 3.0)))
-    x, calls = radial._newton(f, 6.0, 0.0, xtol, rtol)
+    x, calls = _newton_from(f, 6.0, 0.0, 0.5 * (6.0 + 0.0), xtol, rtol)
     assert abs(x - 3.0) <= xtol + rtol * 3.0
     assert calls <= 8
 
@@ -421,24 +471,24 @@ def test_newton_converges_at_a_root_of_odd_multiplicity(power):
     # Newton shrinks the error only by (m - 1)/m a step at an m-fold root:
     # its steps stop halving, the bracket is bisected, and the root ends
     # within the tolerance
-    x, calls = radial._newton(
+    x, calls = _newton_from(
         _with_step(lambda x: (x - 0.7) ** power,
                    lambda x: power * (x - 0.7) ** (power - 1)),
-        0.0, 1.0, 1e-12, 1e-12)
+        0.0, 1.0, 0.5, 1e-12, 1e-12)
     assert abs(x - 0.7) <= 1e-12 + 1e-12 * 0.7
     assert calls <= 80
 
 
 def test_brent_failures_are_typed():
-    # the root function's typed failures: same-sign ends, and a bracket
-    # too wide to bisect to the tolerance in 100 steps where f gives no
-    # Newton step
-    with pytest.raises(NoSignChange, match="bracket ends -1 and 1.0$"):
-        radial._newton(_with_step(lambda x: x * x + 1.0, lambda x: 2.0 * x),
-                       -1, 1.0, 1e-12, 1e-12)
+    # the root's typed failures: a bracket whose counts show no single
+    # state, and a bracket too wide to bisect to the tolerance in 100 steps
+    # where f gives no Newton step
+    _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0, n=200)
+    with pytest.raises(NoSignChange, match="holds 0, not one"):
+        solve_shooting(problem, inner, outer, (-0.45, -0.2))
     with pytest.raises(ConvergenceError, match="after 100 steps"):
-        radial._newton(lambda x: (x - 0.7, math.inf), 0.0, 2.0 ** 100,
-                       1e-12, 1e-12, lo_sign=-1.0)
+        _newton_from(lambda x: (x - 0.7, math.inf), 0.0, 2.0 ** 100,
+                     2.0 ** 100, 1e-12, 1e-12)
 
 
 def test_every_route_returns_float_energies():
@@ -954,14 +1004,16 @@ def test_matrix_solves_log_one_event_per_state(caplog):
 @pytest.mark.parametrize("n_state", [1, 2, 3])
 def test_shooting_logs_the_state_it_found(caplog, n_state):
     # one event per solve, as the matrix route's per state: its state is
-    # the node count of u, its counts those of the stability check, and its
-    # mismatches include both bracket ends
+    # the counts' j, j below the bracket and j + 1 above it, which is u's
+    # node count; its counts are the stability check's and the bracket's
     e, problem, inner, outer, sysa = _hydrogen_setup(1.0, n_state, 0)
-    _, events = _solve_events(caplog, solve_shooting, problem, inner, outer,
-                              (1.1 * e, 0.9 * e), sysa)
+    (_, fn), events = _solve_events(caplog, solve_shooting, problem, inner,
+                                    outer, (1.1 * e, 0.9 * e), sysa)
+    nodes = int(np.count_nonzero(np.diff(np.signbit(fn.values))))
     assert len(events) == 1
     assert (events[0]["state"], events[0]["mesh"]) == (n_state - 1, 2000)
-    assert events[0]["counts"] >= 1 and events[0]["mismatches"] >= 3
+    assert events[0]["state"] == nodes
+    assert events[0]["counts"] >= 3 and events[0]["mismatches"] >= 1
 
 
 @pytest.mark.parametrize("z, n_state, ell", [(1.0, 1, 0), (1.0, 2, 0),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -45,6 +46,20 @@ def test_kummer_pole_and_convergence_errors():
     # the terms of e^2000 grow up to k = 2000, past the 500-term cap
     with pytest.raises(NoConvergence):
         kummer_series(1.0, 1.0, 2000.0)
+
+
+@pytest.mark.parametrize("a, b, x", [
+    (math.inf, 2.0, 1.0), (-math.inf, 2.0, 1.0), (1.0, math.inf, 1.0),
+    (1.0, -math.inf, 1.0), (math.nan, 2.0, 1.0), (1.0, math.nan, 1.0),
+    (1.0, 1.0, math.nan)])
+def test_non_finite_kummer_inputs_are_domain_errors(a, b, x):
+    # not an OverflowError from floor(inf), a NoConvergence after 500
+    # terms of nan, or b = inf's silent 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kummer in (kummer_1f1, kummer_series):
+            with pytest.raises(DomainError, match="must be finite"):
+                kummer(a, b, x)
 
 
 def test_no_convergence_names_the_point_as_a_float():
