@@ -18,7 +18,7 @@ import numpy as np
 
 from .cusp import cusp_limit_first, cusp_limit_second
 from .errors import DomainError
-from .gridfn import RadialFunction, check_ell
+from .gridfn import RadialFunction, check_natural
 from .radial import SystemAsymptotics, asymptotic_tail
 
 SLATER = "slater"
@@ -38,8 +38,9 @@ class SlaterTerm:
     zeta: float
 
     def __post_init__(self):
-        if self.power < 0:
-            raise DomainError("power must be non-negative")
+        check_natural(self.power, "power")
+        if not (math.isfinite(self.coeff) and math.isfinite(self.zeta)):
+            raise DomainError("coefficient and exponent must be finite")
 
 
 @dataclass(frozen=True)
@@ -51,11 +52,13 @@ class GaussianTerm:
     g: float
 
     def __post_init__(self):
+        for p in self.powers:
+            check_natural(p, "a Cartesian power")
         object.__setattr__(self, "powers", tuple(int(p) for p in self.powers))
-        if any(p < 0 for p in self.powers):
-            raise DomainError("Cartesian powers must be non-negative")
-        if not (self.g > 0.0):
-            raise DomainError("Gaussian exponent must be positive")
+        if not math.isfinite(self.coeff):
+            raise DomainError("coefficient must be finite")
+        if not (0.0 < self.g < math.inf):
+            raise DomainError("Gaussian exponent must be positive and finite")
 
     @property
     def total_power(self) -> int:
@@ -75,10 +78,11 @@ class GaussianHeadTerm:
     g: float
 
     def __post_init__(self):
-        if self.power < 0:
-            raise DomainError("power must be non-negative")
-        if not (self.g > 0.0):
-            raise DomainError("Gaussian exponent must be positive")
+        check_natural(self.power, "power")
+        if not math.isfinite(self.coeff):
+            raise DomainError("coefficient must be finite")
+        if not (0.0 < self.g < math.inf):
+            raise DomainError("Gaussian exponent must be positive and finite")
 
 
 def asymptotic_slater(sys: SystemAsymptotics):
@@ -112,7 +116,10 @@ class CuspBasis:
     def __post_init__(self):
         if self.kind not in (SLATER, GAUSSIAN):
             raise DomainError("kind must be 'slater' or 'gaussian'")
-        check_ell(self.ell)
+        check_natural(self.ell, "ell")
+        if self.window is not None and not self.window > 0.0:
+            raise DomainError(f"window radius must be positive, got "
+                              f"{self.window!r}")
         object.__setattr__(self, "cusp_terms", tuple(self.cusp_terms))
         object.__setattr__(self, "tail_terms", tuple(self.tail_terms))
         for t in self.cusp_terms + self.tail_terms:

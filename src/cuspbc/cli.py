@@ -318,45 +318,37 @@ def cmd_compare_he(args) -> int:
     else:
         r0 = 1.0 / inv_r
 
-    r = _radii(args.r_max, args.n)
+    # the table's radii, then r0 and r0/2, both beyond the fit window
+    r = np.append(_radii(args.r_max, args.n), (r0, r0 / 2.0))
     u = local_u(lw, r)
     hfr = orbital.radial(r)
     window = r <= r0 / 4.0
     u0 = float(np.dot(hfr[window], u[window]) / np.dot(u[window], u[window]))
     uk = u0 * u
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dens_h = r ** 2 * hfr ** 2
         dens_k = r ** 2 * uk ** 2
+        # |psi_k^2 - psi_h^2| / psi_h^2, so the r^2 of both densities
+        # cancels, also at r = 0
+        dh = hfr ** 2
+        rel = np.abs(uk ** 2 - dh) / dh
     if not (np.isfinite(dens_h).all() and np.isfinite(dens_k).all()):
         raise Overflow("the orbital or Kummer density leaves the double "
                        "range")
-
-    def relative(psi_k, psi_h):
-        # |psi_k^2 - psi_h^2| / psi_h^2, so the r^2 of both densities
-        # cancels, also at r = 0; an orbital density that underflows to 0
-        # or near it gives no relative error
-        dh = np.asarray(psi_h) ** 2
-        if np.all(dh > 0.0):
-            with np.errstate(over="ignore"):
-                out = np.abs(np.asarray(psi_k) ** 2 - dh) / dh
-            if np.all(np.isfinite(out)):
-                return out
+    # an orbital density that underflows to 0 or near it gives no relative
+    # error
+    if not (np.all(dh > 0.0) and np.isfinite(rel).all()):
         raise Overflow("relative density error leaves the double range "
                        "where the orbital density underflows")
-
-    rel = relative(uk, hfr)
-
-    def rel_at(rv):
-        return float(relative(u0 * local_u(lw, rv), orbital.radial(rv)))
 
     meta = {
         "energy_kind": args.energy_kind, "e": args.e, "r0_kind": args.r0_kind,
         "z": z, "w0": w0, "beta": lw.beta, "u0": u0, "r0": r0,
-        "rel_error_r0": rel_at(r0), "rel_error_r0_half": rel_at(r0 / 2.0),
+        "rel_error_r0": float(rel[-2]), "rel_error_r0_half": float(rel[-1]),
     }
     _emit(args, ["r", "psi_hfr", "psi_kummer", "density_hfr",
                  "density_kummer", "rel_error"],
-          [r, hfr, uk, dens_h, dens_k, rel], meta)
+          [c[:-2] for c in (r, hfr, uk, dens_h, dens_k, rel)], meta)
     print(f"rel_error(r0={r0!r}) = {meta['rel_error_r0']!r}", file=sys.stderr)
     print(f"rel_error(r0/2) = {meta['rel_error_r0_half']!r}", file=sys.stderr)
     return 0

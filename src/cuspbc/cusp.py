@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, FitError, Overflow, ParityError, RegimeError
-from .gridfn import RadialFunction, check_ell
+from .gridfn import RadialFunction, check_natural
 from .special import _scaled, _sphere_nodes, spherical_harmonic
 
 INFINITE_MASS = math.inf
@@ -68,7 +68,7 @@ class CoalescencePair:
         return self.q1 == self.q2 and self.m1 == self.m2
 
     def check_ell(self, ell: int) -> None:
-        check_ell(ell)
+        check_natural(ell, "ell")
         if self.spin_channel == SINGLET and ell % 2 == 1:
             raise ParityError(f"singlet channel forbids odd ell = {ell}")
         if self.spin_channel == TRIPLET and ell % 2 == 0:
@@ -123,6 +123,13 @@ class CuspSeries:
         return out
 
 
+def _check_finite(**values) -> None:
+    """DomainError, naming the first, unless every value is finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LocalWavefunction:
     """Parameters of the local Kummer wave function near a coalescence point."""
@@ -134,9 +141,11 @@ class LocalWavefunction:
     beta: float
 
     def __post_init__(self):
-        check_ell(self.ell)
+        check_natural(self.ell, "ell")
+        check_natural(abs(self.m), "|m|")
         if abs(self.m) > self.ell:
             raise DomainError(f"need |m| <= ell, got m = {self.m!r}")
+        _check_finite(u0=self.u0, alpha=self.alpha, beta=self.beta)
         if not (self.beta > 0.0):
             raise RegimeError(
                 "local bound-state form requires beta > 0, i.e. E < W0"
@@ -154,6 +163,7 @@ class LocalWavefunction:
     def from_pair(cls, pair: CoalescencePair, ell: int, m: int,
                   w0: float, e: float, u0: float = 1.0) -> "LocalWavefunction":
         pair.check_ell(ell)
+        _check_finite(w0=w0, e=e)
         beta_sq = 2.0 * pair.reduced_mass * (w0 - e)
         if beta_sq <= 0.0:
             raise RegimeError(f"E = {e} is not below W0 = {w0}")
@@ -170,6 +180,7 @@ def cusp_b(pair: CoalescencePair, ell: int, w0: float, e: float) -> float:
     """Second-order (curvature) coefficient
     b = [(ell+1) a^2 + M (W0 - E)] / (2 ell + 3)."""
     a = cusp_a(pair, ell)
+    _check_finite(w0=w0, e=e)
     m_red = pair.reduced_mass
     return ((ell + 1) * a * a + m_red * (w0 - e)) / (2 * ell + 3)
 
@@ -181,9 +192,11 @@ def cusp_series(pair: CoalescencePair, ell: int, w0: float, e: float,
         a_1 = alpha/(ell+1) a_0,
         a_{k+1} = (2 alpha a_k + beta^2 a_{k-1}) / ((2 ell + 2 + k)(k + 1)).
     """
+    check_natural(order, "series order")
     if order < 2:
         raise DomainError("series order must be at least 2")
     pair.check_ell(ell)
+    _check_finite(w0=w0, e=e)
     alpha = pair.alpha
     beta_sq = 2.0 * pair.reduced_mass * (w0 - e)
     coeffs = [1.0, alpha / (ell + 1)]
@@ -231,6 +244,7 @@ def validity_radius(pair: CoalescencePair, w0: float) -> float:
     (q1 q2 / r + W0 >= 0).  math.inf means valid at all radii; 0 means the
     near-origin potential is non-negative and the bound form never applies.
     """
+    _check_finite(w0=w0)
     prod = pair.q1 * pair.q2
     if prod < 0.0:
         if w0 > 0.0:
@@ -282,7 +296,7 @@ def _cusp_limit(f: RadialFunction, ell: int | None, n_points: int,
     """lim_{r->0} d_r^{ell+order} Psi / d_r^ell Psi = (ell+order)!/ell!
     c_{ell+order}/c_ell, from the inner fit to the full radial function."""
     ell = f.ell if ell is None else ell
-    check_ell(ell)
+    check_natural(ell, "ell")
     g = f.as_full()
     coeffs = _fit_inner_coeffs(g.grid, g.values, ell, n_points)
     c_ell = coeffs[ell]

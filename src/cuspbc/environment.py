@@ -18,6 +18,7 @@ import numpy as np
 
 from .cusp import CoalescencePair
 from .errors import DomainError, InputError, SingularityError
+from .gridfn import check_natural
 from .special import _legendre_upto, _sphere_nodes
 
 
@@ -160,8 +161,7 @@ def multipole_term(env: Environment, pair: CoalescencePair, lam: int,
     particles the odd-lambda coefficient cancels exactly (x + (-x) = 0 in
     floating point), not merely to rounding, and the term is +0.0.
     """
-    if lam < 0:
-        raise DomainError("lambda must be non-negative")
+    check_natural(lam, "lambda")
     return _multipole_terms(env, pair, [lam], r, theta, phi)[0]
 
 
@@ -170,8 +170,7 @@ def w_multipole(env: Environment, pair: CoalescencePair,
     """Interior multipole expansion of w_exact through order lam_max, valid
     for r below the nearest spectator radius (geometric convergence in
     r/min_radius)."""
-    if lam_max < 0:
-        raise DomainError("lam_max must be non-negative")
+    check_natural(lam_max, "lam_max")
     if r >= env.min_radius:
         raise DomainError(
             f"multipole expansion requires r < {env.min_radius} (nearest charge)"

@@ -12,10 +12,12 @@ import numpy as np
 from .errors import DomainError
 
 
-def check_ell(ell) -> None:
-    """DomainError unless ell is a non-negative integer."""
-    if not (isinstance(ell, numbers.Integral) and ell >= 0):
-        raise DomainError(f"ell must be a non-negative integer, got {ell!r}")
+def check_natural(value, name: str) -> None:
+    """DomainError, naming the parameter, unless value is a non-negative
+    integer."""
+    if not (isinstance(value, numbers.Integral) and value >= 0):
+        raise DomainError(f"{name} must be a non-negative integer, got "
+                          f"{value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class RadialFunction:
             raise DomainError("values must be finite")
         if self.meaning not in ("R", "u"):
             raise DomainError("meaning must be 'R' or 'u'")
-        check_ell(self.ell)
+        check_natural(self.ell, "ell")
 
     def as_full(self) -> "RadialFunction":
         """Return the R = r^ell * u view of this function."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, Overflow
+from .gridfn import check_natural
 
 
 def _log_norm(n: int, zeta: float) -> float:
@@ -38,6 +39,8 @@ class HFROrbital:
     terms: tuple  # of (n, zeta, c)
 
     def __post_init__(self):
+        for n, _, _ in self.terms:
+            check_natural(n, "principal number n")
         terms = tuple((int(n), float(z), float(c)) for n, z, c in self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:

@@ -22,7 +22,7 @@ import numpy as np
 from .cusp import CuspSeries, CoalescencePair, _polyfit, cusp_series
 from .errors import (ConvergenceError, DomainError, NoSignChange,
                      RegimeError, SingularityError, StiffnessError)
-from .gridfn import RadialFunction, check_ell
+from .gridfn import RadialFunction, check_natural
 
 INNER = "inner"
 OUTER = "outer"
@@ -87,7 +87,7 @@ class RobinBoundary:
 
 def robin_inner(ell: int, a: float) -> RobinBoundary:
     """Inner condition u' - a*u = 0 on the reduced function."""
-    check_ell(ell)
+    check_natural(ell, "ell")
     return RobinBoundary(INNER, 1.0, -a)
 
 
@@ -150,6 +150,7 @@ def asymptotic_tail(sys: SystemAsymptotics, v0: float, r) -> float:
 
 def log_grid(r_min: float = 1e-5, r_max: float = 40.0, n: int = 2000) -> np.ndarray:
     """n radii uniform in ln r whose end nodes are exactly r_min and r_max."""
+    check_natural(n, "n")
     if n < 2:
         raise DomainError("log grid needs at least 2 points")
     if not (0.0 < r_min < r_max < math.inf):
@@ -177,7 +178,7 @@ class RadialProblem:
         if not (g[0] > 0.0 and np.all(np.diff(g) > 0.0) and g[-1] < math.inf):
             raise DomainError("grid must be finite and strictly increasing "
                               "with r_min > 0")
-        check_ell(self.ell)
+        check_natural(self.ell, "ell")
         if not (0.0 < self.mass < math.inf):
             raise DomainError("mass must be positive and finite")
         if not (math.isfinite(self.pair_product) and math.isfinite(self.w0)):
@@ -421,10 +422,6 @@ class _Numerov:
     def vector(self, e) -> np.ndarray:
         """u at a root E: the branches spliced over nodes mid, mid + 1."""
         y, f, mid, (o0, o1), (i0, i1), (no, ni) = self.branches(e)
-        if not f.min() > 0.0:
-            # h^2 (q - E b)/12 >= 1 somewhere: Numerov flips the sign of chi
-            # at every such node, so E need not be an eigenvalue
-            raise StiffnessError(f"log mesh too coarse for Numerov at E = {e}")
         k = mid - self.lo
         chi = np.zeros(len(self.r))
         chi[self.lo:mid + 1] = y[:k + 1]
@@ -514,16 +511,18 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
     in the caller's e_bracket (ends in either order), not one the counts
     isolate.  Counts of j states below its lower end and j + 1 below its
     upper one give the ends' signs, and any other pair raises NoSignChange;
-    Cooley's energy corrections are then Newton steps from the midpoint,
-    kept inside the bracket (_root, _newton), until the error a step
-    leaves, judged from the step before, is within delta = (1e-12 + rtol
-    |E|)/2, two steps in a row are below 1e-11 max(1, |E|), where the
-    mismatch's rounding sets them, or the bracket is 2 delta wide; rtol >=
-    4 * 2**-52.  With asymptotics the outer log-derivative follows each
-    trial energy, and outer is not used (it may be None).  The error is
-    O(h^4) in the mesh step, as the matrix route's: the routes' agreement
-    does not check the mesh.  A mesh too coarse for Numerov raises
-    StiffnessError."""
+    an end at or below T(E)'s first rung (_Numerov.start), where f > 0 on
+    every node, has no state below it and is not counted, and the root's
+    bracket starts there.  Cooley's energy corrections are then Newton
+    steps from the bracket's midpoint, kept inside it (_root, _newton),
+    until the error a step leaves, judged from the step before, is within
+    delta = (1e-12 + rtol |E|)/2, two steps in a row are below 1e-11 max(1,
+    |E|), where the mismatch's rounding sets them, or the bracket is 2
+    delta wide; rtol >= 4 * 2**-52.  With asymptotics the outer
+    log-derivative follows each trial energy, and outer is not used (it
+    may be None).  The error is O(h^4) in the mesh step, as the matrix
+    route's: the routes' agreement does not check the mesh.  A mesh too
+    coarse for Numerov raises StiffnessError."""
     if not all(math.isfinite(e) for e in e_bracket):
         raise DomainError(f"e_bracket must be finite, got {e_bracket!r}")
     if not (_RTOL_FLOOR <= rtol < math.inf):
@@ -534,13 +533,14 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
     elif outer is None:
         raise DomainError("shooting needs an outer boundary or asymptotics")
     op = _Numerov(problem, inner, outer)
-    op.start()
+    first = op.start()[0][0]
     lo, hi = sorted(map(float, e_bracket))
-    j, above = op.count(lo), op.count(hi)
+    j, above = (op.count(e) if e > first else 0 for e in (lo, hi))
     if above != j + 1:
         raise NoSignChange(f"T(E) has {j} states below {lo!r} and {above} "
                            f"below {hi!r}: the bracket holds {above - j}, "
                            f"not one")
+    lo = max(lo, first)
     energy, u, calls = _root(op, j, lo, hi, 0.5 * (lo + hi), 1e-12, rtol)
     _log_state(op, j, op.counts, calls)
     return energy, RadialFunction(problem.grid, u, problem.ell, "u")
@@ -564,6 +564,7 @@ def _count(op: _Numerov, e) -> int | None:
 
 def _states(op: _Numerov, k: int) -> list[tuple[float, RadialFunction]]:
     """The k lowest states of T(E), as solve_matrix finds them."""
+    check_natural(k, "k")
     if not 1 <= k <= op.hi - op.lo:
         raise DomainError(f"k = {k} is not between 1 and the {op.hi - op.lo} "
                           f"unknowns of the mesh")

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NoConvergence, Overflow, PoleError
+from .gridfn import check_natural
 
 # series truncation: a hard term cap and the relative tolerance of a term
 MAX_TERMS = 500
@@ -23,8 +24,7 @@ _STRIDE = 16  # terms between two readings of the stop rule
 
 def pochhammer(a: float, k: int) -> float:
     """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
-    if k < 0:
-        raise DomainError("pochhammer order must be non-negative")
+    check_natural(k, "pochhammer order k")
     out = 1.0
     for i in range(k):
         out *= a + i
@@ -268,6 +268,7 @@ def _legendre_upto(lam_max: int, x: float) -> list[float]:
 
 def legendre_p(lam: int, x: float) -> float:
     """Legendre polynomial P_lam(x) by the Bonnet three-term recurrence."""
+    check_natural(lam, "lam")
     return _legendre_upto(lam, x)[lam]
 
 
@@ -297,8 +298,11 @@ def _assoc_legendre_norm(l: int, m: int, x: float) -> float:
 def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
     """Complex Y_lm(theta, phi), unit-normalized over the sphere, with
     Condon-Shortley phase."""
-    if l < 0:
-        raise DomainError("spherical harmonic degree must be non-negative")
+    check_natural(l, "spherical harmonic degree l")
+    check_natural(abs(m), "|m|")
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise DomainError(f"theta and phi must be finite, got {theta!r}, "
+                          f"{phi!r}")
     if abs(m) > l:
         raise DomainError(f"|m| = {abs(m)} exceeds l = {l}")
     mp = abs(m)

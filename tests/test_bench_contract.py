@@ -114,3 +114,29 @@ def test_workload_checks_pass_on_the_library(tmp_path, monkeypatch):
         for module in ("he", "oracles"):
             sys.modules.pop(module, None)
     assert failures == []
+
+
+def test_traced_coalescence_operation_counts(tmp_path, monkeypatch):
+    # the first coalescence-pipeline operation (seed 1) under the
+    # benchmark's tracer: compare-he evaluates local_u and the orbital once
+    # each, on the table's radii with r0 and r0/2 appended, beside the
+    # operation's own ten local_u calls
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        workloads, tracing = _load("workloads"), _load("tracing")
+        op = workloads.build("coalescence-pipeline", 1, tmp_path,
+                             cuspbc)[0][0]
+        tracer = tracing.Tracer(cuspbc)
+        tracer.install()
+        try:
+            op.run()
+            counts, _ = tracer.take()
+        finally:
+            tracer.uninstall()
+    finally:
+        # see test_workload_command_lines_parse
+        for module in ("he", "oracles"):
+            sys.modules.pop(module, None)
+    assert counts["cusp.local_u.calls"] == 11
+    assert counts["cusp.local_u.points"] == 1626
+    assert counts["hfr.HFROrbital.radial.calls"] == 1

@@ -10,7 +10,9 @@ import pytest
 
 from cuspbc import cli, gridfn, radial
 from cuspbc.cli import _write_text, main, parse_pair
+from cuspbc.cusp import CoalescencePair, LocalWavefunction, local_u
 from cuspbc.errors import InputError
+from cuspbc.hfr import HFROrbital
 
 from test_gridfn import EDGE_GRID, EDGE_VALUES
 from test_hfr import HE_ORBITAL_ENERGY, HE_TERMS
@@ -461,6 +463,47 @@ def test_cmd_compare_he_a_mass_selects_finite_nucleus(tmp_path):
     assert finite["beta"] == pytest.approx(fixed["beta"], rel=1e-3)
 
 
+@pytest.mark.parametrize("r0_kind", ["cusp", "mean-inv-r"])
+def test_cmd_compare_he_errors_at_r0_are_the_formula(tmp_path, r0_kind):
+    # rel_error_r0 and rel_error_r0_half are |psi_k^2 - psi_h^2| / psi_h^2
+    # at r0 and r0/2, psi_k = u0 u(r), to the bit, although they come from
+    # the table's evaluation with the two radii appended
+    orbital = _write_he_orbital(tmp_path)
+    out = tmp_path / "e.json"
+    assert main(["compare-he", str(orbital), "--e", repr(HE_ORBITAL_ENERGY),
+                 "--r0-kind", r0_kind, "--a-mass", "4", "--format", "json",
+                 "--output", str(out)]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    pair = CoalescencePair.electron_nucleus(2.0, 4.0)
+    lw = LocalWavefunction.from_pair(pair, 0, 0, meta["w0"],
+                                     HE_ORBITAL_ENERGY)
+    hfr = HFROrbital.from_file(orbital)
+    for key, r in (("rel_error_r0", meta["r0"]),
+                   ("rel_error_r0_half", meta["r0"] / 2.0)):
+        psi_k, psi_h = meta["u0"] * local_u(lw, r), hfr.radial(r)
+        assert meta[key] == float(abs(psi_k ** 2 - psi_h ** 2) / psi_h ** 2)
+
+
+def test_cmd_compare_he_evaluates_each_function_once(tmp_path, monkeypatch):
+    # the table's radii and r0, r0/2 go through local_u and the orbital
+    # in one call each
+    calls = {"local_u": 0, "radial": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "local_u", counted("local_u", cli.local_u))
+    monkeypatch.setattr(HFROrbital, "radial",
+                        counted("radial", HFROrbital.radial))
+    orbital = _write_he_orbital(tmp_path)
+    assert main(["compare-he", str(orbital), "--e", repr(HE_ORBITAL_ENERGY),
+                 "--output", str(tmp_path / "o.csv")]) == 0
+    assert calls == {"local_u": 1, "radial": 1}
+
+
 def test_cmd_compare_he_regime_error(tmp_path):
     orbital = _write_he_orbital(tmp_path)
     assert main(["compare-he", str(orbital), "--e", "5.0"]) == 2
@@ -852,19 +895,20 @@ def test_parser_is_built_once(tmp_path, monkeypatch, capsys):
 
 def test_solve_shoot_robin_row_overflow_is_a_numerical_failure(tmp_path,
                                                                capsys):
-    # at E = -1e8 the end rows' Robin step e^(...) overflows: one line on
-    # stderr and exit code 3, no traceback
+    # with the cusp's u'/u = 1e9 the inner row's Robin step e^(...)
+    # overflows at every energy: one line on stderr and exit code 3, no
+    # traceback
     spec = tmp_path / "h.json"
-    spec.write_text(json.dumps({"ell": 0, "pair_product": -1.0,
+    spec.write_text(json.dumps({"ell": 0, "pair_product": 1e9,
                                 "grid": {"n": 2000},
-                                "bracket": [-1e8, -0.4]}))
+                                "bracket": [-0.6, -0.4]}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["solve", str(spec), "--method", "shoot"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == ("cuspbc: numerical failure: an end row's Robin step "
-                   "overflows at E = -1e+08\n")
+                   "overflows at E = 2.40964e+12\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cuspbc.basis import SlaterTerm, build_basis, verify_cusp_orders
 from cuspbc.cusp import (AngularRadialFunction, CoalescencePair,
                          LocalWavefunction, cusp_a, cusp_b, cusp_limit_first,
                          cusp_limit_second, cusp_series, kato_average_check,
@@ -10,6 +11,7 @@ from cuspbc.cusp import (AngularRadialFunction, CoalescencePair,
 from cuspbc.errors import DomainError, FitError, ParityError, RegimeError
 from cuspbc.gridfn import RadialFunction
 from cuspbc.radial import hydrogen_reference
+from cuspbc.special import spherical_harmonic
 
 
 def test_reduced_mass_and_alpha():
@@ -215,3 +217,41 @@ def test_derivative_ratio_rules_on_polynomials():
             (ell + 1) * u_coeffs[1] / u_coeffs[0], rel=1e-12)
         assert second == pytest.approx(
             (ell + 1) * (ell + 2) * u_coeffs[2] / u_coeffs[0], rel=1e-12)
+
+
+_H1 = CoalescencePair.electron_nucleus(1.0)
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cusp_series(_H1, 0, _NAN, -0.5, 4),
+    lambda: cusp_series(_H1, 0, 0.0, _NAN, 4),
+    lambda: cusp_b(_H1, 0, 0.0, _NAN),
+    lambda: cusp_b(_H1, 0, math.inf, -0.5),
+    lambda: LocalWavefunction.from_pair(_H1, 0, 0, 0.0, _NAN),
+    lambda: spherical_harmonic(1, 0, _NAN, 0.2),
+    lambda: spherical_harmonic(1, 0, 0.1, math.inf),
+    lambda: local_psi(LocalWavefunction(1, 0, 1.0, -1.0, 1.0), 0.5, _NAN,
+                      0.0),
+    lambda: validity_radius(_H1, _NAN),
+    lambda: LocalWavefunction(0, 0, _NAN, -1.0, 1.0),
+    lambda: LocalWavefunction(0, 0, 1.0, _NAN, 1.0),
+    lambda: LocalWavefunction(0, 0, 1.0, -1.0, _NAN),
+    lambda: LocalWavefunction(0, 0, 1.0, -1.0, math.inf),
+    lambda: SlaterTerm(1.0, 0, _NAN),
+    lambda: SlaterTerm(_NAN, 0, 1.0),
+    lambda: build_basis("slater", 0, 0.5, 0.2, [], window=_NAN),
+    lambda: verify_cusp_orders(build_basis("slater", 0, -1.0, 0.2, [1.0],
+                                           tail_coeffs=[_NAN])),
+    lambda: verify_cusp_orders(build_basis("gaussian", 0, -1.0, 0.2, [1.0],
+                                           tail_coeffs=[_NAN]))],
+    ids=["series-w0", "series-e", "cusp-b-e", "cusp-b-w0", "from-pair-e",
+         "harmonic-theta", "harmonic-phi", "local-psi", "validity-radius",
+         "local-u0", "local-alpha", "local-beta", "local-beta-inf",
+         "slater-zeta", "slater-coeff", "window", "slater-tail-coeff",
+         "gaussian-tail-coeff"])
+def test_non_finite_coalescence_inputs_are_domain_errors(make):
+    # none returns nan or inf, nor raises Overflow, NoConvergence,
+    # RegimeError or a ValueError from exact series arithmetic
+    with pytest.raises(DomainError, match="finite|positive"):
+        make()

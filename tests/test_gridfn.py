@@ -6,10 +6,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cuspbc import gridfn
-from cuspbc.basis import build_basis
+from cuspbc.basis import GaussianTerm, SlaterTerm, build_basis
 from cuspbc.cusp import (CoalescencePair, LocalWavefunction,
                          cusp_limit_first, cusp_series)
-from cuspbc.radial import robin_inner
+from cuspbc.environment import (Environment, PointCharge, multipole_term,
+                                w_multipole)
+from cuspbc.hfr import HFROrbital
+from cuspbc.radial import (RadialProblem, SystemAsymptotics, log_grid,
+                           robin_inner, robin_outer, solve_matrix)
+from cuspbc.special import legendre_p, pochhammer, spherical_harmonic
 
 from cuspbc.errors import DomainError
 from cuspbc.gridfn import RadialFunction, csv_texts
@@ -39,6 +44,40 @@ def test_ell_must_be_a_non_negative_integer(make):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="non-negative integer"):
+            make()
+
+
+_ENV = Environment((PointCharge(1.0, (0.0, 0.0, 2.0)),))
+_H = RadialProblem(0, 1.0, -1.0, 0.0, log_grid(1e-5, 40.0, 200))
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: log_grid(1e-5, 40.0, 2.5), "n"),
+    (lambda: solve_matrix(_H, robin_inner(0, -1.0), robin_outer(
+        SystemAsymptotics(1.0, 0.0, -0.5), 40.0), 1.5), "k"),
+    (lambda: cusp_series(_PAIR, 0, 0.0, -0.5, 2.5), "series order"),
+    (lambda: pochhammer(1.0, 2.5), "pochhammer order k"),
+    (lambda: legendre_p(1.5, 0.3), "lam"),
+    (lambda: spherical_harmonic(1.5, 0, 0.1, 0.2),
+     "spherical harmonic degree l"),
+    (lambda: spherical_harmonic(1, -0.5, 0.1, 0.2), r"\|m\|"),
+    (lambda: multipole_term(_ENV, _PAIR, 1.5, 0.1, 0.2, 0.3), "lambda"),
+    (lambda: w_multipole(_ENV, _PAIR, 0.1, 0.2, 0.3, 1.5), "lam_max"),
+    (lambda: LocalWavefunction(1, 0.5, 1.0, -1.0, 1.0), r"\|m\|"),
+    (lambda: SlaterTerm(1.0, 1.5, 1.0), "power"),
+    (lambda: GaussianTerm(1.0, (1.5, 0, 0), 1.0), "a Cartesian power"),
+    (lambda: HFROrbital(((1.5, 1.0, 1.0),)), "principal number n")],
+    ids=["log-grid", "solve-matrix", "cusp-series", "pochhammer",
+         "legendre", "harmonic-l", "harmonic-m", "multipole-term",
+         "w-multipole", "local-m", "slater-power", "gaussian-power",
+         "hfr-n"])
+def test_integer_parameters_must_be_non_negative_integers(make, name):
+    # each is named in its DomainError, not left to a TypeError (range,
+    # linspace) or truncated by int()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError,
+                           match=f"^{name} must be a non-negative integer"):
             make()
 
 

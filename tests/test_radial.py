@@ -329,14 +329,38 @@ def test_shooting_bracket_in_either_order():
 
 @pytest.mark.parametrize("tail", [False, True])
 def test_shooting_robin_row_overflow_is_a_stiffness_error(tail):
-    # at E = -1e8 the end rows' Robin step e^(...) overflows in the first
-    # mismatch evaluation
-    _, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0)
+    # u'/u = 1e9 at r = 1e-5: the inner row's Robin step e^(...) overflows
+    # at every energy, so in the first count, on both routes
+    _, problem, _, outer, sysa = _hydrogen_setup(1.0, 1, 0)
+    inner = robin_inner(0, 1e9)
+    match = "end row's Robin step overflows at E = -1.99998"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(StiffnessError, match="end row's Robin step"):
-            solve_shooting(problem, inner, outer, (-1e8, -0.4),
+        with pytest.raises(StiffnessError, match=match):
+            solve_shooting(problem, inner, outer, (-0.6, -0.4),
                            asymptotics=sysa if tail else None)
+        with pytest.raises(StiffnessError, match=match):
+            if tail:
+                solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 1)
+            else:
+                solve_matrix(problem, inner, outer, 1)
+
+
+@pytest.mark.parametrize("bracket, energy", [((-1.0, -0.9), None),
+                                             ((-1.0, -0.4), -0.5)])
+def test_shooting_counts_no_state_below_the_first_rung(bracket, energy):
+    # on 200 nodes T(-1) lies below Numerov's stable floor, where f < 0 on
+    # some node and its count (1) is not the states below: an end there
+    # has none below it, and the root's bracket starts at the first rung
+    _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0, n=200)
+    if energy is None:
+        with pytest.raises(NoSignChange, match="holds 0, not one"):
+            solve_shooting(problem, inner, outer, bracket)
+    else:
+        e, _ = solve_shooting(problem, inner, outer, bracket)
+        assert e == pytest.approx(energy, abs=1e-6)
+        assert e == pytest.approx(solve_matrix(problem, inner, outer, 1)[0][0],
+                                  rel=1e-12)
 
 
 def _hydrogen_mismatch():
