@@ -150,6 +150,8 @@ class LocalWavefunction:
             raise RegimeError(
                 "local bound-state form requires beta > 0, i.e. E < W0"
             )
+        # kummer_a = ell + 1 + alpha/beta
+        _check_finite(**{"alpha/beta": self.alpha / self.beta})
 
     @property
     def kummer_a(self) -> float:

@@ -90,7 +90,10 @@ class HFROrbital:
     @property
     def mean_inv_r(self) -> float:
         """<1/r> from the closed-form moments, normalization included."""
-        return self._moment(1) / self.norm_sq
+        inv_r, norm_sq = self._moment(1), self.norm_sq
+        if not norm_sq > 0.0:
+            raise Overflow(f"the norm, {norm_sq!r}, underflows or cancels")
+        return inv_r / norm_sq
 
     @classmethod
     def from_text(cls, text: str) -> "HFROrbital":

@@ -1,8 +1,10 @@
 """Radial eigensolvers with Robin boundary conditions at both ends.
 
 Both routes solve one operator, Numerov's recurrence T(E) for chi = P/sqrt(r)
-on the uniform x = ln r mesh of the grid (solve_matrix); they differ only in
-where a state's energy bracket comes from.  The solved equation is
+on the uniform x = ln r mesh of the grid (solve_matrix).  Counts of T(E)
+isolate each state, and _state roots, certifies and logs every state of
+either route; the routes differ only in where the bracket comes from, the
+root's start point and its tolerance.  The solved equation is
 
     -u''/(2M) - (ell+1)/(M r) u' + [q1 q2 / r + W0 + V_extra(r)] u = E u
 
@@ -490,15 +492,29 @@ def _newton(f, lo: float, hi: float, x: float, lo_sign: float, xtol: float,
                            f"after {_MAXITER} steps")
 
 
-def _root(op: _Numerov, j: int, lo: float, hi: float, x: float, xtol: float,
-          rtol: float):
-    """Energy, u and mismatch evaluations of state j, isolated in [lo, hi]
-    by counts of j and j + 1, which give the mismatch's signs there,
-    (-1)^j and (-1)^(j + 1): _newton from x on Cooley's steps, each spliced
-    at its own energy's outer turning node."""
+def _state(op: _Numerov, j: int, lo: float, hi: float, x: float,
+           xtol: float, rtol: float) -> tuple[float, RadialFunction]:
+    """State j of T(E), isolated in [lo, hi] by counts of j and j + 1, which
+    give the mismatch's signs there, (-1)^j and (-1)^(j + 1): _newton from x
+    on Cooley's steps, each spliced at its own energy's outer turning node;
+    certified by counts of j below E - delta and j + 1 below E + delta,
+    delta = max(1e-9 max(1, |E|), xtol + rtol |E|), or ConvergenceError;
+    then one debug event on the cuspbc logger, with the counts made since
+    the last."""
     e, calls = _newton(op.mismatch, lo, hi, x, (-1.0) ** j, xtol, rtol,
                        _ROUNDING)
-    return e, op.vector(e), calls
+    delta = max(_CERTIFY_GAP * max(1.0, abs(e)), xtol + rtol * abs(e))
+    below = (op.count(e - delta), op.count(e + delta))
+    if below != (j, j + 1):
+        raise ConvergenceError(
+            f"state {j} failed its certificate: T(E) has {below[0]} "
+            f"and {below[1]} states below E -/+ {delta:.1g}")
+    _log.debug("state %(state)d on %(mesh)d nodes: %(counts)d counts, "
+               "%(mismatches)d mismatch evaluations",
+               {"state": j, "mesh": len(op.r), "counts": op.counts,
+                "mismatches": calls})
+    op.counts = 0
+    return e, RadialFunction(op.r, op.vector(e), op.ell, "u")
 
 
 def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
@@ -510,19 +526,16 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
     (1961)): solve_matrix's state j, under the same Robin or Dirichlet ends,
     in the caller's e_bracket (ends in either order), not one the counts
     isolate.  Counts of j states below its lower end and j + 1 below its
-    upper one give the ends' signs, and any other pair raises NoSignChange;
-    an end at or below T(E)'s first rung (_Numerov.start), where f > 0 on
+    upper one name the state, and any other pair raises NoSignChange; an
+    end at or below T(E)'s first rung (_Numerov.start), where f > 0 on
     every node, has no state below it and is not counted, and the root's
-    bracket starts there.  Cooley's energy corrections are then Newton
-    steps from the bracket's midpoint, kept inside it (_root, _newton),
-    until the error a step leaves, judged from the step before, is within
-    delta = (1e-12 + rtol |E|)/2, two steps in a row are below 1e-11 max(1,
-    |E|), where the mismatch's rounding sets them, or the bracket is 2
-    delta wide; rtol >= 4 * 2**-52.  With asymptotics the outer
-    log-derivative follows each trial energy, and outer is not used (it
-    may be None).  The error is O(h^4) in the mesh step, as the matrix
-    route's: the routes' agreement does not check the mesh.  A mesh too
-    coarse for Numerov raises StiffnessError."""
+    bracket starts there.  _state roots the state from the bracket's
+    midpoint with xtol = 1e-12 and rtol >= 4 * 2**-52, and certifies it or
+    raises ConvergenceError.  With asymptotics the outer log-derivative
+    follows each trial energy, and outer is not used (it may be None).
+    The error is O(h^4) in the mesh step, as the matrix route's: the
+    routes' agreement checks the root, not the mesh.  A mesh too coarse
+    for Numerov raises StiffnessError."""
     if not all(math.isfinite(e) for e in e_bracket):
         raise DomainError(f"e_bracket must be finite, got {e_bracket!r}")
     if not (_RTOL_FLOOR <= rtol < math.inf):
@@ -541,17 +554,7 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
                            f"below {hi!r}: the bracket holds {above - j}, "
                            f"not one")
     lo = max(lo, first)
-    energy, u, calls = _root(op, j, lo, hi, 0.5 * (lo + hi), 1e-12, rtol)
-    _log_state(op, j, op.counts, calls)
-    return energy, RadialFunction(problem.grid, u, problem.ell, "u")
-
-
-def _log_state(op: _Numerov, state: int, counts: int, mismatches: int):
-    """The debug event of one solved state on the cuspbc logger."""
-    _log.debug("state %(state)d on %(mesh)d nodes: %(counts)d counts, "
-               "%(mismatches)d mismatch evaluations",
-               {"state": state, "mesh": len(op.r), "counts": counts,
-                "mismatches": mismatches})
+    return _state(op, j, lo, hi, 0.5 * (lo + hi), 1e-12, rtol)
 
 
 def _count(op: _Numerov, e) -> int | None:
@@ -593,7 +596,7 @@ def _states(op: _Numerov, k: int) -> list[tuple[float, RadialFunction]]:
         if count is None:
             raise beyond(*pts[-1])
         pts.append((e, count))
-    out, done = [], 0
+    out = []
     for j in range(k):
         lo, hi = max(p for p in pts if p[1] <= j), min(p for p in pts
                                                        if p[1] > j)
@@ -605,17 +608,9 @@ def _states(op: _Numerov, k: int) -> list[tuple[float, RadialFunction]]:
                     f"{lo[0]!r}, {hi[1]} below {hi[0]!r}")
             pts.append((e, op.count(e)))
             lo, hi = (pts[-1], hi) if pts[-1][1] <= j else (lo, pts[-1])
-        # from the upper end, tighter than shooting's default
-        e, u, calls = _root(op, j, lo[0], hi[0], hi[0], 1e-14, 1e-13)
-        delta = _CERTIFY_GAP * max(1.0, abs(e))
-        below = (op.count(e - delta), op.count(e + delta))
-        if below != (j, j + 1):
-            raise ConvergenceError(
-                f"state {j} failed its certificate: T(E) has {below[0]} "
-                f"and {below[1]} states below E -/+ {delta:.1g}")
-        _log_state(op, j, op.counts - done, calls)
-        done = op.counts
-        out.append((e, RadialFunction(op.r, u, op.ell, "u")))
+        # from the upper end, where the midpoint takes over twice the
+        # mismatch evaluations on hydrogen sets; tighter than shooting
+        out.append(_state(op, j, lo[0], hi[0], hi[0], 1e-14, 1e-13))
     return out
 
 
@@ -626,11 +621,9 @@ def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
     end rows are the two Robin starts: it is singular at the eigenvalues and
     has as many negative eigenvalues as states below E (B. R. Johnson, J.
     Chem. Phys. 67, 4086 (1977)).  State j is isolated by bisecting this
-    count to (j, j + 1), and solved there as by solve_shooting, but with
-    the first Newton step from the upper end and (1e-14 + 1e-13 |E|)/2 in
-    place of shooting's (1e-12 + rtol |E|)/2; then certified by counts of j
-    below E_j - delta and j + 1 below E_j + delta, delta = 1e-9 max(1,
-    |E_j|), or raises ConvergenceError."""
+    count to (j, j + 1), then rooted and certified by _state as shooting's
+    state is, but from the upper end with xtol = 1e-14 and rtol = 1e-13;
+    a state failing its certificate raises ConvergenceError."""
     return _states(_Numerov(problem, inner, outer), k)
 
 

@@ -89,18 +89,30 @@ def test_workload_command_lines_parse(tmp_path, monkeypatch):
 
 
 def test_workload_checks_pass_on_the_library(tmp_path, monkeypatch):
-    # one full hydrogen-sweep pass and the first operation of the other two
-    # workloads (seed 1), run and checked against their oracles as the
-    # benchmark does: a library change that would lower its ok_frac fails
-    # here
+    # each workload's warm-up, which a benchmark run makes before timing
+    # and fails on if it raises, with every CLI call it makes exiting 0;
+    # then one full hydrogen-sweep pass and the first operation of the
+    # other two workloads (seed 1), run and checked against their oracles
+    # as the benchmark does: a library change that would lower its
+    # ok_frac fails here
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    failures = []
+    failures, warm_codes = [], []
     try:
         workloads = _load("workloads")
+        cli_run = workloads._cli
+
+        def recording(cb, argv):
+            rc, out = cli_run(cb, argv)
+            warm_codes.append((name, argv[0], rc))
+            return rc, out
+
         for name in workloads.BUILDERS:
             workdir = tmp_path / name
             workdir.mkdir()
-            ops = workloads.build(name, 1, workdir, cuspbc)[0]
+            ops, warm_up, _ = workloads.build(name, 1, workdir, cuspbc)
+            monkeypatch.setattr(workloads, "_cli", recording)
+            warm_up()
+            monkeypatch.setattr(workloads, "_cli", cli_run)
             for op in ops if name == "hydrogen-sweep" else ops[:1]:
                 try:
                     value, raised = op.run(), None
@@ -113,6 +125,8 @@ def test_workload_checks_pass_on_the_library(tmp_path, monkeypatch):
         # see test_workload_command_lines_parse
         for module in ("he", "oracles"):
             sys.modules.pop(module, None)
+    assert {name for name, _, _ in warm_codes} == set(workloads.BUILDERS)
+    assert all(rc == 0 for _, _, rc in warm_codes), warm_codes
     assert failures == []
 
 

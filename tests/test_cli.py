@@ -519,6 +519,15 @@ def test_cmd_compare_he_compact_orbital_exit_code(tmp_path, capsys):
     assert "double range" in capsys.readouterr().err
 
 
+def test_cmd_compare_he_orbital_of_vanishing_norm_exit_code(tmp_path, capsys):
+    # <1/r> of an orbital whose norm underflows has no value: a numerical
+    # failure, not a ZeroDivisionError
+    path = tmp_path / "tiny.hfr"
+    path.write_text("1 1.0 1e-200\n")
+    assert main(["compare-he", str(path), "--e", "-0.9"]) == 3
+    assert "norm" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code():
     assert main(["compare-he", "/nonexistent/orbital.hfr", "--e", "-1.0"]) == 2
 

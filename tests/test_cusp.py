@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,18 @@ def test_bound_form_requires_e_below_w0():
         LocalWavefunction.from_pair(h, 0, 0, 0.0, 0.5)
     with pytest.raises(RegimeError):
         LocalWavefunction(0, 0, 1.0, -1.0, 0.0)
+
+
+def test_kummer_parameter_must_be_finite():
+    # beta = 1e-310 makes alpha/beta, and kummer_a, -inf: refused at
+    # construction; beta = 1e-300 keeps it finite, and local_u works
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="alpha/beta"):
+            LocalWavefunction(0, 0, 1.0, -1.0, 1e-310)
+        lw = LocalWavefunction(0, 0, 1.0, -1.0, 1e-300)
+        assert local_u(lw, 0.5) == pytest.approx(0.5767248077568735,
+                                                 rel=1e-12)
 
 
 def test_validity_radius_cases():

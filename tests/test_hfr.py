@@ -118,6 +118,15 @@ def test_orbital_beyond_the_double_range_raises_overflow():
         orb.mean_inv_r
 
 
+@pytest.mark.parametrize("terms", [
+    ((1, 1.0, 1e-200),),  # the norm underflows
+    ((1, 1.0, 1.0), (1, 1.0, -1.0 + 1e-16)),  # the norm cancels to 0.0
+])
+def test_orbital_of_vanishing_norm_raises_overflow(terms):
+    with pytest.raises(Overflow, match="norm"):
+        HFROrbital(terms).mean_inv_r
+
+
 def test_radial_at_and_near_the_origin():
     # only the n = 1 terms reach r = 0; r^(n-1) of the others vanishes
     # there, and a subnormal r must not make it infinite or raise

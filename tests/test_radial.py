@@ -364,7 +364,7 @@ def test_shooting_counts_no_state_below_the_first_rung(bracket, energy):
 
 
 def _hydrogen_mismatch():
-    """Shooting's mismatch for hydrogen 1s on a 2,000-node mesh, as _root
+    """Shooting's mismatch for hydrogen 1s on a 2,000-node mesh, as _state
     steps it, and a bracket of its root."""
     _, problem, inner, _, _ = _hydrogen_setup(1.0, 1, 0)
     return radial._Numerov(problem, inner, (1.0, 0.0)).mismatch, -0.6, -0.4
@@ -1029,7 +1029,8 @@ def test_matrix_solves_log_one_event_per_state(caplog):
 def test_shooting_logs_the_state_it_found(caplog, n_state):
     # one event per solve, as the matrix route's per state: its state is
     # the counts' j, j below the bracket and j + 1 above it, which is u's
-    # node count; its counts are the stability check's and the bracket's
+    # node count; its counts are the stability check's, the bracket's and
+    # the certificate's
     e, problem, inner, outer, sysa = _hydrogen_setup(1.0, n_state, 0)
     (_, fn), events = _solve_events(caplog, solve_shooting, problem, inner,
                                     outer, (1.1 * e, 0.9 * e), sysa)
@@ -1037,7 +1038,7 @@ def test_shooting_logs_the_state_it_found(caplog, n_state):
     assert len(events) == 1
     assert (events[0]["state"], events[0]["mesh"]) == (n_state - 1, 2000)
     assert events[0]["state"] == nodes
-    assert events[0]["counts"] >= 3 and events[0]["mismatches"] >= 1
+    assert events[0]["counts"] >= 5 and events[0]["mismatches"] >= 1
 
 
 @pytest.mark.parametrize("z, n_state, ell", [(1.0, 1, 0), (1.0, 2, 0),
@@ -1174,10 +1175,24 @@ def test_selfconsistent_solve_certifies_each_state_once(monkeypatch):
         assert np.allclose([s for s, _ in near], [-delta, delta], rtol=1e-6)
 
 
+@pytest.mark.parametrize("rtol", [1e-12, 1e-3])
+def test_shooting_certifies_its_state_once(monkeypatch, rtol):
+    # as each matrix-route state: exactly two counts within 2 delta of E,
+    # at E -/+ delta, delta = max(1e-9 max(1, |E|), 1e-12 + rtol |E|)
+    e, problem, inner, outer, sysa = _hydrogen_setup(1.0, 2, 0)
+    made = _recorded_counts(monkeypatch)
+    w, _ = solve_shooting(problem, inner, outer, (1.1 * e, 0.9 * e), sysa,
+                          rtol=rtol)
+    delta = max(1e-9 * max(1.0, abs(w)), 1e-12 + rtol * abs(w))
+    near = sorted((c - w, n) for c, n in made if abs(c - w) <= 2 * delta)
+    assert [n for _, n in near] == [1, 2]
+    assert np.allclose([s for s, _ in near], [-delta, delta], rtol=1e-6)
+
+
 def test_state_failing_its_certificate_raises(monkeypatch):
     # a root finder that returns the lower end of its bracket gives an
     # energy with no state of T(E) within delta above it: the count finds
-    # j, not j + 1, states below E_j + delta
+    # j, not j + 1, states below E_j + delta, on either route
     monkeypatch.setattr(radial, "_newton",
                         lambda f, lo, hi, *args: (lo, 0))
     problem, inner = _own_kappa_problem(2.0, 20.0)
@@ -1186,6 +1201,22 @@ def test_state_failing_its_certificate_raises(monkeypatch):
     outer = RobinBoundary("outer", 0.0, 1.0)
     with pytest.raises(ConvergenceError, match="state 0 failed its cert"):
         solve_matrix(problem, inner, outer, 2)
+    sysa = SystemAsymptotics(1.0, 1.0, -2.0)
+    for wall, asymptotics in ((outer, None), (None, sysa)):
+        with pytest.raises(ConvergenceError, match="state 0 failed its cert"):
+            solve_shooting(problem, inner, wall, (-2.2, -1.8), asymptotics)
+
+
+def test_loose_shooting_state_is_certified_to_its_own_tolerance():
+    # at rtol = 1e-3 the root may lie further than 1e-9 |E| from the
+    # state; the certificate's gap widens to xtol + rtol |E|, and the
+    # state comes back within 2e-9 of the matrix route's
+    _, problem, inner, _, sysa = _hydrogen_setup(2.0, 2, 0)
+    e_s, _ = solve_shooting(problem, inner, None, (-0.75, -0.3), sysa,
+                            rtol=1e-3)
+    e_m = solve_matrix_selfconsistent(problem, inner, 1.0, 1.0, 2)[1][0]
+    assert e_s == pytest.approx(-0.5, abs=2e-9)
+    assert e_s == pytest.approx(e_m, abs=2e-9)
 
 
 def test_hydrogen_reference_values():
