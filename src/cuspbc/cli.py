@@ -171,9 +171,14 @@ def _load_problem(path):
                 warnings.simplefilter("ignore", UserWarning)
                 tab = np.loadtxt(spec["extra_potential"], ndmin=2)
             if (tab.shape[0] < 2 or tab.shape[1] < 2
-                    or np.any(np.diff(tab[:, 0]) <= 0.0)):
+                    or not np.all(np.diff(tab[:, 0]) > 0.0)):
                 raise ValueError("extra_potential needs two columns (r, V) "
                                  "and two rows or more, with r increasing")
+            # np.interp would hold the end values beyond the table
+            if not (tab[0, 0] <= grid[0] and grid[-1] <= tab[-1, 0]):
+                raise ValueError(f"extra_potential's r runs over "
+                                 f"[{tab[0, 0]:g}, {tab[-1, 0]:g}], short of "
+                                 f"the grid's [{grid[0]:g}, {grid[-1]:g}]")
             extra = np.interp(grid, tab[:, 0], tab[:, 1])
         problem = radial.RadialProblem(
             ell=spec["ell"], mass=spec.get("mass", 1.0),

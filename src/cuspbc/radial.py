@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cusp import CuspSeries, CoalescencePair, _polyfit, cusp_series
-from .errors import (ConvergenceError, DomainError, NoSignChange,
+from .errors import (ConvergenceError, DomainError, NoSignChange, Overflow,
                      RegimeError, SingularityError, StiffnessError)
 from .gridfn import RadialFunction, check_natural
 
@@ -142,11 +142,16 @@ def robin_outer(sys: SystemAsymptotics, r_max: float) -> RobinBoundary:
 
 
 def asymptotic_tail(sys: SystemAsymptotics, v0: float, r) -> float:
-    """R(r) = v0 exp(-decay*r) r^power at large r."""
+    """R(r) = v0 exp(-decay*r) r^power at large r, formed as v0 exp(power ln r
+    - decay r), so that each factor may leave the double range where R does
+    not; Overflow where R does."""
     rs = np.asarray(r, dtype=float)
     if not (math.isfinite(v0) and np.all((rs > 0.0) & (rs < math.inf))):
         raise DomainError("v0 must be finite and r positive and finite")
-    out = v0 * np.exp(-sys.decay * rs) * rs ** sys.power
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = v0 * np.exp(sys.power * np.log(rs) - sys.decay * rs)
+    if not np.all(np.isfinite(out)):
+        raise Overflow("the asymptotic tail leaves the double range")
     return float(out) if rs.shape == () else out
 
 
@@ -245,13 +250,22 @@ def _log_step(s: float, g, h: float) -> float:
     return h * s + h * h / 2.0 * d2 + h ** 3 / 6.0 * d3
 
 
+def _edge(bc: RobinBoundary | tuple[float, float], shift: float, r: float):
+    """chi'/chi in x at the edge node r as a function of E, chi = r^shift f:
+    shift + r f'/f, with a RobinBoundary's fixed f'/f or the tail's (M', Q)
+    kappa(r; E) of each E < 0; None for a Dirichlet end.  In Python floats,
+    so that _log_step of a slope that grows as E -> 0- overflows silently."""
+    if not isinstance(bc, RobinBoundary):
+        return lambda e: shift + r * SystemAsymptotics(*bc, e).kappa(r)
+    s = shift + r * bc.log_derivative
+    return (lambda e: s) if math.isfinite(s) else None
+
+
 class _Numerov:
     """T(E) on the unknowns' grid window [lo, hi): y_(i+1) = d_i y_i -
     y_(i-1) for y = f chi, f = 1 - h^2 (q - E b)/12 and d = 12/f - 10, end
     rows the branches' Robin starts (chi = 1 at the edge node, one _log_step
-    to the next); a Dirichlet end drops its node.  outer is a RobinBoundary
-    or the tail's (M', Q), whose R'/R = kappa(E) is kappa(r_max; E) of each
-    E below top = 0; kappa is None for a Dirichlet wall."""
+    to the next) from _edge; states lie below top, 0 under the tail."""
 
     def __init__(self, problem: RadialProblem, inner: RobinBoundary,
                  outer: RobinBoundary | tuple[float, float]):
@@ -263,19 +277,14 @@ class _Numerov:
         self.h, self.q, self.b = _log_mesh(problem)
         # the weights of v'T'v = -|w chi|^2 and room for w chi (mismatch)
         self.w, self.w_chi = self.h * np.sqrt(self.b), np.empty(len(self.b))
-        self.r, self.ell = problem.grid, problem.ell
-        # chi'/chi in x at the inner node: u'/u = a with chi = r^(ell+1/2) u
-        self.s_in = self.ell + 0.5 + inner.log_derivative * self.r[0]
-        self.top, self.counts = math.inf, 0
-        if isinstance(outer, RobinBoundary):
-            kappa = outer.log_derivative
-            self.kappa = None if math.isinf(kappa) else lambda e: kappa
-        else:
-            (mass, charge), r_max, self.top = outer, self.r[-1], 0.0
-            self.kappa = lambda e: SystemAsymptotics(mass, charge,
-                                                     e).kappa(r_max)
-        self.lo = 0 if math.isfinite(self.s_in) else 1
-        self.hi = len(self.r) - (self.kappa is None)
+        self.r, self.ell, self.counts = problem.grid, problem.ell, 0
+        # (edge node, direction, slope) of each end; None drops the node
+        ends = ((0, 1, _edge(inner, self.ell + 0.5, float(self.r[0]))),
+                (-1, -1, _edge(outer, 0.5, float(self.r[-1]))))
+        self.lo = int(ends[0][2] is None)
+        self.hi = len(self.r) - (ends[1][2] is None)
+        self.ends = [end for end in ends if end[2] is not None]
+        self.top = math.inf if isinstance(outer, RobinBoundary) else 0.0
         # q/b's suffix minima: the nodes with q < E b end at the last of
         # them below E
         self.qb_min = np.minimum.accumulate((self.q / self.b)[::-1])[::-1]
@@ -295,15 +304,10 @@ class _Numerov:
         d = 12.0 / f
         d -= 10.0
         try:
-            if self.lo == 0:
-                f0, f1 = f[:2].tolist()
-                d[0] = f1 / f0 * math.exp(_log_step(self.s_in, g[:3].tolist(),
-                                                    h))
-            if self.kappa is not None:
-                s_out = 0.5 + self.kappa(e) * self.r[-1]
-                f1, f0 = f[-2:].tolist()
-                d[-1] = f1 / f0 * math.exp(_log_step(s_out,
-                                                     g[:-4:-1].tolist(), -h))
+            for i, sign, slope in self.ends:
+                f0, f1 = f[i:i + 2 * sign:sign].tolist()
+                d[i] = f1 / f0 * math.exp(_log_step(
+                    slope(e), g[i:i + 3 * sign:sign].tolist(), sign * h))
         except OverflowError:
             raise StiffnessError(f"an end row's Robin step overflows at "
                                  f"E = {e:.6g}") from None
@@ -659,6 +663,7 @@ def outer_log_derivative(fn: RadialFunction) -> float:
 def hydrogen_reference(n: int, ell: int, z: float) -> tuple[float, CuspSeries]:
     """Analytic hydrogen-like oracle: E = -Z^2/(2 n^2) and the first series
     coefficients of u for a fixed nucleus of charge Z."""
+    check_natural(n, "n")
     if not (0 <= ell <= n - 1):
         raise DomainError(f"need 0 <= ell <= n-1, got n={n}, ell={ell}")
     energy = -z * z / (2.0 * n * n)

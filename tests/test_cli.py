@@ -302,6 +302,10 @@ def test_cmd_solve_guards_r_max_at_the_energy_found(tmp_path, capsys, method):
     ({"ell": 0, "pair_product": -1.0, "bracket": [-0.6, -0.5, -0.4]}, None),
     ({"ell": 0, "pair_product": -1.0, "bracket": ["-0.6", "-0.4"]}, None),
     ({"ell": 0, "pair_product": -1.0}, ""),
+    # a table that starts at r = 1, inside the grid's r_min = 1e-5
+    ({"ell": 0, "pair_product": -1.0}, "1.0 -0.7\n40.0 0.0\n"),
+    # a NaN radius, which neither difference next to it marks as falling
+    ({"ell": 0, "pair_product": -1.0}, "0.0 0.0\nnan 0.1\n40.0 0.0\n"),
 ])
 def test_cmd_solve_malformed_spec_exit_code(tmp_path, capsys, spec, table):
     if table is not None:

@@ -11,9 +11,11 @@ from scipy.optimize import brentq
 from scipy.special import spherical_jn
 
 from cuspbc import radial
+from cuspbc.basis import asymptotic_slater
 from cuspbc.cusp import cusp_limit_first
 from cuspbc.errors import (ConvergenceError, CuspbcError, DomainError,
-                           NoSignChange, RegimeError, StiffnessError)
+                           NoSignChange, Overflow, RegimeError,
+                           StiffnessError)
 from cuspbc.radial import (RadialProblem, RobinBoundary, SystemAsymptotics,
                            asymptotic_tail, hydrogen_reference, log_grid,
                            outer_log_derivative,
@@ -102,6 +104,25 @@ def test_asymptotic_tail():
     anion = SystemAsymptotics(1.0, -1.0, -0.5)
     assert asymptotic_tail(anion, 1.0, 2.0) == pytest.approx(
         math.exp(-2.0) / 2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("tail", [
+    lambda sysa, r: asymptotic_tail(sysa, 1.0, r),
+    lambda sysa, r: asymptotic_slater(sysa)(r)], ids=["tail", "slater"])
+def test_asymptotic_tail_is_finite_or_overflow(tail):
+    # e^(-40) 40^200 is a double although 40^200 is not; with Q = 1e6 at
+    # r = 1000 the tail itself is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tail(SystemAsymptotics(1.0, 200.0, -0.5), 40.0) == \
+            pytest.approx(1.09703122577967e303, rel=1e-12)
+        with pytest.raises(Overflow):
+            tail(SystemAsymptotics(1.0, 1e6, -0.5), 1000.0)
+
+
+def test_hydrogen_reference_needs_an_integer_n():
+    with pytest.raises(DomainError, match="n must be a non-negative integer"):
+        hydrogen_reference(1.5, 0, 1.0)
 
 
 def test_tail_logderivative_matches_kappa():
@@ -847,14 +868,30 @@ def test_selfconsistent_states_certified_on_their_own_pencils(z, r_max):
         assert outer_log_derivative(fn) == pytest.approx(kappa, abs=1e-5)
 
 
-@pytest.mark.parametrize("z, n_state, ell", [(1.0, 1, 0), (1.0, 3, 2),
-                                             (2.0, 2, 1)])
-def test_count_never_decreases_with_energy(z, n_state, ell):
-    # the outer row under kappa(E) falls with E, as every inner row does;
-    # the inner Robin row need not, so the count is checked on a dense
-    # energy grid: it never decreases and steps up at each level
-    _, problem, inner, _, _ = _hydrogen_setup(z, n_state, ell)
-    op = radial._Numerov(problem, inner, (1.0, z - 1.0))
+_INNER_WALL = RobinBoundary("inner", 0.0, 1.0)
+_OUTER_WALL = RobinBoundary("outer", 0.0, 1.0)
+
+
+# an id names its ends unless they are a Robin inner row and the tail
+@pytest.mark.parametrize("z, n_state, ell, ends", [
+    pytest.param(z, n_state, ell, ends, id="-".join(
+        [str(z), str(n_state), str(ell)] + [ends] * (ends != "tail")))
+    for ends in ("tail", "robin", "outer-wall", "inner-wall")
+    for z, n_state, ell in ((1.0, 1, 0), (1.0, 3, 2), (2.0, 2, 1))])
+def test_count_never_decreases_with_energy(z, n_state, ell, ends):
+    # each end row is one kind of _edge: the tail's kappa(E), a fixed Robin
+    # row or a Dirichlet wall, which drops its own node and no other.  The
+    # outer row under kappa(E) falls with E, as every inner row does; the
+    # inner Robin row need not, so the count is checked on a dense energy
+    # grid: it never decreases and steps up at each level
+    _, problem, inner, outer, _ = _hydrogen_setup(z, n_state, ell)
+    tail = (1.0, z - 1.0)
+    inner, outer = {"tail": (inner, tail), "robin": (inner, outer),
+                    "outer-wall": (inner, _OUTER_WALL),
+                    "inner-wall": (_INNER_WALL, tail)}[ends]
+    op = radial._Numerov(problem, inner, outer)
+    assert (op.lo, op.hi) == (int(inner is _INNER_WALL),
+                              len(problem.grid) - (outer is _OUTER_WALL))
     energies = np.linspace(-0.6 * z * z, -z * z / 84.5, 1001)
     counts = np.array([op.count(e) for e in energies])
     steps = np.diff(counts)
@@ -862,8 +899,9 @@ def test_count_never_decreases_with_energy(z, n_state, ell):
     first = np.flatnonzero(steps)[0]
     ground = -z * z / (2.0 * n_state * n_state)
     assert energies[first] < ground < energies[first + 1]
-    outer_row = [op.diagonal(e)[0][-1] for e in energies]
-    assert np.all(np.diff(outer_row) < 0.0)
+    if outer is tail:
+        outer_row = [op.diagonal(e)[0][-1] for e in energies]
+        assert np.all(np.diff(outer_row) < 0.0)
 
 
 def test_selfconsistent_guard_binds_the_settled_ground_state():
@@ -909,10 +947,14 @@ def test_twisted_counts_match_the_sturm_oracle(monkeypatch):
                               _t_count(op, energies))
     # the tail's outer row as E -> 0-: kappa(r_max; E) grows without bound
     # and the row's d underflows to 0, a zero trailing minor next to the
-    # outer edge
+    # outer edge; nearer 0 its Robin step overflows to -inf, without a
+    # warning, and d is 0 again
     op = _operator(problem, inner, (1.0, 0.0))
-    assert op.diagonal(-1e-19)[0][-1] == 0.0
-    assert op.count(-1e-19) == _t_count(op, [-1e-19])[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for e in (-1e-19, -1e-250, -1e-300):
+            assert op.diagonal(e)[0][-1] == 0.0
+            assert op.count(e) == _t_count(op, [e])[0]
     # a deep energy in a large box: the inward branch from r_max = 400
     # overflows before the turning node (there is none at E = -2), so the
     # count takes its second split, where the branches' growth balances
