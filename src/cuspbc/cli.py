@@ -188,6 +188,7 @@ def _load_problem(path):
         asym = spec.get("asymptotics", {})
         m_prime = asym.get("total_reduced_mass", problem.mass)
         q_total = asym.get("total_charge", 0.0)
+        radial.SystemAsymptotics(m_prime, q_total, -1.0)  # checks M' and Q
         bracket = spec.get("bracket")
         if bracket is not None:
             bracket = np.asarray(bracket)

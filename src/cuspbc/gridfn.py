@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, Overflow
 
 
 def check_natural(value, name: str) -> None:
@@ -50,12 +50,28 @@ class RadialFunction:
             raise DomainError("meaning must be 'R' or 'u'")
         check_natural(self.ell, "ell")
 
+    def _times_r_ell(self, sign: int) -> np.ndarray:
+        """values r^(sign ell); where r^ell alone leaves the double range
+        (r > 0), with r = m 2^e as m^ell and 2^(e ell).  Overflow where the
+        result leaves it."""
+        op = np.multiply if sign > 0 else np.divide
+        with np.errstate(all="ignore"):
+            power = self.grid ** self.ell
+            out = op(self.values, power)
+            odd = (power == np.inf) | (power == 0.0) & (self.grid > 0.0)
+            if odd.any():
+                m, e = np.frexp(self.grid[odd])
+                out[odd] = np.ldexp(op(self.values[odd], m ** self.ell),
+                                    sign * self.ell * e)
+        if not np.all(np.isfinite(out)):
+            raise Overflow("r^ell u or R/r^ell lies outside the double range")
+        return out
+
     def as_full(self) -> "RadialFunction":
         """Return the R = r^ell * u view of this function."""
         if self.meaning == "R":
             return self
-        return RadialFunction(self.grid, self.values * self.grid**self.ell,
-                              self.ell, "R")
+        return RadialFunction(self.grid, self._times_r_ell(1), self.ell, "R")
 
     def as_reduced(self) -> "RadialFunction":
         """Return the u = R / r^ell view (grid must exclude r = 0 for ell > 0)."""
@@ -63,8 +79,7 @@ class RadialFunction:
             return self
         if self.ell > 0 and self.grid[0] <= 0.0:
             raise DomainError("cannot divide out r^ell at r = 0")
-        return RadialFunction(self.grid, self.values / self.grid**self.ell,
-                              self.ell, "u")
+        return RadialFunction(self.grid, self._times_r_ell(-1), self.ell, "u")
 
     def to_csv(self) -> str:
         """One "r,value,ell,meaning" row per node, floats as their repr."""

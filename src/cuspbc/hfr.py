@@ -58,8 +58,8 @@ class HFROrbital:
     def radial(self, r):
         """R(r) for r >= 0, each term formed in log form."""
         rs = np.asarray(r, dtype=float)
-        if np.any(rs < 0.0):
-            raise DomainError("r must be non-negative")
+        if not np.all(rs >= 0.0):
+            raise DomainError("r must be non-negative and not NaN")
         # ln r^(n-1) is -inf at r = 0 for n > 1, and 0 for n = 1
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             log_r = np.log(rs)

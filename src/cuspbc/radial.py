@@ -17,6 +17,7 @@ from __future__ import annotations
 import importlib
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,61 +319,24 @@ class _Numerov:
         around it that the splice and the count read."""
         return min(max(i, 3), len(self.r) - 4)
 
-    def turning(self, e) -> int:
-        """E's outer turning node, the last with q < E b, as a node()."""
-        return self.node(int(np.searchsorted(self.qb_min, e)) - 1)
-
-    def solve(self, d, mid) -> np.ndarray:
-        """Both branches in one tbtrs solve: y = 1 at node lo outward over
-        nodes lo..mid+1, then y = 1 at node hi-1 inward over hi-1..mid, the
-        band's three couplings between the two blocks zero."""
-        lo, hi, ab = self.lo, self.hi, self.ab
-        s = mid - lo + 2
-        np.negative(d[lo:mid + 1], out=ab[1, :s - 1])
-        np.negative(d[hi - 1:mid:-1], out=ab[1, s:-1])
-        ab[1, s - 1] = 0.0
-        ab[2, self.split - 2:self.split] = 1.0
-        ab[2, s - 2:s] = 0.0
-        self.split = s
-        y = np.zeros(ab.shape[1])
-        y[0] = y[s] = 1.0
-        y, info = dtbtrs(ab, y, uplo="L", diag="U", overwrite_b=True)
-        if info != 0:
-            raise ConvergenceError(f"tbtrs failed: info {info}")
-        return y
-
     def count(self, e) -> int:
         """T(E)'s negative eigenvalues, the states below E, by the twisted
-        factorisation of T at a node t (K. V. Fernando, SIAM J. Matrix
-        Anal. Appl. 18, 1013 (1997)).  The outward branch on nodes lo..t is
-        T's leading minors D_0 = 1 ... D_k, the inward one on hi-1..t its
-        trailing minors E_m = 1 ... E_(k+1); the count is their sign
-        changes plus [gamma < 0], gamma = d_t - D_(k-1)/D_k -
-        E_(k+2)/E_(k+1).  t is E's outer turning node, where the mismatch
-        splices the branches; where a branch overflows there, t is the node
-        where the two branches' growth, the cumulative arccosh(|d|/2) over
-        |d| > 2, balances, and a second overflow raises StiffnessError."""
+        factorisation of T at branches()'s split t (K. V. Fernando, SIAM J.
+        Matrix Anal. Appl. 18, 1013 (1997), allows any t).  The outward
+        branch on nodes lo..t is T's leading minors D_0 = 1 ... D_k, the
+        inward one on hi-1..t its trailing minors E_m = 1 ... E_(k+1); the
+        count is their sign changes plus [gamma < 0], gamma = d_t -
+        D_(k-1)/D_k - E_(k+2)/E_(k+1)."""
         self.counts += 1
-        d = self.diagonal(e)[0]
-        t = self.turning(e)
-        for _ in range(2):
-            y = self.solve(d, t)
-            k = t - self.lo  # y[k] = D_k and y[-1] = E_(k+1), at node t
-            dk, ek = y[k].item(), y[-1].item()
-            if dk and ek and np.isfinite(y).all():
-                sign = np.signbit(y)
-                # less the changes around y[k + 1], D_(k+1), which is unused
-                changes = (np.count_nonzero(sign[1:] != sign[:-1])
-                           - (sign[k] != sign[k + 1])
-                           - (sign[k + 1] != sign[k + 2]))
-                gamma = d[t].item() - y[k - 1].item() / dk - y[-2].item() / ek
-                return int(changes) + (gamma < 0.0)
-            growth = np.cumsum(np.arccosh(np.maximum(
-                np.abs(d[self.lo:self.hi]) / 2.0, 1.0)))
-            t = self.node(self.lo + int(np.searchsorted(growth,
-                                                        growth[-1] / 2.0)))
-        raise StiffnessError(f"Numerov propagation overflowed at E = {e} "
-                             f"from either split of T(E)")
+        d, _, t, y = self.branches(e)[:4]
+        k = t - self.lo  # y[k] = D_k and y[-1] = E_(k+1), at node t
+        sign = np.signbit(y)
+        # less the changes around y[k + 1], D_(k+1), which is unused
+        changes = (np.count_nonzero(sign[1:] != sign[:-1])
+                   - (sign[k] != sign[k + 1]) - (sign[k + 1] != sign[k + 2]))
+        gamma = (d[t].item() - y[k - 1].item() / y[k].item()
+                 - y[-2].item() / y[-1].item())
+        return int(changes) + (gamma < 0.0)
 
     def start(self) -> list[tuple[float, int]]:
         """(energy, count) at the bottom of q/b and, if T has states there,
@@ -389,31 +353,55 @@ class _Numerov:
         return pts
 
     def branches(self, e):
-        """At E: solve() split at E's outer turning node mid, f and mid; the
-        outward and the inward branch at nodes mid, mid + 1, each pair over
-        its norm; and the two norms, or StiffnessError if one overflows."""
-        mid = self.turning(e)
+        """T(E) solved at E for count, mismatch and vector alike: d, f, the
+        split node t, y, the outward and the inward branch at nodes t, t + 1,
+        each pair over its norm, and the two norms.  One tbtrs solve gives y:
+        y = 1 at node lo outward over nodes lo..t+1, then y = 1 at node hi-1
+        inward over hi-1..t, the band's three couplings between the two
+        blocks zero.  t is E's outer turning node, the last with q < E b, as
+        a node(); where a branch overflows or vanishes there, t is the node
+        where the two branches' growth, the cumulative arccosh(|d|/2) over
+        |d| > 2, balances, and a second overflow raises StiffnessError."""
         d, f = self.diagonal(e)
-        y = self.solve(d, mid)
-        k = mid - self.lo
-        (o0, o1), (i0, i1) = y[k:k + 2].tolist(), y[:-3:-1].tolist()
-        no, ni = math.hypot(o0, o1), math.hypot(i0, i1)
-        if not 0.0 < no * ni < math.inf:
-            raise StiffnessError(f"Numerov propagation overflowed at E = {e}")
-        return y, f, mid, (o0 / no, o1 / no), (i0 / ni, i1 / ni), (no, ni)
+        lo, hi, ab = self.lo, self.hi, self.ab
+        t = self.node(int(np.searchsorted(self.qb_min, e)) - 1)
+        for _ in range(2):
+            s = t - lo + 2
+            np.negative(d[lo:t + 1], out=ab[1, :s - 1])
+            np.negative(d[hi - 1:t:-1], out=ab[1, s:-1])
+            ab[1, s - 1] = 0.0
+            ab[2, self.split - 2:self.split] = 1.0
+            ab[2, s - 2:s] = 0.0
+            self.split = s
+            y = np.zeros(ab.shape[1])
+            y[0] = y[s] = 1.0
+            y, info = dtbtrs(ab, y, uplo="L", diag="U", overwrite_b=True)
+            if info != 0:
+                raise ConvergenceError(f"tbtrs failed: info {info}")
+            (o0, o1), (i0, i1) = y[s - 2:s].tolist(), y[:-3:-1].tolist()
+            no, ni = math.hypot(o0, o1), math.hypot(i0, i1)
+            if o0 and i0 and max(no, ni) < math.inf and np.isfinite(y).all():
+                return (d, f, t, y, (o0 / no, o1 / no), (i0 / ni, i1 / ni),
+                        (no, ni))
+            growth = np.cumsum(np.arccosh(np.maximum(np.abs(d[lo:hi]) / 2.0,
+                                                     1.0)))
+            t = self.node(lo + int(np.searchsorted(growth, growth[-1] / 2.0)))
+        raise StiffnessError(f"Numerov propagation overflowed at E = {e} "
+                             f"from either split of T(E)")
 
     def mismatch(self, e) -> tuple[float, float]:
-        """The branches' Casoratian at nodes mid, mid + 1 over their norms
-        there, det T(E) bounded and free of poles, of sign (-1)^count; and
+        """The branches' Casoratian at their split mid, nodes mid and mid + 1,
+        over their norms there: det T(E) bounded, free of poles, of sign
+        (-1)^count at any split; and
         Cooley's energy correction (J. W. Cooley, Math. Comp. 15, 363
         (1961)), the Newton step -v'Tv / v'T'v of v, the outward branch up
         to mid and the inward one scaled to meet it there, whose residual
         Tv is on row mid alone.  T' = diag(-h^2 b / f^2) leaves out the end
         rows' E-dependence, so v'T'v = -|w chi|^2 with chi = y / f."""
-        y, f, mid, (o0, o1), (i0, i1), (no, ni) = self.branches(e)
+        _, f, mid, y, (o0, o1), (i0, i1), (no, ni) = self.branches(e)
         lo, hi, k = self.lo, self.hi, mid - self.lo
         # |w chi| over each branch by BLAS nrm2, which neither overflows nor
-        # underflows on the inward branch's 1e308
+        # underflows on a branch's 1e308
         out = np.divide(y[:k + 1], f[lo:mid + 1], out=self.w_chi[:k + 1])
         out *= self.w[lo:mid + 1]
         inw = np.divide(y[k + 2:-1], f[hi - 1:mid:-1],
@@ -427,7 +415,7 @@ class _Numerov:
 
     def vector(self, e) -> np.ndarray:
         """u at a root E: the branches spliced over nodes mid, mid + 1."""
-        y, f, mid, (o0, o1), (i0, i1), (no, ni) = self.branches(e)
+        _, f, mid, y, (o0, o1), (i0, i1), (no, ni) = self.branches(e)
         k = mid - self.lo
         chi = np.zeros(len(self.r))
         chi[self.lo:mid + 1] = y[:k + 1]
@@ -436,8 +424,11 @@ class _Numerov:
         chi[mid + 1:self.hi] = y[-2:k + 1:-1] * ((o0 * i0 + o1 * i1) * no
                                                  / ni)
         chi /= f
-        # int P^2 dr = int (r chi)^2 dx, trapezoid rule on the uniform x mesh
-        norm = math.sqrt(np.trapezoid((self.r * chi) ** 2, dx=self.h))
+        # int P^2 dr = int (r chi)^2 dx, trapezoid rule on the uniform x mesh,
+        # r chi over a power of two, 1 unless its squares' sum could overflow
+        p = self.r * chi
+        scale = 2.0 ** max(0, math.frexp(np.abs(p).max())[1] - 500)
+        norm = math.sqrt(np.trapezoid((p / scale) ** 2, dx=self.h)) * scale
         return chi * self.r ** (-self.ell - 0.5) / norm
 
 
@@ -540,8 +531,10 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
     The error is O(h^4) in the mesh step, as the matrix route's: the
     routes' agreement checks the root, not the mesh.  A mesh too coarse
     for Numerov raises StiffnessError."""
-    if not all(math.isfinite(e) for e in e_bracket):
-        raise DomainError(f"e_bracket must be finite, got {e_bracket!r}")
+    if not (len(e_bracket) == 2 and all(isinstance(e, numbers.Real)
+                                        and math.isfinite(e) for e in e_bracket)):
+        raise DomainError(f"e_bracket must be finite and two real numbers, "
+                          f"got {e_bracket!r}")
     if not (_RTOL_FLOOR <= rtol < math.inf):
         raise DomainError(f"rtol = {rtol!r} must be finite and at least "
                           f"4 * 2**-52")

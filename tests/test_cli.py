@@ -306,6 +306,11 @@ def test_cmd_solve_guards_r_max_at_the_energy_found(tmp_path, capsys, method):
     ({"ell": 0, "pair_product": -1.0}, "1.0 -0.7\n40.0 0.0\n"),
     # a NaN radius, which neither difference next to it marks as falling
     ({"ell": 0, "pair_product": -1.0}, "0.0 0.0\nnan 0.1\n40.0 0.0\n"),
+    # asymptotics that are not numbers
+    ({"ell": 0, "pair_product": -1.0, "bracket": [-0.6, -0.4],
+      "asymptotics": {"total_reduced_mass": "x"}}, None),
+    ({"ell": 0, "pair_product": -1.0, "bracket": [-0.6, -0.4],
+      "asymptotics": {"total_charge": None}}, None),
 ])
 def test_cmd_solve_malformed_spec_exit_code(tmp_path, capsys, spec, table):
     if table is not None:

@@ -16,7 +16,7 @@ from cuspbc.radial import (RadialProblem, SystemAsymptotics, log_grid,
                            robin_inner, robin_outer, solve_matrix)
 from cuspbc.special import legendre_p, pochhammer, spherical_harmonic
 
-from cuspbc.errors import DomainError
+from cuspbc.errors import DomainError, Overflow
 from cuspbc.gridfn import RadialFunction, csv_texts
 
 
@@ -91,6 +91,27 @@ def test_meaning_conversion_round_trip():
     assert np.allclose(back.values, u, rtol=1e-14)
     assert fn.as_reduced() is fn
     assert full.as_full() is full
+
+
+def test_meaning_conversion_past_the_range_of_r_ell():
+    # r^ell alone overflows (r = 1e200) or underflows (1e-200), yet the
+    # product fits; where the product leaves the range it is an Overflow,
+    # and no RuntimeWarning is issued either way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = RadialFunction([1.0, 1e200], [2.0, 1e-300], 2, "u").as_full()
+        assert full.values.tolist() == pytest.approx([2.0, 1e100], rel=1e-15)
+        assert full.as_reduced().values.tolist() == pytest.approx(
+            [2.0, 1e-300], rel=1e-15)
+        reduced = RadialFunction([1e-200, 1.0], [1e-300, 3.0], 2,
+                                 "R").as_reduced()
+        assert reduced.values.tolist() == pytest.approx([1e100, 3.0],
+                                                        rel=1e-15)
+        for r, v, meaning in (([1.0, 1e200], [1.0, 1e200], "u"),
+                              ([1e-200, 1.0], [1.0, 1.0], "R")):
+            fn = RadialFunction(r, v, 2, meaning)
+            with pytest.raises(Overflow, match="outside the double range"):
+                fn.as_full() if meaning == "u" else fn.as_reduced()
 
 
 def test_reduction_at_zero_rejected():

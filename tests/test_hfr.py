@@ -143,6 +143,13 @@ def test_radial_at_and_near_the_origin():
     assert values[1:] == pytest.approx([at_zero] * 2, rel=1e-15)
 
 
+def test_radial_refuses_a_nan_radius():
+    orb = HFROrbital(HE_TERMS)
+    for r in (math.nan, [0.5, math.nan]):
+        with pytest.raises(DomainError, match="r must be non-negative"):
+            orb.radial(r)
+
+
 def test_radial_matches_the_xlogy_form_on_the_compare_he_grid():
     # r^(n-1) in log form as ln r times n - 1: bit for bit the
     # scipy.special.xlogy form on compare-he's default 601-point grid
