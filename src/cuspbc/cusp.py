@@ -273,25 +273,34 @@ def _polyfit(x: np.ndarray, v: np.ndarray, deg: int) -> np.ndarray:
     return c_t / scale ** np.arange(deg + 1)
 
 
-def _cusp_limit(f: RadialFunction, ell: int | None, n_points: int,
-                order: int) -> float:
-    """lim_{r->0} d_r^{ell+order} Psi / d_r^ell Psi = (ell+order)!/ell!
-    c_{ell+order}/c_ell, the coefficients of a least-squares polynomial of
-    degree ell+4 through the full radial function on the n_points (at
-    least ell+6) innermost nodes.  Repeated numerical l'Hospital by finite
-    differences would be catastrophically ill-conditioned; coefficient
-    ratios of this fit are the stable equivalent.  Degree ell+4 keeps the
-    r^{ell+4} curvature term out of the c_{ell+2} estimate the
-    second-order limit relies on."""
-    ell = f.ell if ell is None else ell
-    check_natural(ell, "ell")
-    g, deg = f.as_full(), ell + 4
-    if len(g.grid) < deg + 2:
+def _fit_inner_coeffs(grid: np.ndarray, values: np.ndarray, ell: int,
+                      n_points: int = DEFAULT_FIT_POINTS) -> np.ndarray:
+    """Least-squares fit of a degree-(ell+4) polynomial to the innermost
+    grid points, returned as coefficients in r (c_0 ... c_{ell+4}).
+
+    Repeated numerical l'Hospital by finite differences would be
+    catastrophically ill-conditioned, coefficient ratios of this fit are
+    the stable equivalent.  Degree ell+4 keeps the r^{ell+4} curvature term
+    out of the c_{ell+2} estimate the second-order limit relies on.
+    """
+    deg = ell + 4
+    n = max(deg + 2, min(n_points, len(grid)))
+    if len(grid) < deg + 2:
         raise FitError(
             f"need at least {deg + 2} grid points for an ell = {ell} cusp fit"
         )
-    n = max(deg + 2, min(n_points, len(g.grid)))
-    coeffs = _polyfit(g.grid[:n], g.values[:n], deg)
+    return _polyfit(np.asarray(grid[:n], dtype=float),
+                    np.asarray(values[:n]), deg)
+
+
+def _cusp_limit(f: RadialFunction, ell: int | None, n_points: int,
+                order: int) -> float:
+    """lim_{r->0} d_r^{ell+order} Psi / d_r^ell Psi = (ell+order)!/ell!
+    c_{ell+order}/c_ell, from the inner fit to the full radial function."""
+    ell = f.ell if ell is None else ell
+    check_natural(ell, "ell")
+    g = f.as_full()
+    coeffs = _fit_inner_coeffs(g.grid, g.values, ell, n_points)
     c_ell = coeffs[ell]
     if abs(c_ell) <= 1e-9 * np.max(np.abs(coeffs)):
         raise FitError(

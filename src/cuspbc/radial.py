@@ -319,6 +319,10 @@ class _Numerov:
         around it that the splice and the count read."""
         return min(max(i, 3), len(self.r) - 4)
 
+    def turning(self, e) -> int:
+        """E's outer turning node, the last with q < E b, as a node()."""
+        return self.node(int(np.searchsorted(self.qb_min, e)) - 1)
+
     def count(self, e) -> int:
         """T(E)'s negative eigenvalues, the states below E, by the twisted
         factorisation of T at branches()'s split t (K. V. Fernando, SIAM J.
@@ -355,16 +359,16 @@ class _Numerov:
     def branches(self, e):
         """T(E) solved at E for count, mismatch and vector alike: d, f, the
         split node t, y, the outward and the inward branch at nodes t, t + 1,
-        each pair over its norm, and the two norms.  One tbtrs solve gives y:
-        y = 1 at node lo outward over nodes lo..t+1, then y = 1 at node hi-1
-        inward over hi-1..t, the band's three couplings between the two
-        blocks zero.  t is E's outer turning node, the last with q < E b, as
-        a node(); where a branch overflows or vanishes there, t is the node
-        where the two branches' growth, the cumulative arccosh(|d|/2) over
-        |d| > 2, balances, and a second overflow raises StiffnessError."""
+        each pair over its norm, and half the two norms, which no finite
+        pair overflows.  One tbtrs solve gives y: y = 1 at node lo outward
+        over nodes lo..t+1, then y = 1 at node hi-1 inward over hi-1..t, the
+        band's three couplings between the two blocks zero.  t is turning();
+        where a branch overflows or vanishes there, t is the node where the
+        two branches' growth, the cumulative arccosh(|d|/2) over |d| > 2,
+        balances, and a second overflow raises StiffnessError."""
         d, f = self.diagonal(e)
         lo, hi, ab = self.lo, self.hi, self.ab
-        t = self.node(int(np.searchsorted(self.qb_min, e)) - 1)
+        t = self.turning(e)
         for _ in range(2):
             s = t - lo + 2
             np.negative(d[lo:t + 1], out=ab[1, :s - 1])
@@ -379,8 +383,11 @@ class _Numerov:
             if info != 0:
                 raise ConvergenceError(f"tbtrs failed: info {info}")
             (o0, o1), (i0, i1) = y[s - 2:s].tolist(), y[:-3:-1].tolist()
-            no, ni = math.hypot(o0, o1), math.hypot(i0, i1)
-            if o0 and i0 and max(no, ni) < math.inf and np.isfinite(y).all():
+            # an overflow anywhere in a branch reaches its last pair, as
+            # each y is carried on to the y two rows on with coefficient 1
+            if o0 and i0 and all(map(math.isfinite, (o0, o1, i0, i1))):
+                o0, o1, i0, i1 = o0 / 2.0, o1 / 2.0, i0 / 2.0, i1 / 2.0
+                no, ni = math.hypot(o0, o1), math.hypot(i0, i1)
                 return (d, f, t, y, (o0 / no, o1 / no), (i0 / ni, i1 / ni),
                         (no, ni))
             growth = np.cumsum(np.arccosh(np.maximum(np.abs(d[lo:hi]) / 2.0,
@@ -408,27 +415,45 @@ class _Numerov:
                         out=self.w_chi[k + 1:hi - lo])
         inw *= self.w[hi - 1:mid:-1]
         # v = outward / o0 up to mid, inward / i0 beyond: v'Tv = o1/o0 -
-        # i1/i0 = cas / (o0 i0) and |w chi|^2 = (wo^2 + wi^2) / (o0 i0)^2
-        wo, wi = i0 * dnrm2(out) / no, o0 * dnrm2(inw) / ni
+        # i1/i0 = cas / (o0 i0) and |w chi|^2 = (wo^2 + wi^2) / (o0 i0)^2,
+        # no and ni half the pairs' norms
+        wo, wi = i0 * dnrm2(out) / 2.0 / no, o0 * dnrm2(inw) / 2.0 / ni
         cas = o1 * i0 - o0 * i1
         return cas, o0 * i0 * cas / (wo * wo + wi * wi)
 
     def vector(self, e) -> np.ndarray:
-        """u at a root E: the branches spliced over nodes mid, mid + 1."""
-        _, f, mid, y, (o0, o1), (i0, i1), (no, ni) = self.branches(e)
-        k = mid - self.lo
+        """u at a root E: the outward branch up to node mid, the lesser of
+        branches()' split t and turning(), and the inward one beyond, scaled
+        to meet it over nodes mid, mid + 1 by their normalised pairs, as the
+        inward one may reach 1e308.  Past the turning node the outward
+        branch is rounding in the growing solution: where t lies beyond it,
+        one more tbtrs solve carries the inward branch on from nodes t + 2,
+        t + 1 to mid, StiffnessError if it overflows."""
+        d, f, t, y, _, _, (_, ni) = self.branches(e)
+        lo, hi, mid = self.lo, self.hi, min(t, self.turning(e))
+        inw = y[:t - lo + 1:-1]  # nodes t..hi-1
+        if t > mid:
+            # z_j at node t + 1 - j from z_0 and z_(-1), nodes t + 1 and
+            # t + 2, the latter on row 1's right-hand side
+            ab = np.ones((3, t - mid + 2), order="F")
+            np.negative(d[t + 1:mid:-1], out=ab[1, :-1])
+            z = np.zeros(t - mid + 2)
+            z[0], z[1] = y[-2] / ni, -y[-3] / ni
+            z, info = dtbtrs(ab, z, uplo="L", diag="U", overwrite_b=True)
+            if info != 0 or not np.isfinite(z).all():
+                raise StiffnessError(f"the inward branch overflowed at "
+                                     f"E = {e} on its way to the turning node")
+            inw = np.concatenate((z[:0:-1], inw[1:] / ni))
+        k = mid - lo
+        (o0, o1), (i0, i1) = y[k:k + 2].tolist(), inw[:2].tolist()
+        no, ni = math.hypot(o0, o1), math.hypot(i0, i1)
+        o0, o1, i0, i1 = o0 / no, o1 / no, i0 / ni, i1 / ni
         chi = np.zeros(len(self.r))
-        chi[self.lo:mid + 1] = y[:k + 1]
-        # the inward branch scaled to the outward one over both nodes, its
-        # pair normalised first, as it may reach 1e308
-        chi[mid + 1:self.hi] = y[-2:k + 1:-1] * ((o0 * i0 + o1 * i1) * no
-                                                 / ni)
+        chi[lo:mid + 1] = y[:k + 1]
+        chi[mid + 1:hi] = inw[1:] * ((o0 * i0 + o1 * i1) * no / ni)
         chi /= f
-        # int P^2 dr = int (r chi)^2 dx, trapezoid rule on the uniform x mesh,
-        # r chi over a power of two, 1 unless its squares' sum could overflow
-        p = self.r * chi
-        scale = 2.0 ** max(0, math.frexp(np.abs(p).max())[1] - 500)
-        norm = math.sqrt(np.trapezoid((p / scale) ** 2, dx=self.h)) * scale
+        # int P^2 dr = int (r chi)^2 dx, trapezoid rule on the uniform x mesh
+        norm = math.sqrt(np.trapezoid((self.r * chi) ** 2, dx=self.h))
         return chi * self.r ** (-self.ell - 0.5) / norm
 
 

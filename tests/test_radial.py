@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.special import spherical_jn
+from scipy.special import eval_genlaguerre, spherical_jn
 
 from cuspbc import radial
 from cuspbc.basis import asymptotic_slater
@@ -967,6 +967,34 @@ def test_twisted_counts_match_the_sturm_oracle(monkeypatch):
     assert len(solves) == 2
 
 
+def test_a_pair_whose_norm_overflows_keeps_its_split(monkeypatch):
+    # the inward branch scaled until its pair at the split, all of it
+    # finite, has a norm past the double range: the count keeps its split
+    # and its value, and the mismatch its value, as the branches are
+    # normalised by half their pairs' norms
+    _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0)
+    op = _operator(problem, inner, outer)
+    energies = (-0.6, -0.3, -0.1)
+    counts = [op.count(e) for e in energies]
+    mismatches = [op.mismatch(e) for e in energies]
+    tbtrs = radial.dtbtrs
+
+    def scaled(ab, y, **kwargs):
+        y, info = tbtrs(ab, y, **kwargs)
+        y[op.split:] *= 0.99 * np.finfo(float).max / np.abs(y[-2:]).max()
+        assert math.hypot(*y[-2:]) == math.inf and np.isfinite(y).all()
+        return y, info
+
+    monkeypatch.setattr(radial, "dtbtrs", scaled)
+    solves = _recorded_solves(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [op.count(e) for e in energies] == counts
+        assert len(solves) == len(energies)
+        for e, (cas, step) in zip(energies, mismatches):
+            assert op.mismatch(e) == pytest.approx((cas, step), rel=1e-12)
+
+
 @pytest.mark.parametrize("z, r_max, tol", [(1.0, 400.0, 1.5e-11),
                                             (3.0, 150.0, 3e-10)])
 def test_large_boxes_splice_without_overflow(z, r_max, tol):
@@ -1010,7 +1038,10 @@ _UNSOLVED_BOXES = {(1.0, 0, 400.0, 2000), (1.0, 2, 40.0, 2000),
 def test_selfconsistent_solve_returns_or_raises_a_typed_error(z, ell, r_max,
                                                               n):
     # the boxes outside _UNSOLVED_BOXES return their states, the others
-    # raise a CuspbcError, none another exception, and nothing warns
+    # raise a CuspbcError, none another exception, and nothing warns; each
+    # state returned is the hydrogen-like one, its energy within 1e-7 and
+    # r R within 1e-4 of the normalised n = ell + 1 + j function on every
+    # node (the widest errors, 1.8e-8 and 3.1e-5, are of 3s in the 40 box)
     problem = RadialProblem(ell, 1.0, -z, 0.0, log_grid(1e-5, r_max, n))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1023,9 +1054,23 @@ def test_selfconsistent_solve_returns_or_raises_a_typed_error(z, ell, r_max,
             raise
     energies = [e for e, _ in pairs]
     assert energies == sorted(energies) and energies[-1] < 0.0
+    r = problem.grid
+    for j, (e, fn) in enumerate(pairs):
+        level = ell + 1 + j
+        rho = 2.0 * z * r / level
+        ref = (math.sqrt((2.0 * z / level) ** 3 / (2.0 * level)
+                         * math.factorial(level - ell - 1)
+                         / math.factorial(level + ell))
+               * r * np.exp(-rho / 2.0) * rho ** ell
+               * eval_genlaguerre(level - ell - 1, 2 * ell + 1, rho))
+        p = r * fn.as_full().values
+        p *= np.sign(np.dot(p, ref))
+        assert abs(e + z * z / (2.0 * level ** 2)) <= 1e-7
+        assert np.max(np.abs(p - ref)) <= 1e-4
     if (z, ell, r_max, n) == (6.0, 2, 400.0, 16000):
         # a mismatch overflows at the turning node: the branches split
-        # where their growth balances, as the counts do
+        # where their growth balances, as the counts do, and the state
+        # takes the inward branch from there on to the turning node
         assert energies == pytest.approx([-2.0, -1.125, -0.72], abs=1e-10)
 
 
