@@ -299,8 +299,8 @@ def _cusp_limit(f: RadialFunction, ell: int | None, n_points: int,
     c_{ell+order}/c_ell, from the inner fit to the full radial function."""
     ell = f.ell if ell is None else ell
     check_natural(ell, "ell")
-    g = f.as_full()
-    coeffs = _fit_inner_coeffs(g.grid, g.values, ell, n_points)
+    head = slice(max(ell + 6, n_points))  # all the nodes the fit may read
+    coeffs = _fit_inner_coeffs(f.grid[head], f._full(head), ell, n_points)
     c_ell = coeffs[ell]
     if abs(c_ell) <= 1e-9 * np.max(np.abs(coeffs)):
         raise FitError(

@@ -50,22 +50,31 @@ class RadialFunction:
             raise DomainError("meaning must be 'R' or 'u'")
         check_natural(self.ell, "ell")
 
-    def _times_r_ell(self, sign: int) -> np.ndarray:
-        """values r^(sign ell); where r^ell alone leaves the double range
-        (r > 0), with r = m 2^e as m^ell and 2^(e ell).  Overflow where the
-        result leaves it."""
+    def _times_r_ell(self, sign: int, part: slice = slice(None)) -> np.ndarray:
+        """values r^(sign ell) on the nodes part; where r^ell alone leaves
+        the double range (r > 0), with r = m 2^e as m^ell and 2^(e ell).
+        Overflow where the result leaves it."""
         op = np.multiply if sign > 0 else np.divide
+        grid, values = self.grid[part], self.values[part]
         with np.errstate(all="ignore"):
-            power = self.grid ** self.ell
-            out = op(self.values, power)
-            odd = (power == np.inf) | (power == 0.0) & (self.grid > 0.0)
+            power = grid ** self.ell
+            out = op(values, power)
+            odd = (power == np.inf) | (power == 0.0) & (grid > 0.0)
             if odd.any():
-                m, e = np.frexp(self.grid[odd])
-                out[odd] = np.ldexp(op(self.values[odd], m ** self.ell),
+                m, e = np.frexp(grid[odd])
+                out[odd] = np.ldexp(op(values[odd], m ** self.ell),
                                     sign * self.ell * e)
         if not np.all(np.isfinite(out)):
             raise Overflow("r^ell u or R/r^ell lies outside the double range")
         return out
+
+    def _full(self, part: slice) -> np.ndarray:
+        """R = r^ell u on the nodes part alone, as as_full() gives it there
+        (Overflow where it leaves the double range), for a fit that reads
+        only those nodes."""
+        if self.meaning == "R":
+            return self.values[part]
+        return self._times_r_ell(1, part)
 
     def as_full(self) -> "RadialFunction":
         """Return the R = r^ell * u view of this function."""

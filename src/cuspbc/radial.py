@@ -323,16 +323,16 @@ class _Numerov:
         """E's outer turning node, the last with q < E b, as a node()."""
         return self.node(int(np.searchsorted(self.qb_min, e)) - 1)
 
-    def count(self, e) -> int:
+    def count(self, e, got=None) -> int:
         """T(E)'s negative eigenvalues, the states below E, by the twisted
-        factorisation of T at branches()'s split t (K. V. Fernando, SIAM J.
-        Matrix Anal. Appl. 18, 1013 (1997), allows any t).  The outward
-        branch on nodes lo..t is T's leading minors D_0 = 1 ... D_k, the
-        inward one on hi-1..t its trailing minors E_m = 1 ... E_(k+1); the
-        count is their sign changes plus [gamma < 0], gamma = d_t -
+        factorisation of T at got = branches(e)'s split t (K. V. Fernando,
+        SIAM J. Matrix Anal. Appl. 18, 1013 (1997), allows any t): the
+        outward branch on nodes lo..t is T's leading minors D_0 = 1 ... D_k,
+        the inward one on hi-1..t its trailing minors E_m = 1 ... E_(k+1),
+        and the count their sign changes plus [gamma < 0], gamma = d_t -
         D_(k-1)/D_k - E_(k+2)/E_(k+1)."""
         self.counts += 1
-        d, _, t, y = self.branches(e)[:4]
+        d, _, t, y, _ = got or self.branches(e)
         k = t - self.lo  # y[k] = D_k and y[-1] = E_(k+1), at node t
         sign = np.signbit(y)
         # less the changes around y[k + 1], D_(k+1), which is unused
@@ -342,33 +342,59 @@ class _Numerov:
                  - y[-2].item() / y[-1].item())
         return int(changes) + (gamma < 0.0)
 
-    def start(self) -> list[tuple[float, int]]:
-        """(energy, count) at the bottom of q/b and, if T has states there,
-        the lowest energy with f > 0 on every node, where it may have none."""
+    def mismatch(self, e, got=None) -> tuple[float, float]:
+        """The Casoratian of got = branches(e)'s branches as splice() meets
+        them, over the pairs' norms: det T(E) bounded, of sign (-1)^count;
+        and Cooley's energy correction (J. W. Cooley, Math. Comp. 15, 363
+        (1961)), the Newton step -v'Tv / v'T'v of the spliced branches v,
+        T' = diag(-h^2 b / f^2) (end rows held fixed): v'T'v = -|w v / f|^2."""
+        d, f, t, y, turn = got or self.branches(e)
+        mid, inw, (o0, o1), (i0, i1), (no, ni) = self.splice(d, t, y, turn)
+        lo, hi, k = self.lo, self.hi, mid - self.lo
+        # |w chi| over each branch by BLAS nrm2, which neither overflows nor
+        # underflows on a branch's 1e308
+        out = np.divide(y[:k + 1], f[lo:mid + 1], out=self.w_chi[:k + 1])
+        out *= self.w[lo:mid + 1]
+        inw = np.divide(inw[:0:-1], f[hi - 1:mid:-1],
+                        out=self.w_chi[k + 1:hi - lo])
+        inw *= self.w[hi - 1:mid:-1]
+        # v = outward / o0 up to mid, inward / i0 beyond, Tv on row mid
+        # alone: v'Tv = cas / (o0 i0), |w chi|^2 = (wo^2 + wi^2) / (o0 i0)^2
+        wo, wi = i0 * dnrm2(out) / 2.0 / no, o0 * dnrm2(inw) / 2.0 / ni
+        cas = o1 * i0 - o0 * i1
+        return cas, o0 * i0 * cas / (wo * wo + wi * wi)
+
+    def point(self, e) -> tuple[float, int, float]:
+        """(E, count, Cooley's step) from one branches() solve."""
+        got = self.branches(e)
+        return e, self.count(e, got), self.mismatch(e, got)[1]
+
+    def start(self) -> list[tuple[float, int, float]]:
+        """(E, count, nan) at the bottom of q/b and, if T has states there,
+        at the lowest energy with f > 0 on every node, where it may have
+        none: no step, as these rungs are seldom a state's isolating end."""
         floor = float(np.max((self.q - 12.0 / self.h ** 2) / self.b))
         floor += _CERTIFY_GAP * max(1.0, abs(floor))
         e0 = max(float(np.min(self.q / self.b)), floor)
-        pts = [(e0, self.count(e0))]
+        pts = [(e0, self.count(e0), math.nan)]
         if pts[0][1] and e0 > floor:
-            pts.insert(0, (floor, self.count(floor)))
+            pts.insert(0, (floor, self.count(floor), math.nan))
         if pts[0][1]:
             raise StiffnessError(f"log mesh too coarse for Numerov: T(E) has "
                                  f"{pts[0][1]} states below E = {floor:.6g}")
         return pts
 
     def branches(self, e):
-        """T(E) solved at E for count, mismatch and vector alike: d, f, the
-        split node t, y, the outward and the inward branch at nodes t, t + 1,
-        each pair over its norm, and half the two norms, which no finite
-        pair overflows.  One tbtrs solve gives y: y = 1 at node lo outward
-        over nodes lo..t+1, then y = 1 at node hi-1 inward over hi-1..t, the
-        band's three couplings between the two blocks zero.  t is turning();
-        where a branch overflows or vanishes there, t is the node where the
-        two branches' growth, the cumulative arccosh(|d|/2) over |d| > 2,
-        balances, and a second overflow raises StiffnessError."""
+        """T(E) solved at E: d, f, the split node t, y and turning(), turn.
+        One tbtrs solve gives y: y = 1 at node lo outward over nodes
+        lo..t+1, then y = 1 at node hi-1 inward over hi-1..t, the band's
+        couplings between the blocks zero.  t is turn; where a branch
+        overflows or vanishes there, t is the node where the branches'
+        growth, the cumulative arccosh(|d|/2) over |d| > 2, balances, and a
+        second overflow raises StiffnessError."""
         d, f = self.diagonal(e)
         lo, hi, ab = self.lo, self.hi, self.ab
-        t = self.turning(e)
+        t = turn = self.turning(e)
         for _ in range(2):
             s = t - lo + 2
             np.negative(d[lo:t + 1], out=ab[1, :s - 1])
@@ -386,71 +412,54 @@ class _Numerov:
             # an overflow anywhere in a branch reaches its last pair, as
             # each y is carried on to the y two rows on with coefficient 1
             if o0 and i0 and all(map(math.isfinite, (o0, o1, i0, i1))):
-                o0, o1, i0, i1 = o0 / 2.0, o1 / 2.0, i0 / 2.0, i1 / 2.0
-                no, ni = math.hypot(o0, o1), math.hypot(i0, i1)
-                return (d, f, t, y, (o0 / no, o1 / no), (i0 / ni, i1 / ni),
-                        (no, ni))
+                return d, f, t, y, turn
             growth = np.cumsum(np.arccosh(np.maximum(np.abs(d[lo:hi]) / 2.0,
                                                      1.0)))
             t = self.node(lo + int(np.searchsorted(growth, growth[-1] / 2.0)))
         raise StiffnessError(f"Numerov propagation overflowed at E = {e} "
                              f"from either split of T(E)")
 
-    def mismatch(self, e) -> tuple[float, float]:
-        """The branches' Casoratian at their split mid, nodes mid and mid + 1,
-        over their norms there: det T(E) bounded, free of poles, of sign
-        (-1)^count at any split; and
-        Cooley's energy correction (J. W. Cooley, Math. Comp. 15, 363
-        (1961)), the Newton step -v'Tv / v'T'v of v, the outward branch up
-        to mid and the inward one scaled to meet it there, whose residual
-        Tv is on row mid alone.  T' = diag(-h^2 b / f^2) leaves out the end
-        rows' E-dependence, so v'T'v = -|w chi|^2 with chi = y / f."""
-        _, f, mid, y, (o0, o1), (i0, i1), (no, ni) = self.branches(e)
-        lo, hi, k = self.lo, self.hi, mid - self.lo
-        # |w chi| over each branch by BLAS nrm2, which neither overflows nor
-        # underflows on a branch's 1e308
-        out = np.divide(y[:k + 1], f[lo:mid + 1], out=self.w_chi[:k + 1])
-        out *= self.w[lo:mid + 1]
-        inw = np.divide(y[k + 2:-1], f[hi - 1:mid:-1],
-                        out=self.w_chi[k + 1:hi - lo])
-        inw *= self.w[hi - 1:mid:-1]
-        # v = outward / o0 up to mid, inward / i0 beyond: v'Tv = o1/o0 -
-        # i1/i0 = cas / (o0 i0) and |w chi|^2 = (wo^2 + wi^2) / (o0 i0)^2,
-        # no and ni half the pairs' norms
-        wo, wi = i0 * dnrm2(out) / 2.0 / no, o0 * dnrm2(inw) / 2.0 / ni
-        cas = o1 * i0 - o0 * i1
-        return cas, o0 * i0 * cas / (wo * wo + wi * wi)
-
-    def vector(self, e) -> np.ndarray:
-        """u at a root E: the outward branch up to node mid, the lesser of
-        branches()' split t and turning(), and the inward one beyond, scaled
-        to meet it over nodes mid, mid + 1 by their normalised pairs, as the
-        inward one may reach 1e308.  Past the turning node the outward
-        branch is rounding in the growing solution: where t lies beyond it,
-        one more tbtrs solve carries the inward branch on from nodes t + 2,
-        t + 1 to mid, StiffnessError if it overflows."""
-        d, f, t, y, _, _, (_, ni) = self.branches(e)
-        lo, hi, mid = self.lo, self.hi, min(t, self.turning(e))
+    def splice(self, d, t, y, turn):
+        """The branches in y, split at t, met at node mid: mid, the inward
+        branch on nodes mid..hi-1, and both pairs at nodes mid, mid + 1 over
+        their norms, with half the norms, which no finite pair overflows.
+        mid is the lesser of t and turn, the turning node: past it the
+        outward branch is rounding in the growing solution, so where t lies
+        beyond it one more tbtrs solve carries the inward branch on from
+        nodes t + 2, t + 1; where that overflows or vanishes, mid stays t."""
+        lo, mid = self.lo, min(t, turn)
         inw = y[:t - lo + 1:-1]  # nodes t..hi-1
         if t > mid:
             # z_j at node t + 1 - j from z_0 and z_(-1), nodes t + 1 and
             # t + 2, the latter on row 1's right-hand side
             ab = np.ones((3, t - mid + 2), order="F")
             np.negative(d[t + 1:mid:-1], out=ab[1, :-1])
-            z = np.zeros(t - mid + 2)
-            z[0], z[1] = y[-2] / ni, -y[-3] / ni
+            z, ni = np.zeros(t - mid + 2), math.hypot(*(inw[:2] / 2).tolist())
+            z[0], z[1] = inw[1] / ni, -inw[2] / ni
             z, info = dtbtrs(ab, z, uplo="L", diag="U", overwrite_b=True)
-            if info != 0 or not np.isfinite(z).all():
-                raise StiffnessError(f"the inward branch overflowed at "
-                                     f"E = {e} on its way to the turning node")
-            inw = np.concatenate((z[:0:-1], inw[1:] / ni))
+            if info == 0 and np.isfinite(z).all() and z[-1] and y[mid - lo]:
+                inw = np.concatenate((z[:0:-1], inw[1:] / ni))
+            else:
+                mid = t
         k = mid - lo
         (o0, o1), (i0, i1) = y[k:k + 2].tolist(), inw[:2].tolist()
+        o0, o1, i0, i1 = o0 / 2.0, o1 / 2.0, i0 / 2.0, i1 / 2.0
         no, ni = math.hypot(o0, o1), math.hypot(i0, i1)
-        o0, o1, i0, i1 = o0 / no, o1 / no, i0 / ni, i1 / ni
+        return mid, inw, (o0 / no, o1 / no), (i0 / ni, i1 / ni), (no, ni)
+
+    def vector(self, e) -> np.ndarray:
+        """u at a root E: the outward branch up to splice()'s node mid and
+        the inward one beyond, scaled to meet it over nodes mid, mid + 1 by
+        their normalised pairs, as the inward one may reach 1e308;
+        StiffnessError where mid lies past the turning node."""
+        d, f, t, y, turn = self.branches(e)
+        mid, inw, (o0, o1), (i0, i1), (no, ni) = self.splice(d, t, y, turn)
+        if mid > turn:
+            raise StiffnessError(f"the inward branch overflowed at E = {e} "
+                                 f"on its way to the turning node")
         chi = np.zeros(len(self.r))
-        chi[lo:mid + 1] = y[:k + 1]
-        chi[mid + 1:hi] = inw[1:] * ((o0 * i0 + o1 * i1) * no / ni)
+        chi[self.lo:mid + 1] = y[:mid - self.lo + 1]
+        chi[mid + 1:self.hi] = inw[1:] * ((o0 * i0 + o1 * i1) * no / ni)
         chi /= f
         # int P^2 dr = int (r chi)^2 dx, trapezoid rule on the uniform x mesh
         norm = math.sqrt(np.trapezoid((self.r * chi) ** 2, dx=self.h))
@@ -579,20 +588,18 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
     return _state(op, j, lo, hi, 0.5 * (lo + hi), 1e-12, rtol)
 
 
-def _count(op: _Numerov, e) -> int | None:
-    """op.count(e), or None where T(E) cannot be counted (StiffnessError)."""
-    try:
-        return op.count(e)
-    except StiffnessError:
-        return None
-
-
 def _states(op: _Numerov, k: int) -> list[tuple[float, RadialFunction]]:
     """The k lowest states of T(E), as solve_matrix finds them."""
     check_natural(k, "k")
     if not 1 <= k <= op.hi - op.lo:
         raise DomainError(f"k = {k} is not between 1 and the {op.hi - op.lo} "
                           f"unknowns of the mesh")
+
+    def counted(e, how):  # how(e), or None on StiffnessError
+        try:
+            return how(e)
+        except StiffnessError:
+            return None
 
     def beyond(e, count):
         below = (f"E = {op.top:g}, the bound states the box holds"
@@ -607,17 +614,17 @@ def _states(op: _Numerov, k: int) -> list[tuple[float, RadialFunction]]:
         # never falls with E: one count where the halving would stop shows
         # whether k states lie below
         last = op.top + (e - op.top) * 0.5 ** (_MAX_DOUBLINGS + 1 - len(pts))
-        count = _count(op, last)
+        count = counted(last, op.count)
         if count is not None and count < k:
             raise beyond(last, count)
     step = abs(e) or 1.0
     while pts[-1][1] < k:
         e = min(e + step, 0.5 * (e + op.top))  # doubling, or halving to top
         step *= 2.0
-        count = _count(op, e) if len(pts) <= _MAX_DOUBLINGS else None
-        if count is None:
-            raise beyond(*pts[-1])
-        pts.append((e, count))
+        point = counted(e, op.point) if len(pts) <= _MAX_DOUBLINGS else None
+        if point is None:
+            raise beyond(*pts[-1][:2])
+        pts.append(point)
     out = []
     for j in range(k):
         lo, hi = max(p for p in pts if p[1] <= j), min(p for p in pts
@@ -628,11 +635,14 @@ def _states(op: _Numerov, k: int) -> list[tuple[float, RadialFunction]]:
                 raise ConvergenceError(
                     f"state {j} not isolated: {lo[1]} states below "
                     f"{lo[0]!r}, {hi[1]} below {hi[0]!r}")
-            pts.append((e, op.count(e)))
+            pts.append(op.point(e))
             lo, hi = (pts[-1], hi) if pts[-1][1] <= j else (lo, pts[-1])
-        # from the upper end, where the midpoint takes over twice the
-        # mismatch evaluations on hydrogen sets; tighter than shooting
-        out.append(_state(op, j, lo[0], hi[0], hi[0], 1e-14, 1e-13))
+        # from E + step of an isolating end, strictly inside, the smaller
+        # |step| where both are, else the upper end; tighter than shooting
+        inside = [(abs(s), e + s) for e, _, s in (lo, hi)
+                  if lo[0] < e + s < hi[0]]
+        x = min(inside)[1] if inside else hi[0]
+        out.append(_state(op, j, lo[0], hi[0], x, 1e-14, 1e-13))
     return out
 
 
@@ -644,8 +654,9 @@ def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
     has as many negative eigenvalues as states below E (B. R. Johnson, J.
     Chem. Phys. 67, 4086 (1977)).  State j is isolated by bisecting this
     count to (j, j + 1), then rooted and certified by _state as shooting's
-    state is, but from the upper end with xtol = 1e-14 and rtol = 1e-13;
-    a state failing its certificate raises ConvergenceError."""
+    state is, but from its isolating counts' estimate, E + Cooley's step at
+    an end, with xtol = 1e-14 and rtol = 1e-13; a state failing its
+    certificate raises ConvergenceError."""
     return _states(_Numerov(problem, inner, outer), k)
 
 
@@ -670,9 +681,8 @@ _OUTER_POINTS = 8
 def outer_log_derivative(fn: RadialFunction) -> float:
     """R'/R at r_max: the slope there of the degree-7 polynomial through
     ln|R| on the _OUTER_POINTS = 8 outermost nodes, in r - r_max."""
-    big_r = fn.as_full()
-    g = big_r.grid[-_OUTER_POINTS:]
-    v = big_r.values[-_OUTER_POINTS:]
+    tail = slice(-_OUTER_POINTS, None)
+    g, v = fn.grid[tail], fn._full(tail)
     if np.any(v == 0.0):
         raise SingularityError("zero radial value in the outer window")
     return float(_polyfit(g - g[-1], np.log(np.abs(v)), _OUTER_POINTS - 1)[1])

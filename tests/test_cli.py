@@ -224,18 +224,18 @@ def test_k_beyond_the_bound_states_is_found_in_few_counts(monkeypatch, n, k):
     # the count never falls with E, so one count where the halving towards
     # E = 0 would stop decides it: no walk of counts up to that energy
     calls = []
-    count, start = radial._Numerov.count, radial._Numerov.start
+    branches, start = radial._Numerov.branches, radial._Numerov.start
 
     def counting(self, e):
         calls.append(e)
-        return count(self, e)
+        return branches(self, e)
 
     def starting(self):
         pts = start(self)
         calls.clear()
         return pts
 
-    monkeypatch.setattr(radial._Numerov, "count", counting)
+    monkeypatch.setattr(radial._Numerov, "branches", counting)
     monkeypatch.setattr(radial._Numerov, "start", starting)
     problem = radial.RadialProblem(0, 1.0, -1.0, 0.0,
                                    radial.log_grid(1e-5, 40.0, n))

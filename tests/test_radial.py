@@ -554,7 +554,7 @@ def test_shooting_inputs_are_checked_before_any_count(monkeypatch):
         raise AssertionError("a count ran")
 
     _, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0, n=200)
-    monkeypatch.setattr(radial._Numerov, "count", no_count)
+    monkeypatch.setattr(radial._Numerov, "branches", no_count)
     for rtol in (1e-17, 2.0 ** -51, 0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="rtol"):
             solve_shooting(problem, inner, outer, (-0.6, -0.4),
@@ -629,7 +629,7 @@ def test_matrix_k_beyond_the_mesh(monkeypatch):
     inner, wall = robin_inner(0, -1.0), RobinBoundary("outer", 0.0, 1.0)
     robin = robin_outer(SystemAsymptotics(1.0, 0.0, -0.5), 40.0)
     with monkeypatch.context() as patch:
-        patch.setattr(radial._Numerov, "count", no_count)
+        patch.setattr(radial._Numerov, "branches", no_count)
         with pytest.raises(DomainError, match="the 50 unknowns"):
             solve_matrix(problem, inner, robin, 51)
         with pytest.raises(DomainError, match="the 49 unknowns"):
@@ -1074,6 +1074,23 @@ def test_selfconsistent_solve_returns_or_raises_a_typed_error(z, ell, r_max,
         assert energies == pytest.approx([-2.0, -1.125, -0.72], abs=1e-10)
 
 
+def test_cooley_step_past_a_growth_balance_split(caplog):
+    # Z = 6, ell = 2, r_max = 400 on 16,000 nodes: at the ground state the
+    # inward branch overflows at the turning node, and the branches split
+    # where their growth balances, far beyond it.  Cooley's step is taken
+    # over the inward branch carried on to the turning node, as the
+    # state's function is: over the outward branch past it, which is
+    # rounding, state 0 took 44 mismatch evaluations (6 in the 150 box)
+    z, ell = 6.0, 2
+    problem = RadialProblem(ell, 1.0, -z, 0.0, log_grid(1e-5, 400.0, 16000))
+    pairs, events = _solve_events(caplog, solve_matrix_selfconsistent,
+                                  problem, robin_inner(ell, -z / (ell + 1)),
+                                  1.0, z - 1.0, 3)
+    assert events[0]["mismatches"] <= 8
+    assert [e for e, _ in pairs] == pytest.approx(
+        [-18.0 / (ell + 1 + j) ** 2 for j in range(3)], abs=1e-10)
+
+
 def test_clustered_pair_bisected_one_state_at_a_time():
     # each of the pair (split 3.3e-7) is isolated alone by the counts, and
     # its energy is the level the extended-precision oracle bisects from
@@ -1178,7 +1195,9 @@ def test_shooting_stops_at_the_rounding_of_its_steps(monkeypatch):
 def test_each_state_takes_few_mismatch_evaluations(monkeypatch):
     # Cooley's Newton steps: over CASES at Z = 1, 2 and the OWN_KAPPA_CASES,
     # the matrix route took 212 evaluations and shooting 72 under the
-    # Anderson-Bjorck regula falsi; these bounds are over 40 % below
+    # Anderson-Bjorck regula falsi, and 80 and 16 from the upper end of
+    # the matrix route's bracket; from its isolating counts' estimate the
+    # matrix route takes 62
     made = _recorded_mismatches(monkeypatch)
     matrix = shooting = 0
     for z in (1.0, 2.0):
@@ -1196,16 +1215,32 @@ def test_each_state_takes_few_mismatch_evaluations(monkeypatch):
         solve_matrix_selfconsistent(*_own_kappa_problem(z, r_max), 1.0,
                                     z - 1.0, 3)
         matrix += len(made)
-    assert matrix <= 110 and shooting <= 40
+    assert matrix <= 70 and shooting <= 40
+
+
+def test_matrix_route_starts_newton_at_its_counts_estimate(caplog):
+    # -Z/r plus a small tabulated e^(-mu r) on 2,000 nodes, self-consistent:
+    # the search halving towards E = 0 brackets the ground state (-2.2034)
+    # in [-2.2044, -1.1022], and Cooley's step from the lower end lands
+    # within 4e-7 of it, so Newton starts there (from the upper end it took
+    # 13 evaluations)
+    z, grid = 2.1, log_grid(1e-5, 90.0 / 2.1, 2000)
+    problem = RadialProblem(0, 1.0, -z, 0.0, grid,
+                            0.0025 * np.exp(-0.7 * grid))
+    pairs, events = _solve_events(caplog, solve_matrix_selfconsistent,
+                                  problem, robin_inner(0, -z), 1.0, z - 1.0, 3)
+    assert events[0]["mismatches"] <= 5
+    assert pairs[0][0] == pytest.approx(-z * z / 2.0, rel=2e-3)
 
 
 def _recorded_counts(monkeypatch):
-    """(energy, count) of every count of T(E), in the order made."""
+    """(energy, count) of every count of T(E), the isolating point()s'
+    included, in the order made."""
     made = []
     count = radial._Numerov.count
 
-    def recording(self, e):
-        made.append((e, count(self, e)))
+    def recording(self, e, got=None):
+        made.append((e, count(self, e, got)))
         return made[-1][1]
 
     monkeypatch.setattr(radial._Numerov, "count", recording)
@@ -1213,13 +1248,15 @@ def _recorded_counts(monkeypatch):
 
 
 def _recorded_mismatches(monkeypatch):
-    """The energy of every mismatch evaluation, in the order made."""
+    """The energy of every mismatch evaluation with its own solve, Newton's
+    iterates, in the order made; a point()'s step shares its count's."""
     made = []
     mismatch = radial._Numerov.mismatch
 
-    def recording(self, e):
-        made.append(e)
-        return mismatch(self, e)
+    def recording(self, e, got=None):
+        if got is None:
+            made.append(e)
+        return mismatch(self, e, got)
 
     monkeypatch.setattr(radial._Numerov, "mismatch", recording)
     return made
