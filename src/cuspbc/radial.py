@@ -2,9 +2,11 @@
 
 Both routes solve one operator, Numerov's recurrence T(E) for chi = P/sqrt(r)
 on the uniform x = ln r mesh of the grid (solve_matrix).  Counts of T(E)
-isolate each state, and _state roots, certifies and logs every state of
-either route; the routes differ only in where the bracket comes from, the
-root's start point and its tolerance.  The solved equation is
+give each state, and _state isolates, starts, roots, certifies and logs
+every state of either route, from E + Cooley's step of an isolating count
+strictly inside its pair, else the pair's midpoint; the routes differ only
+in where the counted energies come from and the root's tolerance.  The
+solved equation is
 
     -u''/(2M) - (ell+1)/(M r) u' + [q1 q2 / r + W0 + V_extra(r)] u = E u
 
@@ -211,16 +213,14 @@ class RadialProblem:
             )
 
     def potential(self, r=None) -> np.ndarray:
-        """q1 q2 / r + W0 + V_extra on the grid (or interpolated at r)."""
-        if r is None:
-            v = self.pair_product / self.grid + self.w0
-            if self.extra_potential is not None:
-                v = v + self.extra_potential
-            return v
-        rs = np.asarray(r, dtype=float)
-        v = self.pair_product / rs + self.w0
+        """q1 q2 / r + W0 + V_extra on the grid, where V_extra is tabulated;
+        r must be None (the grid), and any other raises DomainError."""
+        if r is not None:
+            raise DomainError("RadialProblem.potential samples its grid "
+                              "alone: r must be None")
+        v = self.pair_product / self.grid + self.w0
         if self.extra_potential is not None:
-            v = v + np.interp(rs, self.grid, self.extra_potential)
+            v = v + self.extra_potential
         return v
 
 
@@ -370,15 +370,17 @@ class _Numerov:
         return e, self.count(e, got), self.mismatch(e, got)[1]
 
     def start(self) -> list[tuple[float, int, float]]:
-        """(E, count, nan) at the bottom of q/b and, if T has states there,
-        at the lowest energy with f > 0 on every node, where it may have
-        none: no step, as these rungs are seldom a state's isolating end."""
+        """(E, count, nan) at e0, the bottom of q/b, and where T has states
+        there at the first energy with none on steps down doubling from
+        max(|e0|, 1) to the lowest energy with f > 0 on every node, where a
+        state left raises StiffnessError; no step: rungs seldom isolate."""
         floor = float(np.max((self.q - 12.0 / self.h ** 2) / self.b))
         floor += _CERTIFY_GAP * max(1.0, abs(floor))
-        e0 = max(float(np.min(self.q / self.b)), floor)
-        pts = [(e0, self.count(e0), math.nan)]
-        if pts[0][1] and e0 > floor:
-            pts.insert(0, (floor, self.count(floor), math.nan))
+        e = max(float(np.min(self.q / self.b)), floor)
+        pts, step = [(e, self.count(e), math.nan)], max(abs(e), 1.0)
+        while pts[0][1] and e > floor:
+            e, step = max(e - step, floor), 2.0 * step
+            pts[:-1] = [(e, self.count(e), math.nan)]  # the lower rung
         if pts[0][1]:
             raise StiffnessError(f"log mesh too coarse for Numerov: T(E) has "
                                  f"{pts[0][1]} states below E = {floor:.6g}")
@@ -521,16 +523,30 @@ def _newton(f, lo: float, hi: float, x: float, lo_sign: float, xtol: float,
                            f"after {_MAXITER} steps")
 
 
-def _state(op: _Numerov, j: int, lo: float, hi: float, x: float,
+def _state(op: _Numerov, j: int, pts: list[tuple[float, int, float]],
            xtol: float, rtol: float) -> tuple[float, RadialFunction]:
-    """State j of T(E), isolated in [lo, hi] by counts of j and j + 1, which
-    give the mismatch's signs there, (-1)^j and (-1)^(j + 1): _newton from x
-    on Cooley's steps, each spliced at its own energy's outer turning node;
-    certified by counts of j below E - delta and j + 1 below E + delta,
-    delta = max(1e-9 max(1, |E|), xtol + rtol |E|), or ConvergenceError;
-    then one debug event on the cuspbc logger, with the counts made since
-    the last."""
-    e, calls = _newton(op.mismatch, lo, hi, x, (-1.0) ** j, xtol, rtol,
+    """State j of T(E) from its counted energies pts, (E, count, Cooley's
+    step or nan), to which it adds its bisection's: bisected to the pair with
+    j and j + 1 states below, where the mismatch has signs (-1)^j and
+    (-1)^(j + 1), or ConvergenceError; rooted by _newton on Cooley's
+    steps, each spliced at its own turning node, from E + step of an
+    isolating end strictly inside the pair, the smaller |step| where both
+    are, else the pair's midpoint; certified by counts of j below E - delta
+    and j + 1 below E + delta, delta = max(1e-9 max(1, |E|), xtol + rtol
+    |E|), or ConvergenceError; then one debug event on the cuspbc logger,
+    with the counts made since the last."""
+    lo, hi = max(p for p in pts if p[1] <= j), min(p for p in pts if p[1] > j)
+    while (lo[1], hi[1]) != (j, j + 1):
+        e = 0.5 * (lo[0] + hi[0])
+        if hi[0] - lo[0] <= _BISECT_TOL * max(1.0, abs(e)):
+            raise ConvergenceError(
+                f"state {j} not isolated: {lo[1]} states below "
+                f"{lo[0]!r}, {hi[1]} below {hi[0]!r}")
+        pts.append(op.point(e))
+        lo, hi = (pts[-1], hi) if pts[-1][1] <= j else (lo, pts[-1])
+    inside = [(abs(s), e + s) for e, _, s in (lo, hi) if lo[0] < e + s < hi[0]]
+    x = min(inside)[1] if inside else 0.5 * (lo[0] + hi[0])
+    e, calls = _newton(op.mismatch, lo[0], hi[0], x, (-1.0) ** j, xtol, rtol,
                        _ROUNDING)
     delta = max(_CERTIFY_GAP * max(1.0, abs(e)), xtol + rtol * abs(e))
     below = (op.count(e - delta), op.count(e + delta))
@@ -558,9 +574,10 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
     upper one name the state, and any other pair raises NoSignChange; an
     end at or below T(E)'s first rung (_Numerov.start), where f > 0 on
     every node, has no state below it and is not counted, and the root's
-    bracket starts there.  _state roots the state from the bracket's
-    midpoint with xtol = 1e-12 and rtol >= 4 * 2**-52, and certifies it or
-    raises ConvergenceError.  With asymptotics the outer log-derivative
+    bracket starts there.  _state takes both counted ends, with no step,
+    so its one start rule gives the bracket's midpoint, roots the state
+    with xtol = 1e-12 and rtol >= 4 * 2**-52, and certifies it or raises
+    ConvergenceError.  With asymptotics the outer log-derivative
     follows each trial energy, and outer is not used (it may be None).
     The error is O(h^4) in the mesh step, as the matrix route's: the
     routes' agreement checks the root, not the mesh.  A mesh too coarse
@@ -584,8 +601,8 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
         raise NoSignChange(f"T(E) has {j} states below {lo!r} and {above} "
                            f"below {hi!r}: the bracket holds {above - j}, "
                            f"not one")
-    lo = max(lo, first)
-    return _state(op, j, lo, hi, 0.5 * (lo + hi), 1e-12, rtol)
+    return _state(op, j, [(max(lo, first), j, math.nan),
+                          (hi, j + 1, math.nan)], 1e-12, rtol)
 
 
 def _states(op: _Numerov, k: int) -> list[tuple[float, RadialFunction]]:
@@ -625,25 +642,7 @@ def _states(op: _Numerov, k: int) -> list[tuple[float, RadialFunction]]:
         if point is None:
             raise beyond(*pts[-1][:2])
         pts.append(point)
-    out = []
-    for j in range(k):
-        lo, hi = max(p for p in pts if p[1] <= j), min(p for p in pts
-                                                       if p[1] > j)
-        while (lo[1], hi[1]) != (j, j + 1):
-            e = 0.5 * (lo[0] + hi[0])
-            if hi[0] - lo[0] <= _BISECT_TOL * max(1.0, abs(e)):
-                raise ConvergenceError(
-                    f"state {j} not isolated: {lo[1]} states below "
-                    f"{lo[0]!r}, {hi[1]} below {hi[0]!r}")
-            pts.append(op.point(e))
-            lo, hi = (pts[-1], hi) if pts[-1][1] <= j else (lo, pts[-1])
-        # from E + step of an isolating end, strictly inside, the smaller
-        # |step| where both are, else the upper end; tighter than shooting
-        inside = [(abs(s), e + s) for e, _, s in (lo, hi)
-                  if lo[0] < e + s < hi[0]]
-        x = min(inside)[1] if inside else hi[0]
-        out.append(_state(op, j, lo[0], hi[0], x, 1e-14, 1e-13))
-    return out
+    return [_state(op, j, pts, 1e-14, 1e-13) for j in range(k)]
 
 
 def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
@@ -653,10 +652,10 @@ def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
     end rows are the two Robin starts: it is singular at the eigenvalues and
     has as many negative eigenvalues as states below E (B. R. Johnson, J.
     Chem. Phys. 67, 4086 (1977)).  State j is isolated by bisecting this
-    count to (j, j + 1), then rooted and certified by _state as shooting's
-    state is, but from its isolating counts' estimate, E + Cooley's step at
-    an end, with xtol = 1e-14 and rtol = 1e-13; a state failing its
-    certificate raises ConvergenceError."""
+    count to (j, j + 1), then started, rooted and certified by _state as
+    shooting's state is, from E + Cooley's step of an isolating count inside
+    the pair, else its midpoint, with xtol = 1e-14 and rtol = 1e-13; a state
+    failing its certificate raises ConvergenceError."""
     return _states(_Numerov(problem, inner, outer), k)
 
 

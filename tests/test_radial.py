@@ -151,6 +151,19 @@ def test_problem_validation():
     assert ok.potential()[0] == pytest.approx(-1.0 / grid[0] + 1.0, rel=1e-6)
 
 
+def test_potential_samples_the_grid_alone():
+    # the solvers read the potential on the grid's nodes only: r = None
+    # gives it there, and any other r is refused, not interpolated
+    grid = log_grid(1e-5, 40.0, 100)
+    problem = RadialProblem(0, 1.0, -1.0, 0.5, grid,
+                            extra_potential=np.exp(-grid))
+    assert np.array_equal(problem.potential(None),
+                          -1.0 / grid + 0.5 + np.exp(-grid))
+    for r in (grid, grid[3], 1.0):
+        with pytest.raises(DomainError, match="grid alone"):
+            problem.potential(r)
+
+
 _GRID = log_grid(1e-5, 40.0, 100)
 
 
@@ -382,6 +395,26 @@ def test_shooting_counts_no_state_below_the_first_rung(bracket, energy):
         assert e == pytest.approx(energy, abs=1e-6)
         assert e == pytest.approx(solve_matrix(problem, inner, outer, 1)[0][0],
                                   rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2000, 8000])
+def test_a_state_below_the_bottom_of_q_over_b_is_found_on_fine_meshes(n):
+    # u' = -10 u at r = 0.1 binds a state below e0 = min(q/b) = -2, at
+    # r = 1/4: the lower rung is sought down from e0 in doubling steps,
+    # not at the stability floor (-417 at n = 2,000), where from n = 4,000
+    # on both branches overflow
+    problem = RadialProblem(0, 1.0, -1.0, 0.0, log_grid(0.1, 40.0, n))
+    inner = robin_inner(0, -10.0)
+    rungs = radial._Numerov(problem, inner, (1.0, 0.0)).start()
+    assert [c for _, c, _ in rungs] == [0, 1]
+    assert [e for e, _, _ in rungs] == pytest.approx([-4.0, -2.0], rel=1e-5)
+    (e0, _), (e1, _) = solve_matrix_selfconsistent(problem, inner, 1.0, 0.0,
+                                                   2)
+    assert (e0, e1) == pytest.approx((-2.72291984, -0.22415563), abs=1e-8)
+    # within the mismatch's rounding, 1e-11 max(1, |E|)
+    e, _ = solve_shooting(problem, inner, None, (-3.5, -2.1),
+                          SystemAsymptotics(1.0, 0.0, -2.7))
+    assert e == pytest.approx(e0, abs=3e-11)
 
 
 def _hydrogen_mismatch():
@@ -1283,22 +1316,46 @@ def _recorded_solves(monkeypatch):
     return made
 
 
+def _matrix_solves():
+    """(solver, *args) of the hydrogen states of both charges and the
+    own-kappa problems, every state of each."""
+    solves = [(solve_matrix, *_hydrogen_setup(z, n_state, ell)[1:4],
+               n_state - ell)
+              for z in (1.0, 2.0) for n_state, ell in CASES]
+    return solves + [(solve_matrix_selfconsistent,
+                      *_own_kappa_problem(z, r_max), 1.0, z - 1.0, 3)
+                     for z, r_max in OWN_KAPPA_CASES]
+
+
 def test_one_bisection_per_matrix_solve(monkeypatch):
     # one bisection per solve, its counts shared by all k states: no energy
     # is counted twice, and the counts never decrease with energy
     made = _recorded_counts(monkeypatch)
-    solves = [(solve_matrix, *_hydrogen_setup(z, n_state, ell)[1:4],
-               n_state - ell)
-              for z in (1.0, 2.0) for n_state, ell in CASES]
-    solves += [(solve_matrix_selfconsistent, *_own_kappa_problem(z, r_max),
-                1.0, z - 1.0, 3) for z, r_max in OWN_KAPPA_CASES]
-    for solve, *args in solves:
+    for solve, *args in _matrix_solves():
         made.clear()
         solve(*args)
         energies = [e for e, _ in made]
         assert len(set(energies)) == len(energies)
         counts = [c for _, c in sorted(made)]
         assert counts == sorted(counts)
+
+
+def test_no_trial_energy_is_solved_twice_per_matrix_solve(monkeypatch):
+    # every branches() solve of a matrix solve is at a new energy: a state
+    # starts Newton inside its isolating pair, never at a counted end, and
+    # its function is at an energy no count or mismatch solved
+    made = []
+    branches = radial._Numerov.branches
+
+    def recording(self, e):
+        made.append(e)
+        return branches(self, e)
+
+    monkeypatch.setattr(radial._Numerov, "branches", recording)
+    for solve, *args in _matrix_solves():
+        made.clear()
+        solve(*args)
+        assert len(set(made)) == len(made)
 
 
 def test_selfconsistent_solve_certifies_each_state_once(monkeypatch):
