@@ -356,7 +356,7 @@ def kato_average_check(f: AngularRadialFunction,
     directional = cusp_limit_first(
         RadialFunction(r, np.real(f.fn(r, theta0, phi0)), 0, "R"), 0)
 
-    theta, phi, _, w = _sphere_nodes(32, 64)
+    theta, phi, w = _sphere_nodes(32, 64)
     vals = np.real(f.fn(r[:, None], theta[None, :], phi[None, :]))
     avg = np.broadcast_to(vals, (r.size, theta.size)) @ w
     averaged = cusp_limit_first(RadialFunction(r, avg, 0, "R"), 0)

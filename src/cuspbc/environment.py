@@ -19,7 +19,7 @@ import numpy as np
 from .cusp import CoalescencePair
 from .errors import DomainError, InputError, SingularityError
 from .gridfn import check_natural
-from .special import _legendre_upto, _sphere_nodes
+from .special import _legendre_upto
 
 
 @dataclass(frozen=True)
@@ -104,23 +104,21 @@ def w0(env: Environment, pair: CoalescencePair) -> float:
     return (pair.q1 + pair.q2) * math.fsum(c.q / c.radius for c in env.charges)
 
 
-def _pair_terms(env: Environment, pair: CoalescencePair, r: float,
-                n: np.ndarray) -> np.ndarray:
-    """q_i q1 / |x_i - f1 r n| + q_i q2 / |x_i + f2 r n|, the spectator
-    Coulomb energy of the pair at separation r along each unit vector n:
-    one row per row of n (shape (m, 3)), one column per charge."""
+def _spectator_sum(env: Environment, pair: CoalescencePair, dist) -> float:
+    """fsum over charges c and the two particles of c.q q_p / dist(c, f),
+    with f = f1 for particle 1 (at +f1 r n) and -f2 for particle 2 (at
+    -f2 r n): the pair's spectator Coulomb energy, one Python-float term
+    per charge and particle."""
     f1, f2 = _mass_fractions(pair)
-    pos = np.array([c.position for c in env.charges]).reshape(-1, 3)
-    qs = np.array([c.q for c in env.charges])
-    # axis 0: particle 1 at +f1 r n, particle 2 at -f2 r n
-    shift = np.array([f1, -f2]) * r
-    x, y, z = (pos[:, k] - np.multiply.outer(shift, n[:, k])[:, :, None]
-               for k in range(3))
-    d = np.sqrt(x * x + y * y + z * z)
-    if not d.all():
-        raise SingularityError("pair particle coincides with a spectator charge")
-    terms = np.multiply.outer([pair.q1, pair.q2], qs)[:, None, :] / d
-    return terms[0] + terms[1]
+    terms = []
+    for c in env.charges:
+        for q, f in ((pair.q1, f1), (pair.q2, -f2)):
+            d = dist(c, f)
+            if d == 0.0:
+                raise SingularityError(
+                    "pair particle coincides with a spectator charge")
+            terms.append(c.q * q / d)
+    return math.fsum(terms)
 
 
 def w_exact(env: Environment, pair: CoalescencePair,
@@ -128,8 +126,9 @@ def w_exact(env: Environment, pair: CoalescencePair,
     """Exact spectator potential energy for pair separation r along
     direction (theta, phi)."""
     _check_r(r)
-    terms = _pair_terms(env, pair, r, _direction(theta, phi)[None])
-    return math.fsum(terms[0].tolist())
+    n = _direction(theta, phi)
+    return _spectator_sum(env, pair, lambda c, f: math.dist(
+        c.position, [f * r * x for x in n.tolist()]))
 
 
 def _multipole_terms(env: Environment, pair: CoalescencePair, lams,
@@ -180,14 +179,10 @@ def w_multipole(env: Environment, pair: CoalescencePair,
 
 
 def spherical_average_w(env: Environment, pair: CoalescencePair, r: float) -> float:
-    """Average of w_exact over directions, Gauss-Legendre in cos(theta) at
-    64 nodes and a uniform grid of 128 in phi.  Inside the nearest
-    spectator radius only the monopole survives, so this reproduces w0
-    independent of r.
-
-    Each node's charges are summed in numpy, and the weighted node sums
-    by compensated summation, over a fixed ordering, so repeated calls
-    are bit-identical."""
+    """Average of w_exact over directions, in closed form by Newton's shell
+    theorem: the mean of 1/|x - s n| over unit vectors n is 1/max(|x|, |s|),
+    so the average is fsum_i q_i [q1 / max(r_i, f1 r) + q2 / max(r_i, f2 r)].
+    While f1 r and f2 r stay inside the nearest charge every max is r_i,
+    and this is w0 to rounding; past a charge it departs from w0."""
     _check_r(r)
-    _, _, n, w = _sphere_nodes(64, 128)
-    return math.fsum((w * _pair_terms(env, pair, r, n).sum(axis=1)).tolist())
+    return _spectator_sum(env, pair, lambda c, f: max(c.radius, abs(f) * r))

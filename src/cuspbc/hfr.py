@@ -70,13 +70,14 @@ class HFROrbital:
 
     def _moment(self, k: int) -> float:
         """int_0^inf R(r)^2 r^k dr, exactly: a sum over term pairs of
-        int r^m e^{-s r} dr = m! / s^{m+1}, each pair formed in log form."""
-        pairs = _finite([
-            _signed_exp(ci * cj, _log_norm(ni, zi) + _log_norm(nj, zj)
-                        + math.lgamma(ni + nj - 1 + k)
-                        - (ni + nj - 1 + k) * math.log(zi + zj))
-            for ni, zi, ci in self.terms for nj, zj, cj in self.terms],
-            f"a term of moment {k}")
+        int r^m e^{-s r} dr = m! / s^{m+1}, every pair formed in log form
+        by one array call."""
+        c, x = zip(*[(ci * cj, _log_norm(ni, zi) + _log_norm(nj, zj)
+                      + math.lgamma(ni + nj - 1 + k)
+                      - (ni + nj - 1 + k) * math.log(zi + zj))
+                     for ni, zi, ci in self.terms for nj, zj, cj in self.terms])
+        pairs = _finite(_signed_exp(np.array(c), np.array(x)),
+                        f"a term of moment {k}").tolist()
         try:
             return math.fsum(pairs)
         except OverflowError as exc:

@@ -235,16 +235,13 @@ def kummer_1f1(a: float, b: float, x):
 def _sphere_nodes(n_theta: int, n_phi: int):
     """Product quadrature over the unit sphere: Gauss-Legendre in cos(theta)
     times the trapezoid rule in phi.  Returns per-node arrays (theta, phi,
-    n, w) over the n_theta * n_phi nodes, theta-major (phi varies fastest):
-    angles, unit vectors n of shape (nodes, 3) and weights, which sum to 1,
-    so the weighted sum of f over the nodes is its spherical average.
+    w) over the n_theta * n_phi nodes, theta-major (phi varies fastest):
+    angles and weights, which sum to 1, so the weighted sum of f over the
+    nodes is its spherical average.
     Cached: every caller shares the same read-only arrays."""
     cos_theta, weights = np.polynomial.legendre.leggauss(n_theta)
-    phi = np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi, n_theta)
-    sin_theta = np.repeat(np.sqrt(1.0 - cos_theta ** 2), n_phi)
-    n = np.stack([sin_theta * np.cos(phi), sin_theta * np.sin(phi),
-                  np.repeat(cos_theta, n_phi)], axis=1)
-    out = (np.repeat(np.arccos(cos_theta), n_phi), phi, n,
+    out = (np.repeat(np.arccos(cos_theta), n_phi),
+           np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi, n_theta),
            np.repeat(weights / (2.0 * n_phi), n_phi))
     for a in out:
         a.setflags(write=False)

@@ -383,7 +383,21 @@ def test_cmd_env_computes_each_multipole_term_once(tmp_path, capsys,
         "odd_audit[3] = 0.0\n"
         "odd_audit[5] = 0.0\n"
         "odd_terms_exactly_zero = True\n"
-        "average_residual[1.0] = 2.220446049250313e-16\n")
+        "average_residual[1.0] = 0.0\n")
+
+
+def test_cmd_env_probe_past_the_nearest_charge(tmp_path, capsys):
+    # q = 2 at z = 3 and an e-e pair at r = 8: each electron sits f r = 4
+    # from the centre, past the charge, so by the shell theorem the average
+    # is 2 (-1/4 - 1/4) = -1 against w0 = -2 * 2/3, a residual of 1/3
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(
+        {"charges": [{"q": 2.0, "position": [0.0, 0.0, 3.0]}]}))
+    assert main(["env", str(path), "e-e", "singlet", "--probes", "8"]) == 0
+    vals = _parse_kv(capsys.readouterr().out)
+    assert float(vals["w0"]) == pytest.approx(-4.0 / 3.0, rel=1e-15)
+    assert float(vals["average_residual[8.0]"]) == pytest.approx(
+        1.0 / 3.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("flags", [

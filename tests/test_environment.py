@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,6 +26,54 @@ def _random_env(rng, n_min=2, n_max=6):
 
 HYDROGEN_PAIR = CoalescencePair.electron_nucleus(1.0)
 EE_PAIR = CoalescencePair.electron_electron("singlet")
+# a fixed nucleus, a nucleus of finite mass, and two electrons
+AVERAGE_PAIRS = (CoalescencePair.electron_nucleus(2.0),
+                 CoalescencePair.electron_nucleus(3.0, 7.0), EE_PAIR)
+
+
+def _fractions(pair):
+    """f1 = m2/(m1+m2) and f2 = m1/(m1+m2): particle 1 sits at +f1 r n
+    and particle 2 at -f2 r n (m1 is finite for every pair here)."""
+    if math.isinf(pair.m2):
+        return 1.0, 0.0
+    return pair.m2 / (pair.m1 + pair.m2), pair.m1 / (pair.m1 + pair.m2)
+
+
+def _quadrature_average(env, pair, r):
+    """The pair's spectator Coulomb energy averaged over 64 x 128
+    directions, Gauss-Legendre in cos(theta) times the trapezoid rule in
+    phi, from the distances between each charge and particle; accurate to
+    rounding for f r up to 0.75 of the nearest charge."""
+    mu, w_mu = np.polynomial.legendre.leggauss(64)
+    phi = 2.0 * math.pi * np.arange(128) / 128
+    st = np.sqrt(1.0 - mu * mu)[:, None]
+    n = np.stack(np.broadcast_arrays(st * np.cos(phi), st * np.sin(phi),
+                                     mu[:, None]), axis=-1)
+    f1, f2 = _fractions(pair)
+    total = np.zeros((64, 128))
+    for c in env.charges:
+        for q, f in ((pair.q1, f1), (pair.q2, -f2)):
+            total += c.q * q / np.linalg.norm(
+                np.asarray(c.position) - f * r * n, axis=-1)
+    return math.fsum((w_mu[:, None] / 256.0 * total).ravel().tolist())
+
+
+def _shell_reference(env, pair, r):
+    """mpmath's quadrature of each charge's and particle's mean Coulomb
+    term, q_i q_p / 2 int_{-1}^{1} (R^2 + s^2 - 2 R s mu)^(-1/2) dmu with
+    R the charge's radius and s = f r: their sum and the sum of their
+    absolute values."""
+    terms = []
+    with mpmath.workdps(30):
+        for c in env.charges:
+            big_r = mpmath.mpf(math.hypot(*c.position))
+            for q, f in zip((pair.q1, pair.q2), _fractions(pair)):
+                s = mpmath.mpf(f * r)
+                mean = mpmath.quad(lambda mu: (big_r ** 2 + s ** 2
+                                               - 2 * big_r * s * mu) ** -0.5,
+                                   [-1, 1]) / 2
+                terms.append(mpmath.mpf(c.q) * q * mean)
+        return float(mpmath.fsum(terms)), float(mpmath.fsum(map(abs, terms)))
 
 
 def test_w0_single_charge():
@@ -94,12 +143,44 @@ def test_fixed_nucleus_mass_fractions():
 
 
 def test_spherical_average_reproduces_w0():
+    # inside the nearest charge, against a sphere rule built in the test
     rng = np.random.default_rng(4)
     for _ in range(5):
         env = _random_env(rng)
-        pair = CoalescencePair.electron_nucleus(2.0)
-        r = 0.5 * env.min_radius
-        assert abs(spherical_average_w(env, pair, r) - w0(env, pair)) < 1e-10
+        for pair in AVERAGE_PAIRS:
+            for frac in (0.25, 0.5, 0.75):
+                r = frac * env.min_radius / max(_fractions(pair))
+                ref = _quadrature_average(env, pair, r)
+                assert abs(spherical_average_w(env, pair, r) - ref) < 1e-12
+                assert abs(w0(env, pair) - ref) < 1e-12
+
+
+def test_spherical_average_matches_mpmath_across_each_charge():
+    # f r just inside, on (exactly, for f = 1 and f = 1/2) and just past
+    # every charge, where a sphere rule loses its accuracy
+    rng = np.random.default_rng(11)
+    for pair in AVERAGE_PAIRS:
+        env = _random_env(rng, 3, 3)
+        f = max(_fractions(pair))
+        for c in env.charges:
+            for ratio in (0.999, 1.0, 1.001):
+                r = ratio * c.radius / f
+                ref, scale = _shell_reference(env, pair, r)
+                assert abs(spherical_average_w(env, pair, r) - ref) \
+                    <= 1e-14 * scale
+
+
+def test_spherical_average_is_w0_up_to_the_nearest_charge():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        env = _random_env(rng)
+        for pair in AVERAGE_PAIRS:
+            scale = (abs(pair.q1) + abs(pair.q2)) * math.fsum(
+                abs(c.q) / c.radius for c in env.charges)
+            for ratio in (0.99, 0.999):
+                r = ratio * env.min_radius / max(_fractions(pair))
+                assert abs(spherical_average_w(env, pair, r)
+                           - w0(env, pair)) <= 1e-14 * scale
 
 
 def test_spherical_average_deterministic():
@@ -113,29 +194,24 @@ def test_spherical_average_deterministic():
 def test_sphere_nodes_cached_bit_identical(monkeypatch):
     # one read-only set of nodes per size, shared by every call, and the
     # same bits as building them afresh
-    nodes = _sphere_nodes(64, 128)
-    assert _sphere_nodes(64, 128) is nodes
-    for a, fresh in zip(nodes, _sphere_nodes.__wrapped__(64, 128)):
+    nodes = _sphere_nodes(32, 64)
+    assert _sphere_nodes(32, 64) is nodes
+    for a, fresh in zip(nodes, _sphere_nodes.__wrapped__(32, 64)):
         assert not a.flags.writeable
         assert a.tobytes() == fresh.tobytes()
-    env = _random_env(np.random.default_rng(6))
     grid = np.linspace(1e-4, 0.012, 14)
     f = AngularRadialFunction(lambda r, t, p: np.exp(-2.0 * r) * (
         1.0 + 0.3 * r * np.sin(t) * np.cos(p)), grid)
-    cached = (spherical_average_w(env, EE_PAIR, 0.2), kato_average_check(f))
-    for module in (environment, cusp):
-        monkeypatch.setattr(module, "_sphere_nodes", _sphere_nodes.__wrapped__)
-    assert (spherical_average_w(env, EE_PAIR, 0.2),
-            kato_average_check(f)) == cached
+    cached = kato_average_check(f)
+    monkeypatch.setattr(cusp, "_sphere_nodes", _sphere_nodes.__wrapped__)
+    assert kato_average_check(f) == cached
 
 
 def test_sphere_nodes_layout():
     n_theta, n_phi = 5, 7
-    theta, phi, n, w = _sphere_nodes(n_theta, n_phi)
+    theta, phi, w = _sphere_nodes(n_theta, n_phi)
     assert theta.shape == phi.shape == w.shape == (n_theta * n_phi,)
-    assert n.shape == (n_theta * n_phi, 3)
     assert abs(math.fsum(w.tolist()) - 1.0) <= 1e-15
-    assert np.all(np.abs(np.linalg.norm(n, axis=1) - 1.0) <= 1e-15)
     # theta-major: theta holds for n_phi nodes while phi runs its grid
     cos_theta, _ = np.polynomial.legendre.leggauss(n_theta)
     assert np.array_equal(theta.reshape(n_theta, n_phi)[:, 0],
@@ -144,10 +220,7 @@ def test_sphere_nodes_layout():
     assert np.array_equal(phi.reshape(n_theta, n_phi),
                           np.tile(2.0 * math.pi * np.arange(n_phi) / n_phi,
                                   (n_theta, 1)))
-    assert np.array_equal(n[:, 2], np.repeat(cos_theta, n_phi))
-    assert np.allclose(n[:, :2], np.sin(theta)[:, None] * np.stack(
-        [np.cos(phi), np.sin(phi)], axis=1), rtol=0.0, atol=1e-15)
-    for a in (theta, phi, n, w):
+    for a in (theta, phi, w):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0

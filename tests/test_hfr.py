@@ -160,3 +160,22 @@ def test_radial_matches_the_xlogy_form_on_the_compare_he_grid():
         want = sum(_signed_exp(c, _log_norm(n, z) + xlogy(n - 1, r) - z * r)
                    for n, z, c in HE_TERMS)
     assert np.array_equal(HFROrbital(HE_TERMS).radial(r), want)
+
+
+def test_moments_match_a_per_pair_reference_bitwise():
+    # one array call forms every term pair: the same bits as one scalar
+    # call per pair, summed exactly
+    rng = np.random.default_rng(3)
+    orbitals = [HE_TERMS] + [tuple(
+        (int(rng.integers(1, 8)), float(rng.uniform(0.3, 9.0)),
+         float(rng.uniform(-2.0, 2.0))) for _ in range(int(rng.integers(1, 7))))
+        for _ in range(10)]
+    for terms in orbitals:
+        orb = HFROrbital(terms)
+        for k in range(4):
+            want = math.fsum(
+                _signed_exp(ci * cj, _log_norm(ni, zi) + _log_norm(nj, zj)
+                            + math.lgamma(ni + nj - 1 + k)
+                            - (ni + nj - 1 + k) * math.log(zi + zj))
+                for ni, zi, ci in terms for nj, zj, cj in terms)
+            assert orb._moment(k).hex() == want.hex()
