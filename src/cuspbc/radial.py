@@ -4,9 +4,10 @@ Both routes solve one operator, Numerov's recurrence T(E) for chi = P/sqrt(r)
 on the uniform x = ln r mesh of the grid (solve_matrix).  Counts of T(E)
 give each state, and _state isolates, starts, roots, certifies and logs
 every state of either route, from E + Cooley's step of an isolating count
-strictly inside its pair, else the pair's midpoint; the routes differ only
-in where the counted energies come from and the root's tolerance.  The
-solved equation is
+strictly inside its pair, else the pair's midpoint, and certifies it by a
+count at E on its function's solve and one at E - delta or E + delta.  The
+routes differ only in where the counted energies come from and the root's
+tolerance.  The solved equation is
 
     -u''/(2M) - (ell+1)/(M r) u' + [q1 q2 / r + W0 + V_extra(r)] u = E u
 
@@ -257,7 +258,14 @@ def _edge(bc: RobinBoundary | tuple[float, float], shift: float, r: float):
     kappa(r; E) of each E < 0; None for a Dirichlet end.  In Python floats,
     so that _log_step of a slope that grows as E -> 0- overflows silently."""
     if not isinstance(bc, RobinBoundary):
-        return lambda e: shift + r * SystemAsymptotics(*bc, e).kappa(r)
+        m, mq = bc[0], bc[0] * (bc[1] + 1.0)
+        SystemAsymptotics(*bc, -1.0)  # checks (M', Q) once
+        def tail(e):  # SystemAsymptotics(*bc, e).kappa(r)'s float arithmetic
+            if not e < 0.0:
+                raise RegimeError("asymptotic tail requires a bound state (E < 0)")
+            decay = math.sqrt(-2.0 * m * e)
+            return shift + r * (-decay + (mq / decay - 1.0) / r)
+        return tail
     s = shift + r * bc.log_derivative
     return (lambda e: s) if math.isfinite(s) else None
 
@@ -278,7 +286,7 @@ class _Numerov:
         self.h, self.q, self.b = _log_mesh(problem)
         # the weights of v'T'v = -|w chi|^2 and room for w chi (mismatch)
         self.w, self.w_chi = self.h * np.sqrt(self.b), np.empty(len(self.b))
-        self.r, self.ell, self.counts = problem.grid, problem.ell, 0
+        self.r, self.ell, self.counts, self.solves = problem.grid, problem.ell, 0, 0
         # (edge node, direction, slope) of each end; None drops the node
         ends = ((0, 1, _edge(inner, self.ell + 0.5, float(self.r[0]))),
                 (-1, -1, _edge(outer, 0.5, float(self.r[-1]))))
@@ -321,7 +329,7 @@ class _Numerov:
 
     def turning(self, e) -> int:
         """E's outer turning node, the last with q < E b, as a node()."""
-        return self.node(int(np.searchsorted(self.qb_min, e)) - 1)
+        return self.node(int(self.qb_min.searchsorted(e)) - 1)
 
     def count(self, e, got=None) -> int:
         """T(E)'s negative eigenvalues, the states below E, by the twisted
@@ -366,8 +374,7 @@ class _Numerov:
 
     def point(self, e) -> tuple[float, int, float]:
         """(E, count, Cooley's step) from one branches() solve."""
-        got = self.branches(e)
-        return e, self.count(e, got), self.mismatch(e, got)[1]
+        return e, self.count(e, got := self.branches(e)), self.mismatch(e, got)[1]
 
     def start(self) -> list[tuple[float, int, float]]:
         """(E, count, nan) at e0, the bottom of q/b, and where T has states
@@ -394,6 +401,7 @@ class _Numerov:
         overflows or vanishes there, t is the node where the branches'
         growth, the cumulative arccosh(|d|/2) over |d| > 2, balances, and a
         second overflow raises StiffnessError."""
+        self.solves += 1
         d, f = self.diagonal(e)
         lo, hi, ab = self.lo, self.hi, self.ab
         t = turn = self.turning(e)
@@ -449,12 +457,12 @@ class _Numerov:
         no, ni = math.hypot(o0, o1), math.hypot(i0, i1)
         return mid, inw, (o0 / no, o1 / no), (i0 / ni, i1 / ni), (no, ni)
 
-    def vector(self, e) -> np.ndarray:
-        """u at a root E: the outward branch up to splice()'s node mid and
-        the inward one beyond, scaled to meet it over nodes mid, mid + 1 by
-        their normalised pairs, as the inward one may reach 1e308;
-        StiffnessError where mid lies past the turning node."""
-        d, f, t, y, turn = self.branches(e)
+    def vector(self, e, got=None) -> np.ndarray:
+        """u at a root E from got = branches(e): the outward branch up to
+        splice()'s node mid and the inward one beyond, scaled to meet it over
+        nodes mid, mid + 1 by their normalised pairs, as the inward one may
+        reach 1e308; StiffnessError where mid lies past the turning node."""
+        d, f, t, y, turn = got or self.branches(e)
         mid, inw, (o0, o1), (i0, i1), (no, ni) = self.splice(d, t, y, turn)
         if mid > turn:
             raise StiffnessError(f"the inward branch overflowed at E = {e} "
@@ -526,15 +534,16 @@ def _newton(f, lo: float, hi: float, x: float, lo_sign: float, xtol: float,
 def _state(op: _Numerov, j: int, pts: list[tuple[float, int, float]],
            xtol: float, rtol: float) -> tuple[float, RadialFunction]:
     """State j of T(E) from its counted energies pts, (E, count, Cooley's
-    step or nan), to which it adds its bisection's: bisected to the pair with
-    j and j + 1 states below, where the mismatch has signs (-1)^j and
-    (-1)^(j + 1), or ConvergenceError; rooted by _newton on Cooley's
-    steps, each spliced at its own turning node, from E + step of an
-    isolating end strictly inside the pair, the smaller |step| where both
-    are, else the pair's midpoint; certified by counts of j below E - delta
-    and j + 1 below E + delta, delta = max(1e-9 max(1, |E|), xtol + rtol
-    |E|), or ConvergenceError; then one debug event on the cuspbc logger,
-    with the counts made since the last."""
+    step or nan), to which it adds its bisection's: bisected to the pair
+    lo, hi with j and j + 1 states below, where the mismatch has signs
+    (-1)^j and (-1)^(j + 1), or ConvergenceError; rooted by _newton on
+    Cooley's steps, each spliced at its own turning node, from E + step of
+    an isolating end strictly inside the pair, the smaller |step| where
+    both are, else the pair's midpoint; certified by j states below E - d
+    and j + 1 below E + d, d = max(1e-9 max(1, |E|), xtol + rtol |E|), or
+    ConvergenceError, counts never falling with E: j at E and lo <= E - d
+    settle E - d, j + 1 at E and hi >= E + d settle E + d; then one cuspbc
+    debug event of the counts, mismatches and solves since the last."""
     lo, hi = max(p for p in pts if p[1] <= j), min(p for p in pts if p[1] > j)
     while (lo[1], hi[1]) != (j, j + 1):
         e = 0.5 * (lo[0] + hi[0])
@@ -549,17 +558,18 @@ def _state(op: _Numerov, j: int, pts: list[tuple[float, int, float]],
     e, calls = _newton(op.mismatch, lo[0], hi[0], x, (-1.0) ** j, xtol, rtol,
                        _ROUNDING)
     delta = max(_CERTIFY_GAP * max(1.0, abs(e)), xtol + rtol * abs(e))
-    below = (op.count(e - delta), op.count(e + delta))
-    if below != (j, j + 1):
+    at = op.count(e, got := op.branches(e))
+    if not ((at == j and lo[0] <= e - delta or op.count(e - delta) == j) and
+            (at == j + 1 and hi[0] >= e + delta or op.count(e + delta) == j + 1)):
         raise ConvergenceError(
-            f"state {j} failed its certificate: T(E) has {below[0]} "
-            f"and {below[1]} states below E -/+ {delta:.1g}")
+            f"state {j} failed its certificate: T(E) has {op.count(e - delta)}"
+            f" and {op.count(e + delta)} states below E -/+ {delta:.1g}")
     _log.debug("state %(state)d on %(mesh)d nodes: %(counts)d counts, "
-               "%(mismatches)d mismatch evaluations",
+               "%(mismatches)d mismatch evaluations, %(solves)d solves",
                {"state": j, "mesh": len(op.r), "counts": op.counts,
-                "mismatches": calls})
-    op.counts = 0
-    return e, RadialFunction(op.r, op.vector(e), op.ell, "u")
+                "mismatches": calls, "solves": op.solves})
+    op.counts = op.solves = 0
+    return e, RadialFunction(op.r, op.vector(e, got), op.ell, "u")
 
 
 def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
@@ -576,12 +586,12 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
     every node, has no state below it and is not counted, and the root's
     bracket starts there.  _state takes both counted ends, with no step,
     so its one start rule gives the bracket's midpoint, roots the state
-    with xtol = 1e-12 and rtol >= 4 * 2**-52, and certifies it or raises
-    ConvergenceError.  With asymptotics the outer log-derivative
-    follows each trial energy, and outer is not used (it may be None).
-    The error is O(h^4) in the mesh step, as the matrix route's: the
-    routes' agreement checks the root, not the mesh.  A mesh too coarse
-    for Numerov raises StiffnessError."""
+    with xtol = 1e-12 and rtol >= 4 * 2**-52, and certifies it by counts at
+    E, on its function's solve, and at E -/+ delta, or ConvergenceError.
+    With asymptotics the outer log-derivative follows each trial energy,
+    and outer is not used (it may be None).  The error is O(h^4) in the
+    mesh step, as the matrix route's: the routes' agreement checks the
+    root, not the mesh.  A mesh too coarse for Numerov raises StiffnessError."""
     if not (len(e_bracket) == 2 and all(isinstance(e, numbers.Real)
                                         and math.isfinite(e) for e in e_bracket)):
         raise DomainError(f"e_bracket must be finite and two real numbers, "
@@ -654,8 +664,8 @@ def solve_matrix(problem: RadialProblem, inner: RobinBoundary,
     Chem. Phys. 67, 4086 (1977)).  State j is isolated by bisecting this
     count to (j, j + 1), then started, rooted and certified by _state as
     shooting's state is, from E + Cooley's step of an isolating count inside
-    the pair, else its midpoint, with xtol = 1e-14 and rtol = 1e-13; a state
-    failing its certificate raises ConvergenceError."""
+    the pair, else its midpoint, with xtol = 1e-14 and rtol = 1e-13: counted
+    at E on its function's solve and at E -/+ delta, or ConvergenceError."""
     return _states(_Numerov(problem, inner, outer), k)
 
 

@@ -46,6 +46,24 @@ def test_robin_inner_examples():
     assert robin_inner(1, 0.0).c_psi == 0.0  # pure Neumann
 
 
+def test_tail_slope_is_system_asymptotics_kappa_bitwise():
+    # the tail's slope closure does SystemAsymptotics.kappa's arithmetic
+    # without building one per energy: bit for bit over E and r, with
+    # (M', Q) checked when it is built and E >= 0 refused at each call
+    for m, charge in ((1.0, 0.0), (0.5, 1.0), (1836.0, 2.0), (0.75, -0.5)):
+        for r in (1e-5, 0.3, 7.0, 40.0, 400.0):
+            slope = radial._edge((m, charge), 0.5, r)
+            for e in (-np.geomspace(1e-9, 1e4, 40)).tolist():
+                kappa = SystemAsymptotics(m, charge, e).kappa(r)
+                assert slope(e) == 0.5 + r * kappa
+            for e in (0.0, 1e-300, 2.5):
+                with pytest.raises(RegimeError):
+                    slope(e)
+    for bad in ((0.0, 1.0), (-1.0, 0.0), (1.0, math.inf), (math.nan, 0.0)):
+        with pytest.raises(DomainError):
+            radial._edge(bad, 0.5, 40.0)
+
+
 def test_robin_outer_examples():
     # hydrogen ground state: kappa(20) = -1 exactly (the 1/r bracket is 0)
     sysa = SystemAsymptotics(1.0, 0.0, -0.5)
@@ -1175,7 +1193,8 @@ def test_matrix_solves_log_one_event_per_state(caplog):
             (0, 2000), (1, 2000)]
         # every state makes its two certificate counts and evaluates the
         # mismatch at least once (the counts give the bracket ends' signs)
-        assert all(sorted(ev) == ["counts", "mesh", "mismatches", "state"]
+        assert all(sorted(ev) == ["counts", "mesh", "mismatches", "solves",
+                                  "state"]
                    and ev["counts"] >= 2 and ev["mismatches"] >= 1
                    for ev in events)
 
@@ -1249,6 +1268,27 @@ def test_each_state_takes_few_mismatch_evaluations(monkeypatch):
                                     z - 1.0, 3)
         matrix += len(made)
     assert matrix <= 70 and shooting <= 40
+
+
+def test_events_count_every_branches_solve(caplog, monkeypatch):
+    # k = 3: the events' solves add up to the branches() solves made, and
+    # each state's are its counts and mismatch evaluations, as a point()'s
+    # step and a state's function read a count's solve
+    made = []
+    branches = radial._Numerov.branches
+
+    def recording(self, e):
+        made.append(e)
+        return branches(self, e)
+
+    monkeypatch.setattr(radial._Numerov, "branches", recording)
+    problem, inner = _own_kappa_problem(1.0, 40.0)
+    _, events = _solve_events(caplog, solve_matrix_selfconsistent, problem,
+                              inner, 1.0, 0.0, 3)
+    assert len(events) == 3
+    assert sum(ev["solves"] for ev in events) == len(made)
+    assert all(ev["solves"] == ev["counts"] + ev["mismatches"]
+               for ev in events)
 
 
 def test_matrix_route_starts_newton_at_its_counts_estimate(caplog):
@@ -1358,34 +1398,78 @@ def test_no_trial_energy_is_solved_twice_per_matrix_solve(monkeypatch):
         assert len(set(made)) == len(made)
 
 
+def _assert_certified_once(made, w, j, delta):
+    """Exactly two counts within 2 delta of the state's energy w: one at w,
+    on the solve that builds the function, and one at w + delta (j states
+    below w) or at w - delta (j + 1 below w), the side that w's count and
+    the isolating pair's far end do not settle."""
+    near = sorted((e - w, c) for e, c in made if abs(e - w) <= 2 * delta)
+    offsets = [s for s, _ in near]
+    assert [c for _, c in near] == [j, j + 1]
+    assert np.allclose(offsets, [0.0, delta] if offsets[0] == 0.0
+                       else [-delta, 0.0], rtol=1e-6, atol=0.0)
+
+
 def test_selfconsistent_solve_certifies_each_state_once(monkeypatch):
-    # k = 3: each state is certified by exactly two counts, at E_j -/+
-    # delta, and the LAPACK tbtrs calls are one per count, one per
-    # mismatch evaluation and one per state's function
+    # k = 3: each state is certified by one count at E_j and one at E_j +
+    # delta or E_j - delta, and the LAPACK tbtrs calls are one per count
+    # and one per mismatch evaluation: the function reads its count's solve
     made, calls = _recorded_counts(monkeypatch), _recorded_solves(monkeypatch)
     mismatches = _recorded_mismatches(monkeypatch)
     problem, inner = _own_kappa_problem(1.0, 40.0)
     pairs = solve_matrix_selfconsistent(problem, inner, 1.0, 0.0, 3)
-    assert len(calls) == len(made) + len(mismatches) + 3
+    assert len(calls) == len(made) + len(mismatches)
     for j, (w, _) in enumerate(pairs):
-        delta = 1e-9 * max(1.0, abs(w))
-        near = sorted((e - w, c) for e, c in made if abs(e - w) <= 2 * delta)
-        assert [c for _, c in near] == [j, j + 1]
-        assert np.allclose([s for s, _ in near], [-delta, delta], rtol=1e-6)
+        _assert_certified_once(made, w, j, 1e-9 * max(1.0, abs(w)))
 
 
 @pytest.mark.parametrize("rtol", [1e-12, 1e-3])
 def test_shooting_certifies_its_state_once(monkeypatch, rtol):
-    # as each matrix-route state: exactly two counts within 2 delta of E,
-    # at E -/+ delta, delta = max(1e-9 max(1, |E|), 1e-12 + rtol |E|)
+    # as each matrix-route state: one count at E and one at E + delta or
+    # E - delta, delta = max(1e-9 max(1, |E|), 1e-12 + rtol |E|), as the
+    # bracket's ends lie beyond delta
     e, problem, inner, outer, sysa = _hydrogen_setup(1.0, 2, 0)
     made = _recorded_counts(monkeypatch)
     w, _ = solve_shooting(problem, inner, outer, (1.1 * e, 0.9 * e), sysa,
                           rtol=rtol)
     delta = max(1e-9 * max(1.0, abs(w)), 1e-12 + rtol * abs(w))
-    near = sorted((c - w, n) for c, n in made if abs(c - w) <= 2 * delta)
-    assert [n for _, n in near] == [1, 2]
-    assert np.allclose([s for s, _ in near], [-delta, delta], rtol=1e-6)
+    _assert_certified_once(made, w, 1, delta)
+
+
+def test_certificate_decides_as_direct_counts(monkeypatch):
+    # _state accepts E exactly where a direct count finds j states below
+    # E - delta and j + 1 below E + delta, and refuses with those counts
+    # otherwise, for energies at, near and beyond state j = 1; from a pair
+    # whose ends lie beyond delta it counts E and one side, from a pair
+    # whose ends lie within delta of E_1 both sides
+    problem, inner = _own_kappa_problem(1.0, 40.0)
+    w = [e for e, _ in solve_matrix_selfconsistent(problem, inner, 1.0, 0.0,
+                                                   3)]
+    op = radial._Numerov(problem, inner, (1.0, 0.0))
+    direct = radial._Numerov(problem, inner, (1.0, 0.0))
+    gap = 1e-9 * max(1.0, abs(w[1]))  # delta at E_1
+    wide = [op.point(0.5 * (w[0] + w[1])), op.point(0.5 * (w[1] + w[2]))]
+    tight = [op.point(w[1] - 0.5 * gap), op.point(w[1] + 0.5 * gap)]
+    assert [p[1] for p in wide + tight] == [1, 2, 1, 2]
+    made = _recorded_counts(monkeypatch)
+    for pts, fallback in ((wide, False), (tight, True)):
+        for e in (w[1], w[1] - 0.5 * gap, w[1] + 0.5 * gap, w[1] - 2 * gap,
+                  w[1] + 2 * gap, w[0], w[2]):
+            monkeypatch.setattr(radial, "_newton", lambda *args: (e, 0))
+            delta = max(1e-9 * max(1.0, abs(e)), 1e-14 + 1e-13 * abs(e))
+            below = (direct.count(e - delta), direct.count(e + delta))
+            made.clear()
+            if below == (1, 2):
+                assert radial._state(op, 1, list(pts), 1e-14, 1e-13)[0] == e
+                sides = {s for s, _ in made} - {e}
+                assert len(sides) == 1 + fallback
+                assert sides <= {e - delta, e + delta}
+            else:
+                with pytest.raises(ConvergenceError) as refused:
+                    radial._state(op, 1, list(pts), 1e-14, 1e-13)
+                assert str(refused.value) == (
+                    f"state 1 failed its certificate: T(E) has {below[0]} "
+                    f"and {below[1]} states below E -/+ {delta:.1g}")
 
 
 def test_state_failing_its_certificate_raises(monkeypatch):
