@@ -239,6 +239,7 @@ def _log_mesh(problem: RadialProblem):
 
 
 _CERTIFY_GAP = 1e-9
+_RESTART = 2.0 ** -1000  # a branch's start after it overflows
 _BISECT_TOL = 1e-10
 _MAX_DOUBLINGS = 64
 
@@ -322,25 +323,23 @@ class _Numerov:
                                  f"E = {e:.6g}") from None
         return d, f
 
-    def node(self, i) -> int:
-        """Node i clamped to [3, n - 4], leaving each branch the nodes
-        around it that the splice and the count read."""
-        return min(max(i, 3), len(self.r) - 4)
-
     def turning(self, e) -> int:
-        """E's outer turning node, the last with q < E b, as a node()."""
-        return self.node(int(self.qb_min.searchsorted(e)) - 1)
+        """E's outer turning node, the last with q < E b, clamped to
+        [3, n - 4], which leaves each branch the nodes around it that the
+        splice and the count read."""
+        return min(max(int(self.qb_min.searchsorted(e)) - 1, 3), len(self.r) - 4)
 
     def count(self, e, got=None) -> int:
         """T(E)'s negative eigenvalues, the states below E, by the twisted
-        factorisation of T at got = branches(e)'s split t (K. V. Fernando,
-        SIAM J. Matrix Anal. Appl. 18, 1013 (1997), allows any t): the
-        outward branch on nodes lo..t is T's leading minors D_0 = 1 ... D_k,
-        the inward one on hi-1..t its trailing minors E_m = 1 ... E_(k+1),
-        and the count their sign changes plus [gamma < 0], gamma = d_t -
-        D_(k-1)/D_k - E_(k+2)/E_(k+1)."""
+        factorisation of T at got = branches(e)'s split, the turning node t
+        (K. V. Fernando, SIAM J. Matrix Anal. Appl. 18, 1013 (1997), allows
+        any t): the outward branch on nodes lo..t is T's leading minors D_0
+        = 1 ... D_k, the inward one on hi-1..t its trailing minors E_m = 1
+        ... E_(k+1), each times its start (2^-1000 after a restart), which
+        keeps their signs and ratios, and the count their sign changes plus
+        [gamma < 0], gamma = d_t - D_(k-1)/D_k - E_(k+2)/E_(k+1)."""
         self.counts += 1
-        d, _, t, y, _ = got or self.branches(e)
+        d, _, t, y = got or self.branches(e)
         k = t - self.lo  # y[k] = D_k and y[-1] = E_(k+1), at node t
         sign = np.signbit(y)
         # less the changes around y[k + 1], D_(k+1), which is unused
@@ -352,22 +351,23 @@ class _Numerov:
 
     def mismatch(self, e, got=None) -> tuple[float, float]:
         """The Casoratian of got = branches(e)'s branches as splice() meets
-        them, over the pairs' norms: det T(E) bounded, of sign (-1)^count;
-        and Cooley's energy correction (J. W. Cooley, Math. Comp. 15, 363
-        (1961)), the Newton step -v'Tv / v'T'v of the spliced branches v,
-        T' = diag(-h^2 b / f^2) (end rows held fixed): v'T'v = -|w v / f|^2."""
-        d, f, t, y, turn = got or self.branches(e)
-        mid, inw, (o0, o1), (i0, i1), (no, ni) = self.splice(d, t, y, turn)
-        lo, hi, k = self.lo, self.hi, mid - self.lo
+        them at the turning node t, over the pairs' norms: det T(E)
+        bounded, of sign (-1)^count; and Cooley's energy correction (J. W.
+        Cooley, Math. Comp. 15, 363 (1961)), the Newton step -v'Tv / v'T'v
+        of the spliced branches v, T' = diag(-h^2 b / f^2) (end rows held
+        fixed): v'T'v = -|w v / f|^2."""
+        d, f, t, y = got or self.branches(e)
+        (o0, o1), (i0, i1), (no, ni) = self.splice(t, y)
+        lo, hi, k = self.lo, self.hi, t - self.lo
         # |w chi| over each branch by BLAS nrm2, which neither overflows nor
         # underflows on a branch's 1e308
-        out = np.divide(y[:k + 1], f[lo:mid + 1], out=self.w_chi[:k + 1])
-        out *= self.w[lo:mid + 1]
-        inw = np.divide(inw[:0:-1], f[hi - 1:mid:-1],
+        out = np.divide(y[:k + 1], f[lo:t + 1], out=self.w_chi[:k + 1])
+        out *= self.w[lo:t + 1]
+        inw = np.divide(y[k + 2:-1], f[hi - 1:t:-1],
                         out=self.w_chi[k + 1:hi - lo])
-        inw *= self.w[hi - 1:mid:-1]
-        # v = outward / o0 up to mid, inward / i0 beyond, Tv on row mid
-        # alone: v'Tv = cas / (o0 i0), |w chi|^2 = (wo^2 + wi^2) / (o0 i0)^2
+        inw *= self.w[hi - 1:t:-1]
+        # v = outward / o0 up to t, inward / i0 beyond, Tv on row t alone:
+        # v'Tv = cas / (o0 i0), |w chi|^2 = (wo^2 + wi^2) / (o0 i0)^2
         wo, wi = i0 * dnrm2(out) / 2.0 / no, o0 * dnrm2(inw) / 2.0 / ni
         cas = o1 * i0 - o0 * i1
         return cas, o0 * i0 * cas / (wo * wo + wi * wi)
@@ -394,86 +394,79 @@ class _Numerov:
         return pts
 
     def branches(self, e):
-        """T(E) solved at E: d, f, the split node t, y and turning(), turn.
-        One tbtrs solve gives y: y = 1 at node lo outward over nodes
-        lo..t+1, then y = 1 at node hi-1 inward over hi-1..t, the band's
-        couplings between the blocks zero.  t is turn; where a branch
-        overflows or vanishes there, t is the node where the branches'
-        growth, the cumulative arccosh(|d|/2) over |d| > 2, balances, and a
-        second overflow raises StiffnessError."""
+        """T(E) solved at E: d, f, the split node t = turning(e) and y.  One
+        tbtrs solve gives y: y = 1 at node lo outward over nodes lo..t+1,
+        then y = 1 at node hi-1 inward over hi-1..t, the band's couplings
+        between the blocks zero.  Where a branch's pair at t overflows or
+        vanishes, one more solve starts that branch at 2^-1000, which
+        leaves it about 1,400 nats of growth to 2^1024; an outward overflow
+        makes the inward block NaN too (inf * 0), and both restart.  A
+        branch that fails again raises StiffnessError."""
         self.solves += 1
         d, f = self.diagonal(e)
         lo, hi, ab = self.lo, self.hi, self.ab
-        t = turn = self.turning(e)
+        t = self.turning(e)
+        s = t - lo + 2
+        np.negative(d[lo:t + 1], out=ab[1, :s - 1])
+        np.negative(d[hi - 1:t:-1], out=ab[1, s:-1])
+        ab[1, s - 1] = 0.0
+        ab[2, self.split - 2:self.split] = 1.0
+        ab[2, s - 2:s] = 0.0
+        self.split = s
+        starts = [1.0, 1.0]
         for _ in range(2):
-            s = t - lo + 2
-            np.negative(d[lo:t + 1], out=ab[1, :s - 1])
-            np.negative(d[hi - 1:t:-1], out=ab[1, s:-1])
-            ab[1, s - 1] = 0.0
-            ab[2, self.split - 2:self.split] = 1.0
-            ab[2, s - 2:s] = 0.0
-            self.split = s
             y = np.zeros(ab.shape[1])
-            y[0] = y[s] = 1.0
+            y[0], y[s] = starts
             y, info = dtbtrs(ab, y, uplo="L", diag="U", overwrite_b=True)
             if info != 0:
                 raise ConvergenceError(f"tbtrs failed: info {info}")
-            (o0, o1), (i0, i1) = y[s - 2:s].tolist(), y[:-3:-1].tolist()
             # an overflow anywhere in a branch reaches its last pair, as
             # each y is carried on to the y two rows on with coefficient 1
+            (o0, o1), (i0, i1) = y[s - 2:s].tolist(), y[:-3:-1].tolist()
             if o0 and i0 and all(map(math.isfinite, (o0, o1, i0, i1))):
-                return d, f, t, y, turn
-            growth = np.cumsum(np.arccosh(np.maximum(np.abs(d[lo:hi]) / 2.0,
-                                                     1.0)))
-            t = self.node(lo + int(np.searchsorted(growth, growth[-1] / 2.0)))
-        raise StiffnessError(f"Numerov propagation overflowed at E = {e} "
-                             f"from either split of T(E)")
+                return d, f, t, y
+            starts = [a if p[0] and all(map(math.isfinite, p)) else _RESTART
+                      for a, p in zip(starts, ((o0, o1), (i0, i1)))]
+        raise StiffnessError(f"Numerov propagation overflowed at E = {e}: "
+                             f"a branch of T(E) overflows or vanishes from "
+                             f"its start at 2^-1000 too")
 
-    def splice(self, d, t, y, turn):
-        """The branches in y, split at t, met at node mid: mid, the inward
-        branch on nodes mid..hi-1, and both pairs at nodes mid, mid + 1 over
-        their norms, with half the norms, which no finite pair overflows.
-        mid is the lesser of t and turn, the turning node: past it the
-        outward branch is rounding in the growing solution, so where t lies
-        beyond it one more tbtrs solve carries the inward branch on from
-        nodes t + 2, t + 1; where that overflows or vanishes, mid stays t."""
-        lo, mid = self.lo, min(t, turn)
-        inw = y[:t - lo + 1:-1]  # nodes t..hi-1
-        if t > mid:
-            # z_j at node t + 1 - j from z_0 and z_(-1), nodes t + 1 and
-            # t + 2, the latter on row 1's right-hand side
-            ab = np.ones((3, t - mid + 2), order="F")
-            np.negative(d[t + 1:mid:-1], out=ab[1, :-1])
-            z, ni = np.zeros(t - mid + 2), math.hypot(*(inw[:2] / 2).tolist())
-            z[0], z[1] = inw[1] / ni, -inw[2] / ni
-            z, info = dtbtrs(ab, z, uplo="L", diag="U", overwrite_b=True)
-            if info == 0 and np.isfinite(z).all() and z[-1] and y[mid - lo]:
-                inw = np.concatenate((z[:0:-1], inw[1:] / ni))
-            else:
-                mid = t
-        k = mid - lo
-        (o0, o1), (i0, i1) = y[k:k + 2].tolist(), inw[:2].tolist()
+    def splice(self, t, y):
+        """The pairs of the branches in y at nodes t, t + 1 over their
+        norms, and half the norms, which no finite pair overflows."""
+        k = t - self.lo
+        (o0, o1), (i0, i1) = y[k:k + 2].tolist(), y[:-3:-1].tolist()
         o0, o1, i0, i1 = o0 / 2.0, o1 / 2.0, i0 / 2.0, i1 / 2.0
         no, ni = math.hypot(o0, o1), math.hypot(i0, i1)
-        return mid, inw, (o0 / no, o1 / no), (i0 / ni, i1 / ni), (no, ni)
+        return (o0 / no, o1 / no), (i0 / ni, i1 / ni), (no, ni)
 
     def vector(self, e, got=None) -> np.ndarray:
         """u at a root E from got = branches(e): the outward branch up to
-        splice()'s node mid and the inward one beyond, scaled to meet it over
-        nodes mid, mid + 1 by their normalised pairs, as the inward one may
-        reach 1e308; StiffnessError where mid lies past the turning node."""
-        d, f, t, y, turn = got or self.branches(e)
-        mid, inw, (o0, o1), (i0, i1), (no, ni) = self.splice(d, t, y, turn)
-        if mid > turn:
-            raise StiffnessError(f"the inward branch overflowed at E = {e} "
-                                 f"on its way to the turning node")
+        the turning node t and the inward one beyond, scaled to meet it over
+        nodes t, t + 1 by splice()'s normalised pairs.  Both are scaled by
+        the power of two of the outward pair's norm, as after a restart the
+        pairs' norms may differ by more than 1e308, and chi by that of its
+        norm before it is squared, as (r chi)^2 passes 1e308 from ell ~ 24
+        on: powers of two, so exact.  Overflow where u = chi r^(-ell-1/2)
+        leaves the double range."""
+        d, f, t, y = got or self.branches(e)
+        (o0, o1), (i0, i1), (no, ni) = self.splice(t, y)
+        lo, hi, m = self.lo, self.hi, math.frexp(no)[1]
         chi = np.zeros(len(self.r))
-        chi[self.lo:mid + 1] = y[:mid - self.lo + 1]
-        chi[mid + 1:self.hi] = inw[1:] * ((o0 * i0 + o1 * i1) * no / ni)
+        np.ldexp(y[:t - lo + 1], -m, out=chi[lo:t + 1])
+        np.multiply(y[-2:t - lo + 1:-1],
+                    (o0 * i0 + o1 * i1) * math.ldexp(no, -m) / ni,
+                    out=chi[t + 1:hi])
         chi /= f
+        np.ldexp(chi, -math.frexp(dnrm2(chi))[1], out=chi)
         # int P^2 dr = int (r chi)^2 dx, trapezoid rule on the uniform x mesh
         norm = math.sqrt(np.trapezoid((self.r * chi) ** 2, dx=self.h))
-        return chi * self.r ** (-self.ell - 0.5) / norm
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return chi * self.r ** (-self.ell - 0.5) / norm
+        except FloatingPointError:
+            raise Overflow(f"u = chi r^(-ell-1/2) of the state at E = {e!r} "
+                           f"leaves the double range") from None
 
 
 _MAXITER = 100

@@ -327,6 +327,16 @@ def test_cmd_solve_malformed_spec_exit_code(tmp_path, capsys, spec, table):
     assert err.count("\n") == 1 and caught == []
 
 
+def test_cmd_solve_shoot_without_a_bracket_exit_code(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"ell": 0, "pair_product": -1.0,
+                                "grid": {"n": 400}}))
+    assert main(["solve", str(path), "--method", "shoot"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("cuspbc: input error: shooting needs a "
+                                 "'bracket' entry in the spec\n")
+
+
 def test_cmd_basis_end_to_end(tmp_path, capsys):
     out = tmp_path / "basis.txt"
     rc = main(["basis", "slater", "e-nucleus", "Z=1",

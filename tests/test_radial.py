@@ -1009,8 +1009,8 @@ def test_twisted_counts_match_the_sturm_oracle(monkeypatch):
             assert op.diagonal(e)[0][-1] == 0.0
             assert op.count(e) == _t_count(op, [e])[0]
     # a deep energy in a large box: the inward branch from r_max = 400
-    # overflows before the turning node (there is none at E = -2), so the
-    # count takes its second split, where the branches' growth balances
+    # overflows before the turning node (there is none at E = -2, so the
+    # split clamps to node 3), and the count restarts it from 2^-1000
     big = RadialProblem(0, 1.0, -1.0, 0.0, log_grid(1e-5, 400.0, 16000))
     op = _operator(big, inner, (1.0, 0.0))
     solves = _recorded_solves(monkeypatch)
@@ -1046,6 +1046,118 @@ def test_a_pair_whose_norm_overflows_keeps_its_split(monkeypatch):
             assert op.mismatch(e) == pytest.approx((cas, step), rel=1e-12)
 
 
+def _high_ell(z, ell, r_min, r_max, n):
+    """-Z/r with angular momentum ell on a log grid, and its inner Robin
+    condition."""
+    problem = RadialProblem(ell, 1.0, -z, 0.0, log_grid(r_min, r_max, n))
+    return problem, robin_inner(ell, -z / (ell + 1))
+
+
+def _nodeless_p(z, ell, r):
+    """The normalised nodeless hydrogen-like P = r R of level ell + 1, in
+    logarithms, as its factors leave the double range for large ell."""
+    level = ell + 1
+    rho = 2.0 * z * r / level
+    log_norm = 0.5 * (3.0 * math.log(2.0 * z / level) - math.log(2.0 * level)
+                      - math.lgamma(2 * level))
+    return np.exp(log_norm + np.log(r) - rho / 2.0 + ell * np.log(rho))
+
+
+@pytest.mark.parametrize("z, ell, r_max, n", [(1.0, 24, 2500.0, 4000),
+                                              (100.0, 30, 60.0, 8000),
+                                              (100.0, 35, 60.0, 8000),
+                                              (100.0, 40, 60.0, 8000),
+                                              (100.0, 60, 150.0, 8000)])
+def test_high_ell_states_are_the_hydrogen_functions(z, ell, r_max, n):
+    # (r chi)^2 of the unnormalised branches passes 1e308 from ell ~ 24 on,
+    # where the norm was inf and u = 0 on every node: chi is scaled by
+    # powers of two before it is squared.  For ell = 60 the outward branch
+    # overflows and restarts from 2^-1000
+    problem, inner = _high_ell(z, ell, 1e-5, r_max, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ((e, fn),) = solve_matrix_selfconsistent(problem, inner, 1.0,
+                                                 z - 1.0, 1)
+    r = problem.grid
+    ref = _nodeless_p(z, ell, r)
+    p = r * fn.as_full().values
+    assert e == pytest.approx(-z * z / (2.0 * (ell + 1) ** 2), rel=1e-10)
+    assert np.max(np.abs(p * np.sign(np.dot(p, ref)) - ref)) <= 1e-9
+
+
+def test_u_past_the_double_range_is_an_overflow():
+    # r^(-ell-1/2) at r_min = 1e-8 is 1e484 for ell = 60: u leaves the
+    # double range, and the solve names the state's energy, without a
+    # warning
+    problem, inner = _high_ell(100.0, 60, 1e-8, 150.0, 8000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match=r"state at E = -1\.34372"):
+            solve_matrix_selfconsistent(problem, inner, 1.0, 99.0, 1)
+
+
+def test_an_overflowing_branch_restarts_from_2_to_the_minus_1000(monkeypatch):
+    # Z = 100, ell = 60 on 8,000 nodes: above the bottom of q/b (-1.366)
+    # the outward branch grows past 2^1024 to the turning node, which also
+    # makes the inward block NaN, and both restart; below it there is no
+    # turning node, and the inward branch alone restarts.  Each count
+    # takes two solves and equals the oracle's
+    problem, inner = _high_ell(100.0, 60, 1e-5, 150.0, 8000)
+    op = _operator(problem, inner, (1.0, 99.0))
+    w = np.array([e for e, _ in solve_matrix_selfconsistent(
+        problem, inner, 1.0, 99.0, 4)])
+    energies = np.concatenate([np.linspace(-2.0, -0.05, 14), w - 1e-9,
+                               w + 1e-9])
+    starts, tbtrs = [], radial.dtbtrs
+
+    def recording(ab, y, **kwargs):
+        starts.append((y[0], y[op.split]))
+        return tbtrs(ab, y, **kwargs)
+
+    monkeypatch.setattr(radial, "dtbtrs", recording)
+    assert np.array_equal([op.count(e) for e in energies],
+                          _t_count(op, energies))
+    tiny = 2.0 ** -1000
+    assert starts == [s for e in energies for s in (
+        (1.0, 1.0), (tiny, tiny) if e > -1.366 else (1.0, tiny))]
+
+
+def test_tbtrs_is_called_in_branches_alone(monkeypatch):
+    # every LAPACK solve of both routes, restarts included, is a
+    # branches() solve: nothing else solves T(E)
+    inside, outside = [False], []
+    branches, tbtrs = radial._Numerov.branches, radial.dtbtrs
+
+    def in_branches(self, e):
+        inside[0] = True
+        try:
+            return branches(self, e)
+        finally:
+            inside[0] = False
+
+    def recording(*args, **kwargs):
+        outside.append(not inside[0])
+        return tbtrs(*args, **kwargs)
+
+    monkeypatch.setattr(radial._Numerov, "branches", in_branches)
+    monkeypatch.setattr(radial, "dtbtrs", recording)
+    _, problem, inner, outer, sysa = _hydrogen_setup(1.0, 1, 0)
+    solve_matrix(problem, inner, outer, 2)
+    solve_shooting(problem, inner, None, (-0.6, -0.4), sysa)
+    # restarts of the outward branch, and of the inward one
+    for z, ell, r_max in ((100.0, 60, 150.0), (6.0, 2, 400.0)):
+        problem, inner = _high_ell(z, ell, 1e-5, r_max, 16000)
+        solve_matrix_selfconsistent(problem, inner, 1.0, z - 1.0, 1)
+    assert len(outside) > 60 and not any(outside)
+
+
+def test_a_boundary_marked_for_the_other_end_is_refused():
+    _, problem, inner, outer, _ = _hydrogen_setup(1.0, 1, 0)
+    with pytest.raises(DomainError, match="boundary marked outer used at "
+                       "inner"):
+        solve_matrix(problem, outer, outer, 1)
+
+
 @pytest.mark.parametrize("z, r_max, tol", [(1.0, 400.0, 1.5e-11),
                                             (3.0, 150.0, 3e-10)])
 def test_large_boxes_splice_without_overflow(z, r_max, tol):
@@ -1073,7 +1185,10 @@ def test_start_count_overflowing_its_robin_row_is_a_stiffness_error(z):
 
 
 # the boxes that still raise: the stability floor of _Numerov.start (7),
-# overflow from both splits of T(E) (3) and robin_outer's r_max guard (2)
+# a branch of T(E) that overflows from its restart at 2^-1000 too (3: the
+# inward branch grows 1,800 to 3,500 nats to its split, and a restart
+# leaves it about 1,400)
+# and robin_outer's r_max guard (2)
 _UNSOLVED_BOXES = {(1.0, 0, 400.0, 2000), (1.0, 2, 40.0, 2000),
                    (1.0, 2, 40.0, 16000), (3.0, 0, 150.0, 2000),
                    (3.0, 0, 400.0, 2000), (3.0, 0, 400.0, 16000),
@@ -1119,19 +1234,19 @@ def test_selfconsistent_solve_returns_or_raises_a_typed_error(z, ell, r_max,
         assert abs(e + z * z / (2.0 * level ** 2)) <= 1e-7
         assert np.max(np.abs(p - ref)) <= 1e-4
     if (z, ell, r_max, n) == (6.0, 2, 400.0, 16000):
-        # a mismatch overflows at the turning node: the branches split
-        # where their growth balances, as the counts do, and the state
-        # takes the inward branch from there on to the turning node
+        # the inward branch overflows at the turning node: the count, the
+        # mismatch and the state restart it from 2^-1000, and the state
+        # meets it at the turning node after scaling both branches
         assert energies == pytest.approx([-2.0, -1.125, -0.72], abs=1e-10)
 
 
-def test_cooley_step_past_a_growth_balance_split(caplog):
+def test_cooley_step_after_an_inward_restart(caplog):
     # Z = 6, ell = 2, r_max = 400 on 16,000 nodes: at the ground state the
-    # inward branch overflows at the turning node, and the branches split
-    # where their growth balances, far beyond it.  Cooley's step is taken
-    # over the inward branch carried on to the turning node, as the
-    # state's function is: over the outward branch past it, which is
-    # rounding, state 0 took 44 mismatch evaluations (6 in the 150 box)
+    # inward branch overflows from r_max to the turning node, and restarts
+    # there from 2^-1000.  Cooley's step is taken over both branches met
+    # at the turning node, as the state's function is: over the outward
+    # branch past it, which is rounding, state 0 took 44 mismatch
+    # evaluations (6 in the 150 box)
     z, ell = 6.0, 2
     problem = RadialProblem(ell, 1.0, -z, 0.0, log_grid(1e-5, 400.0, 16000))
     pairs, events = _solve_events(caplog, solve_matrix_selfconsistent,
