@@ -222,7 +222,8 @@ def cmd_solve(args) -> int:
     # cusp slope of u = R/r^ell: the inner Robin condition and its target
     a = problem.mass * problem.pair_product / (problem.ell + 1)
     inner = radial.robin_inner(problem.ell, a)
-    radial.bind_scipy()  # outside the solves' "seconds"
+    # the compiled LAPACK and BLAS modules, outside the solves' "seconds"
+    radial.bind_scipy()
     reports = {}
     if args.method in ("matrix", "both"):
         t0 = time.perf_counter()

@@ -17,10 +17,13 @@ log-derivative kappa(r) at the outer edge.
 
 from __future__ import annotations
 
-import importlib
+import importlib.machinery
+import importlib.util
 import logging
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,29 +38,46 @@ OUTER = "outer"
 
 _log = logging.getLogger(__name__)
 
-# scipy names read here as plain globals, each imported on first use so
-# that `import cuspbc` needs numpy alone.  A name bound first (by a test, or
-# by a tracer wrapping it) is kept.  brentq, solve_ivp and eigsh are never
-# called: they are bound only for a per-layer tracer that counts them.
-_SCIPY = {"dtbtrs": "scipy.linalg.lapack", "dnrm2": "scipy.linalg.blas",
+# scipy names read here as plain globals, each bound on first use so that
+# `import cuspbc` needs numpy alone.  A name bound first (by a test, or by a
+# tracer wrapping it) is kept.  dtbtrs and dnrm2 come from scipy's compiled
+# modules loaded alone: scipy.linalg's package is 322 modules and ~0.2 s.
+# brentq, solve_ivp and eigsh are never called: they are bound only for a
+# per-layer tracer that counts them.
+_SCIPY = {"dtbtrs": "scipy.linalg._flapack", "dnrm2": "scipy.linalg._fblas",
           "brentq": "scipy.optimize", "solve_ivp": "scipy.integrate",
           "eigsh": "scipy.sparse.linalg"}
 
 
 def __getattr__(name):
-    """Import the scipy name `name` and bind it here (PEP 562)."""
+    """Bind the scipy name `name` here (PEP 562); a compiled module found in
+    scipy's linalg directory is loaded alone into sys.modules, unless loaded
+    already.  ImportError names a module not found."""
     if name not in _SCIPY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(_SCIPY[name]),
-                                      name)
+    where = _SCIPY[name]
+    if not where.startswith("scipy.linalg._"):
+        module = importlib.import_module(where)
+    elif (module := sys.modules.get(where)) is None:
+        scipy = importlib.util.find_spec("scipy")
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            where, [os.path.join(path, "linalg")
+                    for path in scipy.submodule_search_locations])
+        if spec is None:
+            raise ImportError(f"no module named {where!r}", name=where)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[where] = module
+    value = globals()[name] = getattr(module, name)
     return value
 
 
 def bind_scipy() -> None:
     """Bind the scipy names the solvers call, LAPACK's dtbtrs and BLAS's
-    dnrm2, unless bound already.  Every solve does so first; a caller that
-    times solves calls it beforehand, so that the first time does not
-    include scipy's import."""
+    dnrm2, unless bound already, which loads scipy.linalg._flapack and
+    _fblas alone (a few ms; no scipy package).  Every solve does so
+    first; a caller that times solves calls it beforehand, so that the
+    first time does not include the load."""
     for name in ("dtbtrs", "dnrm2"):
         if name not in globals():
             __getattr__(name)
@@ -458,12 +478,22 @@ class _Numerov:
                     (o0 * i0 + o1 * i1) * math.ldexp(no, -m) / ni,
                     out=chi[t + 1:hi])
         chi /= f
-        np.ldexp(chi, -math.frexp(dnrm2(chi))[1], out=chi)
+        s = math.frexp(dnrm2(chi))[1]
+        np.ldexp(chi, -s, out=chi)
         # int P^2 dr = int (r chi)^2 dx, trapezoid rule on the uniform x mesh
         norm = math.sqrt(np.trapezoid((self.r * chi) ** 2, dx=self.h))
         try:
             with np.errstate(over="raise", invalid="raise"):
-                return chi * self.r ** (-self.ell - 0.5) / norm
+                u = chi * self.r ** (-self.ell - 0.5) / norm
+                # outward nodes whose chi fell below 2^-1022: u from y = m_y
+                # 2^e_y and r = m_r 2^e_r, as r^-ell = m_r^-ell 2^(-e_r ell)
+                low = np.flatnonzero(np.abs(chi[lo:t + 1]) < 2.0 ** -1022)
+                r = self.r[low + lo]
+                (my, ey), (mr, er) = np.frexp(y[low]), np.frexp(r)
+                u[low + lo] = np.ldexp(my / f[low + lo] / np.sqrt(r)
+                                       * mr ** -self.ell / norm,
+                                       ey - m - s - er * self.ell)
+                return u
         except FloatingPointError:
             raise Overflow(f"u = chi r^(-ell-1/2) of the state at E = {e!r} "
                            f"leaves the double range") from None

@@ -91,12 +91,14 @@ def test_cli_runs_without_a_solve_load_no_scipy(tmp_path):
 # root replaces) and what its package import pulls in
 NOT_SOLVED_WITH = ("scipy.optimize", "scipy.sparse", "scipy.special",
                    "scipy.spatial", "scipy.integrate", "scipy.interpolate")
+# the modules a solve loads: scipy's compiled LAPACK and BLAS
+COMPILED = ["scipy.linalg._fblas", "scipy.linalg._flapack"]
 
 
 def test_first_solve_loads_lapack_only(tmp_path):
     # a solve loads nothing that bind_scipy, which a timing caller runs
     # first, has not
-    bound, loaded = _fresh("""
+    bound, loaded, f2py = _fresh("""
         from cuspbc.radial import (RadialProblem, SystemAsymptotics,
                                    bind_scipy, log_grid, robin_inner,
                                    robin_outer, solve_matrix)
@@ -105,10 +107,13 @@ def test_first_solve_loads_lapack_only(tmp_path):
         bind_scipy()
         bound = scipy_modules()
         solve_matrix(problem, robin_inner(0, -1.0), outer, 1)
-        print(json.dumps([bound, scipy_modules()]))
+        print(json.dumps([bound, scipy_modules(),
+                          [m for m in sys.modules if "f2py" in m]]))
         """, tmp_path)
     assert bound == loaded
-    assert {"scipy.linalg", "scipy.linalg.lapack"} <= set(loaded)
+    # the compiled modules alone: no scipy or scipy.linalg package, and no
+    # numpy.f2py
+    assert loaded == COMPILED and f2py == []
     assert not [m for m in loaded if m.startswith(NOT_SOLVED_WITH)]
 
 
@@ -130,6 +135,56 @@ def test_cli_solve_and_its_report_load_what_bind_scipy_loads(tmp_path):
         """, tmp_path)
     assert loaded == bound
     assert not [m for m in loaded if m.startswith(NOT_SOLVED_WITH)]
+    assert not {"scipy", "scipy.linalg"} & set(loaded)
+
+
+def test_scipy_linalg_after_a_solve_reuses_its_compiled_modules(tmp_path):
+    # a scipy release that moves or wraps either routine fails here
+    same = _fresh("""
+        import numpy as np
+        from cuspbc import radial
+        from cuspbc.radial import (RadialProblem, SystemAsymptotics,
+                                   log_grid, robin_inner, robin_outer,
+                                   solve_matrix)
+        problem = RadialProblem(0, 1.0, -1.0, 0.0, log_grid(1e-5, 40.0, 400))
+        outer = robin_outer(SystemAsymptotics(1.0, 0.0, -0.5), 40.0)
+        solve_matrix(problem, robin_inner(0, -1.0), outer, 1)
+        import scipy.linalg
+        x = scipy.linalg.solve_banded((1, 1), np.array([[0.0, 1.0, 1.0],
+                                                        [4.0, 4.0, 4.0],
+                                                        [1.0, 1.0, 0.0]]),
+                                      np.array([5.0, 6.0, 5.0]))
+        print(json.dumps([radial.dtbtrs is scipy.linalg.lapack.dtbtrs,
+                          radial.dnrm2 is scipy.linalg.blas.dnrm2,
+                          x.tolist()]))
+        """, tmp_path)
+    assert same == [True, True, [1.0, 1.0, 1.0]]
+
+
+def test_bind_scipy_after_scipy_linalg_binds_its_routines(tmp_path):
+    same = _fresh("""
+        import scipy.linalg.lapack, scipy.linalg.blas
+        from cuspbc import radial
+        before = {m: id(sys.modules[m]) for m in scipy_modules()}
+        radial.bind_scipy()
+        print(json.dumps([radial.dtbtrs is scipy.linalg.lapack.dtbtrs,
+                          radial.dnrm2 is scipy.linalg.blas.dnrm2,
+                          before == {m: id(sys.modules[m])
+                                     for m in scipy_modules()}]))
+        """, tmp_path)
+    assert same == [True, True, True]
+
+
+def test_a_compiled_module_not_found_is_an_import_error(tmp_path):
+    raised = _fresh("""
+        sys.modules["scipy"] = None  # no scipy to find
+        from cuspbc import radial
+        try:
+            radial.bind_scipy()
+        except ImportError as exc:
+            print(json.dumps([type(exc).__name__, exc.name]))
+        """, tmp_path)
+    assert raised == ["ImportError", "scipy.linalg._flapack"]
 
 
 def test_radial_binds_its_scipy_names_on_first_use(tmp_path):

@@ -1053,14 +1053,19 @@ def _high_ell(z, ell, r_min, r_max, n):
     return problem, robin_inner(ell, -z / (ell + 1))
 
 
+def _nodeless_log_u(z, ell, r):
+    """ln u, u = R / r^ell, of the normalised nodeless hydrogen-like state of
+    level ell + 1."""
+    level = ell + 1
+    log_norm = 0.5 * (3.0 * math.log(2.0 * z / level) - math.log(2.0 * level)
+                      - math.lgamma(2 * level))
+    return log_norm - z * r / level + ell * math.log(2.0 * z / level)
+
+
 def _nodeless_p(z, ell, r):
     """The normalised nodeless hydrogen-like P = r R of level ell + 1, in
     logarithms, as its factors leave the double range for large ell."""
-    level = ell + 1
-    rho = 2.0 * z * r / level
-    log_norm = 0.5 * (3.0 * math.log(2.0 * z / level) - math.log(2.0 * level)
-                      - math.lgamma(2 * level))
-    return np.exp(log_norm + np.log(r) - rho / 2.0 + ell * np.log(rho))
+    return np.exp(_nodeless_log_u(z, ell, r) + (ell + 1) * np.log(r))
 
 
 @pytest.mark.parametrize("z, ell, r_max, n", [(1.0, 24, 2500.0, 4000),
@@ -1094,6 +1099,25 @@ def test_u_past_the_double_range_is_an_overflow():
         warnings.simplefilter("error")
         with pytest.raises(Overflow, match=r"state at E = -1\.34372"):
             solve_matrix_selfconsistent(problem, inner, 1.0, 99.0, 1)
+
+
+def test_u_near_r_min_after_an_outward_restart_is_not_flushed_to_zero():
+    # Z = 100, ell = 60: the outward branch restarts from 2^-1000, and its
+    # scaling to the splice takes chi below 2^-1022 on r < 1e-4, where
+    # r^(-ell-1/2) brings u = 1.65e-70 back into the double range
+    z, ell = 100.0, 60
+    problem, inner = _high_ell(z, ell, 1e-5, 150.0, 8000)
+    outer = robin_outer(SystemAsymptotics(1.0, z - 1.0,
+                                          -z * z / (2.0 * (ell + 1) ** 2)),
+                        150.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ((_, fn),) = solve_matrix(problem, inner, outer, 1)
+    ref = np.exp(_nodeless_log_u(z, ell, problem.grid))
+    u = fn.values * np.sign(np.dot(fn.values, ref))
+    normal = ref >= np.finfo(float).tiny
+    assert np.count_nonzero(u[normal] == 0.0) == 0
+    assert np.max(np.abs(u - ref)[normal] / ref[normal]) <= 1.1e-3
 
 
 def test_an_overflowing_branch_restarts_from_2_to_the_minus_1000(monkeypatch):
