@@ -70,6 +70,8 @@ def _radii(r_max, n):
     """The n radii of `local` and `compare-he`, evenly spaced on [0, r_max]."""
     if n < 1:
         raise InputError(f"--n must be at least 1, got {n}")
+    if not math.isfinite(r_max):
+        raise InputError(f"--r-max must be finite, got {r_max}")
     return np.linspace(0.0, r_max, n)
 
 

@@ -180,11 +180,15 @@ def cusp_a(pair: CoalescencePair, ell: int) -> float:
 
 def cusp_b(pair: CoalescencePair, ell: int, w0: float, e: float) -> float:
     """Second-order (curvature) coefficient
-    b = [(ell+1) a^2 + M (W0 - E)] / (2 ell + 3)."""
+    b = [(ell+1) a^2 + M (W0 - E)] / (2 ell + 3); Overflow where it leaves
+    the double range."""
     a = cusp_a(pair, ell)
     _check_finite(w0=w0, e=e)
     m_red = pair.reduced_mass
-    return ((ell + 1) * a * a + m_red * (w0 - e)) / (2 * ell + 3)
+    b = ((ell + 1) * a * a + m_red * (w0 - e)) / (2 * ell + 3)
+    if not math.isfinite(b):
+        raise Overflow(f"cusp coefficient b = {b!r} leaves the double range")
+    return b
 
 
 def cusp_series(pair: CoalescencePair, ell: int, w0: float, e: float,
@@ -192,7 +196,10 @@ def cusp_series(pair: CoalescencePair, ell: int, w0: float, e: float,
     """Generate a_0 ... a_order from the recurrence
 
         a_1 = alpha/(ell+1) a_0,
-        a_{k+1} = (2 alpha a_k + beta^2 a_{k-1}) / ((2 ell + 2 + k)(k + 1)).
+        a_{k+1} = (2 alpha a_k + beta^2 a_{k-1}) / ((2 ell + 2 + k)(k + 1)),
+
+    or Overflow, naming the first, where a coefficient leaves the double
+    range.
     """
     check_natural(order, "series order")
     if order < 2:
@@ -205,6 +212,10 @@ def cusp_series(pair: CoalescencePair, ell: int, w0: float, e: float,
     for k in range(1, order):
         coeffs.append((2.0 * alpha * coeffs[k] + beta_sq * coeffs[k - 1])
                       / ((2 * ell + 2 + k) * (k + 1)))
+    for k, ck in enumerate(coeffs):
+        if not math.isfinite(ck):
+            raise Overflow(f"series coefficient a_{k} = {ck!r} leaves the "
+                           f"double range")
     return CuspSeries(ell=ell, alpha=alpha, beta_sq=beta_sq, coeffs=tuple(coeffs))
 
 

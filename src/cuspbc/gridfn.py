@@ -14,8 +14,9 @@ from .errors import DomainError, Overflow
 
 def check_natural(value, name: str) -> None:
     """DomainError, naming the parameter, unless value is a non-negative
-    integer."""
-    if not (isinstance(value, numbers.Integral) and value >= 0):
+    integer; a bool is not one, although Python counts it as Integral."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 0):
         raise DomainError(f"{name} must be a non-negative integer, got "
                           f"{value!r}")
 

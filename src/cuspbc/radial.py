@@ -25,6 +25,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -194,6 +195,13 @@ def log_grid(r_min: float = 1e-5, r_max: float = 40.0, n: int = 2000) -> np.ndar
 
 @dataclass(frozen=True)
 class RadialProblem:
+    """A two-particle radial problem: angular momentum ell, reduced mass M,
+    q1 q2 and W0 of q1 q2 / r + W0 + V_extra(r), on grid, where V_extra is
+    tabulated (None: 0).  The E-independent terms of its log mesh
+    (_log_mesh) are built on its first solve and shared by every solve on
+    it after; a grid that is not logarithmic raises DomainError on every
+    solve."""
+
     ell: int
     mass: float
     pair_product: float  # q1 * q2
@@ -244,10 +252,19 @@ class RadialProblem:
             v = v + self.extra_potential
         return v
 
+    @cached_property
+    def _mesh(self):
+        return _log_mesh(self)
+
 
 def _log_mesh(problem: RadialProblem):
-    """Step h of the uniform x = ln r mesh and, on its nodes, the terms of
-    chi'' = (q - E b) chi: q = 1/4 + ell(ell+1) + 2M r^2 V and b = 2M r^2."""
+    """The E-independent terms of T(E) on the uniform x = ln r mesh: step
+    h; on its nodes the terms of chi'' = (q - E b) chi, q = 1/4 +
+    ell(ell+1) + 2M r^2 V and b = 2M r^2, with max |q| and max b; the
+    weights w = h sqrt(b) of v'T'v = -|w chi|^2; q/b's suffix minima, as
+    the nodes with q < E b end at the last of them below E; the stability
+    floor, just above the lowest energy with f > 0 on every node; and
+    r^(-ell-1/2), inf where it overflows."""
     r = problem.grid
     x = np.log(r)
     h = float(x[1] - x[0])
@@ -255,7 +272,16 @@ def _log_mesh(problem: RadialProblem):
         raise DomainError("radial solvers require a logarithmic grid")
     b = 2.0 * problem.mass * r ** 2
     q = 0.25 + problem.ell * (problem.ell + 1) + b * problem.potential()
-    return h, q, b
+    qb_min = np.minimum.accumulate((q / b)[::-1])[::-1]
+    floor = float(np.max((q - 12.0 / h ** 2) / b))
+    floor += _CERTIFY_GAP * max(1.0, abs(floor))
+    with np.errstate(over="ignore"):
+        r_pow = r ** (-problem.ell - 0.5)
+    w = h * np.sqrt(b)
+    for shared in (q, b, w, qb_min, r_pow):  # by every solve of the problem
+        shared.flags.writeable = False
+    return (h, q, b, float(np.abs(q).max()), float(b[-1]), w, qb_min, floor,
+            r_pow)
 
 
 _CERTIFY_GAP = 1e-9
@@ -304,9 +330,9 @@ class _Numerov:
                 raise DomainError(f"boundary marked {bc.location} used at "
                                   f"{where}")
         bind_scipy()
-        self.h, self.q, self.b = _log_mesh(problem)
-        # the weights of v'T'v = -|w chi|^2 and room for w chi (mismatch)
-        self.w, self.w_chi = self.h * np.sqrt(self.b), np.empty(len(self.b))
+        (self.h, self.q, self.b, self.q_max, self.b_max, self.w, self.qb_min,
+         self.floor, self.r_pow) = problem._mesh
+        self.w_chi = np.empty(len(self.b))  # room for w chi (mismatch)
         self.r, self.ell, self.counts, self.solves = problem.grid, problem.ell, 0, 0
         # (edge node, direction, slope) of each end; None drops the node
         ends = ((0, 1, _edge(inner, self.ell + 0.5, float(self.r[0]))),
@@ -315,9 +341,6 @@ class _Numerov:
         self.hi = len(self.r) - (ends[1][2] is None)
         self.ends = [end for end in ends if end[2] is not None]
         self.top = math.inf if isinstance(outer, RobinBoundary) else 0.0
-        # q/b's suffix minima: the nodes with q < E b end at the last of
-        # them below E
-        self.qb_min = np.minimum.accumulate((self.q / self.b)[::-1])[::-1]
         # both branches' band, unit lower with two subdiagonals, in Fortran
         # order, which f2py passes to LAPACK tbtrs without a copy; split is
         # the inward block's first row
@@ -325,9 +348,18 @@ class _Numerov:
         self.split = 2
 
     def diagonal(self, e):
-        """d(E) and f on every node; StiffnessError if an end row overflows."""
+        """d(E) and f on every node.  StiffnessError if an end row
+        overflows, or where q - E b or f may leave the double range ((max
+        |q| + |E| max b) h^2/12 does); there the ends' slopes come first, so
+        that the tail's E >= 0 raises RegimeError."""
+        h = self.h
+        if not (self.q_max + self.b_max * abs(e)) * (h * h / 12.0) < math.inf:
+            for _, _, slope in self.ends:
+                slope(e)
+            raise StiffnessError(f"q - E b leaves the double range at "
+                                 f"E = {e:.6g}")
         # g = q - E b, f = 1 - h^2 g/12 and d = 12/f - 10, no temporaries
-        h, g = self.h, self.b * e
+        g = self.b * e
         np.subtract(self.q, g, out=g)
         f = g * (h * h / 12.0)
         np.subtract(1.0, f, out=f)
@@ -397,14 +429,20 @@ class _Numerov:
         return e, self.count(e, got := self.branches(e)), self.mismatch(e, got)[1]
 
     def start(self) -> list[tuple[float, int, float]]:
-        """(E, count, nan) at e0, the bottom of q/b, and where T has states
-        there at the first energy with none on steps down doubling from
-        max(|e0|, 1) to the lowest energy with f > 0 on every node, where a
-        state left raises StiffnessError; no step: rungs seldom isolate."""
-        floor = float(np.max((self.q - 12.0 / self.h ** 2) / self.b))
-        floor += _CERTIFY_GAP * max(1.0, abs(floor))
-        e = max(float(np.min(self.q / self.b)), floor)
-        pts, step = [(e, self.count(e), math.nan)], max(abs(e), 1.0)
+        """(E, count, nan) at e0, the bottom of q/b or the stability floor
+        if higher, and where T has states there at the first energy with
+        none on steps down doubling from max(|e0|, 1) to the floor, where a
+        state left raises StiffnessError; no step: rungs seldom isolate.
+        e0's count 0 is proved, not solved, where d(e0) >= 2 on every
+        interior row and >= 1 on each Robin end row: T(e0) is then weakly
+        diagonally dominant with d >= 0, and Gershgorin's discs hold no
+        negative eigenvalue; elsewhere it is counted."""
+        e, floor = max(float(self.qb_min[0]), self.floor), self.floor
+        d = self.diagonal(e)[0]
+        proved = d[1:-1].min() >= 2.0 and all(d[i] >= 1.0
+                                               for i, _, _ in self.ends)
+        pts = [(e, 0 if proved else self.count(e), math.nan)]
+        step = max(abs(e), 1.0)
         while pts[0][1] and e > floor:
             e, step = max(e - step, floor), 2.0 * step
             pts[:-1] = [(e, self.count(e), math.nan)]  # the lower rung
@@ -467,8 +505,10 @@ class _Numerov:
         the power of two of the outward pair's norm, as after a restart the
         pairs' norms may differ by more than 1e308, and chi by that of its
         norm before it is squared, as (r chi)^2 passes 1e308 from ell ~ 24
-        on: powers of two, so exact.  Overflow where u = chi r^(-ell-1/2)
-        leaves the double range."""
+        on: powers of two, so exact.  Outward nodes whose chi the scalings
+        took below 2^-1022, which only an outward restart leaves, have u
+        recomputed from y with one rounding.  Overflow where u = chi
+        r^(-ell-1/2) leaves the double range."""
         d, f, t, y = got or self.branches(e)
         (o0, o1), (i0, i1), (no, ni) = self.splice(t, y)
         lo, hi, m = self.lo, self.hi, math.frexp(no)[1]
@@ -484,15 +524,18 @@ class _Numerov:
         norm = math.sqrt(np.trapezoid((self.r * chi) ** 2, dx=self.h))
         try:
             with np.errstate(over="raise", invalid="raise"):
-                u = chi * self.r ** (-self.ell - 0.5) / norm
+                if self.r_pow[0] == math.inf:
+                    raise FloatingPointError
+                u = chi * self.r_pow / norm
                 # outward nodes whose chi fell below 2^-1022: u from y = m_y
                 # 2^e_y and r = m_r 2^e_r, as r^-ell = m_r^-ell 2^(-e_r ell)
                 low = np.flatnonzero(np.abs(chi[lo:t + 1]) < 2.0 ** -1022)
-                r = self.r[low + lo]
-                (my, ey), (mr, er) = np.frexp(y[low]), np.frexp(r)
-                u[low + lo] = np.ldexp(my / f[low + lo] / np.sqrt(r)
-                                       * mr ** -self.ell / norm,
-                                       ey - m - s - er * self.ell)
+                if low.size:
+                    r = self.r[low + lo]
+                    (my, ey), (mr, er) = np.frexp(y[low]), np.frexp(r)
+                    u[low + lo] = np.ldexp(my / f[low + lo] / np.sqrt(r)
+                                           * mr ** -self.ell / norm,
+                                           ey - m - s - er * self.ell)
                 return u
         except FloatingPointError:
             raise Overflow(f"u = chi r^(-ell-1/2) of the state at E = {e!r} "

@@ -337,6 +337,59 @@ def test_cmd_solve_shoot_without_a_bracket_exit_code(tmp_path, capsys):
                                  "'bracket' entry in the spec\n")
 
 
+def _quiet_main(argv, capsys):
+    """main(argv) with warnings as errors: (exit code, stdout, stderr)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    return (rc, *capsys.readouterr())
+
+
+def test_cmd_solve_boolean_ell_is_an_input_error(tmp_path, capsys):
+    # JSON's true is no angular momentum, although Python counts a bool as
+    # an integer
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"ell": True, "pair_product": -1,
+                                "bracket": [-0.6, -0.4]}))
+    rc, out, err = _quiet_main(["solve", str(path), "--method", "both"],
+                               capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("cuspbc: input error: ell must be a non-negative "
+                   "integer, got True\n")
+
+
+def test_cmd_solve_at_the_stability_floor_warns_nothing(tmp_path, capsys):
+    # q1 q2 = 1e300 puts the stability floor, the first energy counted,
+    # near 1e305, where E b leaves the double range: the tail's outer row
+    # refuses E >= 0 before any array arithmetic
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"ell": 2, "pair_product": 1e300}))
+    rc, out, err = _quiet_main(["solve", str(path), "--method", "matrix"],
+                               capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("cuspbc: input error: asymptotic tail requires a bound "
+                   "state (E < 0)\n")
+
+
+def test_cmd_cusp_never_prints_an_overflowed_coefficient(capsys):
+    # Z = 1e300: a = -1e300 is a double, b and a_2 are not
+    rc, out, err = _quiet_main(["cusp", "e-nucleus", "Z=1e300", "--ell", "0",
+                                "--order", "2"], capsys)
+    assert (rc, out) == (3, "")
+    assert err == ("cuspbc: numerical failure: cusp coefficient b = inf "
+                   "leaves the double range\n")
+
+
+def test_infinite_r_max_is_an_input_error(tmp_path, capsys):
+    # refused before np.linspace(0, inf) warns of inf * 0
+    orbital = str(_write_he_orbital(tmp_path))
+    for argv in (["local", "e-nucleus", "Z=2", "--ell", "0", "--e", "-2"],
+                 ["compare-he", orbital, "--e", repr(HE_ORBITAL_ENERGY)]):
+        rc, out, err = _quiet_main(argv + ["--r-max", "inf"], capsys)
+        assert (rc, out) == (2, "")
+        assert err == "cuspbc: input error: --r-max must be finite, got inf\n"
+
+
 def test_cmd_basis_end_to_end(tmp_path, capsys):
     out = tmp_path / "basis.txt"
     rc = main(["basis", "slater", "e-nucleus", "Z=1",

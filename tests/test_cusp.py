@@ -9,7 +9,8 @@ from cuspbc.cusp import (AngularRadialFunction, CoalescencePair,
                          LocalWavefunction, cusp_a, cusp_b, cusp_limit_first,
                          cusp_limit_second, cusp_series, kato_average_check,
                          local_psi, local_u, validity_radius)
-from cuspbc.errors import DomainError, FitError, ParityError, RegimeError
+from cuspbc.errors import (DomainError, FitError, Overflow, ParityError,
+                           RegimeError)
 from cuspbc.gridfn import RadialFunction
 from cuspbc.radial import hydrogen_reference
 from cuspbc.special import spherical_harmonic
@@ -75,6 +76,21 @@ def test_cusp_series_recurrence_consistency():
     assert s.b == pytest.approx(cusp_b(h, 1, 0.3, -1.1), rel=1e-14)
     with pytest.raises(DomainError):
         cusp_series(h, 1, 0.3, -1.1, order=1)
+
+
+def test_overflowing_cusp_coefficients_are_overflow():
+    # a = -1e300 fits a double; b = a^2/3 and a_2 = a^2/2 + ... do not
+    big = CoalescencePair.electron_nucleus(1e300)
+    assert cusp_a(big, 0) == -1e300
+    with pytest.raises(Overflow, match="cusp coefficient b = inf"):
+        cusp_b(big, 0, 0.0, -0.5)
+    with pytest.raises(Overflow, match="series coefficient a_2 = inf"):
+        cusp_series(big, 0, 0.0, -0.5, order=2)
+    # beta^2 = 2 M (W0 - E) overflows with a finite alpha
+    with pytest.raises(Overflow, match="a_2 = inf"):
+        cusp_series(CoalescencePair.electron_nucleus(1.0), 0, 1e308, -1e308,
+                    order=4)
+    assert validity_radius(big, 0.0) == math.inf
 
 
 def test_local_u_hydrogen_1s_is_exponential():

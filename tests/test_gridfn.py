@@ -81,6 +81,16 @@ def test_integer_parameters_must_be_non_negative_integers(make, name):
             make()
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_not_a_natural_number(flag):
+    # bool is a numbers.Integral in Python, but no count or order
+    with pytest.raises(DomainError, match=f"^ell must be a non-negative "
+                       f"integer, got {flag}$"):
+        gridfn.check_natural(flag, "ell")
+    with pytest.raises(DomainError, match="^ell must be"):
+        RadialProblem(flag, 1.0, -1.0, 0.0, log_grid(1e-5, 40.0, 200))
+
+
 def test_meaning_conversion_round_trip():
     r = np.linspace(0.1, 2.0, 20)
     u = np.exp(-r)
