@@ -116,10 +116,17 @@ class CuspSeries:
         return self.coeffs[2] / self.coeffs[0]
 
     def evaluate(self, r):
-        """Truncated power series sum at r (scalar or array)."""
-        out = np.zeros_like(np.asarray(r, dtype=float))
-        for c in reversed(self.coeffs):
-            out = out * r + c
+        """Truncated power series sum at r (scalar or array); DomainError
+        for a non-finite r, Overflow where the sum leaves the double range."""
+        rs = np.asarray(r, dtype=float)
+        if not np.all(np.isfinite(rs)):
+            raise DomainError("r must be finite")
+        out = np.zeros_like(rs)
+        with np.errstate(over="ignore"):
+            for c in reversed(self.coeffs):
+                out = out * rs + c
+        if not np.all(np.isfinite(out)):
+            raise Overflow("the cusp series leaves the double range")
         return out
 
 
@@ -142,6 +149,8 @@ class LocalWavefunction:
 
     def __post_init__(self):
         check_natural(self.ell, "ell")
+        if isinstance(self.m, bool):  # abs(True) is 1
+            raise DomainError(f"m must be an integer, got {self.m!r}")
         check_natural(abs(self.m), "|m|")
         if abs(self.m) > self.ell:
             raise DomainError(f"need |m| <= ell, got m = {self.m!r}")

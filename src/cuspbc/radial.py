@@ -198,9 +198,9 @@ class RadialProblem:
     """A two-particle radial problem: angular momentum ell, reduced mass M,
     q1 q2 and W0 of q1 q2 / r + W0 + V_extra(r), on grid, where V_extra is
     tabulated (None: 0).  The E-independent terms of its log mesh
-    (_log_mesh) are built on its first solve and shared by every solve on
-    it after; a grid that is not logarithmic raises DomainError on every
-    solve."""
+    (_log_mesh), x = ln r among them, in which each state's u is formed,
+    are built on its first solve and shared by every solve on it after; a
+    grid that is not logarithmic raises DomainError on every solve."""
 
     ell: int
     mass: float
@@ -263,8 +263,8 @@ def _log_mesh(problem: RadialProblem):
     ell(ell+1) + 2M r^2 V and b = 2M r^2, with max |q| and max b; the
     weights w = h sqrt(b) of v'T'v = -|w chi|^2; q/b's suffix minima, as
     the nodes with q < E b end at the last of them below E; the stability
-    floor, just above the lowest energy with f > 0 on every node; and
-    r^(-ell-1/2), inf where it overflows."""
+    floor, just above the lowest energy with f > 0 on every node; and x,
+    in which _Numerov.vector forms ln|u|."""
     r = problem.grid
     x = np.log(r)
     h = float(x[1] - x[0])
@@ -275,13 +275,11 @@ def _log_mesh(problem: RadialProblem):
     qb_min = np.minimum.accumulate((q / b)[::-1])[::-1]
     floor = float(np.max((q - 12.0 / h ** 2) / b))
     floor += _CERTIFY_GAP * max(1.0, abs(floor))
-    with np.errstate(over="ignore"):
-        r_pow = r ** (-problem.ell - 0.5)
     w = h * np.sqrt(b)
-    for shared in (q, b, w, qb_min, r_pow):  # by every solve of the problem
+    for shared in (q, b, w, qb_min, x):  # by every solve of the problem
         shared.flags.writeable = False
     return (h, q, b, float(np.abs(q).max()), float(b[-1]), w, qb_min, floor,
-            r_pow)
+            x)
 
 
 _CERTIFY_GAP = 1e-9
@@ -331,7 +329,7 @@ class _Numerov:
                                   f"{where}")
         bind_scipy()
         (self.h, self.q, self.b, self.q_max, self.b_max, self.w, self.qb_min,
-         self.floor, self.r_pow) = problem._mesh
+         self.floor, self.x) = problem._mesh
         self.w_chi = np.empty(len(self.b))  # room for w chi (mismatch)
         self.r, self.ell, self.counts, self.solves = problem.grid, problem.ell, 0, 0
         # (edge node, direction, slope) of each end; None drops the node
@@ -499,47 +497,33 @@ class _Numerov:
         return (o0 / no, o1 / no), (i0 / ni, i1 / ni), (no, ni)
 
     def vector(self, e, got=None) -> np.ndarray:
-        """u at a root E from got = branches(e): the outward branch up to
-        the turning node t and the inward one beyond, scaled to meet it over
-        nodes t, t + 1 by splice()'s normalised pairs.  Both are scaled by
-        the power of two of the outward pair's norm, as after a restart the
-        pairs' norms may differ by more than 1e308, and chi by that of its
-        norm before it is squared, as (r chi)^2 passes 1e308 from ell ~ 24
-        on: powers of two, so exact.  Outward nodes whose chi the scalings
-        took below 2^-1022, which only an outward restart leaves, have u
-        recomputed from y with one rounding.  Overflow where u = chi
-        r^(-ell-1/2) leaves the double range."""
+        """u at a root E from got = branches(e), in logarithms, so that only
+        u need lie in the double range: ln|r chi| = ln|y/f| + x on the
+        outward branch up to the turning node t and the inward one beyond,
+        plus the log of its scale to meet the outward over nodes t, t + 1 by
+        splice()'s pairs; shifted by its maximum, its exp gives int P^2 dr =
+        int (r chi)^2 dx by the trapezoid rule, and ln|u| = ln|r chi| - (ell
+        + 3/2) x - ln(norm) one exp, of chi's sign (f > 0 above the floor),
+        about |ln u| 2^-53 relative off.  Overflow where u leaves the double
+        range."""
         d, f, t, y = got or self.branches(e)
         (o0, o1), (i0, i1), (no, ni) = self.splice(t, y)
-        lo, hi, m = self.lo, self.hi, math.frexp(no)[1]
-        chi = np.zeros(len(self.r))
-        np.ldexp(y[:t - lo + 1], -m, out=chi[lo:t + 1])
-        np.multiply(y[-2:t - lo + 1:-1],
-                    (o0 * i0 + o1 * i1) * math.ldexp(no, -m) / ni,
-                    out=chi[t + 1:hi])
-        chi /= f
-        s = math.frexp(dnrm2(chi))[1]
-        np.ldexp(chi, -s, out=chi)
-        # int P^2 dr = int (r chi)^2 dx, trapezoid rule on the uniform x mesh
-        norm = math.sqrt(np.trapezoid((self.r * chi) ** 2, dx=self.h))
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                if self.r_pow[0] == math.inf:
-                    raise FloatingPointError
-                u = chi * self.r_pow / norm
-                # outward nodes whose chi fell below 2^-1022: u from y = m_y
-                # 2^e_y and r = m_r 2^e_r, as r^-ell = m_r^-ell 2^(-e_r ell)
-                low = np.flatnonzero(np.abs(chi[lo:t + 1]) < 2.0 ** -1022)
-                if low.size:
-                    r = self.r[low + lo]
-                    (my, ey), (mr, er) = np.frexp(y[low]), np.frexp(r)
-                    u[low + lo] = np.ldexp(my / f[low + lo] / np.sqrt(r)
-                                           * mr ** -self.ell / norm,
-                                           ey - m - s - er * self.ell)
-                return u
-        except FloatingPointError:
-            raise Overflow(f"u = chi r^(-ell-1/2) of the state at E = {e!r} "
-                           f"leaves the double range") from None
+        lo, hi, x, meet = self.lo, self.hi, self.x, o0 * i0 + o1 * i1
+        chi = np.zeros(len(self.r))  # of chi's sign: y, and meet's inward
+        chi[lo:t + 1] = y[:t - lo + 1]
+        chi[t + 1:hi] = y[-2:t - lo + 1:-1] * math.copysign(1.0, meet)
+        with np.errstate(divide="ignore", over="ignore"):  # ln 0 off [lo, hi)
+            log = np.log(np.abs(chi)) - np.log(f) + x
+            log[t + 1:hi] += math.log(abs(meet)) + math.log(no) - math.log(ni)
+            log -= log.max()
+            u = np.exp(log)
+            norm2 = self.h * (u @ u - (u[0] * u[0] + u[-1] * u[-1]) / 2.0)
+            log -= 0.5 * math.log(norm2) + (self.ell + 1.5) * x
+            np.exp(log, out=u)
+        if not u.max() < math.inf:
+            raise Overflow(f"u of the state at E = {e!r} leaves the double "
+                           f"range")
+        return np.copysign(u, chi, out=u)
 
 
 _MAXITER = 100

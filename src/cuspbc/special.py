@@ -23,12 +23,24 @@ _STRIDE = 16  # terms between two readings of the stop rule
 
 
 def pochhammer(a: float, k: int) -> float:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
+    """Rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1: exactly
+    0 where a factor is, else the product carried as a mantissa and a power
+    of two, so that no partial product overflows; DomainError for a
+    non-finite a, Overflow where (a)_k leaves the double range."""
     check_natural(k, "pochhammer order k")
-    out = 1.0
+    if not math.isfinite(a):
+        raise DomainError(f"pochhammer needs a finite a, got {a!r}")
+    if _is_nonpositive_integer(a) and k > -a:
+        return 0.0
+    out, exponent = 1.0, 0  # (a)_i = out 2^exponent
     for i in range(k):
-        out *= a + i
-    return out
+        out, e = math.frexp(out * (a + i))
+        exponent += e
+    try:
+        return math.ldexp(out, exponent)
+    except OverflowError:
+        raise Overflow(f"pochhammer({a!r}, {k}) leaves the double "
+                       f"range") from None
 
 
 def _is_nonpositive_integer(b: float) -> bool:
@@ -296,6 +308,8 @@ def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
     """Complex Y_lm(theta, phi), unit-normalized over the sphere, with
     Condon-Shortley phase."""
     check_natural(l, "spherical harmonic degree l")
+    if isinstance(m, bool):  # abs(True) is 1
+        raise DomainError(f"m must be an integer, got {m!r}")
     check_natural(abs(m), "|m|")
     if not (math.isfinite(theta) and math.isfinite(phi)):
         raise DomainError(f"theta and phi must be finite, got {theta!r}, "

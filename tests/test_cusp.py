@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cuspbc.basis import SlaterTerm, build_basis, verify_cusp_orders
-from cuspbc.cusp import (AngularRadialFunction, CoalescencePair,
+from cuspbc.cusp import (AngularRadialFunction, CoalescencePair, CuspSeries,
                          LocalWavefunction, cusp_a, cusp_b, cusp_limit_first,
                          cusp_limit_second, cusp_series, kato_average_check,
                          local_psi, local_u, validity_radius)
@@ -284,3 +284,32 @@ def test_non_finite_coalescence_inputs_are_domain_errors(make):
     # RegimeError or a ValueError from exact series arithmetic
     with pytest.raises(DomainError, match="finite|positive"):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LocalWavefunction(1, True, 1.0, -1.0, 1.0),
+    lambda: LocalWavefunction(1, False, 1.0, -1.0, 1.0),
+    lambda: spherical_harmonic(1, True, 0.1, 0.2),
+    lambda: spherical_harmonic(1, False, 0.1, 0.2)],
+    ids=["local-true", "local-false", "harmonic-true", "harmonic-false"])
+def test_a_bool_m_is_a_domain_error(make):
+    # abs(True) is 1, which passed as |m| = 1 and gave Y_11
+    with pytest.raises(DomainError, match="^m must be an integer, got "
+                       "(True|False)$"):
+        make()
+
+
+def test_cusp_series_evaluate_is_finite_or_raises():
+    series = cusp_series(_H1, 0, 0.0, -0.5, 6)
+    r = np.array([0.0, 0.1, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(series.evaluate(r),
+                              [series.evaluate(x) for x in r.tolist()])
+        with pytest.raises(Overflow, match="double range"):
+            series.evaluate(1e80)
+        for r in (math.nan, math.inf, [0.1, -math.inf]):
+            with pytest.raises(DomainError, match="r must be finite"):
+                series.evaluate(r)
+    with pytest.raises(DomainError):
+        CuspSeries(0, -1.0, 1.0, (0.0, 1.0))

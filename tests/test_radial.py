@@ -1090,15 +1090,47 @@ def test_high_ell_states_are_the_hydrogen_functions(z, ell, r_max, n):
     assert np.max(np.abs(p * np.sign(np.dot(p, ref)) - ref)) <= 1e-9
 
 
-def test_u_past_the_double_range_is_an_overflow():
-    # r^(-ell-1/2) at r_min = 1e-8 is 1e484 for ell = 60: u leaves the
-    # double range, and the solve names the state's energy, without a
-    # warning
+def test_u_is_returned_where_only_r_to_the_minus_ell_overflows():
+    # r^(-ell-1/2) at r_min = 1e-8 is 1e484 for ell = 60, but u = 1.65e-70
+    # there: u is formed in logarithms, and P is the hydrogen function's
     problem, inner = _high_ell(100.0, 60, 1e-8, 150.0, 8000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(Overflow, match=r"state at E = -1\.34372"):
-            solve_matrix_selfconsistent(problem, inner, 1.0, 99.0, 1)
+        ((_, fn),) = solve_matrix_selfconsistent(problem, inner, 1.0, 99.0, 1)
+    r = problem.grid
+    ref = _nodeless_p(100.0, 60, r)
+    p = r * fn.as_full().values
+    assert np.max(np.abs(p * np.sign(np.dot(p, ref)) - ref)) <= 1e-9
+
+
+def _scaled_box(z):
+    """Z = 100's ell = 60 box scaled by 100/Z, on which T(E) is the same and
+    u scales as Z^(ell + 3/2)."""
+    return _high_ell(z, 60, 1e-5 * 100.0 / z, 150.0 * 100.0 / z, 8000)
+
+
+def test_u_near_the_top_of_the_double_range_is_returned():
+    # Z = 1e8: ln u(0) = 689, below ln(2^1024) = 709.8
+    z = 1e8
+    problem, inner = _scaled_box(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ((_, fn),) = solve_matrix_selfconsistent(problem, inner, 1.0,
+                                                 z - 1.0, 1)
+    ref = np.exp(_nodeless_log_u(z, 60, problem.grid))
+    u = fn.values * np.sign(fn.values[0])  # nodeless
+    assert u[0] > 1e299
+    assert np.max(np.abs(u - ref)[ref > 0.0] / ref[ref > 0.0]) <= 1.1e-3
+
+
+def test_u_past_the_double_range_is_an_overflow():
+    # Z = 1e9: ln u(0) = 831, and the solve names the state's energy,
+    # without a warning
+    problem, inner = _scaled_box(1e9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match=r"state at E = -1343724\d{8}\.\d"):
+            solve_matrix_selfconsistent(problem, inner, 1.0, 1e9 - 1.0, 1)
 
 
 def test_u_near_r_min_after_an_outward_restart_is_not_flushed_to_zero():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cuspbc import special
-from cuspbc.errors import DomainError, NoConvergence, PoleError
+from cuspbc.errors import DomainError, NoConvergence, Overflow, PoleError
 from cuspbc.special import (MAX_TERMS, REL_TOL, _legendre_upto, kummer_1f1,
                             kummer_crossover, kummer_series, legendre_p,
                             pochhammer, spherical_harmonic)
@@ -17,6 +17,36 @@ def test_pochhammer_values():
     assert pochhammer(1.0, 4) == 24.0
     assert pochhammer(-2.0, 4) == 0.0
     assert pochhammer(0.5, 3) == 0.5 * 1.5 * 2.5
+
+
+@pytest.mark.parametrize("a, k", [(-300.0, 400), (-3.0, 5), (-2.5, 7),
+                                  (1e-300, 200), (1e-310, 180), (170.5, 2),
+                                  (-175.0 + 2.0 ** -40, 176), (0.25, 171),
+                                  (-7.0, 7)])
+def test_pochhammer_against_mpmath(a, k):
+    # exactly 0 where a factor is 0 (a = 0, -1, ..., k > -a), and no
+    # partial product overflows where (a)_k does not: 175! = 1.1e318 times
+    # 2^-40 is 1.0e306
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pochhammer(a, k)
+    with mpmath.workdps(50):
+        ref = mpmath.rf(mpmath.mpf(a), k)
+    if ref == 0:
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    else:
+        assert got == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("a, k, error", [
+    (200.0, 200, Overflow), (-170.5, 340, Overflow), (math.nan, 3, DomainError),
+    (math.inf, 2, DomainError), (-math.inf, 0, DomainError)])
+def test_pochhammer_outside_the_double_range_raises(a, k, error):
+    # (200)_200 = 4.06e493 and (-170.5)_340 = -9.9e610 are not inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            pochhammer(a, k)
 
 
 def test_kummer_trivial_cases():
