@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -75,8 +76,10 @@ def _radii(r_max, n):
     return np.linspace(0.0, r_max, n)
 
 
-def _write_text(path, text):
-    """Write `text` to `path` as UTF-8, overwriting an existing file in place.
+def _write_text(path, blocks):
+    """Write the byte blocks of the iterable `blocks` to `path` one after
+    another, so that the whole text need never be held at once,
+    overwriting an existing file in place.
 
     The file keeps its inode, permissions and hard links, and a symlink is
     written through. It is opened without O_TRUNC and cut to the new length
@@ -87,31 +90,39 @@ def _write_text(path, text):
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "wb") as fh:
-        fh.write(text.encode("utf-8"))
+        fh.writelines(blocks)
         if stat.S_ISREG(os.fstat(fd).st_mode):
             fh.truncate()
 
 
 def _emit(args, columns, data, meta):
     """Write the table of the float arrays data, one per column, as CSV
-    or as one line of JSON, the rows laid out by gridfn's Schubfach
-    kernel: byte for byte what a repr per CSV cell, or json.dumps (its C
-    encoder, default separators), writes."""
+    or as one line of JSON, the rows laid out by gridfn's Schubfach kernel
+    and written block by block as they are formatted: byte for byte what
+    a repr per CSV cell, or json.dumps (its C encoder, default separators)
+    of the table with null for each non-finite number, writes."""
     data = [np.asarray(c, dtype=float) for c in data]
     if args.format == "json":
-        # head ends in "[]}": the rows go between the brackets
-        head = json.dumps({"meta": meta, "columns": columns, "rows": []})
-        rows = b"".join(_rows(data, "[", ", ", "], ", ("NaN", "Infinity")))
-        text = head[:-2] + rows[:-2].decode() + "]}\n"
+        # JSON (RFC 8259) has no NaN or Infinity: null stands for them
+        meta = {k: None if isinstance(v, float) and not math.isfinite(v)
+                else v for k, v in meta.items()}
+        # head ends in "[]}": the rows go between the brackets, each after
+        # ", " but the first
+        head = json.dumps({"meta": meta, "columns": columns, "rows": []},
+                          allow_nan=False)[:-2]
+        rows = _rows(data, ", [", ", ", "]", ("null",) * 3)
+        first = next(rows, b"")[2:]
+        blocks = itertools.chain([head.encode(), first], rows, [b"]}\n"])
     else:
         lines = [f"# {k}={v!r}" for k, v in meta.items()]
         lines.append(",".join(columns))
-        text = ("\n".join(lines) + "\n"
-                + b"".join(_rows(data, "", ",", "\n")).decode())
+        head = "\n".join(lines) + "\n"
+        blocks = itertools.chain([head.encode()], _rows(data, "", ",", "\n"))
     if args.output:
-        _write_text(args.output, text)
+        _write_text(args.output, blocks)
     else:
-        sys.stdout.write(text)
+        for block in blocks:
+            sys.stdout.write(block.decode())
 
 
 def cmd_cusp(args) -> int:
@@ -219,6 +230,30 @@ def _report_state(problem, a, energy, fn, m_prime, q_total):
     }
 
 
+def _solve_route(method, problem, a, inner, m_prime, q_total, bracket, k):
+    """The report of one route's solve and its states' functions."""
+    t0 = time.perf_counter()
+    if method == "matrix":
+        pairs = radial.solve_matrix_selfconsistent(
+            problem, inner, m_prime, q_total, k)
+    else:
+        if bracket is None:
+            raise InputError("shooting needs a 'bracket' entry in the spec")
+        # as the matrix route, the r_max guard binds the energy found
+        guess = radial.SystemAsymptotics(m_prime, q_total, min(bracket))
+        pairs = [radial.solve_shooting(problem, inner, None, bracket,
+                                       asymptotics=guess)]
+        radial.robin_outer(
+            radial.SystemAsymptotics(m_prime, q_total, pairs[0][0]),
+            problem.grid[-1])
+    report = {
+        "seconds": time.perf_counter() - t0,
+        "states": [_report_state(problem, a, e, fn, m_prime, q_total)
+                   for e, fn in pairs],
+    }
+    return report, [fn for _, fn in pairs]
+
+
 def cmd_solve(args) -> int:
     problem, m_prime, q_total, bracket = _load_problem(args.problem)
     # cusp slope of u = R/r^ell: the inner Robin condition and its target
@@ -226,41 +261,23 @@ def cmd_solve(args) -> int:
     inner = radial.robin_inner(problem.ell, a)
     # the compiled LAPACK and BLAS modules, outside the solves' "seconds"
     radial.bind_scipy()
+    methods = [m for m in ("matrix", "shoot") if args.method in (m, "both")]
     reports = {}
-    if args.method in ("matrix", "both"):
-        t0 = time.perf_counter()
-        pairs = radial.solve_matrix_selfconsistent(
-            problem, inner, m_prime, q_total, args.k)
-        reports["matrix"] = {
-            "seconds": time.perf_counter() - t0,
-            "states": [_report_state(problem, a, e, fn, m_prime, q_total)
-                       for e, fn in pairs],
-        }
+    for method in methods:
+        reports[method], fns = _solve_route(method, problem, a, inner,
+                                            m_prime, q_total, bracket, args.k)
+        if method == methods[-1]:
+            # the states keep the grid; the cached mesh and the potential
+            # are freed before the last route writes
+            del problem
         if args.output:
-            # one grid shared by the k states: its column is formatted once
+            # the matrix states share one grid: its column is formatted once
             t0 = time.perf_counter()
-            for i, text in enumerate(csv_texts(fn for _, fn in pairs)):
-                _write_text(f"{args.output}.matrix.{i}.csv", text)
-            reports["matrix"]["write_seconds"] = time.perf_counter() - t0
-    if args.method in ("shoot", "both"):
-        if bracket is None:
-            raise InputError("shooting needs a 'bracket' entry in the spec")
-        t0 = time.perf_counter()
-        # as the matrix route, the r_max guard binds the energy found
-        guess = radial.SystemAsymptotics(m_prime, q_total, min(bracket))
-        energy, fn = radial.solve_shooting(problem, inner, None, bracket,
-                                           asymptotics=guess)
-        radial.robin_outer(radial.SystemAsymptotics(m_prime, q_total, energy),
-                           problem.grid[-1])
-        reports["shoot"] = {
-            "seconds": time.perf_counter() - t0,
-            "states": [_report_state(problem, a, energy, fn, m_prime,
-                                     q_total)],
-        }
-        if args.output:
-            t0 = time.perf_counter()
-            _write_text(f"{args.output}.shoot.csv", fn.to_csv())
-            reports["shoot"]["write_seconds"] = time.perf_counter() - t0
+            names = ([f"matrix.{i}" for i in range(len(fns))]
+                     if method == "matrix" else ["shoot"])
+            for name, blocks in zip(names, csv_texts(fns)):
+                _write_text(f"{args.output}.{name}.csv", blocks)
+            reports[method]["write_seconds"] = time.perf_counter() - t0
     print(json.dumps(reports, indent=2))
     return 0
 
@@ -275,7 +292,7 @@ def cmd_basis(args) -> int:
     a_est, b_est = basis_mod.verify_cusp_orders(built)
     text = basis_mod.basis_to_text(built)
     if args.output:
-        _write_text(args.output, text)
+        _write_text(args.output, [text.encode("utf-8")])
     else:
         sys.stdout.write(text)
     print(f"a_est = {a_est!r}", file=sys.stderr)

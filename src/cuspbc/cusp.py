@@ -288,8 +288,12 @@ def _polyfit(x: np.ndarray, v: np.ndarray, deg: int) -> np.ndarray:
     scale = np.max(np.abs(x))
     if scale == 0.0:
         raise FitError("degenerate fit window")
-    vand = np.vander(x / scale, deg + 1, increasing=True)
-    c_t, *_ = np.linalg.lstsq(vand, v, rcond=None)
+    # np.vander's products, a column at a time: V.T is its matrix
+    vand = np.empty((deg + 1, len(x)))
+    vand[0], vand[1:] = 1.0, x / scale
+    for k in range(2, deg + 1):
+        vand[k] *= vand[k - 1]
+    c_t, *_ = np.linalg.lstsq(vand.T, v, rcond=None)
     return c_t / scale ** np.arange(deg + 1)
 
 

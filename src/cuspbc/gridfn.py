@@ -4,6 +4,7 @@ the cusp checkers, and the CLI."""
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -93,7 +94,7 @@ class RadialFunction:
 
     def to_csv(self) -> str:
         """One "r,value,ell,meaning" row per node, floats as their repr."""
-        return next(csv_texts([self]))
+        return b"".join(next(csv_texts([self]))).decode()
 
 
 # CSV floats are their repr: the shortest decimal that reads back as the
@@ -251,13 +252,13 @@ def _column(a):
     return cells
 
 
-def _rows(columns, lead, sep, end, names=("nan", "inf")):
-    """The rows of the equal-length columns as a list of ASCII byte
-    blocks: each row is lead, its cells joined by sep, then end.  A column
-    is float64, its cells as repr writes them but for names: "nan", "inf"
-    and "-inf" by default; or it is the _column cells of one (not all of
-    them).  A block holds at most _BLOCK floats, formatted in one _cells
-    call, and is written with one mask and one tobytes()."""
+def _rows(columns, lead, sep, end, names=("nan", "inf", "-inf")):
+    """Yield the rows of the equal-length columns as ASCII byte blocks:
+    each row is lead, its cells joined by sep, then end.  A column is
+    float64, its cells as repr writes them but for names of nan, inf and
+    -inf; or it is the _column cells of one (not all of them).  A block
+    holds at most _BLOCK floats, formatted in one _cells call when it is
+    asked for, and is written with one mask and one tobytes()."""
     n = len(columns[0])
     floats = [j for j, col in enumerate(columns) if col.dtype != _CELL]
     step = _BLOCK // len(floats)  # rows a block
@@ -270,9 +271,7 @@ def _rows(columns, lead, sep, end, names=("nan", "inf")):
         if text:
             rows[f"g{j}"] = text.encode()
     special = np.zeros(3, _CELL)
-    special["left"] = [names[0].encode(), names[1].encode(),
-                       b"-" + names[1].encode()]
-    out = []
+    special["left"] = [name.encode() for name in names]
     for i in range(0, n, step):
         block = rows[:n - i]
         part = np.stack([columns[j][i:i + step] for j in floats], 1).ravel()
@@ -287,18 +286,21 @@ def _rows(columns, lead, sep, end, names=("nan", "inf")):
         for j, col in enumerate(columns):
             block[f"c{j}"] = col[i:i + step] if j not in floats else next(cells)
         chars = block.view(np.uint8)
-        out.append(chars[chars != 0].tobytes())
-    return out
+        yield chars[chars != 0].tobytes()
 
 
 def csv_texts(functions):
-    """Yield the to_csv() text of each function in turn.  A grid that is
-    the previous function's grid array is not formatted again, so the
-    states of one solve, which share their grid, pay for it once."""
+    """Yield, for each function in turn, its to_csv() text as an iterator
+    of ASCII byte blocks: the header, then the _rows blocks, each
+    formatted when it is asked for.  Values that are not real raise
+    TypeError when the function's iterator is yielded, before any of its
+    blocks.  A grid that is the previous function's grid array is not
+    formatted again, so the states of one solve, which share their grid,
+    pay for it once."""
     grid = None
     for fn in functions:
         if fn.grid is not grid:
             grid, cells = fn.grid, _column(fn.grid)
         values = fn.values.astype(float, casting="same_kind", copy=False)
-        yield b"".join([b"r,value,ell,meaning\n", *_rows(
-            [cells, values], "", ",", f",{fn.ell},{fn.meaning}\n")]).decode()
+        yield itertools.chain([b"r,value,ell,meaning\n"], _rows(
+            [cells, values], "", ",", f",{fn.ell},{fn.meaning}\n"))

@@ -513,7 +513,10 @@ class _Numerov:
         chi[lo:t + 1] = y[:t - lo + 1]
         chi[t + 1:hi] = y[-2:t - lo + 1:-1] * math.copysign(1.0, meet)
         with np.errstate(divide="ignore", over="ignore"):  # ln 0 off [lo, hi)
-            log = np.log(np.abs(chi)) - np.log(f) + x
+            log = np.abs(chi)
+            np.log(log, out=log)
+            log -= np.log(f)
+            log += x
             log[t + 1:hi] += math.log(abs(meet)) + math.log(no) - math.log(ni)
             log -= log.max()
             u = np.exp(log)

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -706,8 +707,45 @@ def _fresh_and_rewritten(tmp_path, argv, name):
 def test_write_text_overwrites_a_longer_file_exactly(tmp_path):
     path = tmp_path / "t.txt"
     path.write_bytes(b"x" * 10_000)
-    _write_text(str(path), "ψ = 1\n")
+    _write_text(str(path), ["ψ = 1\n".encode("utf-8")])
     assert path.read_bytes() == "ψ = 1\n".encode("utf-8")
+    # byte blocks, written one after another, directly and through a
+    # symlink
+    blocks = [b"r,value\n", b"", b"0.5,1.0\n" * 300, b"1.0,2.0\n"]
+    sym = tmp_path / "sym.txt"
+    sym.symlink_to(path)
+    for target in (path, sym):
+        path.write_bytes(b"x" * 10_000)
+        _write_text(str(target), iter(blocks))
+        assert path.read_bytes() == b"".join(blocks)
+    assert sym.is_symlink()
+
+
+def test_a_refused_state_leaves_its_file_untouched(tmp_path, monkeypatch):
+    # state 1's values are complex: its CSV is refused before the file is
+    # opened, after state 0's is written
+    solve = radial.solve_matrix_selfconsistent
+
+    def complex_second(*args):
+        pairs = solve(*args)
+        e, fn = pairs[1]
+        pairs[1] = e, gridfn.RadialFunction(fn.grid, fn.values + 0j, fn.ell,
+                                            fn.meaning)
+        return pairs
+
+    prefix = tmp_path / "out"
+    argv = ["solve", _solve_spec(tmp_path, None), "-k", "3"]
+    assert main(argv + ["--output", str(tmp_path / "ref")]) == 0
+    old = b"#" * 100_000
+    for i in range(3):
+        Path(f"{prefix}.matrix.{i}.csv").write_bytes(old)
+    monkeypatch.setattr(radial, "solve_matrix_selfconsistent", complex_second)
+    with pytest.raises(TypeError):
+        main(argv + ["--output", str(prefix)])
+    assert (Path(f"{prefix}.matrix.0.csv").read_bytes()
+            == (tmp_path / "ref.matrix.0.csv").read_bytes())
+    for i in (1, 2):
+        assert Path(f"{prefix}.matrix.{i}.csv").read_bytes() == old
 
 
 def test_output_rewrite_keeps_inode_mode_and_links(tmp_path):
@@ -851,6 +889,26 @@ def test_solve_writes_matrix_states_before_shooting(tmp_path, capsys):
     assert not (tmp_path / "out.shoot.csv").exists()
 
 
+def test_solve_output_peak_memory(tmp_path, capsys):
+    # k = 3 states on 16,000 nodes: the CSV files are written block by
+    # block after the problem and its cached mesh are freed, so the traced
+    # peak of a second run (imports and caches settled) stays below the
+    # 4.6 MB that holding each table whole cost
+    spec = tmp_path / "h.json"
+    spec.write_text(json.dumps({"ell": 0, "pair_product": -1.0,
+                                "grid": {"n": 16_000}}))
+    argv = ["solve", str(spec), "-k", "3", "--output", str(tmp_path / "o")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2e6
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("bracket", [[-0.6, math.inf], [math.nan, -0.4]])
 def test_solve_non_finite_bracket_is_an_input_error(tmp_path, capsys,
                                                     bracket):
@@ -865,13 +923,25 @@ def test_solve_non_finite_bracket_is_an_input_error(tmp_path, capsys,
                    f"be two finite numbers\n")
 
 
+def _json_table(columns, data, meta):
+    """The table as a JSON object, None (null) in place of each
+    non-finite number."""
+    def number(v):
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+
+    rows = [[number(v) for v in row]
+            for row in zip(*(np.asarray(c).tolist() for c in data))]
+    return {"meta": {k: number(v) for k, v in meta.items()},
+            "columns": columns, "rows": rows}
+
+
 def _row_reference(columns, data, meta, fmt):
     """The table as written one row at a time: `repr` per CSV cell, or
     the pure-Python (indented) JSON encoder."""
-    rows = [list(row) for row in zip(*(np.asarray(c).tolist() for c in data))]
     if fmt == "json":
-        return json.dumps({"meta": meta, "columns": columns, "rows": rows},
-                          indent=2)
+        return json.dumps(_json_table(columns, data, meta), indent=2,
+                          allow_nan=False)
+    rows = [list(row) for row in zip(*(np.asarray(c).tolist() for c in data))]
     lines = [f"# {k}={v!r}" for k, v in meta.items()]
     lines.append(",".join(columns))
     lines += [",".join(map(repr, row)) for row in rows]
@@ -880,15 +950,20 @@ def _row_reference(columns, data, meta, fmt):
 
 def _json_reference(columns, data, meta):
     """The table as json.dumps (its C encoder, default separators) writes
-    it, with a newline."""
-    rows = [list(row) for row in zip(*(np.asarray(c).tolist() for c in data))]
-    return json.dumps({"meta": meta, "columns": columns, "rows": rows}) + "\n"
+    it, null for each non-finite number, with a newline."""
+    return json.dumps(_json_table(columns, data, meta), allow_nan=False) + "\n"
+
+
+def _strict_json(text):
+    """text parsed as JSON (RFC 8259), which has no NaN or Infinity."""
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def _same_json(text, reference):
-    # NaN and Infinity load as their names, so that they compare equal
-    assert (json.loads(text, parse_constant=str)
-            == json.loads(reference, parse_constant=str))
+    assert _strict_json(text) == _strict_json(reference)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -935,7 +1010,8 @@ def test_emit_edge_floats_and_a_percent_in_meta(capsys):
     assert capsys.readouterr().out == "x\n-0.0\n"
 
 
-def test_emit_json_keeps_nan_and_infinity(capsys):
+def test_emit_json_writes_null_for_nan_and_infinity(capsys):
+    # in the cells and in meta; CSV keeps nan, inf and -inf
     columns = ["r", "value"]
     data = [EDGE_GRID, np.array([math.nan, math.inf, -math.inf, -0.0,
                                  5e-324, 1e16])]
@@ -943,8 +1019,15 @@ def test_emit_json_keeps_nan_and_infinity(capsys):
     cli._emit(argparse.Namespace(format="json", output=None),
               columns, data, meta)
     text = capsys.readouterr().out
-    assert "NaN" in text and "-Infinity" in text
+    table = _strict_json(text)
+    assert table["meta"] == {"r0": None, "e": None, "kind": "100%"}
+    assert [v for _, v in table["rows"][:3]] == [None] * 3
     _same_json(text, _row_reference(columns, data, meta, "json"))
+    cli._emit(argparse.Namespace(format="csv", output=None),
+              columns, data, meta)
+    text = capsys.readouterr().out
+    assert text.startswith("# r0=inf\n# e=nan\n")
+    assert ",nan\n" in text and ",inf\n" in text and ",-inf\n" in text
 
 
 def test_parser_is_built_once(tmp_path, monkeypatch, capsys):
@@ -1038,9 +1121,9 @@ def _mixed_floats(rng, shape):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_emit_bytes_equal_the_references(capsys, fmt):
     # the edge floats, -0.0, 5e-324, 1e16 and 2^53 +- 1 (2^53 + 1 rounds
-    # to 2^53), non-finite cells (nan, inf, -inf in CSV; NaN, Infinity,
-    # -Infinity in JSON), then a 601 x 6 table; byte for byte against
-    # repr per CSV cell or json.dumps
+    # to 2^53), non-finite cells (nan, inf, -inf in CSV; null in JSON),
+    # then a 601 x 6 table; byte for byte against repr per CSV cell or
+    # json.dumps of the table with null for each non-finite number
     big = 2 ** 53
     edges = np.array([-0.0, 5e-324, 1e16, big - 1, big + 1, big + 2,
                       math.nan, math.inf, -math.inf], dtype=float)

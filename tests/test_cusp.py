@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cuspbc import cusp
 from cuspbc.basis import SlaterTerm, build_basis, verify_cusp_orders
 from cuspbc.cusp import (AngularRadialFunction, CoalescencePair, CuspSeries,
                          LocalWavefunction, cusp_a, cusp_b, cusp_limit_first,
@@ -313,3 +314,19 @@ def test_cusp_series_evaluate_is_finite_or_raises():
                 series.evaluate(r)
     with pytest.raises(DomainError):
         CuspSeries(0, -1.0, 1.0, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("n, deg", [(14, 4), (3400, 4), (8000, 6), (40, 0),
+                                    (200, 20)])
+def test_polyfit_is_bit_identical_to_vander_and_lstsq(n, deg):
+    # the Vandermonde matrix built a column at a time takes np.vander's
+    # products in its order, so lstsq sees the same matrix
+    rng = np.random.default_rng(n + deg)
+    x = np.sort(rng.uniform(1e-5, 0.05, n))
+    for v in (np.exp(-2.0 * x) * (1.0 + 1e-9 * rng.standard_normal(n)),
+              np.exp(-x) + 1j * x):
+        scale = np.max(np.abs(x))
+        vand = np.vander(x / scale, deg + 1, increasing=True)
+        c_t, *_ = np.linalg.lstsq(vand, v, rcond=None)
+        reference = c_t / scale ** np.arange(deg + 1)
+        assert np.array_equal(cusp._polyfit(x, v, deg), reference)

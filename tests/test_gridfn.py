@@ -166,6 +166,11 @@ def _row_format(fn):
         for a, b in zip(fn.grid, fn.values))
 
 
+def _joined(fns):
+    """The text of each function's csv_texts blocks."""
+    return [b"".join(blocks).decode() for blocks in csv_texts(fns)]
+
+
 def test_csv_bytes_match_the_row_format():
     # subnormals, the smallest normal, signed zero and reprs in exponent
     # form, one function at a time and as a group sharing its grid; then
@@ -176,7 +181,7 @@ def test_csv_bytes_match_the_row_format():
                      RadialFunction(EDGE_GRID.astype(">f8"),
                                     EDGE_VALUES.astype(">f8"))]:
         assert fn.to_csv() == _row_format(fn)
-    assert list(csv_texts(fns)) == [_row_format(fn) for fn in fns]
+    assert _joined(fns) == [_row_format(fn) for fn in fns]
 
 
 def test_csv_texts_equal_each_to_csv():
@@ -188,14 +193,14 @@ def test_csv_texts_equal_each_to_csv():
            RadialFunction(r.copy(), r * np.exp(-r), 1, "R"),
            RadialFunction(r[1:], np.sqrt(r[1:]), 0, "u"),
            RadialFunction(r, np.cos(r), 3, "u")]
-    assert list(csv_texts(fns)) == [fn.to_csv() for fn in fns]
-    assert list(csv_texts([])) == []
+    assert _joined(fns) == [fn.to_csv() for fn in fns]
+    assert _joined([]) == []
 
 
 def test_csv_of_an_empty_grid():
     fn = RadialFunction(np.array([]), np.array([]))
     assert fn.to_csv() == "r,value,ell,meaning\n"
-    assert list(csv_texts([fn, fn])) == [fn.to_csv()] * 2
+    assert _joined([fn, fn]) == [fn.to_csv()] * 2
 
 
 def test_csv_of_complex_values_raises():
@@ -204,6 +209,33 @@ def test_csv_of_complex_values_raises():
         fn.to_csv()
     with pytest.raises(TypeError):
         list(csv_texts([RadialFunction(EDGE_GRID, EDGE_VALUES), fn]))
+
+
+def test_csv_texts_stream_blocks_as_they_are_formatted(monkeypatch):
+    # the header, then at most _BLOCK rows a block, each formatted when it
+    # is asked for; complex values are refused before any block
+    r = np.linspace(0.5, 2.0, 2 * gridfn._BLOCK + 3)
+    fn = RadialFunction(r, np.exp(-r), 1, "u")
+    calls = []
+    cells = gridfn._cells
+
+    def spy(a):
+        calls.append(len(a))
+        return cells(a)
+
+    monkeypatch.setattr(gridfn, "_cells", spy)
+    blocks = next(csv_texts([fn]))
+    assert next(blocks) == b"r,value,ell,meaning\n"
+    grid = len(calls)  # the grid's column, formatted in full
+    rows = []
+    for block in blocks:
+        rows.append(block.count(b"\n"))
+        assert len(calls) == grid + len(rows)
+    assert rows == [gridfn._BLOCK, gridfn._BLOCK, 3]
+    assert calls[grid:] == rows
+    assert b"".join(next(csv_texts([fn]))).decode() == _row_format(fn)
+    with pytest.raises(TypeError):
+        next(csv_texts([RadialFunction(EDGE_GRID, EDGE_VALUES + 1j)]))
 
 
 def test_csv_texts_format_a_shared_grid_once(monkeypatch):
@@ -222,8 +254,8 @@ def test_csv_texts_format_a_shared_grid_once(monkeypatch):
     monkeypatch.setattr(gridfn, "_column", spy)
     texts = csv_texts(fns)
     # each text is made when it is asked for
-    assert next(texts) == expected[0] and len(calls) == 1
-    assert list(texts) == expected[1:]
+    assert b"".join(next(texts)).decode() == expected[0] and len(calls) == 1
+    assert [b"".join(blocks).decode() for blocks in texts] == expected[1:]
     # r once for the first three functions, its copy, then 2r
     assert len(calls) == 3
     assert calls[0] is r and calls[1] is fns[3].grid
