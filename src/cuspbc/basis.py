@@ -18,7 +18,7 @@ import numpy as np
 
 from .cusp import cusp_limit_first, cusp_limit_second
 from .errors import DomainError
-from .gridfn import RadialFunction, check_natural
+from .gridfn import RadialFunction, check_finite, check_natural
 from .radial import SystemAsymptotics, asymptotic_tail
 
 SLATER = "slater"
@@ -39,8 +39,7 @@ class SlaterTerm:
 
     def __post_init__(self):
         check_natural(self.power, "power")
-        if not (math.isfinite(self.coeff) and math.isfinite(self.zeta)):
-            raise DomainError("coefficient and exponent must be finite")
+        check_finite(coeff=self.coeff, zeta=self.zeta)
 
 
 @dataclass(frozen=True)
@@ -55,8 +54,7 @@ class GaussianTerm:
         for p in self.powers:
             check_natural(p, "a Cartesian power")
         object.__setattr__(self, "powers", tuple(int(p) for p in self.powers))
-        if not math.isfinite(self.coeff):
-            raise DomainError("coefficient must be finite")
+        check_finite(coeff=self.coeff)
         if not (0.0 < self.g < math.inf):
             raise DomainError("Gaussian exponent must be positive and finite")
 
@@ -79,8 +77,7 @@ class GaussianHeadTerm:
 
     def __post_init__(self):
         check_natural(self.power, "power")
-        if not math.isfinite(self.coeff):
-            raise DomainError("coefficient must be finite")
+        check_finite(coeff=self.coeff)
         if not (0.0 < self.g < math.inf):
             raise DomainError("Gaussian exponent must be positive and finite")
 
@@ -188,8 +185,7 @@ def build_basis(kind: str, ell: int, a: float, b: float,
     Gaussian tails are stored as Cartesian z-powers.
     """
     exps = list(tail_exponents)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("cusp coefficients a and b must be finite")
+    check_finite(a=a, b=b)
     if any(not (0.0 < e < math.inf) for e in exps):
         raise DomainError("tail exponents must be positive and finite")
     coeffs = [1.0] * len(exps) if tail_coeffs is None else list(tail_coeffs)

@@ -26,7 +26,7 @@ from .cusp import (CoalescencePair, LocalWavefunction, cusp_a, cusp_b,
                    cusp_limit_first, cusp_series, local_u, validity_radius)
 from .errors import (CuspbcError, DomainError, InputError, NumericalError,
                      Overflow)
-from .gridfn import _rows, csv_texts
+from .gridfn import _rows, check_finite, csv_texts
 from .hfr import HFROrbital
 
 
@@ -71,8 +71,7 @@ def _radii(r_max, n):
     """The n radii of `local` and `compare-he`, evenly spaced on [0, r_max]."""
     if n < 1:
         raise InputError(f"--n must be at least 1, got {n}")
-    if not math.isfinite(r_max):
-        raise InputError(f"--r-max must be finite, got {r_max}")
+    check_finite(**{"--r-max": r_max})
     return np.linspace(0.0, r_max, n)
 
 
@@ -144,8 +143,8 @@ def cmd_cusp(args) -> int:
 
 def cmd_local(args) -> int:
     pair = parse_pair(args.pair)
-    lw = LocalWavefunction.from_pair(pair, args.ell, args.m,
-                                     args.w0, args.e, args.u0)
+    lw = LocalWavefunction.from_pair(pair, args.ell, 0, args.w0, args.e,
+                                     args.u0)
     r = _radii(args.r_max, args.n)
     u = local_u(lw, r)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -155,7 +154,7 @@ def cmd_local(args) -> int:
         raise Overflow("R or the density leaves the double range")
     a = cusp_a(pair, args.ell)
     meta = {
-        "ell": args.ell, "m": args.m, "w0": args.w0, "e": args.e,
+        "ell": args.ell, "w0": args.w0, "e": args.e,
         "u0": args.u0, "alpha": lw.alpha, "beta": lw.beta,
         "r_star": validity_radius(pair, args.w0),
         "r0": (args.ell + 1) / abs(a) if a != 0.0 else math.inf,
@@ -209,7 +208,8 @@ def _load_problem(path):
                     or not np.all(np.isfinite(bracket))):
                 raise ValueError("bracket must be two finite numbers")
             bracket = tuple(bracket.tolist())
-    except (AttributeError, KeyError, TypeError, ValueError, OSError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OSError,
+            InputError) as exc:
         raise InputError(f"problem spec {path}: {exc}") from exc
     return problem, m_prime, q_total, bracket
 
@@ -408,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("local", help="local Kummer wave function samples")
     _add_pair_args(p)
     p.add_argument("--ell", type=int, default=0)
-    p.add_argument("--m", type=int, default=0)
     p.add_argument("--w0", type=float, default=0.0)
     p.add_argument("--e", type=float, required=True)
     p.add_argument("--u0", type=float, default=1.0)

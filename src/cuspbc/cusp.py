@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, FitError, Overflow, ParityError, RegimeError
-from .gridfn import RadialFunction, check_natural
+from .gridfn import RadialFunction, check_finite, check_natural
 from .special import _scaled, _sphere_nodes, spherical_harmonic
 
 INFINITE_MASS = math.inf
@@ -40,9 +40,10 @@ class CoalescencePair:
     spin_channel: str | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.q1) and math.isfinite(self.q2)):
-            raise DomainError("charges must be finite")
-        for m in (self.m1, self.m2):
+        check_finite(q1=self.q1, q2=self.q2)
+        for name, m in (("m1", self.m1), ("m2", self.m2)):
+            if m != INFINITE_MASS:  # the one mass that may be infinite
+                check_finite(**{name: m})
             if not (m > 0.0):
                 raise DomainError("masses must be positive (or math.inf)")
         if math.isinf(self.m1) and math.isinf(self.m2):
@@ -130,13 +131,6 @@ class CuspSeries:
         return out
 
 
-def _check_finite(**values) -> None:
-    """DomainError, naming the first, unless every value is finite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class LocalWavefunction:
     """Parameters of the local Kummer wave function near a coalescence point."""
@@ -154,13 +148,13 @@ class LocalWavefunction:
         check_natural(abs(self.m), "|m|")
         if abs(self.m) > self.ell:
             raise DomainError(f"need |m| <= ell, got m = {self.m!r}")
-        _check_finite(u0=self.u0, alpha=self.alpha, beta=self.beta)
+        check_finite(u0=self.u0, alpha=self.alpha, beta=self.beta)
         if not (self.beta > 0.0):
             raise RegimeError(
                 "local bound-state form requires beta > 0, i.e. E < W0"
             )
         # kummer_a = ell + 1 + alpha/beta
-        _check_finite(**{"alpha/beta": self.alpha / self.beta})
+        check_finite(**{"alpha/beta": self.alpha / self.beta})
 
     @property
     def kummer_a(self) -> float:
@@ -174,7 +168,7 @@ class LocalWavefunction:
     def from_pair(cls, pair: CoalescencePair, ell: int, m: int,
                   w0: float, e: float, u0: float = 1.0) -> "LocalWavefunction":
         pair.check_ell(ell)
-        _check_finite(w0=w0, e=e)
+        check_finite(w0=w0, e=e)
         beta_sq = 2.0 * pair.reduced_mass * (w0 - e)
         if beta_sq <= 0.0:
             raise RegimeError(f"E = {e} is not below W0 = {w0}")
@@ -192,7 +186,7 @@ def cusp_b(pair: CoalescencePair, ell: int, w0: float, e: float) -> float:
     b = [(ell+1) a^2 + M (W0 - E)] / (2 ell + 3); Overflow where it leaves
     the double range."""
     a = cusp_a(pair, ell)
-    _check_finite(w0=w0, e=e)
+    check_finite(w0=w0, e=e)
     m_red = pair.reduced_mass
     b = ((ell + 1) * a * a + m_red * (w0 - e)) / (2 * ell + 3)
     if not math.isfinite(b):
@@ -214,7 +208,7 @@ def cusp_series(pair: CoalescencePair, ell: int, w0: float, e: float,
     if order < 2:
         raise DomainError("series order must be at least 2")
     pair.check_ell(ell)
-    _check_finite(w0=w0, e=e)
+    check_finite(w0=w0, e=e)
     alpha = pair.alpha
     beta_sq = 2.0 * pair.reduced_mass * (w0 - e)
     coeffs = [1.0, alpha / (ell + 1)]
@@ -266,7 +260,7 @@ def validity_radius(pair: CoalescencePair, w0: float) -> float:
     (q1 q2 / r + W0 >= 0).  math.inf means valid at all radii; 0 means the
     near-origin potential is non-negative and the bound form never applies.
     """
-    _check_finite(w0=w0)
+    check_finite(w0=w0)
     prod = pair.q1 * pair.q2
     if prod < 0.0:
         if w0 > 0.0:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cusp import CoalescencePair
 from .errors import DomainError, InputError, SingularityError
-from .gridfn import check_natural
+from .gridfn import check_finite, check_natural
 from .special import _legendre_upto
 
 
@@ -28,12 +28,13 @@ class PointCharge:
     position: tuple[float, float, float]
 
     def __post_init__(self):
-        pos = tuple(float(x) for x in self.position)
-        object.__setattr__(self, "position", pos)
-        if len(pos) != 3 or not all(math.isfinite(x) for x in pos):
+        check_finite(q=self.q)
+        pos = tuple(self.position)
+        if len(pos) != 3:
             raise DomainError("position must be a finite 3-vector")
-        if not math.isfinite(self.q):
-            raise DomainError("charge must be finite")
+        for x in pos:
+            check_finite(position=x)
+        object.__setattr__(self, "position", tuple(map(float, pos)))
 
     @property
     def radius(self) -> float:
@@ -88,15 +89,15 @@ def _mass_fractions(pair: CoalescencePair) -> tuple[float, float]:
 
 
 def _direction(theta: float, phi: float) -> np.ndarray:
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise DomainError("angles must be finite")
+    check_finite(theta=theta, phi=phi)
     st = math.sin(theta)
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
 
 
 def _check_r(r: float) -> None:
-    if not (r >= 0.0 and math.isfinite(r)):
-        raise DomainError("r must be finite and non-negative")
+    check_finite(r=r)
+    if r < 0.0:
+        raise DomainError("r must be non-negative")
 
 
 def w0(env: Environment, pair: CoalescencePair) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -20,6 +21,16 @@ def check_natural(value, name: str) -> None:
             and value >= 0):
         raise DomainError(f"{name} must be a non-negative integer, got "
                           f"{value!r}")
+
+
+def check_finite(**values) -> None:
+    """DomainError, naming the first, unless every value is a finite real
+    number; a bool is not one, although Python counts it as Real."""
+    for name, value in values.items():
+        # float first: it matches at once, where the ABC's check is slow
+        if not (isinstance(value, (float, numbers.Real))
+                and not isinstance(value, bool) and math.isfinite(value)):
+            raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, Overflow
-from .gridfn import check_natural
+from .gridfn import check_finite, check_natural
 
 
 def _log_norm(n: int, zeta: float) -> float:
@@ -39,19 +39,18 @@ class HFROrbital:
     terms: tuple  # of (n, zeta, c)
 
     def __post_init__(self):
-        for n, _, _ in self.terms:
+        for n, _, c in self.terms:
             check_natural(n, "principal number n")
+            check_finite(**{"coefficient c": c})
         terms = tuple((int(n), float(z), float(c)) for n, z, c in self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise DomainError("orbital needs at least one term")
-        for n, z, c in terms:
+        for n, z, _ in terms:
             if n < 1:
                 raise DomainError("principal number n must be >= 1")
             if not (0.0 < z < math.inf):
                 raise DomainError("zeta must be positive and finite")
-            if not math.isfinite(c):
-                raise DomainError("coefficients must be finite")
         if not any(c for _, _, c in terms):
             raise DomainError("orbital has no nonzero coefficient")
 

@@ -21,7 +21,6 @@ import importlib.machinery
 import importlib.util
 import logging
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ import numpy as np
 from .cusp import CuspSeries, CoalescencePair, _polyfit, cusp_series
 from .errors import (ConvergenceError, DomainError, NoSignChange, Overflow,
                      RegimeError, SingularityError, StiffnessError)
-from .gridfn import RadialFunction, check_natural
+from .gridfn import RadialFunction, check_finite, check_natural
 
 INNER = "inner"
 OUTER = "outer"
@@ -99,8 +98,7 @@ class RobinBoundary:
     def __post_init__(self):
         if self.location not in (INNER, OUTER):
             raise DomainError("location must be 'inner' or 'outer'")
-        if not (math.isfinite(self.c_dpsi) and math.isfinite(self.c_psi)):
-            raise DomainError("(c_dpsi, c_psi) must be finite")
+        check_finite(c_dpsi=self.c_dpsi, c_psi=self.c_psi)
         if self.c_dpsi == 0.0 and self.c_psi == 0.0:
             raise DomainError("(c_dpsi, c_psi) must not both vanish")
 
@@ -128,11 +126,10 @@ class SystemAsymptotics:
     energy: float
 
     def __post_init__(self):
-        if not (0.0 < self.total_reduced_mass < math.inf):
+        check_finite(total_reduced_mass=self.total_reduced_mass,
+                     total_charge=self.total_charge, energy=self.energy)
+        if not self.total_reduced_mass > 0.0:
             raise DomainError("total_reduced_mass must be positive and finite")
-        if not (math.isfinite(self.total_charge)
-                and math.isfinite(self.energy)):
-            raise DomainError("total_charge and energy must be finite")
         if not (self.energy < 0.0):
             raise RegimeError("asymptotic tail requires a bound state (E < 0)")
 
@@ -170,9 +167,10 @@ def asymptotic_tail(sys: SystemAsymptotics, v0: float, r) -> float:
     """R(r) = v0 exp(-decay*r) r^power at large r, formed as v0 exp(power ln r
     - decay r), so that each factor may leave the double range where R does
     not; Overflow where R does."""
+    check_finite(v0=v0)
     rs = np.asarray(r, dtype=float)
-    if not (math.isfinite(v0) and np.all((rs > 0.0) & (rs < math.inf))):
-        raise DomainError("v0 must be finite and r positive and finite")
+    if not np.all((rs > 0.0) & (rs < math.inf)):
+        raise DomainError("r must be positive and finite")
     with np.errstate(over="ignore", invalid="ignore"):
         out = v0 * np.exp(sys.power * np.log(rs) - sys.decay * rs)
     if not np.all(np.isfinite(out)):
@@ -185,7 +183,8 @@ def log_grid(r_min: float = 1e-5, r_max: float = 40.0, n: int = 2000) -> np.ndar
     check_natural(n, "n")
     if n < 2:
         raise DomainError("log grid needs at least 2 points")
-    if not (0.0 < r_min < r_max < math.inf):
+    check_finite(r_min=r_min, r_max=r_max)
+    if not 0.0 < r_min < r_max:
         raise DomainError(f"log grid needs 0 < r_min < r_max < inf, got "
                           f"r_min = {r_min!r}, r_max = {r_max!r}")
     grid = np.exp(np.linspace(math.log(r_min), math.log(r_max), n))
@@ -218,10 +217,10 @@ class RadialProblem:
             raise DomainError("grid must be finite and strictly increasing "
                               "with r_min > 0")
         check_natural(self.ell, "ell")
-        if not (0.0 < self.mass < math.inf):
+        check_finite(mass=self.mass, pair_product=self.pair_product,
+                     w0=self.w0)
+        if not self.mass > 0.0:
             raise DomainError("mass must be positive and finite")
-        if not (math.isfinite(self.pair_product) and math.isfinite(self.w0)):
-            raise DomainError("pair_product and w0 must be finite")
         if self.extra_potential is not None:
             v = np.asarray(self.extra_potential, dtype=float)
             object.__setattr__(self, "extra_potential", v)
@@ -645,13 +644,14 @@ def solve_shooting(problem: RadialProblem, inner: RobinBoundary,
     and outer is not used (it may be None).  The error is O(h^4) in the
     mesh step, as the matrix route's: the routes' agreement checks the
     root, not the mesh.  A mesh too coarse for Numerov raises StiffnessError."""
-    if not (len(e_bracket) == 2 and all(isinstance(e, numbers.Real)
-                                        and math.isfinite(e) for e in e_bracket)):
+    if len(e_bracket) != 2:
         raise DomainError(f"e_bracket must be finite and two real numbers, "
                           f"got {e_bracket!r}")
-    if not (_RTOL_FLOOR <= rtol < math.inf):
-        raise DomainError(f"rtol = {rtol!r} must be finite and at least "
-                          f"4 * 2**-52")
+    for e in e_bracket:
+        check_finite(e_bracket=e)
+    check_finite(rtol=rtol)
+    if not rtol >= _RTOL_FLOOR:
+        raise DomainError(f"rtol = {rtol!r} must be at least 4 * 2**-52")
     if asymptotics is not None:
         outer = (asymptotics.total_reduced_mass, asymptotics.total_charge)
     elif outer is None:

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NoConvergence, Overflow, PoleError
-from .gridfn import check_natural
+from .gridfn import check_finite, check_natural
 
 # series truncation: a hard term cap and the relative tolerance of a term
 MAX_TERMS = 500
@@ -28,8 +28,7 @@ def pochhammer(a: float, k: int) -> float:
     of two, so that no partial product overflows; DomainError for a
     non-finite a, Overflow where (a)_k leaves the double range."""
     check_natural(k, "pochhammer order k")
-    if not math.isfinite(a):
-        raise DomainError(f"pochhammer needs a finite a, got {a!r}")
+    check_finite(a=a)
     if _is_nonpositive_integer(a) and k > -a:
         return 0.0
     out, exponent = 1.0, 0  # (a)_i = out 2^exponent
@@ -49,9 +48,7 @@ def _is_nonpositive_integer(b: float) -> bool:
 
 def _check_parameters(a: float, b: float) -> None:
     """DomainError unless a and b are finite; PoleError at b = 0, -1, ..."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"1F1 parameters must be finite, got a = {a!r}, "
-                          f"b = {b!r}")
+    check_finite(a=a, b=b)
     if _is_nonpositive_integer(b):
         raise PoleError(f"1F1 pole: b = {b} is zero or a negative integer")
 
@@ -59,8 +56,7 @@ def _check_parameters(a: float, b: float) -> None:
 def kummer_series(a: float, b: float, x: float) -> float:
     """Raw series sum of 1F1(a; b; x), no transformation (see _sum)."""
     _check_parameters(a, b)
-    if not math.isfinite(x):
-        raise DomainError("1F1 argument must be finite")
+    check_finite(x=x)
     return float(_series(a, b, np.array([float(x)]))[0])
 
 
@@ -311,9 +307,7 @@ def spherical_harmonic(l: int, m: int, theta: float, phi: float) -> complex:
     if isinstance(m, bool):  # abs(True) is 1
         raise DomainError(f"m must be an integer, got {m!r}")
     check_natural(abs(m), "|m|")
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise DomainError(f"theta and phi must be finite, got {theta!r}, "
-                          f"{phi!r}")
+    check_finite(theta=theta, phi=phi)
     if abs(m) > l:
         raise DomainError(f"|m| = {abs(m)} exceeds l = {l}")
     mp = abs(m)

@@ -105,6 +105,9 @@ def test_cmd_local_metadata_r_star(tmp_path):
                 for line in out.read_text().splitlines()
                 if line.startswith("# "))
     assert float(meta["r_star"]) == pytest.approx(2.0 / 1.6876, rel=1e-12)
+    # u, R and the density do not depend on m: no m is taken or written
+    assert list(meta) == ["ell", "w0", "e", "u0", "alpha", "beta", "r_star",
+                          "r0"]
 
 
 def test_cmd_local_regime_error_exit_code():
@@ -355,8 +358,35 @@ def test_cmd_solve_boolean_ell_is_an_input_error(tmp_path, capsys):
     rc, out, err = _quiet_main(["solve", str(path), "--method", "both"],
                                capsys)
     assert (rc, out) == (2, "")
-    assert err == ("cuspbc: input error: ell must be a non-negative "
-                   "integer, got True\n")
+    assert err == (f"cuspbc: input error: problem spec {path}: ell must be "
+                   f"a non-negative integer, got True\n")
+
+
+@pytest.mark.parametrize("entry, field, value", [
+    ({"w0": True}, "w0", True),
+    ({"mass": True}, "mass", True),
+    ({"asymptotics": {"total_charge": False}}, "total_charge", False)],
+    ids=["w0", "mass", "total-charge"])
+def test_cmd_solve_boolean_real_is_an_input_error(tmp_path, capsys, entry,
+                                                  field, value):
+    # JSON's true is no W0, mass or charge of 1, although Python counts a
+    # bool as a number; the one line names the file and the field
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"ell": 0, "pair_product": -1.0, **entry}))
+    rc, out, err = _quiet_main(["solve", str(path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err == (f"cuspbc: input error: problem spec {path}: {field} must "
+                   f"be finite, got {value}\n")
+
+
+def test_cmd_env_boolean_charge_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps({"charges": [{"q": True,
+                                             "position": [0.0, 0.0, 2.0]}]}))
+    rc, out, err = _quiet_main(["env", str(path), "e-e", "singlet"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == (f"cuspbc: input error: environment file {path}: q must "
+                   f"be finite, got True\n")
 
 
 def test_cmd_solve_at_the_stability_floor_warns_nothing(tmp_path, capsys):
@@ -1091,8 +1121,8 @@ def test_solve_shoot_robin_row_overflow_is_a_numerical_failure(tmp_path,
 
 @pytest.mark.parametrize("argv, message", [
     # charges enter exact (Fraction) series arithmetic
-    (["basis", "slater", "e-nucleus", "Z=nan"], "charges must be finite"),
-    (["basis", "slater", "e-nucleus", "Z=inf"], "charges must be finite"),
+    (["basis", "slater", "e-nucleus", "Z=nan"], "q2 must be finite, got nan"),
+    (["basis", "slater", "e-nucleus", "Z=inf"], "q2 must be finite, got inf"),
     (["basis", "gaussian", "e-nucleus", "Z=2", "--tail", "inf"],
      "tail exponents must be positive and finite"),
     # an all-zero orbital has no norm to divide <1/r> by

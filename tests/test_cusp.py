@@ -28,8 +28,9 @@ def test_reduced_mass_and_alpha():
     with pytest.raises(DomainError):
         CoalescencePair(-1.0, 1.0, -2.0, 1.0)
     # the charges enter exact (Fraction) series arithmetic
-    for q1, q2 in [(math.nan, 1.0), (-1.0, math.inf), (-math.inf, 1.0)]:
-        with pytest.raises(DomainError, match="charges must be finite"):
+    for q1, q2, name in [(math.nan, 1.0, "q1"), (-1.0, math.inf, "q2"),
+                         (-math.inf, 1.0, "q1")]:
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
             CoalescencePair(q1, q2)
 
 

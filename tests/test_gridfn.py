@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 
 import numpy as np
@@ -6,15 +8,19 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cuspbc import gridfn
-from cuspbc.basis import GaussianTerm, SlaterTerm, build_basis
-from cuspbc.cusp import (CoalescencePair, LocalWavefunction,
-                         cusp_limit_first, cusp_series)
+from cuspbc.basis import (GaussianHeadTerm, GaussianTerm, SlaterTerm,
+                          build_basis)
+from cuspbc.cusp import (CoalescencePair, LocalWavefunction, cusp_b,
+                         cusp_limit_first, cusp_series, validity_radius)
 from cuspbc.environment import (Environment, PointCharge, multipole_term,
-                                w_multipole)
+                                spherical_average_w, w_exact, w_multipole)
 from cuspbc.hfr import HFROrbital
-from cuspbc.radial import (RadialProblem, SystemAsymptotics, log_grid,
-                           robin_inner, robin_outer, solve_matrix)
-from cuspbc.special import legendre_p, pochhammer, spherical_harmonic
+from cuspbc.radial import (INNER, RadialProblem, RobinBoundary,
+                           SystemAsymptotics, asymptotic_tail, log_grid,
+                           robin_inner, robin_outer, solve_matrix,
+                           solve_shooting)
+from cuspbc.special import (kummer_1f1, kummer_series, legendre_p,
+                            pochhammer, spherical_harmonic)
 
 from cuspbc.errors import DomainError, Overflow
 from cuspbc.gridfn import RadialFunction, csv_texts
@@ -89,6 +95,101 @@ def test_a_bool_is_not_a_natural_number(flag):
         gridfn.check_natural(flag, "ell")
     with pytest.raises(DomainError, match="^ell must be"):
         RadialProblem(flag, 1.0, -1.0, 0.0, log_grid(1e-5, 40.0, 200))
+
+
+_SYS = SystemAsymptotics(1.0, 0.0, -0.5)
+
+
+def _shoot(bracket=(-0.6, -0.4), rtol=1e-12):
+    return solve_shooting(_H, robin_inner(0, -1.0), None, bracket,
+                          asymptotics=_SYS, rtol=rtol)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda v: CoalescencePair(v, 1.0), "q1"),
+    (lambda v: CoalescencePair(-1.0, v), "q2"),
+    (lambda v: LocalWavefunction(0, 0, v, -1.0, 1.0), "u0"),
+    (lambda v: LocalWavefunction(0, 0, 1.0, v, 1.0), "alpha"),
+    (lambda v: LocalWavefunction(0, 0, 1.0, -1.0, v), "beta"),
+    (lambda v: LocalWavefunction.from_pair(_PAIR, 0, 0, v, -0.5), "w0"),
+    (lambda v: LocalWavefunction.from_pair(_PAIR, 0, 0, 0.0, v), "e"),
+    (lambda v: cusp_b(_PAIR, 0, v, -0.5), "w0"),
+    (lambda v: cusp_b(_PAIR, 0, 0.0, v), "e"),
+    (lambda v: cusp_series(_PAIR, 0, v, -0.5, 4), "w0"),
+    (lambda v: cusp_series(_PAIR, 0, 0.0, v, 4), "e"),
+    (lambda v: validity_radius(_PAIR, v), "w0"),
+    (lambda v: RobinBoundary(INNER, v, 1.0), "c_dpsi"),
+    (lambda v: RobinBoundary(INNER, 1.0, v), "c_psi"),
+    (lambda v: SystemAsymptotics(v, 0.0, -0.5), "total_reduced_mass"),
+    (lambda v: SystemAsymptotics(1.0, v, -0.5), "total_charge"),
+    (lambda v: SystemAsymptotics(1.0, 0.0, v), "energy"),
+    (lambda v: RadialProblem(0, v, -1.0, 0.0, _H.grid), "mass"),
+    (lambda v: RadialProblem(0, 1.0, v, 0.0, _H.grid), "pair_product"),
+    (lambda v: RadialProblem(0, 1.0, -1.0, v, _H.grid), "w0"),
+    (lambda v: log_grid(v, 40.0, 100), "r_min"),
+    (lambda v: log_grid(1e-5, v, 100), "r_max"),
+    (lambda v: asymptotic_tail(_SYS, v, 1.0), "v0"),
+    (lambda v: _shoot(bracket=(v, -0.4)), "e_bracket"),
+    (lambda v: _shoot(rtol=v), "rtol"),
+    (lambda v: PointCharge(v, (0.0, 0.0, 1.0)), "q"),
+    (lambda v: PointCharge(1.0, (0.0, v, 1.0)), "position"),
+    (lambda v: w_exact(_ENV, _PAIR, v, 0.2, 0.3), "r"),
+    (lambda v: w_exact(_ENV, _PAIR, 0.1, v, 0.3), "theta"),
+    (lambda v: w_exact(_ENV, _PAIR, 0.1, 0.2, v), "phi"),
+    (lambda v: spherical_average_w(_ENV, _PAIR, v), "r"),
+    (lambda v: pochhammer(v, 2), "a"),
+    (lambda v: kummer_1f1(v, 2.0, 0.5), "a"),
+    (lambda v: kummer_1f1(1.0, v, 0.5), "b"),
+    (lambda v: kummer_series(1.0, 2.0, v), "x"),
+    (lambda v: spherical_harmonic(1, 0, v, 0.2), "theta"),
+    (lambda v: spherical_harmonic(1, 0, 0.1, v), "phi"),
+    (lambda v: SlaterTerm(v, 0, 1.0), "coeff"),
+    (lambda v: SlaterTerm(1.0, 0, v), "zeta"),
+    (lambda v: GaussianTerm(v, (0, 0, 0), 1.0), "coeff"),
+    (lambda v: GaussianHeadTerm(v, 0, 1.0), "coeff"),
+    (lambda v: build_basis("slater", 0, v, 0.5, [2.0]), "a"),
+    (lambda v: build_basis("gaussian", 0, -1.0, v, [2.0]), "b"),
+    (lambda v: HFROrbital(((1, 1.0, v),)), "coefficient c")],
+    ids=["pair-q1", "pair-q2", "local-u0", "local-alpha", "local-beta",
+         "from-pair-w0", "from-pair-e", "cusp-b-w0", "cusp-b-e",
+         "series-w0", "series-e", "validity-radius", "robin-c-dpsi",
+         "robin-c-psi", "asym-mass", "asym-charge", "asym-energy",
+         "problem-mass", "problem-pair-product", "problem-w0", "grid-r-min",
+         "grid-r-max", "tail-v0", "shoot-bracket", "shoot-rtol",
+         "charge-q", "charge-position", "w-exact-r", "w-exact-theta",
+         "w-exact-phi", "average-r", "pochhammer", "kummer-a", "kummer-b",
+         "kummer-series-x", "harmonic-theta", "harmonic-phi",
+         "slater-coeff", "slater-zeta", "gaussian-coeff",
+         "gaussian-head-coeff", "basis-a", "basis-b", "hfr-coeff"])
+def test_real_parameters_must_be_finite_reals(make, name):
+    # a bool is not taken as 0 or 1, nor a string or None left to a
+    # TypeError: each is named in its DomainError, as NaN and inf are
+    for value in (math.nan, math.inf, -math.inf, True, "1.0", None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(
+                    f"{name} must be finite, got {value!r}") + "$"):
+                make(value)
+
+
+def test_check_finite_takes_any_finite_real():
+    gridfn.check_finite(a=1, b=-0.0, c=np.float64(2.5), d=np.int64(-3))
+    with pytest.raises(DomainError, match="^b must be finite, got False$"):
+        gridfn.check_finite(a=1.0, b=False, c=math.nan)
+
+
+@pytest.mark.parametrize("mass", [True, "x", None, math.nan, -math.inf])
+def test_a_mass_is_a_finite_real_or_inf(mass):
+    # math.inf is the fixed nucleus; no other non-finite value or
+    # non-number is a mass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m1, m2, name in ((mass, 1.0, "m1"), (1.0, mass, "m2")):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"{name} must be finite, got {mass!r}") + "$"):
+                CoalescencePair(-1.0, 1.0, m1, m2)
+    for m1, m2 in ((math.inf, 1.0), (1.0, math.inf)):
+        assert CoalescencePair(-1.0, 1.0, m1, m2).reduced_mass == 1.0
 
 
 def test_meaning_conversion_round_trip():
